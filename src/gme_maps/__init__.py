@@ -6,8 +6,8 @@ from .operators import (MpOperator, PartySubset, SiteDims, diag_part, identity,
                         schur_product)
 from .states import (NoiseMixture, PptFamilyParams, PureState, clock_matrix,
                      depolarized, ghz, maximally_entangled, maximally_mixed,
-                     ppt_family, pure, random_biseparable, random_product_pure,
-                     random_pure, shift_matrix, w_state)
+                     ppt_family, ppt_family_terms, pure, random_biseparable,
+                     random_product_pure, random_pure, shift_matrix, w_state)
 from .maps import (MapExpr, apply, breuer_hall_map, choi_map, compose,
                    conjugation_map, diag_map, dual, estimate_mu, identity_map,
                    lift, map_sum, mu_constant, reduction_map, scale,
@@ -19,6 +19,6 @@ from .criteria import (BipartitionSet, Claim, GmeMap, alpha_critical,
 from .detect import (BisepReport, NotDetectedError, PptReport, ScanRow,
                      ThresholdResult, Verdict, detect, lambda_scan,
                      noise_threshold, ppt_check, verify_biseparable_positivity,
-                     white_noise_threshold)
+                     visibility_scan, white_noise_threshold)
 
 __version__ = "0.1.0"

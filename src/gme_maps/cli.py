@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, maps, serialize, states
-from .detect import (ScanRow, detect, lambda_scan, noise_threshold,
-                     verify_biseparable_positivity, white_noise_threshold)
+from .detect import (detect, lambda_scan, noise_threshold,
+                     verify_biseparable_positivity, visibility_scan,
+                     white_noise_threshold)
 from .operators import MpOperator, SiteDims
 from .states import PureState
 
@@ -186,10 +187,7 @@ def _cmd_threshold(args) -> int:
         "config": _config(args, "threshold", m, args.state or "ghz"),
         "kind": kind,
         "p_star": res.p_star,
-        "bracket": list(res.bracket),
-        "iterations": res.iterations,
         "residual": res.residual,
-        "warning": res.warning,
     }
     _emit(serialize.dumps_report(report), args.output)
     return 0
@@ -211,17 +209,11 @@ def _cmd_scan(args) -> int:
     m = _build_gme_map(args)
     grid = _parse_grid(args.grid)
     if args.family == "ppt-qutrit":
-        rows = lambda_scan(m, grid, noise=args.noise or 0.0, tol=args.tol,
-                               threads=args.threads)
+        rows = lambda_scan(m, grid, noise=args.noise or 0.0, tol=args.tol)
     else:
         psi = (states.ghz(m.dims.n, m.dims.dims[0]) if args.family == "noisy-ghz"
                else states.w_state(m.dims.n))
-
-        def row(p: float) -> ScanRow:
-            v = detect(m, states.depolarized(psi, p), args.tol)
-            return ScanRow(p, v.min_eig, v.detected)
-
-        rows = [row(p) for p in grid]
+        rows = visibility_scan(m, psi, grid, args.tol)
     _emit(serialize.scan_csv(rows), args.output)
     return 0
 
@@ -282,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gme-maps",
         description="Detect genuine multipartite entanglement with lifted positive maps.")
     parser.add_argument("--threads", type=int, default=_threads_default(),
-                        help="worker threads for scans and verification "
+                        help="worker threads for verification "
                              "(default: GME_MAPS_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -294,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-map", help="also write the map expression (mapexpr-v1) here")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("threshold", help="bisect the noise threshold of a state family")
+    p = sub.add_parser("threshold", help="exact noise threshold of a state family")
     _add_map_args(p)
     _add_state_args(p)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)

@@ -114,17 +114,14 @@ def phi_tx(n: int) -> GmeMap:
     if n < 3:
         raise ValueError("phi-tx needs n >= 3")
     dims = SiteDims((2,) * n)
-    lifts = []
-    for A in bipartitions(n):
-        dA = 2 ** len(A)
-        flip = Conjugate(_kron_all([shift_matrix(2).mat] * len(A)))
-        lifts.append(Lift(Compose(flip, transpose_map(dA)), A, dims))
-    expr = Sum(tuple(lifts) + (_compensation(n, Fraction(1, 2), dims.total),))
+    expr = Sum(_phi_tx_sum(n).children + (_compensation(n, Fraction(1, 2), dims.total),))
     b = 2 ** (n - 1)
     claims = (
         Claim("min-eig:ghz", -0.5, "closed-form"),
-        Claim("threshold:noisy-ghz", (b * b - b - 1) / (b * b - 1), "derived-numeric",
-              note="closed form fitted to bisection; gives 11/15 at n=3 and tends to 1"),
+        Claim("threshold:noisy-ghz", (b * b - b - 1) / (b * b - 1), "closed-form",
+              note="b = 2^(n-1); every lift fixes I/D, so m(I/D) = beta I with "
+                   "beta = (b^2-b-1)/(2b); lambda_min(m(|GHZ><GHZ|)) = -1/2, so "
+                   "p* = 1/(1 + 1/(2 beta)) = (b^2-b-1)/(b^2-1)"),
     )
     return GmeMap("phi-tx", expr, dims, claims)
 

@@ -1,4 +1,4 @@
-"""Detection verdicts, noise thresholds, family scans and fuzz verification."""
+"""Detection verdicts, exact noise thresholds, family scans and fuzz verification."""
 
 from __future__ import annotations
 
@@ -12,13 +12,13 @@ from .criteria import GmeMap, bipartitions
 from .maps import apply
 from .operators import (MpOperator, eigvalsh, is_density, min_eig,
                         partial_transpose)
-from .states import (PureState, depolarized, maximally_entangled,
-                     maximally_mixed, ppt_family, random_biseparable)
+from .states import (PptFamilyParams, PureState, depolarized,
+                     maximally_entangled, maximally_mixed, ppt_family_terms,
+                     random_biseparable)
+from .states import ppt_family  # noqa: F401  perfbench/spans.py wraps detect.ppt_family
 
 DETECT_TOL = 1e-9
 PPT_TOL = 1e-10
-MAX_BISECT_ITER = 200
-PREGRID_POINTS = 32
 
 
 class NotDetectedError(ValueError):
@@ -37,10 +37,7 @@ class Verdict:
 @dataclass(frozen=True)
 class ThresholdResult:
     p_star: float
-    bracket: tuple[float, float]
-    iterations: int
     residual: float
-    warning: str = ""
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,11 @@ class PptReport:
     tolerance: float
 
 
+def _detected(val: float, tol: float) -> bool:
+    """The one detection rule: an output eigenvalue below -tol."""
+    return val < -tol
+
+
 def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
     """Apply the map and flag the state when the output dips below -tol."""
     if rho.dims != m.dims:
@@ -95,78 +97,101 @@ def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
     if not is_density(rho):
         raise ValueError("input is not a density matrix")
     val, vec = min_eig(apply(m.expr, rho))
-    return Verdict(val, vec, val < -tol, m.label, tol)
+    return Verdict(val, vec, _detected(val, tol), m.label, tol)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float,
-            flo: float, fhi: float) -> tuple[float, tuple[float, float], int, float]:
-    iters = 0
-    neg_lo = flo < 0
-    while hi - lo > tol and iters < MAX_BISECT_ITER:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        iters += 1
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    p = 0.5 * (lo + hi)
-    return p, (lo, hi), iters, abs(f(p))
+def _noise_outputs(m: GmeMap, target: MpOperator) -> tuple[MpOperator, MpOperator]:
+    """A = m(target) and B = m(I/D); the map is linear, so mixtures combine them."""
+    return apply(m.expr, target), apply(m.expr, maximally_mixed(m.dims))
 
 
-def _crossing_warning(f: Callable[[float], float]) -> str:
-    grid = np.linspace(0.0, 1.0, PREGRID_POINTS)
-    signs = np.sign([f(p) for p in grid])
-    signs = signs[signs != 0]
-    changes = int(np.sum(signs[1:] != signs[:-1]))
-    return "multiple crossings possible" if changes > 1 else ""
+def _pencil_min(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """Smallest generalized eigenvalue sigma of the pencil (a, b), b >= 0.
+
+    a - s b is positive semidefinite exactly for s <= sigma.  Returns -inf
+    when no s makes it so: a is negative on the kernel of b, or couples the
+    kernel to the range of b along a direction where a vanishes.
+    """
+    try:
+        low = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return _pencil_min_singular(a, b, tol)
+    half = np.linalg.solve(low, a)
+    c = np.linalg.solve(low, half.conj().T)
+    return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
 
 
-def noise_threshold(m: GmeMap, psi: PureState, tol: float = DETECT_TOL,
-                    check_crossings: bool = True) -> ThresholdResult:
+def _pencil_min_singular(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """`_pencil_min` for a singular b, restricted to the range of b.
+
+    Split the kernel of b into directions kp where a is positive and kn where
+    it vanishes.  Then a - s b >= 0 iff a does not couple kn to the range and
+    the Schur complement of a on kp is >= s b on the range.  Eigenvalues and
+    couplings within tol of zero count as zero.
+    """
+    w, u = np.linalg.eigh(b)
+    in_range = w > tol
+    if not in_range.any():
+        return -np.inf
+    r, k = u[:, in_range], u[:, ~in_range]
+    wk, vk = np.linalg.eigh(k.conj().T @ a @ k)
+    if _detected(wk[0], tol):
+        return -np.inf
+    pos = wk > tol
+    kp, kn = k @ vk[:, pos], k @ vk[:, ~pos]
+    ra = r.conj().T @ a
+    if np.abs(ra @ kn).max(initial=0.0) > tol:
+        return -np.inf
+    rkp = ra @ kp
+    s = ra @ r - (rkp / wk[pos]) @ rkp.conj().T
+    scale = 1 / np.sqrt(w[in_range])
+    c = s * scale[:, None] * scale[None, :]
+    return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
+
+
+def _threshold(a: MpOperator, b: MpOperator, tol: float, white_noise: bool) -> ThresholdResult:
+    """p* from the pencil of a (the noiseless output) and b (the output on I/D).
+
+    lambda_min(q a + (1-q) b) is concave in the weight q of a; with a detected
+    and b not, it crosses zero exactly once, at q* = 1/(1 - sigma_min).
+    """
+    q = 1 / (1 - _pencil_min(a.mat, b.mat, tol))
+    mixed = MpOperator(a.dims, q * a.mat + (1 - q) * b.mat)
+    residual = abs(min_eig(mixed)[0])
+    return ThresholdResult(1 - q if white_noise else q, residual)
+
+
+def noise_threshold(m: GmeMap, psi: PureState, tol: float = DETECT_TOL) -> ThresholdResult:
     """Critical visibility of p |psi><psi| + (1-p) I/D under the map.
 
-    Bisects the minimal output eigenvalue as a function of p; the state is
-    detected for p above the returned value.
+    The output is p A + (1-p) B with A = m(|psi><psi|) and B = m(I/D), so the
+    map is applied twice and p* is the exact crossing of that pencil; the
+    state is detected (output eigenvalue below -tol) for p above it.
     """
     if psi.dims != m.dims:
         raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
-
-    def f(p: float) -> float:
-        return min_eig(apply(m.expr, depolarized(psi, p)))[0]
-
-    f0, f1 = f(0.0), f(1.0)
-    if f1 >= 0:
+    a, b = _noise_outputs(m, psi.density())
+    if not _detected(min_eig(a)[0], tol):
         raise NotDetectedError("not detected at p=1")
-    if f0 < 0:
-        raise ValueError("already detected at p=0; no bracket")
-    warning = _crossing_warning(f) if check_crossings else ""
-    p, bracket, iters, resid = _bisect(f, 0.0, 1.0, tol, f0, f1)
-    return ThresholdResult(p, bracket, iters, resid, warning)
+    if _detected(min_eig(b)[0], tol):
+        raise ValueError("already detected at p=0; no threshold")
+    return _threshold(a, b, tol, white_noise=False)
 
 
-def white_noise_threshold(m: GmeMap, rho0: MpOperator, tol: float = DETECT_TOL,
-                          check_crossings: bool = True) -> ThresholdResult:
-    """Largest white-noise fraction p with p I/D + (1-p) rho0 still detected."""
+def white_noise_threshold(m: GmeMap, rho0: MpOperator,
+                          tol: float = DETECT_TOL) -> ThresholdResult:
+    """Largest white-noise fraction p with p I/D + (1-p) rho0 still detected.
+
+    Exact, from the same pencil of m(rho0) and m(I/D) as `noise_threshold`.
+    """
     if rho0.dims != m.dims:
         raise ValueError(f"state dims {rho0.dims.dims} do not match map dims {m.dims.dims}")
-    mm = maximally_mixed(m.dims).mat
-
-    def f(p: float) -> float:
-        mixed = MpOperator(m.dims, p * mm + (1 - p) * rho0.mat)
-        return min_eig(apply(m.expr, mixed))[0]
-
-    f0, f1 = f(0.0), f(1.0)
-    if f0 >= 0:
+    a, b = _noise_outputs(m, rho0)
+    if not _detected(min_eig(a)[0], tol):
         raise NotDetectedError("not detected at p=0")
-    if f1 < 0:
-        raise ValueError("still detected at p=1; no bracket")
-    warning = _crossing_warning(f) if check_crossings else ""
-    p, bracket, iters, resid = _bisect(f, 0.0, 1.0, tol, f0, f1)
-    return ThresholdResult(p, bracket, iters, resid, warning)
+    if _detected(min_eig(b)[0], tol):
+        raise ValueError("still detected at p=1; no threshold")
+    return _threshold(a, b, tol, white_noise=True)
 
 
 def _run_indexed(fn: Callable[[int], object], count: int, threads: int) -> list:
@@ -176,23 +201,50 @@ def _run_indexed(fn: Callable[[int], object], count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
+def _scan_row(dims, param: float, out: np.ndarray, tol: float) -> ScanRow:
+    val = min_eig(MpOperator(dims, out))[0]
+    return ScanRow(param, val, _detected(val, tol))
+
+
 def lambda_scan(m: GmeMap, grid: Sequence[float], noise: float = 0.0,
-                tol: float = DETECT_TOL, threads: int = 1) -> list[ScanRow]:
-    """Detection scan of the 3-qutrit family, optionally with white noise."""
-    mm = maximally_mixed(m.dims).mat
+                tol: float = DETECT_TOL) -> list[ScanRow]:
+    """Detection scan of the 3-qutrit family, optionally with white noise.
 
-    def row(i: int) -> ScanRow:
-        lam = float(grid[i])
-        rho = ppt_family((lam, lam, lam))
-        mat = noise * mm + (1 - noise) * rho.mat if noise else rho.mat
-        val = min_eig(MpOperator(m.dims, _apply_mat(m, mat)))[0]
-        return ScanRow(lam, val, val < -tol)
+    The unnormalised family is E(l) = l P + Q/l + C (`ppt_family_terms`), so
+    the map is applied to P, Q and C (and to I/D with noise) once; each row
+    combines those outputs and takes one eigensolve.
+    """
+    P, Q, C = ppt_family_terms()
+    parts = (P.sum(axis=0), Q.sum(axis=0), C)
+    outs = [apply(m.expr, MpOperator(m.dims, x)).mat for x in parts]
+    traces = [np.trace(x) for x in parts]
+    mixed_out = apply(m.expr, maximally_mixed(m.dims)).mat if noise else 0.0
+    rows = []
+    for lam in grid:
+        lam = float(lam)
+        PptFamilyParams(lam, lam, lam)  # rejects lam <= 0, as ppt_family does
+        weights = (lam, 1 / lam, 1.0)
+        family = sum(w * o for w, o in zip(weights, outs)) / np.dot(weights, traces)
+        rows.append(_scan_row(m.dims, lam, noise * mixed_out + (1 - noise) * family, tol))
+    return rows
 
-    return _run_indexed(row, len(grid), threads)
 
+def visibility_scan(m: GmeMap, psi: PureState, grid: Sequence[float],
+                    tol: float = DETECT_TOL) -> list[ScanRow]:
+    """Detection scan of p |psi><psi| + (1-p) I/D over the visibilities in grid.
 
-def _apply_mat(m: GmeMap, mat: np.ndarray) -> np.ndarray:
-    return apply(m.expr, MpOperator(m.dims, mat)).mat
+    Each row checks its state as `detect` does, then combines m(|psi><psi|)
+    and m(I/D), each computed once.
+    """
+    if psi.dims != m.dims:
+        raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
+    a, b = _noise_outputs(m, psi.density())
+    rows = []
+    for p in grid:
+        if not is_density(depolarized(psi, p)):
+            raise ValueError("input is not a density matrix")
+        rows.append(_scan_row(m.dims, p, p * a.mat + (1 - p) * b.mat, tol))
+    return rows
 
 
 def adversarial_product(dims) -> MpOperator:
@@ -239,7 +291,7 @@ def verify_biseparable_positivity(m: GmeMap, samples: int, mixtures: int = 4,
     worst_index, worst_seed, worst = min(results, key=lambda t: t[2])
     violations = tuple(
         Violation(i, s, v, "adversarial" if i == -1 else "")
-        for i, s, v in results if v < -tol
+        for i, s, v in results if _detected(v, tol)
     )
     return BisepReport(m.label, samples, mixtures, seed, tol,
                        worst, worst_index, worst_seed, violations)
@@ -253,5 +305,5 @@ def ppt_check(rho: MpOperator, tol: float = PPT_TOL) -> PptReport:
     for A in bipartitions(rho.dims.n):
         val = float(eigvalsh(partial_transpose(rho, A))[0])
         cuts.append(PptCut(A.members, val))
-    all_ppt = all(c.min_eig >= -tol for c in cuts)
+    all_ppt = not any(_detected(c.min_eig, tol) for c in cuts)
     return PptReport(tuple(cuts), all_ppt, tol)

@@ -133,37 +133,49 @@ def clock_matrix(d: int, k: int) -> MpOperator:
     return MpOperator(SiteDims((d,)), np.diag(phases))
 
 
-def _ket3(digits: str) -> np.ndarray:
-    v = np.zeros(27, dtype=complex)
-    v[int(digits, 3)] = 1
-    return v
+# Each pair is (ket weighted by l_k, ket weighted by 1/l_k) in the family's
+# two-term vectors sqrt(l_k) |x> + sqrt(1/l_k) |y>, one triple per index pair.
+_PPT_PAIRS = (
+    (("001", "110"), ("010", "101"), ("100", "011")),
+    (("112", "221"), ("121", "212"), ("211", "122")),
+    (("220", "002"), ("202", "020"), ("022", "200")),
+)
+
+
+def ppt_family_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pieces (P, Q, C) of the unnormalised family E = sum_k (l_k P[k] + Q[k] / l_k) + C.
+
+    P and Q have shape (3, 27, 27): the diagonal projectors of the kets
+    weighted by l_k and by 1/l_k.  C (27 x 27) holds the cross terms of the
+    two-term vectors and the unnormalised GHZ projector.
+    """
+    P = np.zeros((3, 27, 27))
+    Q = np.zeros((3, 27, 27))
+    C = np.zeros((27, 27))
+    for k, pairs in enumerate(_PPT_PAIRS):
+        for lam_ket, inv_ket in pairs:
+            i, j = int(lam_ket, 3), int(inv_ket, 3)
+            P[k, i, i] = Q[k, j, j] = 1
+            C[i, j] = C[j, i] = 1
+    ghz3 = [int(s, 3) for s in ("000", "111", "222")]
+    C[np.ix_(ghz3, ghz3)] = 1
+    return P, Q, C
 
 
 def ppt_family(params: PptFamilyParams | tuple[float, float, float]) -> MpOperator:
     """PPT-invariant 3-qutrit family rho(l1, l2, l3).
 
     Built from ten vectors: an unnormalised GHZ plus nine two-term vectors,
-    one triple per index pair.  With equal parameters the state is invariant
-    under partial transposition of any single party, and the composed
-    Choi-lift criterion flags it for l < 1/3.
+    one triple per index pair (see `ppt_family_terms`).  With equal
+    parameters the state is invariant under partial transposition of any
+    single party, and the composed Choi-lift criterion flags it for l < 1/3.
     """
     if not isinstance(params, PptFamilyParams):
         params = PptFamilyParams(*params)
-    l1, l2, l3 = params.l1, params.l2, params.l3
-    vecs = [
-        np.sqrt(l1) * _ket3("001") + np.sqrt(1 / l1) * _ket3("110"),
-        np.sqrt(l1) * _ket3("010") + np.sqrt(1 / l1) * _ket3("101"),
-        np.sqrt(l1) * _ket3("100") + np.sqrt(1 / l1) * _ket3("011"),
-        np.sqrt(l2) * _ket3("112") + np.sqrt(1 / l2) * _ket3("221"),
-        np.sqrt(l2) * _ket3("121") + np.sqrt(1 / l2) * _ket3("212"),
-        np.sqrt(l2) * _ket3("211") + np.sqrt(1 / l2) * _ket3("122"),
-        np.sqrt(1 / l3) * _ket3("002") + np.sqrt(l3) * _ket3("220"),
-        np.sqrt(1 / l3) * _ket3("020") + np.sqrt(l3) * _ket3("202"),
-        np.sqrt(1 / l3) * _ket3("200") + np.sqrt(l3) * _ket3("022"),
-        _ket3("000") + _ket3("111") + _ket3("222"),
-    ]
-    E = sum(np.outer(v, v.conj()) for v in vecs)
-    return MpOperator(SiteDims((3, 3, 3)), E / np.trace(E).real)
+    lam = np.array([params.l1, params.l2, params.l3])
+    P, Q, C = ppt_family_terms()
+    E = np.tensordot(lam, P, 1) + np.tensordot(1 / lam, Q, 1) + C
+    return MpOperator(SiteDims((3, 3, 3)), E / np.trace(E))
 
 
 def _haar_vector(D: int, rng: np.random.Generator) -> np.ndarray:

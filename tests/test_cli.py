@@ -67,6 +67,7 @@ def test_threshold_eta(capsys):
     doc = json.loads(out)
     assert doc["p_star"] == pytest.approx(3 / 7, abs=1e-6)
     assert doc["kind"] == "visibility"
+    assert set(doc) == {"config", "kind", "p_star", "residual"}
 
 
 def test_threshold_ppt_white_noise(capsys):

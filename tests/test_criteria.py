@@ -93,7 +93,7 @@ def test_x_projector_idempotent_and_routes_agree(n, d):
 def test_claims_attached():
     assert any(c.quantity == "min-eig:w3" for c in phi_t(3).claims)
     assert any(c.quantity == "threshold:noisy-ghz" for c in eta_map(4).claims)
-    assert any(c.source == "derived-numeric" for c in phi_tx(3).claims)
+    assert all(c.source == "closed-form" for c in phi_tx(3).claims)
 
 
 def test_witness_to_map_trivial():

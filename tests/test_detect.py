@@ -1,19 +1,22 @@
-"""Detector: verdicts, threshold bisections, scans, fuzzing, PPT report."""
+"""Detector: verdicts, exact thresholds, scans, fuzzing, PPT report."""
 
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
 
-from gme_maps.criteria import GmeMap, bipartitions, phi_t, phi_tx, eta_map, mu_map
+from gme_maps.criteria import (GmeMap, alpha_critical, bipartitions, eta_map,
+                               mu_map, phi_b, phi_r, phi_t, phi_tx,
+                               witness_to_map)
 from gme_maps.detect import (NotDetectedError, adversarial_product, detect,
                              lambda_scan, noise_threshold, ppt_check,
-                             verify_biseparable_positivity,
+                             verify_biseparable_positivity, visibility_scan,
                              white_noise_threshold)
-from gme_maps.maps import Lift, Sum, TraceIdentity, transpose_map
-from gme_maps.operators import SiteDims, operator
-from gme_maps.states import (depolarized, ghz, maximally_mixed, ppt_family,
-                             w_state)
+from gme_maps.maps import Lift, Sum, TraceIdentity, TraceOuter, transpose_map
+from gme_maps.operators import MpOperator, SiteDims, operator
+from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
+                             ppt_family, w_state)
 
 
 def test_detect_noisy_ghz():
@@ -43,9 +46,7 @@ def test_detect_verdict_fields():
 def test_noise_threshold_eta():
     res = noise_threshold(eta_map(3), ghz(3, 2))
     assert res.p_star == pytest.approx(3 / 7, abs=1e-6)
-    assert res.iterations <= 200
-    assert res.bracket[1] - res.bracket[0] <= 1e-9
-    assert res.warning == ""
+    assert res.residual <= 1e-12
 
 
 def test_noise_threshold_not_detected():
@@ -77,12 +78,105 @@ def test_lambda_scan():
     assert lo.detected and not hi.detected
 
 
-def test_lambda_scan_threads_match_serial():
+@pytest.mark.parametrize("m, target, white_noise, want", [
+    (phi_tx(3), ghz(3, 2), False, 11 / 15),
+    (phi_r(2), ghz(3, 2), False, 11 / 15),
+    (eta_map(3), ghz(3, 2), False, 3 / 7),
+    (phi_b(4), ghz(3, 4), False, 35 / 51),
+    (mu_map(3, 3), ghz(3, 3), False, alpha_critical(3, 3)),
+    (phi_t(3), w_state(3), False, 11 * sqrt(3) / (16 + 3 * sqrt(3))),
+    (mu_map(3, 3), ppt_family((1 / 9, 1 / 9, 1 / 9)), True, 9 / 179),
+], ids=["phi-tx", "phi-r", "eta", "phi-b", "mu-choi", "phi-t-w", "ppt-white-noise"])
+def test_thresholds_match_closed_forms(m, target, white_noise, want):
+    if white_noise:
+        res = white_noise_threshold(m, target)
+    else:
+        res = noise_threshold(m, target)
+    assert abs(res.p_star - want) <= 1e-12
+    assert res.residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_phi_tx_threshold_claim_is_exact(n):
+    claim = next(c for c in phi_tx(n).claims if c.quantity == "threshold:noisy-ghz")
+    assert claim.source == "closed-form"
+    assert abs(noise_threshold(phi_tx(n), ghz(n, 2)).p_star - claim.value) <= 1e-12
+
+
+def _witness_terms(dims, *terms) -> GmeMap:
+    """rho -> sum_i Tr(W_i rho) O_i; m(I/D) is singular when the traces allow it."""
+    return GmeMap("hand-built", Sum(tuple(TraceOuter(w, o) for w, o in terms)), dims)
+
+
+def test_threshold_with_singular_noise_output():
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dims = SiteDims((2,))
+    psi = PureState(dims, np.array([1.0, 0.0]))
+    # m(I/2) = E11 / 2 and m(|0><0|) = [[-1/2, 1], [1, 1]]: the kernel of
+    # m(I/2) couples to its range, and the Schur complement gives p* = 1/4
+    coupled = _witness_terms(dims, (np.diag([-0.5, 1.5]), e11),
+                             (np.diag([1.0, -1.0]), e22), (np.diag([1.0, -1.0]), x))
+    assert noise_threshold(coupled, psi).p_star == pytest.approx(0.25, abs=1e-12)
+    assert white_noise_threshold(coupled, psi.density()).p_star == pytest.approx(0.75, abs=1e-12)
+    # negative on the kernel of m(I/2): detected for every p > 0
+    kernel_negative = _witness_terms(dims, (np.diag([-0.5, 1.5]), e11),
+                                     (np.diag([-1.0, 1.0]), e22))
+    assert noise_threshold(kernel_negative, psi).p_star == 0.0
+    # m(|0><0|) = [[-1/2, 1], [1, 0]] vanishes on the kernel but couples it to
+    # the range: the determinant is -p^2 < 0, so again p* = 0
+    kernel_coupled = _witness_terms(dims, (np.diag([-0.5, 1.5]), e11),
+                                    (np.diag([1.0, -1.0]), x))
+    assert noise_threshold(kernel_coupled, psi).p_star == 0.0
+    # GHZ witness read out on a rank-4 projector: m(I/8) = 3/8 P, m(GHZ) = -1/2 P
+    g = ghz(3, 2)
+    w = 0.5 * np.eye(8) - np.outer(g.vec, g.vec.conj())
+    projected = _witness_terms(g.dims, (w, np.diag([1.0] * 4 + [0.0] * 4)))
+    assert noise_threshold(projected, g).p_star == pytest.approx(3 / 7, abs=1e-12)
+
+
+def test_threshold_endpoints_use_detection_tolerance():
+    # the output at p=1 dips below zero, but by less than tol: not detected
+    g = ghz(3, 2)
+    w = np.eye(8) / 8 - (1 / 8 + 1e-12) * np.outer(g.vec, g.vec.conj())
+    m = witness_to_map(operator(g.dims, w))
+    v = detect(m, g.density())
+    assert v.min_eig < 0 and not v.detected
+    with pytest.raises(NotDetectedError):
+        noise_threshold(m, g)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.03])
+def test_lambda_scan_matches_per_row_detect(noise):
     m = mu_map(3, 3)
-    grid = [0.05, 0.15, 0.25, 0.35]
-    serial = lambda_scan(m, grid, threads=1)
-    threaded = lambda_scan(m, grid, threads=4)
-    assert [(r.param, r.min_eig) for r in serial] == [(r.param, r.min_eig) for r in threaded]
+    grid = [0.01 * i for i in range(1, 40)]
+    mm = maximally_mixed(m.dims).mat
+    for row in lambda_scan(m, grid, noise=noise):
+        rho = ppt_family((row.param, row.param, row.param))
+        v = detect(m, MpOperator(m.dims, noise * mm + (1 - noise) * rho.mat))
+        assert abs(row.min_eig - v.min_eig) <= 1e-12
+        assert row.detected == v.detected
+
+
+def test_visibility_scan_matches_per_row_detect():
+    m, psi = eta_map(3), ghz(3, 2)
+    grid = [0.025 * i for i in range(40)]
+    rows = visibility_scan(m, psi, grid)
+    assert [r.param for r in rows] == grid
+    for row in rows:
+        v = detect(m, depolarized(psi, row.param))
+        assert abs(row.min_eig - v.min_eig) <= 1e-12
+        assert row.detected == v.detected
+    assert [r.detected for r in rows] == [p > 3 / 7 for p in grid]
+
+
+def test_scans_keep_per_row_checks():
+    with pytest.raises(ValueError):
+        lambda_scan(mu_map(3, 3), [0.1, 0.0])
+    with pytest.raises(ValueError):
+        visibility_scan(eta_map(3), ghz(3, 2), [0.5, 1.5])
+    with pytest.raises(ValueError):
+        visibility_scan(eta_map(3), ghz(4, 2), [0.5])
 
 
 def test_verify_biseparable_positivity_passes():

@@ -114,6 +114,36 @@ def test_ppt_family_unequal_lambda_stays_ppt():
             assert eigvalsh(partial_transpose(rho, (i,)))[0] >= -1e-10
 
 
+def _ppt_family_from_vectors(l1, l2, l3):
+    """The family from its ten vectors: reference for the term-wise build."""
+    def ket(digits):
+        v = np.zeros(27)
+        v[int(digits, 3)] = 1
+        return v
+
+    vecs = [
+        np.sqrt(l1) * ket("001") + np.sqrt(1 / l1) * ket("110"),
+        np.sqrt(l1) * ket("010") + np.sqrt(1 / l1) * ket("101"),
+        np.sqrt(l1) * ket("100") + np.sqrt(1 / l1) * ket("011"),
+        np.sqrt(l2) * ket("112") + np.sqrt(1 / l2) * ket("221"),
+        np.sqrt(l2) * ket("121") + np.sqrt(1 / l2) * ket("212"),
+        np.sqrt(l2) * ket("211") + np.sqrt(1 / l2) * ket("122"),
+        np.sqrt(1 / l3) * ket("002") + np.sqrt(l3) * ket("220"),
+        np.sqrt(1 / l3) * ket("020") + np.sqrt(l3) * ket("202"),
+        np.sqrt(1 / l3) * ket("200") + np.sqrt(l3) * ket("022"),
+        ket("000") + ket("111") + ket("222"),
+    ]
+    E = sum(np.outer(v, v) for v in vecs)
+    return E / np.trace(E)
+
+
+def test_ppt_family_matches_ten_vector_construction():
+    rng = np.random.default_rng(22)
+    for lams in [(1 / 9, 1 / 9, 1 / 9)] + [tuple(rng.uniform(0.05, 3.0, size=3)) for _ in range(5)]:
+        rho = ppt_family(lams)
+        assert np.max(np.abs(rho.mat - _ppt_family_from_vectors(*lams))) <= 1e-15
+
+
 def test_ppt_family_rejects_nonpositive():
     with pytest.raises(ValueError):
         ppt_family((0.0, 1.0, 1.0))
