@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -23,14 +22,6 @@ from .operators import MpOperator, SiteDims
 from .states import PureState
 
 DEFAULT_TOL = 1e-9
-
-
-def _threads_default() -> int:
-    env = os.environ.get("GME_MAPS_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> None:
@@ -74,11 +65,7 @@ def _dims_of_expr(expr: maps.MapExpr, args) -> SiteDims:
         node = stack.pop()
         if isinstance(node, maps.Lift):
             return node.dims
-        for attr in ("child", "outer", "inner"):
-            if hasattr(node, attr):
-                stack.append(getattr(node, attr))
-        if isinstance(node, maps.Sum):
-            stack.extend(node.children)
+        stack.extend(maps.children(node))
     dims = SiteDims((_resolve_d(args),) * args.n)
     if dims.total != expr.dim:
         raise ValueError(
@@ -94,7 +81,11 @@ def _build_gme_map(args) -> criteria.GmeMap:
         return criteria.witness_to_map(w)
     if getattr(args, "map_file", None):
         with open(args.map_file, encoding="utf-8") as fh:
-            expr = serialize.mapexpr_from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError("map file is nested too deeply") from None
+        expr = serialize.mapexpr_from_json(doc)
         return criteria.GmeMap("map-file", expr, _dims_of_expr(expr, args))
     if not args.map:
         raise ValueError("either --map, --map-file or --witness-file is required")
@@ -244,9 +235,7 @@ def _cmd_mu(args) -> int:
 
 def _cmd_verify(args) -> int:
     m = _build_gme_map(args)
-    report = verify_biseparable_positivity(m, args.samples, args.mixtures,
-                                               args.seed, args.tol,
-                                               threads=args.threads)
+    report = verify_biseparable_positivity(m, args.samples, seed=args.seed, tol=args.tol)
     _emit(serialize.dumps_report(report), args.output)
     return 0 if report.passed else 1
 
@@ -273,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gme-maps",
         description="Detect genuine multipartite entanglement with lifted positive maps.")
-    parser.add_argument("--threads", type=int, default=_threads_default(),
-                        help="worker threads for verification "
-                             "(default: GME_MAPS_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("detect", help="apply a map to a state and report the verdict")
@@ -316,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="fuzz biseparable positivity of a map")
     _add_map_args(p)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--mixtures", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--output")

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class Violation:
 class BisepReport:
     map_id: str
     samples: int
-    mixtures: int
     seed: int
     tolerance: float
     min_over_samples: float
@@ -101,7 +99,7 @@ def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
 
 
 def _noise_outputs(m: GmeMap, target: MpOperator) -> tuple[MpOperator, MpOperator]:
-    """A = m(target) and B = m(I/D); the map is linear, so mixtures combine them."""
+    """A = m(target) and B = m(I/D); by linearity a noisy state's output combines them."""
     return apply(m.expr, target), apply(m.expr, maximally_mixed(m.dims))
 
 
@@ -194,13 +192,6 @@ def white_noise_threshold(m: GmeMap, rho0: MpOperator,
     return _threshold(a, b, tol, white_noise=True)
 
 
-def _run_indexed(fn: Callable[[int], object], count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _scan_row(dims, param: float, out: np.ndarray, tol: float) -> ScanRow:
     val = min_eig(MpOperator(dims, out))[0]
     return ScanRow(param, val, _detected(val, tol))
@@ -263,27 +254,23 @@ def adversarial_product(dims) -> MpOperator:
     return MpOperator(dims, np.outer(v, v.conj()))
 
 
-def verify_biseparable_positivity(m: GmeMap, samples: int, mixtures: int = 4,
-                                  seed: int = 0, tol: float = DETECT_TOL,
-                                  threads: int = 1,
+def verify_biseparable_positivity(m: GmeMap, samples: int, *, seed: int = 0,
+                                  tol: float = DETECT_TOL,
                                   include_adversarial: bool = True) -> BisepReport:
     """Fuzz the defining property on seeded random biseparable states.
 
-    Sample i uses seed + i and up to `mixtures` product terms.  A
-    deterministic adversarial product state is evaluated as index -1.
-    Violations below -tol are collected, never raised.
+    Sample i is the pure product state `random_biseparable(dims, 1, seed + i)`
+    across a uniformly drawn cut.  Pure samples suffice: they are the extreme
+    points of the biseparable set, and lambda_min of a mixture's output is at
+    least the smallest lambda_min over its terms.  A deterministic
+    adversarial product state is evaluated as index -1.  Violations below
+    -tol are collected, never raised.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
     dims = m.dims
-
-    def one(i: int) -> tuple[int, int, float]:
-        s = seed + i
-        k = 1 + (i % mixtures)
-        rho = random_biseparable(dims, k, s)
-        return i, s, min_eig(apply(m.expr, rho))[0]
-
-    results = _run_indexed(one, samples, threads)
+    results = [(i, seed + i, min_eig(apply(m.expr, random_biseparable(dims, 1, seed + i)))[0])
+               for i in range(samples)]
     if include_adversarial and dims.n >= 3 and len(set(dims.dims)) == 1:
         adv = adversarial_product(dims)
         results.append((-1, None, min_eig(apply(m.expr, adv))[0]))
@@ -293,7 +280,7 @@ def verify_biseparable_positivity(m: GmeMap, samples: int, mixtures: int = 4,
         Violation(i, s, v, "adversarial" if i == -1 else "")
         for i, s, v in results if _detected(v, tol)
     )
-    return BisepReport(m.label, samples, mixtures, seed, tol,
+    return BisepReport(m.label, samples, seed, tol,
                        worst, worst_index, worst_seed, violations)
 
 

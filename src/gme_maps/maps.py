@@ -9,9 +9,10 @@ duals are computed analytically node by node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from typing import Iterable
+from typing import Any, Iterable, get_type_hints
 
 import numpy as np
 
@@ -226,6 +227,27 @@ class Compose(MapExpr):
 # evaluation
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def node_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, declared type, required) of each constructor field of a node class.
+
+    Resolved once per class, because `apply` walks the tree on every call.
+    """
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default is MISSING) for f in fields(cls) if f.init)
+
+
+def children(node: MapExpr) -> list[MapExpr]:
+    """The direct sub-expressions of a node, in field order."""
+    out = []
+    for name, tp, _ in node_fields(type(node)):
+        if tp is MapExpr:
+            out.append(getattr(node, name))
+        elif tp == tuple[MapExpr, ...]:
+            out.extend(getattr(node, name))
+    return out
+
+
 def _diag_vec(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...i", x)
 
@@ -318,14 +340,8 @@ def _check_lift_dims(m: MapExpr, dims: SiteDims) -> None:
             raise ValueError(
                 f"operator dims {dims.dims} do not match lift dims {m.dims.dims}")
         return
-    if isinstance(m, Sum):
-        for c in m.children:
-            _check_lift_dims(c, dims)
-    elif isinstance(m, Scale):
-        _check_lift_dims(m.child, dims)
-    elif isinstance(m, Compose):
-        _check_lift_dims(m.outer, dims)
-        _check_lift_dims(m.inner, dims)
+    for c in children(m):
+        _check_lift_dims(c, dims)
 
 
 def apply(m: MapExpr, op: MpOperator) -> MpOperator:
@@ -459,6 +475,11 @@ def mu_constant(m: MapExpr) -> Fraction:
     raise ValueError(f"no closed-form constant for {type(m).__name__}")
 
 
+def _neg_min_eig(lifted: MapExpr, vec: np.ndarray) -> float:
+    out = _eval(lifted, np.outer(vec, vec.conj()))
+    return -float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
+
+
 def estimate_mu(m: MapExpr, d: int, samples: int, seed: int,
                 companion: int | None = None) -> float:
     """Lower bound on the minimal output eigenvalue by sampling.
@@ -469,42 +490,29 @@ def estimate_mu(m: MapExpr, d: int, samples: int, seed: int,
     transposition; the full-rank member attains 1/d for the reduction and
     Breuer-Hall maps.
     """
+    best = mu_sample_values(m, d, samples, seed, companion).max()
+    nc = d if companion is None else companion
+    lifted = Lift(m, PartySubset((0,)), SiteDims((d, nc)))
+    for rank in range(2, min(d, nc) + 1):
+        v = np.zeros(d * nc, dtype=complex)
+        for i in range(rank):
+            v[i * nc + i] = 1
+        best = max(best, _neg_min_eig(lifted, v / np.sqrt(rank)))
+    return float(best)
+
+
+def mu_sample_values(m: MapExpr, d: int, samples: int, seed: int,
+                     companion: int | None = None) -> np.ndarray:
+    """Per-sample -lambda_min values of `estimate_mu` (without the entangled ansatz)."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     if m.dim != d:
         raise ValueError(f"map dimension {m.dim} does not match d={d}")
     nc = d if companion is None else companion
-    dims = SiteDims((d, nc))
-    lifted = Lift(m, PartySubset((0,)), dims)
-    rng = np.random.default_rng(seed)
-
-    def neg_min_eig(vec: np.ndarray) -> float:
-        rho = np.outer(vec, vec.conj())
-        out = _eval(lifted, rho)
-        w = np.linalg.eigvalsh((out + out.conj().T) / 2)
-        return -float(w[0])
-
-    best = -np.inf
-    for rank in range(2, min(d, nc) + 1):
-        v = np.zeros(d * nc, dtype=complex)
-        for i in range(rank):
-            v[i * nc + i] = 1
-        best = max(best, neg_min_eig(v / np.sqrt(rank)))
-    for _ in range(samples):
-        v = rng.standard_normal(d * nc) + 1j * rng.standard_normal(d * nc)
-        best = max(best, neg_min_eig(v / np.linalg.norm(v)))
-    return best
-
-
-def mu_sample_values(m: MapExpr, d: int, samples: int, seed: int) -> np.ndarray:
-    """Per-sample -lambda_min values (without the entangled ansatz)."""
-    dims = SiteDims((d, d))
-    lifted = Lift(m, PartySubset((0,)), dims)
+    lifted = Lift(m, PartySubset((0,)), SiteDims((d, nc)))
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     for i in range(samples):
-        v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        v /= np.linalg.norm(v)
-        out = _eval(lifted, np.outer(v, v.conj()))
-        vals[i] = -float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
+        v = rng.standard_normal(d * nc) + 1j * rng.standard_normal(d * nc)
+        vals[i] = _neg_min_eig(lifted, v / np.linalg.norm(v))
     return vals

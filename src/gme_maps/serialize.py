@@ -18,7 +18,7 @@ import numpy as np
 
 from .maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Identity,
                    Lift, MapExpr, Reduction, Scale, SchurWith, Sum,
-                   TraceIdentity, TraceOuter, Transpose)
+                   TraceIdentity, TraceOuter, Transpose, node_fields)
 from .operators import MpOperator, PartySubset, SiteDims
 from .states import PureState
 
@@ -43,27 +43,36 @@ def state_to_json(obj: MpOperator | PureState) -> dict:
             "matrix": _pairs(obj.mat)}
 
 
-def state_from_json(doc: dict) -> MpOperator | PureState:
+def state_from_json(doc: Any) -> MpOperator | PureState:
+    if not isinstance(doc, dict):
+        raise ValueError(f"state document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != STATE_FORMAT:
         raise ValueError(f"expected format {STATE_FORMAT!r}, got {doc.get('format')!r}")
-    dims = SiteDims(tuple(int(d) for d in doc["dims"]))
-    D = dims.total
-    if "vector" in doc:
-        vec = _unpairs(doc["vector"])
-        if vec.shape != (D,):
-            raise ValueError("vector length does not match dims")
-        return PureState(dims, vec)
-    if "matrix" in doc:
-        mat = _unpairs(doc["matrix"])
-        if mat.size != D * D:
-            raise ValueError("matrix size does not match dims")
-        return MpOperator(dims, mat.reshape(D, D))
+    try:
+        dims = SiteDims(tuple(int(d) for d in doc["dims"]))
+        D = dims.total
+        if "vector" in doc:
+            vec = _unpairs(doc["vector"])
+            if vec.shape != (D,):
+                raise ValueError("vector length does not match dims")
+            return PureState(dims, vec)
+        if "matrix" in doc:
+            mat = _unpairs(doc["matrix"])
+            if mat.size != D * D:
+                raise ValueError("matrix size does not match dims")
+            return MpOperator(dims, mat.reshape(D, D))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {STATE_FORMAT} document: {exc}") from None
     raise ValueError("state document needs a 'vector' or 'matrix' field")
 
 
 def load_state(path: str) -> MpOperator | PureState:
     with open(path, encoding="utf-8") as fh:
-        return state_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("state file is nested too deeply") from None
+    return state_from_json(doc)
 
 
 def save_state(path: str, obj: MpOperator | PureState) -> None:
@@ -81,84 +90,90 @@ def _mat_undoc(doc: dict) -> np.ndarray:
     return _unpairs(doc["entries"]).reshape(d, d)
 
 
+# mapexpr-v1 names each node kind; every other key is a constructor field of
+# the node's class, with `dim` written as "d", encoded by its declared type.
+_KINDS = {Identity: "identity", Transpose: "transpose", Reduction: "reduction",
+         BreuerHall: "breuer-hall", Choi: "choi", Conjugate: "conjugate",
+         DiagAll: "diag", TraceIdentity: "trace-identity", TraceOuter: "trace-outer",
+         SchurWith: "schur", Lift: "lift", Sum: "sum", Scale: "scale",
+         Compose: "compose"}
+_NODE_CLASSES = {kind: cls for cls, kind in _KINDS.items()}
+_NODE_LIST = tuple[MapExpr, ...]
+# (encode, decode) of each declared field type other than child nodes
+_CODECS = {
+    int: (int, int),
+    bool: (bool, bool),
+    float: (float, float),
+    Fraction: (str, Fraction),
+    np.ndarray: (_mat_doc, _mat_undoc),
+    PartySubset: (lambda p: list(p.members), lambda v: PartySubset(tuple(int(x) for x in v))),
+    SiteDims: (lambda s: list(s.dims), lambda v: SiteDims(tuple(int(x) for x in v))),
+}
+# Deeper than any catalog tree (at most 9 levels) by a wide margin.
+MAX_MAP_DEPTH = 64
+
+
+def _key(name: str) -> str:
+    return "d" if name == "dim" else name
+
+
 def _node_to_json(m: MapExpr) -> dict:
-    if isinstance(m, Identity):
-        return {"kind": "identity", "d": m.dim}
-    if isinstance(m, Transpose):
-        return {"kind": "transpose", "d": m.dim}
-    if isinstance(m, Reduction):
-        return {"kind": "reduction", "d": m.dim}
-    if isinstance(m, BreuerHall):
-        return {"kind": "breuer-hall", "d": m.dim, "v": _mat_doc(m.v)}
-    if isinstance(m, Choi):
-        return {"kind": "choi", "d": m.dim, "adjoint": m.adjoint}
-    if isinstance(m, Conjugate):
-        return {"kind": "conjugate", "u": _mat_doc(m.u)}
-    if isinstance(m, DiagAll):
-        return {"kind": "diag", "d": m.dim}
-    if isinstance(m, TraceIdentity):
-        return {"kind": "trace-identity", "c": str(m.c), "d": m.dim}
-    if isinstance(m, TraceOuter):
-        return {"kind": "trace-outer", "weight": _mat_doc(m.weight),
-                "output": _mat_doc(m.output)}
-    if isinstance(m, SchurWith):
-        return {"kind": "schur", "mask": _mat_doc(m.mask)}
-    if isinstance(m, Lift):
-        return {"kind": "lift", "child": _node_to_json(m.child),
-                "parties": list(m.parties.members), "dims": list(m.dims.dims)}
-    if isinstance(m, Sum):
-        return {"kind": "sum", "children": [_node_to_json(c) for c in m.children]}
-    if isinstance(m, Scale):
-        return {"kind": "scale", "r": float(m.r), "child": _node_to_json(m.child)}
-    if isinstance(m, Compose):
-        return {"kind": "compose", "outer": _node_to_json(m.outer),
-                "inner": _node_to_json(m.inner)}
-    raise TypeError(f"cannot serialize map node {type(m).__name__}")
+    kind = _KINDS.get(type(m))
+    if kind is None:
+        raise TypeError(f"cannot serialize map node {type(m).__name__}")
+    doc = {"kind": kind}
+    for name, tp, _ in node_fields(type(m)):
+        value = getattr(m, name)
+        if tp is MapExpr:
+            doc[_key(name)] = _node_to_json(value)
+        elif tp == _NODE_LIST:
+            doc[_key(name)] = [_node_to_json(c) for c in value]
+        else:
+            doc[_key(name)] = _CODECS[tp][0](value)
+    return doc
 
 
-def _node_from_json(doc: dict) -> MapExpr:
-    kind = doc["kind"]
-    if kind == "identity":
-        return Identity(int(doc["d"]))
-    if kind == "transpose":
-        return Transpose(int(doc["d"]))
-    if kind == "reduction":
-        return Reduction(int(doc["d"]))
-    if kind == "breuer-hall":
-        return BreuerHall(int(doc["d"]), _mat_undoc(doc["v"]))
-    if kind == "choi":
-        return Choi(int(doc["d"]), bool(doc.get("adjoint", False)))
-    if kind == "conjugate":
-        return Conjugate(_mat_undoc(doc["u"]))
-    if kind == "diag":
-        return DiagAll(int(doc["d"]))
-    if kind == "trace-identity":
-        return TraceIdentity(Fraction(doc["c"]), int(doc["d"]))
-    if kind == "trace-outer":
-        return TraceOuter(_mat_undoc(doc["weight"]), _mat_undoc(doc["output"]))
-    if kind == "schur":
-        return SchurWith(_mat_undoc(doc["mask"]))
-    if kind == "lift":
-        return Lift(_node_from_json(doc["child"]),
-                    PartySubset(tuple(int(p) for p in doc["parties"])),
-                    SiteDims(tuple(int(d) for d in doc["dims"])))
-    if kind == "sum":
-        return Sum(tuple(_node_from_json(c) for c in doc["children"]))
-    if kind == "scale":
-        return Scale(float(doc["r"]), _node_from_json(doc["child"]))
-    if kind == "compose":
-        return Compose(_node_from_json(doc["outer"]), _node_from_json(doc["inner"]))
-    raise ValueError(f"unknown map node kind {kind!r}")
+def _node_from_json(doc: Any, depth: int = 1) -> MapExpr:
+    if depth > MAX_MAP_DEPTH:
+        raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
+    if not isinstance(doc, dict):
+        raise ValueError(f"map node must be a JSON object, got {type(doc).__name__}")
+    kind = doc.get("kind")
+    cls = _NODE_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown map node kind {kind!r}")
+    args = {}
+    for name, tp, required in node_fields(cls):
+        key = _key(name)
+        if key not in doc:
+            if required:
+                raise ValueError(f"{kind} node: missing field {key!r}")
+            continue
+        value = doc[key]
+        if tp is MapExpr:
+            args[name] = _node_from_json(value, depth + 1)
+        elif tp == _NODE_LIST:
+            if not isinstance(value, list):
+                raise ValueError(f"{kind} node: field {key!r} must be a list")
+            args[name] = tuple(_node_from_json(c, depth + 1) for c in value)
+        else:
+            try:
+                args[name] = _CODECS[tp][1](value)
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise ValueError(f"{kind} node: bad field {key!r}: {exc}") from None
+    return cls(**args)
 
 
 def mapexpr_to_json(m: MapExpr) -> dict:
     return {"format": MAP_FORMAT, "root": _node_to_json(m)}
 
 
-def mapexpr_from_json(doc: dict) -> MapExpr:
+def mapexpr_from_json(doc: Any) -> MapExpr:
+    if not isinstance(doc, dict):
+        raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MAP_FORMAT:
         raise ValueError(f"expected format {MAP_FORMAT!r}, got {doc.get('format')!r}")
-    return _node_from_json(doc["root"])
+    return _node_from_json(doc.get("root"))
 
 
 def jsonable(obj: Any) -> Any:

@@ -1,6 +1,6 @@
 """Constructors for the state families used by the detection criteria.
 
-Includes GHZ and W states, depolarised mixtures, generalized Pauli
+Includes GHZ and W states, depolarised states, generalized Pauli
 shift/clock matrices, the PPT-invariant 3-qutrit family, and seeded random
 pure / product / biseparable states for verification sampling.
 """

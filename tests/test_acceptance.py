@@ -176,8 +176,7 @@ def test_criterion_12_biseparable_fuzzing():
     details = []
     for map_id, (n, d) in SMALLEST.items():
         m = build_map(map_id, n, d)
-        rep = verify_biseparable_positivity(m, samples=1000, mixtures=4, seed=2024,
-                                            threads=4)
+        rep = verify_biseparable_positivity(m, samples=1000, seed=2024)
         ok &= rep.passed and rep.min_over_samples >= -1e-9
         details.append(f"{map_id}: min {rep.min_over_samples:.2e}")
 

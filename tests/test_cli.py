@@ -50,6 +50,58 @@ def test_detect_malformed_state_file(tmp_path, capsys):
     assert "error" in err
 
 
+def _nested(depth):
+    """A mapexpr-v1 text whose root is `depth` scale nodes around an identity."""
+    text = '{"kind": "identity", "d": 2}'
+    for _ in range(depth):
+        text = '{"kind": "scale", "r": 1.0, "child": %s}' % text
+    return '{"format": "mapexpr-v1", "root": %s}' % text
+
+
+LEAF = '{"kind": "identity", "d": 8}'
+
+
+@pytest.mark.parametrize("text, words", [
+    ("[]", ["JSON object"]),
+    ('{"format": "mapexpr-v1", "root": []}', ["JSON object"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "sum", "children": 5}}',
+     ["sum", "children"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "scale", "r": [1], "child": %s}}' % LEAF,
+     ["scale", "'r'"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "transpose"}}', ["transpose", "'d'"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "lift", "child": %s, "parties": 0, '
+     '"dims": [2, 2, 2]}}' % LEAF, ["lift", "parties"]),
+    (_nested(100), ["deeper"]),
+    (_nested(3000), ["nested too deeply"]),
+], ids=["list-doc", "list-root", "int-children", "list-r", "missing-d", "int-parties",
+        "depth-100", "depth-3000"])
+@pytest.mark.parametrize("command", ["detect", "verify"])
+def test_malformed_map_file_exits_2(tmp_path, capsys, text, words, command):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    extra = ("--state", "mixed") if command == "detect" else ("--samples", "2")
+    code, out, err = run(capsys, command, "--map-file", str(path), "--n", "3", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"format": "mpop-v1", "dims": 5, "vector": [[1, 0]]}',
+    '{"format": "mpop-v1", "dims": [2], "vector": [[1, 0], 7]}',
+    "[" * 3000 + "]" * 3000,
+], ids=["list-doc", "int-dims", "int-pair", "depth-3000"])
+def test_malformed_state_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "detect", "--map", "phi-tx", "--n", "3",
+                       "--state-file", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_invalid_map_combo_exits_2(capsys):
     code, _, err = run(capsys, "detect", "--map", "mu-choi", "--n", "3", "--d", "2",
                        "--state", "ghz")
@@ -131,14 +183,15 @@ def test_map_file_roundtrip(tmp_path, capsys):
     assert doc2["min_eig"] == pytest.approx(doc1["min_eig"], abs=1e-12)
 
 
-def test_threads_env_fallback(monkeypatch):
-    from gme_maps.cli import build_parser
-    monkeypatch.setenv("GME_MAPS_THREADS", "6")
-    args = build_parser().parse_args(["verify", "--map", "phi-tx", "--n", "3"])
-    assert args.threads == 6
-    monkeypatch.setenv("GME_MAPS_THREADS", "junk")
-    args = build_parser().parse_args(["verify", "--map", "phi-tx", "--n", "3"])
-    assert args.threads == 1
+def test_verify_same_seed_same_report(capsys):
+    args = ("verify", "--map", "phi-tx", "--n", "3", "--samples", "40", "--seed", "3")
+    code, out1, _ = run(capsys, *args)
+    assert code == 0
+    code, out2, _ = run(capsys, *args)
+    assert out2 == out1
+    assert set(json.loads(out1)) == {"map_id", "samples", "seed", "tolerance",
+                                     "min_over_samples", "worst_index", "worst_seed",
+                                     "violations"}
 
 
 def test_witness_roundtrip_sign(tmp_path, capsys):

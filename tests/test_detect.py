@@ -13,10 +13,11 @@ from gme_maps.detect import (NotDetectedError, adversarial_product, detect,
                              lambda_scan, noise_threshold, ppt_check,
                              verify_biseparable_positivity, visibility_scan,
                              white_noise_threshold)
-from gme_maps.maps import Lift, Sum, TraceIdentity, TraceOuter, transpose_map
-from gme_maps.operators import MpOperator, SiteDims, operator
+from gme_maps.maps import (Lift, Sum, TraceIdentity, TraceOuter, apply,
+                           transpose_map)
+from gme_maps.operators import MpOperator, SiteDims, min_eig, operator
 from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
-                             ppt_family, w_state)
+                             ppt_family, random_biseparable, w_state)
 
 
 def test_detect_noisy_ghz():
@@ -180,11 +181,15 @@ def test_scans_keep_per_row_checks():
 
 
 def test_verify_biseparable_positivity_passes():
-    rep = verify_biseparable_positivity(phi_tx(3), samples=150, mixtures=4, seed=5)
+    m = phi_tx(3)
+    rep = verify_biseparable_positivity(m, samples=150, seed=5, include_adversarial=False)
     assert rep.passed
     assert rep.min_over_samples >= -1e-9
-    rep2 = verify_biseparable_positivity(phi_tx(3), samples=150, mixtures=4, seed=5, threads=3)
-    assert rep2.min_over_samples == rep.min_over_samples
+    # sample i is the pure product state random_biseparable(dims, 1, seed + i)
+    assert rep.worst_seed == 5 + rep.worst_index
+    worst = random_biseparable(m.dims, 1, rep.worst_seed)
+    assert np.trace(worst.mat @ worst.mat).real == pytest.approx(1, abs=1e-12)
+    assert min_eig(apply(m.expr, worst))[0] == rep.min_over_samples
 
 
 def _phi_t_with_compensation(c: Fraction) -> GmeMap:
@@ -196,7 +201,7 @@ def _phi_t_with_compensation(c: Fraction) -> GmeMap:
 
 def test_verify_flags_undersized_compensation():
     broken = _phi_t_with_compensation(Fraction(999, 1000))
-    rep = verify_biseparable_positivity(broken, samples=50, mixtures=4, seed=5)
+    rep = verify_biseparable_positivity(broken, samples=50, seed=5)
     assert not rep.passed
     adversarial = [v for v in rep.violations if v.label == "adversarial"]
     assert adversarial and adversarial[0].min_eig == pytest.approx(-1e-3, abs=1e-9)

@@ -1,13 +1,21 @@
 """JSON round trips for states and map expressions; CSV formatting."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gme_maps.criteria import eta_map, mu_map, phi_b
+from gme_maps.criteria import SMALLEST, build_map, eta_map, mu_map, phi_b
 from gme_maps.detect import ScanRow
-from gme_maps.maps import apply
+from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll,
+                           Identity, Lift, Reduction, Scale, SchurWith, Sum,
+                           TraceIdentity, TraceOuter, Transpose, apply,
+                           apply_stack, default_skew_unitary)
+from gme_maps.operators import PartySubset, SiteDims
 from gme_maps.serialize import (dumps_report, mapexpr_from_json,
                                 mapexpr_to_json, scan_csv, state_from_json,
                                 state_to_json)
@@ -57,6 +65,77 @@ def test_mapexpr_roundtrip(factory):
     a = apply(expr, rho).mat
     b = apply(back, rho).mat
     assert np.max(np.abs(a - b)) <= 1e-12
+
+
+# sha256 of json.dumps(mapexpr_to_json(...)), the text `detect --export-map`
+# writes before its newline, for each catalog map at its smallest size.
+CATALOG_SHA256 = {
+    "phi-t": "59591ff08fd5df383e898856f1552b9304b433493ecc04b5854952d4cf5e826b",
+    "phi-tx": "ad64e64556aeb30b8569cf1062406f085c6c1e38fed3eebb3b8b7c0f743f13c8",
+    "eta": "4f4f1f49ab6624643d7e4a50a122b13d074bb84de9e7ee4af6817cd7621686fa",
+    "phi-r": "a7236da90747077e0b91ee15a8362e015b9d151e0cf91c2fb8eb7be761718794",
+    "phi-b": "d9a035f7875ccba6dee136077b20ae65d0c531a32298524b09fe09be9d21e3ad",
+    "mu-choi": "9ac64209d802e5b1f6321b9f479e1f8a3273b9fb2841d1f4263dd78a13a9f4be",
+}
+
+
+@pytest.mark.parametrize("map_id", sorted(CATALOG_SHA256))
+def test_mapexpr_bytes_pinned(map_id):
+    text = json.dumps(mapexpr_to_json(build_map(map_id, *SMALLEST[map_id]).expr))
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[map_id]
+
+
+def _unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(z)[0]
+
+
+@st.composite
+def map_exprs(draw, d, depth=3):
+    """Random expression trees on d x d matrices, d in {2, 3, 4, 8}."""
+    composite = ["sum", "scale", "compose"] + (["lift"] if d in (4, 8) else [])
+    kind = draw(st.sampled_from(composite if depth and draw(st.booleans()) else
+                                ["identity", "transpose", "reduction", "diag",
+                                 "trace-identity", "conjugate", "trace-outer", "schur"]
+                                + (["choi"] if d >= 3 else [])
+                                + (["breuer-hall"] if d in (4, 8) else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "sum":
+        return Sum(tuple(draw(st.lists(map_exprs(d, depth - 1), min_size=1, max_size=3))))
+    if kind == "scale":
+        return Scale(draw(st.floats(-2, 2, allow_nan=False)), draw(map_exprs(d, depth - 1)))
+    if kind == "compose":
+        return Compose(draw(map_exprs(d, depth - 1)), draw(map_exprs(d, depth - 1)))
+    if kind == "lift":
+        n = 2 if d == 4 else 3
+        parties = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+        child = draw(map_exprs(2 ** len(parties), depth - 1))
+        return Lift(child, PartySubset(tuple(sorted(parties))), SiteDims((2,) * n))
+    if kind == "trace-identity":
+        return TraceIdentity(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))), d)
+    if kind == "conjugate":
+        return Conjugate(_unitary(d, rng))
+    if kind == "trace-outer":
+        return TraceOuter(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
+    if kind == "schur":
+        return SchurWith(rng.standard_normal((d, d)))
+    if kind == "choi":
+        return Choi(d, draw(st.booleans()))
+    if kind == "breuer-hall":
+        return BreuerHall(d, default_skew_unitary(d))
+    return {"identity": Identity, "transpose": Transpose, "reduction": Reduction,
+            "diag": DiagAll}[kind](d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs), st.integers(0, 2 ** 32 - 1))
+def test_mapexpr_roundtrip_property(expr, seed):
+    text = json.dumps(mapexpr_to_json(expr))
+    back = mapexpr_from_json(json.loads(text))
+    assert json.dumps(mapexpr_to_json(back)) == text
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((2, expr.dim, expr.dim)) + 0j
+    assert np.array_equal(apply_stack(back, stack), apply_stack(expr, stack))
 
 
 def test_mapexpr_unknown_kind():
