@@ -86,6 +86,9 @@ def _build_gme_map(args) -> criteria.GmeMap:
             except RecursionError:
                 raise ValueError("map file is nested too deeply") from None
         expr = serialize.mapexpr_from_json(doc)
+        if expr.dim > criteria.MAX_DIM:
+            raise ValueError(f"map file dimension {expr.dim} exceeds the supported "
+                             f"maximum {criteria.MAX_DIM}")
         return criteria.GmeMap("map-file", expr, _dims_of_expr(expr, args))
     if not args.map:
         raise ValueError("either --map, --map-file or --witness-file is required")
@@ -149,9 +152,7 @@ def _cmd_detect(args) -> int:
     rho = _build_state(args, m)
     verdict = detect(m, rho, args.tol)
     if args.export_map:
-        with open(args.export_map, "w", encoding="utf-8") as fh:
-            json.dump(serialize.mapexpr_to_json(m.expr), fh)
-            fh.write("\n")
+        serialize.write_json(args.export_map, serialize.mapexpr_to_json(m.expr))
     report = {
         "config": _config(args, "detect", m, args.state or args.state_file or ""),
         "min_eig": verdict.min_eig,
@@ -323,6 +324,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
 
 

@@ -323,8 +323,22 @@ SMALLEST = {
 }
 
 
+#: largest total dimension D = d^n that `build_map` constructs; dense D x D
+#: complex matrices take 16 D^2 bytes each (16 MB at the limit)
+MAX_DIM = 1024
+
+
 def build_map(map_id: str, n: int, d: int) -> GmeMap:
-    """Construct a cataloged map by id; raises ValueError for bad combos."""
+    """Construct a cataloged map by id; raises ValueError for bad combos.
+
+    D = d^n is checked against `MAX_DIM` before anything is built, because
+    the 2^(n-1) - 1 bipartitions are enumerated eagerly.
+    """
+    if d < 2:
+        raise ValueError(f"local dimension d must be >= 2, got {d}")
+    # d >= 2, so more than log2(MAX_DIM) parties is too large without computing d^n
+    if n > MAX_DIM.bit_length() or d ** n > MAX_DIM:
+        raise ValueError(f"D = d^n = {d}^{n} exceeds the supported maximum {MAX_DIM}")
     if map_id == "phi-t":
         return phi_t(n, d)
     if map_id == "phi-tx":

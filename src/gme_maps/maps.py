@@ -16,7 +16,8 @@ from typing import Any, Iterable, get_type_hints
 
 import numpy as np
 
-from .operators import MpOperator, PartySubset, SiteDims, party_subset, site_dims
+from .operators import (MpOperator, PartySubset, SiteDims, partial_transpose_stack,
+                        party_subset, site_dims)
 
 UNITARY_TOL = 1e-12
 
@@ -93,10 +94,17 @@ class Choi(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class Conjugate(MapExpr):
-    """rho -> U rho U^dag."""
+    """rho -> U rho U^dag.
+
+    A monomial U (exactly one nonzero per row, U[i, perm[i]] = phase[i])
+    records `perm` and `phase`, so evaluation is a row and column gather;
+    `phase` is None when every phase is 1, and both are None otherwise.
+    """
 
     u: np.ndarray
     dim: int = field(init=False)
+    perm: np.ndarray | None = field(init=False, repr=False)
+    phase: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
@@ -108,6 +116,16 @@ class Conjugate(MapExpr):
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "dim", u.shape[0])
+        perm = phase = None
+        if np.all(np.count_nonzero(u, axis=1) == 1):
+            perm = np.argmax(u != 0, axis=1)
+            phase = u[np.arange(u.shape[0]), perm]
+            perm.flags.writeable = False
+            phase.flags.writeable = False
+            if np.all(phase == 1):
+                phase = None
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "phase", phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +301,8 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
             acc = acc + np.roll(v, shift * j, axis=-1)
         return _embed_diag(acc) - x
     if isinstance(node, Conjugate):
+        if node.perm is not None:
+            return _gather(x, node.perm, node.phase)
         return node.u @ x @ node.u.conj().T
     if isinstance(node, DiagAll):
         return _embed_diag(_diag_vec(x).copy())
@@ -296,38 +316,86 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
         return node.mask * x
     if isinstance(node, Sum):
         out = _eval(node.children[0], x)
-        for c in node.children[1:]:
-            out = out + _eval(c, x)
+        if len(node.children) > 1:
+            # a fresh buffer: a child's result may be its input or a view of it
+            out = out + _eval(node.children[1], x)
+            for c in node.children[2:]:
+                out += _eval(c, x)
         return out
     if isinstance(node, Scale):
         return node.r * _eval(node.child, x)
     if isinstance(node, Compose):
         return _eval(node.outer, _eval(node.inner, x))
     if isinstance(node, Lift):
-        return _eval_lift(node, x)
+        return _eval_lifted(node.child, node, x)
     raise TypeError(f"unknown map node {type(node).__name__}")
 
 
-def _eval_lift(node: Lift, x: np.ndarray) -> np.ndarray:
+def _gather(x: np.ndarray, perm: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """U x U^dag for the monomial U[i, perm[i]] = phase[i]."""
+    out = x[..., perm[:, None], perm]
+    if phase is not None:
+        out = phase[:, None] * out * phase.conj()
+    return out
+
+
+def _eval_lifted(child: MapExpr, node: Lift, x: np.ndarray) -> np.ndarray:
+    """`child` on the subsystem of `node`, identity elsewhere.
+
+    Composition is pushed down to the leaves.  The identity, transposition
+    and monomial conjugations act on the full matrix as index permutations;
+    every other leaf acts block by block.
+    """
+    if isinstance(child, Compose):
+        return _eval_lifted(child.outer, node, _eval_lifted(child.inner, node, x))
+    if isinstance(child, Identity):
+        return x
+    if isinstance(child, Transpose):
+        return partial_transpose_stack(x, node.dims, node.parties)
+    if isinstance(child, Conjugate) and child.perm is not None:
+        # full index (a, r) -> (perm[a], r), with a the subsystem digits
+        idx = _subsystem_index(node)
+        perm = np.empty(node.dim, dtype=np.intp)
+        perm[idx] = idx[child.perm]
+        phase = None
+        if child.phase is not None:
+            phase = np.empty(node.dim, dtype=complex)
+            phase[idx] = child.phase[:, None]
+        return _gather(x, perm, phase)
+    return _eval_blocks(child, node, x)
+
+
+def _party_order(node: Lift) -> list[int]:
+    """The lifted parties, then the rest, each in increasing order."""
+    members = node.parties.members
+    return list(members) + [i for i in range(node.dims.n) if i not in members]
+
+
+def _subsystem_index(node: Lift) -> np.ndarray:
+    """Full basis index of each (subsystem index, rest index) pair, shape (dA, dR)."""
+    dA = node.child.dim
+    idx = np.arange(node.dim).reshape(node.dims.dims).transpose(_party_order(node))
+    return idx.reshape(dA, node.dim // dA)
+
+
+def _eval_blocks(child: MapExpr, node: Lift, x: np.ndarray) -> np.ndarray:
+    """`child` applied to every (subsystem x subsystem) block of the rest-space."""
     dims = node.dims.dims
     n = len(dims)
-    A = list(node.parties.members)
-    rest = [i for i in range(n) if i not in node.parties.members]
-    dA = int(np.prod([dims[i] for i in A]))
+    dA = child.dim
     dR = node.dim // dA
     batch = x.shape[:-2]
     nb = len(batch)
     t = x.reshape(batch + tuple(dims) + tuple(dims))
-    order = A + rest
+    order = _party_order(node)
     perm = list(range(nb)) + [nb + o for o in order] + [nb + n + o for o in order]
     t = t.transpose(perm).reshape(batch + (dA, dR, dA, dR))
     # blocks indexed by the rest-space, child acts on the last two axes
     t = np.moveaxis(t, (-4, -2), (-2, -1))  # (..., dR, dR, dA, dA)
-    t = _eval(node.child, t)
+    t = _eval(child, t)
     t = np.moveaxis(t, (-2, -1), (-4, -2))
-    adims = [dims[i] for i in A]
-    rdims = [dims[i] for i in rest]
-    t = t.reshape(batch + tuple(adims + rdims + adims + rdims))
+    odims = tuple(dims[i] for i in order)
+    t = t.reshape(batch + odims + odims)
     inv = np.argsort(perm).tolist()
     t = t.transpose(inv)
     return t.reshape(batch + (node.dim, node.dim))

@@ -143,14 +143,20 @@ def partial_transpose(op: MpOperator, parties: Iterable[int] | PartySubset) -> M
     Involution: applying twice returns the input.
     """
     ps = party_subset(parties)
-    n = op.dims.n
-    ps.validate(n)
-    t = _axes_tensor(op)
-    perm = list(range(2 * n))
-    for p in ps:
-        perm[p], perm[n + p] = perm[n + p], perm[p]
-    D = op.d
-    return MpOperator(op.dims, t.transpose(perm).reshape(D, D))
+    ps.validate(op.dims.n)
+    return MpOperator(op.dims, partial_transpose_stack(op.mat, op.dims, ps))
+
+
+def partial_transpose_stack(x: np.ndarray, dims: SiteDims, parties: PartySubset) -> np.ndarray:
+    """`partial_transpose` of every matrix in a stack of shape (..., D, D)."""
+    n = dims.n
+    batch = x.shape[:-2]
+    nb = len(batch)
+    perm = list(range(nb + 2 * n))
+    for p in parties:
+        perm[nb + p], perm[nb + n + p] = perm[nb + n + p], perm[nb + p]
+    t = x.reshape(batch + dims.dims + dims.dims).transpose(perm)
+    return t.reshape(x.shape)
 
 
 def partial_trace(op: MpOperator, parties: Iterable[int] | PartySubset) -> MpOperator:

@@ -28,7 +28,7 @@ MAP_FORMAT = "mapexpr-v1"
 
 def _pairs(arr: np.ndarray) -> list[list[float]]:
     flat = np.asarray(arr, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack((flat.real, flat.imag), -1).tolist()
 
 
 def _unpairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
@@ -75,10 +75,14 @@ def load_state(path: str) -> MpOperator | PureState:
     return state_from_json(doc)
 
 
-def save_state(path: str, obj: MpOperator | PureState) -> None:
+def write_json(path: str, doc: Any) -> None:
+    """Write one compact JSON document and a newline (C encoder, one shot)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(obj), fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
+
+
+def save_state(path: str, obj: MpOperator | PureState) -> None:
+    write_json(path, state_to_json(obj))
 
 
 def _mat_doc(arr: np.ndarray) -> dict:
@@ -86,8 +90,32 @@ def _mat_doc(arr: np.ndarray) -> dict:
 
 
 def _mat_undoc(doc: dict) -> np.ndarray:
-    d = int(doc["dim"])
+    d = _json_int(doc["dim"])
     return _unpairs(doc["entries"]).reshape(d, d)
+
+
+def _json_int(v: Any) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _json_bool(v: Any) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _json_float(v: Any) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _json_ints(v: Any) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of integers, got {v!r}")
+    return tuple(_json_int(x) for x in v)
 
 
 # mapexpr-v1 names each node kind; every other key is a constructor field of
@@ -99,15 +127,16 @@ _KINDS = {Identity: "identity", Transpose: "transpose", Reduction: "reduction",
          Compose: "compose"}
 _NODE_CLASSES = {kind: cls for cls, kind in _KINDS.items()}
 _NODE_LIST = tuple[MapExpr, ...]
-# (encode, decode) of each declared field type other than child nodes
+# (encode, decode) of each declared field type other than child nodes; decoding
+# accepts only the JSON type the encoder writes
 _CODECS = {
-    int: (int, int),
-    bool: (bool, bool),
-    float: (float, float),
+    int: (int, _json_int),
+    bool: (bool, _json_bool),
+    float: (float, _json_float),
     Fraction: (str, Fraction),
     np.ndarray: (_mat_doc, _mat_undoc),
-    PartySubset: (lambda p: list(p.members), lambda v: PartySubset(tuple(int(x) for x in v))),
-    SiteDims: (lambda s: list(s.dims), lambda v: SiteDims(tuple(int(x) for x in v))),
+    PartySubset: (lambda p: list(p.members), lambda v: PartySubset(_json_ints(v))),
+    SiteDims: (lambda s: list(s.dims), lambda v: SiteDims(_json_ints(v))),
 }
 # Deeper than any catalog tree (at most 9 levels) by a wide margin.
 MAX_MAP_DEPTH = 64
@@ -117,7 +146,9 @@ def _key(name: str) -> str:
     return "d" if name == "dim" else name
 
 
-def _node_to_json(m: MapExpr) -> dict:
+def _node_to_json(m: MapExpr, depth: int = 1) -> dict:
+    if depth > MAX_MAP_DEPTH:
+        raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
     kind = _KINDS.get(type(m))
     if kind is None:
         raise TypeError(f"cannot serialize map node {type(m).__name__}")
@@ -125,9 +156,9 @@ def _node_to_json(m: MapExpr) -> dict:
     for name, tp, _ in node_fields(type(m)):
         value = getattr(m, name)
         if tp is MapExpr:
-            doc[_key(name)] = _node_to_json(value)
+            doc[_key(name)] = _node_to_json(value, depth + 1)
         elif tp == _NODE_LIST:
-            doc[_key(name)] = [_node_to_json(c) for c in value]
+            doc[_key(name)] = [_node_to_json(c, depth + 1) for c in value]
         else:
             doc[_key(name)] = _CODECS[tp][0](value)
     return doc
@@ -159,7 +190,7 @@ def _node_from_json(doc: Any, depth: int = 1) -> MapExpr:
         else:
             try:
                 args[name] = _CODECS[tp][1](value)
-            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            except (TypeError, ValueError, KeyError, OverflowError, ZeroDivisionError) as exc:
                 raise ValueError(f"{kind} node: bad field {key!r}: {exc}") from None
     return cls(**args)
 

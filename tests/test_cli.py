@@ -1,13 +1,17 @@
 """Command line behaviour: reports, exit codes, reproducibility, round trips."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from gme_maps import criteria
 from gme_maps.cli import main
+from gme_maps.maps import compose, identity_map
+from gme_maps.operators import SiteDims
 from gme_maps.serialize import save_state, state_to_json
-from gme_maps.states import maximally_mixed
+from gme_maps.states import ghz, maximally_mixed
 
 
 def run(capsys, *argv):
@@ -73,8 +77,16 @@ LEAF = '{"kind": "identity", "d": 8}'
      '"dims": [2, 2, 2]}}' % LEAF, ["lift", "parties"]),
     (_nested(100), ["deeper"]),
     (_nested(3000), ["nested too deeply"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "choi", "d": 8, "adjoint": "false"}}',
+     ["choi", "'adjoint'"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "transpose", "d": 8.5}}',
+     ["transpose", "'d'"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "transpose", "d": "8"}}',
+     ["transpose", "'d'"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "identity", "d": 65536}}',
+     ["65536", "exceeds"]),
 ], ids=["list-doc", "list-root", "int-children", "list-r", "missing-d", "int-parties",
-        "depth-100", "depth-3000"])
+        "depth-100", "depth-3000", "str-adjoint", "float-d", "str-d", "oversized"])
 @pytest.mark.parametrize("command", ["detect", "verify"])
 def test_malformed_map_file_exits_2(tmp_path, capsys, text, words, command):
     path = tmp_path / "bad.json"
@@ -209,3 +221,71 @@ def test_witness_roundtrip_sign(tmp_path, capsys):
     redetect = json.loads(out)
     assert redetect["detected"] is True
     assert redetect["min_eig"] == pytest.approx(doc["min_eig"], abs=1e-9)
+
+
+# sha256 of the file `detect --export-map` writes, and of the witness file for
+# the GHZ vector as `witness --output` writes it, at each map's smallest size.
+# The CLI's own witness comes from an eigensolver's eigenvector, whose last
+# bits depend on the LAPACK build, so the witness is pinned on the exact vector.
+EXPORT_SHA256 = {
+    "phi-tx": "c7fa55220fc52490286a9448d24c2b5fa61aa1c53c19a563d4b8b5ed14920e50",
+    "eta": "615fdd863a5f478592bfcb7a18bb62f59daee96bdcada8135a6f3c5d4912e216",
+    "mu-choi": "fd86d64ebe86dd1b90a462d76a291cdad98f15f0969cedf01026d3d917af3750",
+}
+WITNESS_SHA256 = {
+    "phi-tx": "c6db874cded02766a379d1f1067f126760c0a7581b7d131bd2c1315a01dcdbf0",
+    "eta": "284a4e3f9b2729a9697634c6d2d377c30ad64a531f07d7732432a7005756cdaf",
+    "mu-choi": "e98f4077b2aa884cca87d111feb8985c49f8abca15e316e46a8b8f3d2f00dccf",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("map_id", sorted(EXPORT_SHA256))
+def test_written_files_pinned(tmp_path, capsys, map_id):
+    n, d = criteria.SMALLEST[map_id]
+    mpath = tmp_path / "m.json"
+    code, _, _ = run(capsys, "detect", "--map", map_id, "--n", str(n), "--d", str(d),
+                     "--state", "ghz", "--export-map", str(mpath))
+    assert code == 0
+    assert _sha256(mpath) == EXPORT_SHA256[map_id]
+    wpath = tmp_path / "w.json"
+    save_state(str(wpath), criteria.map_to_witness(criteria.build_map(map_id, n, d),
+                                                   ghz(n, d)))
+    assert _sha256(wpath) == WITNESS_SHA256[map_id]
+
+
+def test_unexportable_map_exits_2(tmp_path, capsys, monkeypatch):
+    deep = compose(*[identity_map(8)] * 70)
+    monkeypatch.setattr(criteria, "build_map",
+                        lambda *a: criteria.GmeMap("deep", deep, SiteDims((2, 2, 2))))
+    mpath = tmp_path / "m.json"
+    code, _, err = run(capsys, "detect", "--map", "phi-t", "--n", "3", "--state", "mixed",
+                       "--export-map", str(mpath))
+    assert code == 2
+    assert err.startswith("error:") and "deeper" in err
+    assert not mpath.exists()
+
+
+def test_oversized_map_exits_2_before_building(capsys, monkeypatch):
+    def enumerate_nothing(n):
+        raise AssertionError("bipartitions enumerated")
+
+    monkeypatch.setattr(criteria, "bipartitions", enumerate_nothing)
+    code, out, err = run(capsys, "detect", "--map", "phi-t", "--n", "40", "--state", "ghz")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2^40" in err
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(criteria, "build_map", out_of_memory)
+    code, out, err = run(capsys, "detect", "--map", "phi-t", "--n", "3", "--state", "ghz")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory") and "Traceback" not in err

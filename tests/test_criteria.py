@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gme_maps import criteria
 from gme_maps.criteria import (bipartitions, build_map, eta_map,
                                map_to_witness, mu_map, phi_b, phi_r, phi_t,
                                phi_tx, witness_to_map, x_projector,
@@ -165,3 +166,20 @@ def test_build_map_dispatch_and_errors():
         build_map("phi-tx", 3, 3)
     with pytest.raises(ValueError):
         build_map("nope", 3, 2)
+
+
+def test_build_map_size_limit(monkeypatch):
+    def enumerate_nothing(n):
+        raise AssertionError("bipartitions enumerated")
+
+    monkeypatch.setattr(criteria, "bipartitions", enumerate_nothing)
+    for map_id, n, d in [("phi-t", 40, 2), ("phi-t", 11, 2), ("phi-r", 3, 11),
+                         ("mu-choi", 10 ** 6, 3)]:
+        with pytest.raises(ValueError, match="exceeds"):
+            build_map(map_id, n, d)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        build_map("phi-t", 10 ** 9, 1)
+
+
+def test_build_map_at_size_limit():
+    assert build_map("phi-b", 5, 4).dims.total == criteria.MAX_DIM

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gme_maps import maps
+from gme_maps.criteria import MAP_IDS, SMALLEST, build_map
 from gme_maps.maps import (BreuerHall, Choi, apply, apply_stack,
                            breuer_hall_map, choi_map, compose,
                            conjugation_map, default_skew_unitary, diag_map,
@@ -10,7 +12,7 @@ from gme_maps.maps import (BreuerHall, Choi, apply, apply_stack,
                            mu_constant, mu_sample_values, reduction_map,
                            scale, trace_identity, transpose_map)
 from gme_maps.operators import MpOperator, SiteDims, is_hermitian, min_eig, operator
-from gme_maps.states import maximally_entangled, shift_matrix
+from gme_maps.states import clock_matrix, maximally_entangled, shift_matrix
 from helpers import density_op, hermitian_op, rand_density, rand_hermitian, superoperator
 
 
@@ -249,3 +251,87 @@ def test_estimate_mu_validation():
         estimate_mu(transpose_map(2), 2, 0, seed=1)
     with pytest.raises(ValueError):
         estimate_mu(transpose_map(2), 3, 10, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# full-space lift evaluation against the block-by-block route
+# ---------------------------------------------------------------------------
+
+def _blocks_reference(monkeypatch):
+    """Make every lift evaluate block by block, as the route of any other leaf."""
+    monkeypatch.setattr(maps, "_eval_lifted", maps._eval_blocks)
+
+
+def _stack(shape, D, rng):
+    return rng.standard_normal(shape + (D, D)) + 1j * rng.standard_normal(shape + (D, D))
+
+
+def test_conjugate_records_monomial_form():
+    x = shift_matrix(3).mat
+    c = conjugation_map(x)
+    assert c.perm is not None and c.phase is None
+    zx = clock_matrix(3, 1).mat @ x
+    c = conjugation_map(zx)
+    assert np.array_equal(zx[np.arange(3), c.perm], c.phase)
+    rng = np.random.default_rng(8)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    c = conjugation_map(u)
+    assert c.perm is None and c.phase is None
+    for m in (conjugation_map(zx), conjugation_map(x), conjugation_map(u)):
+        rho = _stack((2,), 3, rng)
+        ref = m.u @ rho @ m.u.conj().T
+        assert np.max(np.abs(apply_stack(m, rho) - ref)) <= 1e-12
+
+
+def _kron(*mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def _lift_cases():
+    rng = np.random.default_rng(9)
+    u3 = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    zx3 = clock_matrix(3, 1).mat @ shift_matrix(3).mat
+    zx2 = clock_matrix(3, 2).mat @ np.linalg.matrix_power(shift_matrix(3).mat, 2)
+    mono = conjugation_map(_kron(zx3, zx2))
+    sx = shift_matrix(2).mat
+    return [
+        ("monomial-phases", lift(mono, (0, 2), (3, 2, 3)), ()),
+        ("monomial-phases-batch", lift(mono, (1, 2), (2, 3, 3)), (2, 3)),
+        ("non-monomial", lift(conjugation_map(_kron(u3, zx3)), (0, 1), (3, 3, 2)), ()),
+        ("compose-chain", lift(compose(mono, transpose_map(9), conjugation_map(_kron(zx2, zx2)),
+                                       identity_map(9)), (0, 2), (3, 2, 3)), (2,)),
+        ("compose-mixed", lift(compose(conjugation_map(_kron(sx, sx)), reduction_map(4),
+                                       transpose_map(4)), (1, 3), (2, 2, 3, 2)), (2,)),
+        ("compose-nested", lift(compose(compose(transpose_map(3), conjugation_map(zx3)),
+                                        compose(choi_map(3), conjugation_map(u3))),
+                                (1,), (2, 3, 2)), (3,)),
+    ]
+
+
+@pytest.mark.parametrize("case", _lift_cases(), ids=lambda c: c[0])
+def test_lift_full_space_matches_blocks(case):
+    _, m, batch = case
+    x = _stack(batch, m.dim, np.random.default_rng(10))
+    for expr in (m, dual(m)):
+        full = maps._eval_lifted(expr.child, expr, x)
+        blocks = maps._eval_blocks(expr.child, expr, x)
+        assert full.shape == x.shape
+        assert np.max(np.abs(full - blocks)) <= 1e-12
+
+
+CATALOG_UP_TO_256 = [(map_id, n, SMALLEST[map_id][1]) for map_id in MAP_IDS
+                     for n in range(3, 7) if SMALLEST[map_id][1] ** n <= 256]
+
+
+@pytest.mark.parametrize("map_id,n,d", CATALOG_UP_TO_256)
+def test_catalog_full_space_matches_blocks(monkeypatch, map_id, n, d):
+    m = build_map(map_id, n, d).expr
+    x = _stack((2,), m.dim, np.random.default_rng(n))
+    got = [apply_stack(e, x) for e in (m, dual(m))]
+    _blocks_reference(monkeypatch)
+    want = [apply_stack(e, x) for e in (m, dual(m))]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12

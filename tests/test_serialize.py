@@ -14,9 +14,10 @@ from gme_maps.detect import ScanRow
 from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll,
                            Identity, Lift, Reduction, Scale, SchurWith, Sum,
                            TraceIdentity, TraceOuter, Transpose, apply,
-                           apply_stack, default_skew_unitary)
+                           apply_stack, compose, default_skew_unitary,
+                           identity_map)
 from gme_maps.operators import PartySubset, SiteDims
-from gme_maps.serialize import (dumps_report, mapexpr_from_json,
+from gme_maps.serialize import (MAX_MAP_DEPTH, dumps_report, mapexpr_from_json,
                                 mapexpr_to_json, scan_csv, state_from_json,
                                 state_to_json)
 from gme_maps.states import PureState, ghz, ppt_family
@@ -141,6 +142,50 @@ def test_mapexpr_roundtrip_property(expr, seed):
 def test_mapexpr_unknown_kind():
     with pytest.raises(ValueError):
         mapexpr_from_json({"format": "mapexpr-v1", "root": {"kind": "mystery"}})
+
+
+def _root(node):
+    return {"format": "mapexpr-v1", "root": node}
+
+
+IDENTITY8 = {"kind": "identity", "d": 8}
+
+
+@pytest.mark.parametrize("node", [
+    {"kind": "choi", "d": 3, "adjoint": "false"},
+    {"kind": "choi", "d": 3, "adjoint": 0},
+    {"kind": "choi", "d": 2.7},
+    {"kind": "choi", "d": "3"},
+    {"kind": "choi", "d": True},
+    {"kind": "scale", "r": "2", "child": IDENTITY8},
+    {"kind": "scale", "r": False, "child": IDENTITY8},
+    {"kind": "trace-identity", "c": "1/0", "d": 2},
+    {"kind": "lift", "child": {"kind": "identity", "d": 2}, "parties": ["0"],
+     "dims": [2, 2, 2]},
+    {"kind": "lift", "child": {"kind": "identity", "d": 2}, "parties": [0],
+     "dims": [2, 2.5, 2]},
+    {"kind": "schur", "mask": {"dim": 1.0, "entries": [[1, 0]]}},
+], ids=["str-bool", "int-bool", "float-int", "str-int", "bool-int", "str-float",
+        "bool-float", "zero-denominator", "str-party", "float-dim", "float-mat-dim"])
+def test_mapexpr_rejects_other_json_types(node):
+    with pytest.raises(ValueError, match="bad field"):
+        mapexpr_from_json(_root(node))
+
+
+def test_mapexpr_decodes_json_bools():
+    for flag in (False, True):
+        m = mapexpr_from_json(_root({"kind": "choi", "d": 3, "adjoint": flag}))
+        assert isinstance(m, Choi) and m.adjoint is flag
+
+
+def test_mapexpr_encoder_depth_matches_decoder():
+    deepest = compose(*[identity_map(2)] * MAX_MAP_DEPTH)
+    text = json.dumps(mapexpr_to_json(deepest))
+    assert json.dumps(mapexpr_to_json(mapexpr_from_json(json.loads(text)))) == text
+    with pytest.raises(ValueError, match="deeper"):
+        mapexpr_to_json(compose(*[identity_map(2)] * (MAX_MAP_DEPTH + 1)))
+    with pytest.raises(ValueError, match="deeper"):
+        mapexpr_to_json(compose(*[identity_map(2)] * 70))
 
 
 def test_scan_csv_format():
