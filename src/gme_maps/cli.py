@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, maps, serialize, states
-from .detect import (detect, lambda_scan, noise_threshold,
+from .detect import (DETECT_TOL, detect, lambda_scan, noise_threshold,
                      verify_biseparable_positivity, visibility_scan,
                      white_noise_threshold)
 from .operators import MpOperator, SiteDims
 from .states import PureState
 
-DEFAULT_TOL = 1e-9
+#: most rows `scan --grid` may ask for; checked before any row is built
+MAX_GRID_ROWS = 10_000
 
 
 def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> None:
@@ -191,15 +192,19 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ValueError("--grid expects start:stop:step") from exc
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError("--grid values must be finite")
     if step <= 0 or stop <= start:
         raise ValueError("--grid needs step > 0 and stop > start")
-    count = int(np.ceil((stop - start) / step - 1e-12))
-    return [start + i * step for i in range(count)]
+    rows = (stop - start) / step
+    if not rows <= MAX_GRID_ROWS:  # also false when the quotient overflows to inf
+        raise ValueError(f"--grid asks for more than {MAX_GRID_ROWS} rows")
+    return [start + i * step for i in range(int(np.ceil(rows - 1e-12)))]
 
 
 def _cmd_scan(args) -> int:
-    m = _build_gme_map(args)
     grid = _parse_grid(args.grid)
+    m = _build_gme_map(args)
     if args.family == "ppt-qutrit":
         rows = lambda_scan(m, grid, noise=args.noise or 0.0, tol=args.tol)
     else:
@@ -228,7 +233,7 @@ def _cmd_mu(args) -> int:
         "seed": args.seed,
         "estimate": estimate,
         "constant": constant,
-        "within_tolerance": bool(abs(estimate - float(constant)) <= 1e-9),
+        "within_tolerance": bool(abs(estimate - float(constant)) <= DETECT_TOL),
     }
     _emit(serialize.dumps_report(report), args.output)
     return 0
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="apply a map to a state and report the verdict")
     _add_map_args(p, with_witness=True)
     _add_state_args(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.add_argument("--export-map", help="also write the map expression (mapexpr-v1) here")
     p.set_defaults(func=_cmd_detect)
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="exact noise threshold of a state family")
     _add_map_args(p)
     _add_state_args(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_threshold)
 
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="start:stop:step (stop exclusive)")
     p.add_argument("--noise", type=float, default=0.0,
                    help="extra white-noise fraction for ppt-qutrit rows")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_scan)
 
@@ -304,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_args(p)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("witness", help="export the witness extracted from a detection")
     _add_map_args(p)
     _add_state_args(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output", required=True, help="witness JSON path")
     p.set_defaults(func=_cmd_witness)
     return parser

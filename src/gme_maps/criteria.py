@@ -18,7 +18,8 @@ import numpy as np
 
 from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
                    Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
-                   apply, breuer_hall_map, dual, reduction_map, transpose_map)
+                   apply, breuer_hall_map, dual, mu_constant, reduction_map,
+                   transpose_map)
 from .operators import MpOperator, PartySubset, SiteDims, is_hermitian
 from .states import PureState, clock_matrix, shift_matrix
 
@@ -82,11 +83,6 @@ def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _sigma_x_on(subset: PartySubset, n: int) -> np.ndarray:
-    sx = shift_matrix(2).mat
-    return _kron_all([sx if i in subset.members else np.eye(2) for i in range(n)])
-
-
 def _compensation(n: int, mu: Fraction, dim: int) -> MapExpr:
     """c * I Tr with c = (#bipartitions - 1) * mu, stored exactly."""
     c = (2 ** (n - 1) - 2) * mu
@@ -97,16 +93,13 @@ def phi_t(n: int, d: int = 2) -> GmeMap:
     """Lifted-transposition criterion: sum of partial transposes plus c I Tr."""
     if n < 3:
         raise ValueError("phi-t needs n >= 3")
-    dims = SiteDims((d,) * n)
-    lifts = [Lift(transpose_map(d ** len(A)), A, dims) for A in bipartitions(n)]
-    expr = Sum(tuple(lifts) + (_compensation(n, Fraction(1, 2), dims.total),))
     claims = ()
     if n == 3 and d == 2:
         claims = (
             Claim("min-eig:w3", 1 - 2 / sqrt(3), "closed-form"),
             Claim("threshold:noisy-w3", 11 * sqrt(3) / (16 + 3 * sqrt(3)), "closed-form"),
         )
-    return GmeMap("phi-t", expr, dims, claims)
+    return _single_lift_criterion("phi-t", n, d, lambda m: transpose_map(d ** m), claims)
 
 
 def phi_tx(n: int) -> GmeMap:
@@ -114,7 +107,9 @@ def phi_tx(n: int) -> GmeMap:
     if n < 3:
         raise ValueError("phi-tx needs n >= 3")
     dims = SiteDims((2,) * n)
-    expr = Sum(_phi_tx_sum(n).children + (_compensation(n, Fraction(1, 2), dims.total),))
+    # the sigma_x flip is unitary, so it keeps the transposition's constant
+    mu = mu_constant(transpose_map(2))
+    expr = Sum(_phi_tx_sum(n).children + (_compensation(n, mu, dims.total),))
     b = 2 ** (n - 1)
     claims = (
         Claim("min-eig:ghz", -0.5, "closed-form"),
@@ -201,9 +196,11 @@ def eta_map(n: int) -> GmeMap:
 
 def _single_lift_criterion(label: str, n: int, d: int, child_for,
                            claims: tuple[Claim, ...]) -> GmeMap:
+    """`child_for(k)` lifted onto every bipartition side of k parties, plus the
+    compensation sized by the single-party primitive's `mu_constant`."""
     dims = SiteDims((d,) * n)
     lifts = [Lift(child_for(len(A)), A, dims) for A in bipartitions(n)]
-    expr = Sum(tuple(lifts) + (_compensation(n, Fraction(1, d), dims.total),))
+    expr = Sum(tuple(lifts) + (_compensation(n, mu_constant(child_for(1)), dims.total),))
     return GmeMap(label, expr, dims, claims)
 
 
@@ -223,8 +220,8 @@ def phi_r(d: int, n: int = 3) -> GmeMap:
                                   lambda m: reduction_map(d ** m), claims)
 
 
-def phi_b(d: int, n: int = 3, v: np.ndarray | None = None) -> GmeMap:
-    """Lifted Breuer-Hall criterion; block skew-symmetric V by default."""
+def phi_b(d: int, n: int = 3) -> GmeMap:
+    """Lifted Breuer-Hall criterion with the block skew-symmetric V."""
     if n < 3:
         raise ValueError("phi-b needs n >= 3")
     if d < 4 or d % 2:
@@ -235,13 +232,7 @@ def phi_b(d: int, n: int = 3, v: np.ndarray | None = None) -> GmeMap:
             Claim("min-eig:ghz", -1.0 / d, "closed-form"),
             Claim("threshold:noisy-ghz", 1 - d * d / (3 * (d * d + 1)), "closed-form"),
         )
-
-    def child(m: int) -> MapExpr:
-        if m == 1 and v is not None:
-            return breuer_hall_map(d, v)
-        return breuer_hall_map(d ** m)
-
-    return _single_lift_criterion("phi-b", n, d, child, claims)
+    return _single_lift_criterion("phi-b", n, d, lambda m: breuer_hall_map(d ** m), claims)
 
 
 def _choi_on_subset(size: int, d: int) -> MapExpr:

@@ -205,6 +205,8 @@ def lambda_scan(m: GmeMap, grid: Sequence[float], noise: float = 0.0,
     the map is applied to P, Q and C (and to I/D with noise) once; each row
     combines those outputs and takes one eigensolve.
     """
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"white-noise fraction must lie in [0, 1], got {noise}")
     P, Q, C = ppt_family_terms()
     parts = (P.sum(axis=0), Q.sum(axis=0), C)
     outs = [apply(m.expr, MpOperator(m.dims, x)).mat for x in parts]

@@ -2,9 +2,9 @@
 
 Primitive positive maps (transposition, reduction, Breuer-Hall, Choi,
 unitary conjugation, Diag, trace-times-identity) are combined with
-lift-to-subsystem, sum, scale and composition nodes.  Evaluation is
-vectorised over a leading batch axis so subsystem lifts stay cheap, and
-duals are computed analytically node by node.
+lift-to-subsystem, sum, scale and composition nodes.  One walker, `_eval`,
+evaluates a tree on a stack of matrices, and duals are computed analytically
+node by node.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class TraceIdentity(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class TraceOuter(MapExpr):
-    """rho -> Tr(weight rho) * output; dual swaps the two operators."""
+    """rho -> Tr(weight rho) * output; the dual swaps the adjoints of the two."""
 
     weight: np.ndarray
     output: np.ndarray
@@ -186,20 +186,43 @@ class SchurWith(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class Lift(MapExpr):
-    """Apply `child` to the composite subsystem A, identity elsewhere."""
+    """Apply `child` to the composite subsystem A, identity elsewhere.
+
+    Index tables, computed once: `block_axes` orders the axes of
+    x.reshape((-1,) + dims + dims) as (batch, rest rows, rest columns, A rows,
+    A columns), with shape `block_shape`; `index[a, r]` is the full basis
+    index of subsystem index a and rest index r, shape (dA, dR).
+    """
 
     child: MapExpr
     parties: PartySubset
     dims: SiteDims
     dim: int = field(init=False)
+    block_axes: tuple[int, ...] = field(init=False, repr=False)
+    block_axes_inv: tuple[int, ...] = field(init=False, repr=False)
+    block_shape: tuple[int, ...] = field(init=False, repr=False)
+    index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.parties.validate(self.dims.n)
-        dA = int(np.prod([self.dims.dims[p] for p in self.parties]))
+        n, k = self.dims.n, len(self.parties)
+        self.parties.validate(n)
+        order = self.parties.members + self.parties.complement(n).members
+        sizes = [self.dims.dims[p] for p in order]
+        dA = int(np.prod(sizes[:k]))
         if self.child.dim != dA:
             raise ValueError(
                 f"child map dimension {self.child.dim} does not match subsystem size {dA}")
-        object.__setattr__(self, "dim", self.dims.total)
+        D = self.dims.total
+        rows, cols = [1 + p for p in order], [1 + n + p for p in order]
+        axes = (0, *rows[k:], *cols[k:], *rows[:k], *cols[:k])
+        shape = (-1, *sizes[k:], *sizes[k:], *sizes[:k], *sizes[:k])
+        index = np.arange(D).reshape(self.dims.dims).transpose(order).reshape(dA, D // dA)
+        index.flags.writeable = False
+        object.__setattr__(self, "dim", D)
+        object.__setattr__(self, "block_axes", axes)
+        object.__setattr__(self, "block_axes_inv", tuple(np.argsort(axes).tolist()))
+        object.__setattr__(self, "block_shape", shape)
+        object.__setattr__(self, "index", index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +301,39 @@ def _embed_diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
-    """Apply `node` to a stack of matrices, shape (..., d, d)."""
+def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
+    """Apply `node` to a stack of matrices, shape (..., d, d).
+
+    Under `lift`, x is a stack of full-space matrices and `node` acts on the
+    lift's subsystem, identity elsewhere.  Composition passes the lift on to
+    both sides; the identity, transposition and monomial conjugations act on
+    the full matrix as index permutations, and every other node acts block
+    by block (`_eval_blocks`).
+    """
+    if isinstance(node, Compose):
+        return _eval(node.outer, _eval(node.inner, x, lift), lift)
     if isinstance(node, Identity):
         return x
     if isinstance(node, Transpose):
-        return x.swapaxes(-1, -2)
+        if lift is None:
+            return x.swapaxes(-1, -2)
+        return partial_transpose_stack(x, lift.dims, lift.parties)
+    if isinstance(node, Conjugate) and node.perm is not None:
+        if lift is None:
+            return _gather(x, node.perm, node.phase)
+        # full index (a, r) -> (perm[a], r), with a the subsystem digits
+        idx = lift.index
+        perm = np.empty(lift.dim, dtype=np.intp)
+        perm[idx] = idx[node.perm]
+        phase = None
+        if node.phase is not None:
+            phase = np.empty(lift.dim, dtype=complex)
+            phase[idx] = node.phase[:, None]
+        return _gather(x, perm, phase)
+    if lift is not None:
+        return _eval_blocks(node, lift, x)
+    if isinstance(node, Lift):
+        return _eval(node.child, x, node)
     if isinstance(node, Reduction):
         tr = np.trace(x, axis1=-2, axis2=-1)
         eye = np.eye(node.dim)
@@ -301,8 +351,6 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
             acc = acc + np.roll(v, shift * j, axis=-1)
         return _embed_diag(acc) - x
     if isinstance(node, Conjugate):
-        if node.perm is not None:
-            return _gather(x, node.perm, node.phase)
         return node.u @ x @ node.u.conj().T
     if isinstance(node, DiagAll):
         return _embed_diag(_diag_vec(x).copy())
@@ -324,10 +372,6 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
         return out
     if isinstance(node, Scale):
         return node.r * _eval(node.child, x)
-    if isinstance(node, Compose):
-        return _eval(node.outer, _eval(node.inner, x))
-    if isinstance(node, Lift):
-        return _eval_lifted(node.child, node, x)
     raise TypeError(f"unknown map node {type(node).__name__}")
 
 
@@ -339,66 +383,18 @@ def _gather(x: np.ndarray, perm: np.ndarray, phase: np.ndarray | None) -> np.nda
     return out
 
 
-def _eval_lifted(child: MapExpr, node: Lift, x: np.ndarray) -> np.ndarray:
-    """`child` on the subsystem of `node`, identity elsewhere.
+def _eval_blocks(node: MapExpr, lift: Lift, x: np.ndarray) -> np.ndarray:
+    """`node` applied to every (subsystem x subsystem) block of the rest-space.
 
-    Composition is pushed down to the leaves.  The identity, transposition
-    and monomial conjugations act on the full matrix as index permutations;
-    every other leaf acts block by block.
+    One transpose gathers the blocks into a C-contiguous stack of shape
+    (-1, dR, dR, dA, dA), and one transpose scatters the result back.
     """
-    if isinstance(child, Compose):
-        return _eval_lifted(child.outer, node, _eval_lifted(child.inner, node, x))
-    if isinstance(child, Identity):
-        return x
-    if isinstance(child, Transpose):
-        return partial_transpose_stack(x, node.dims, node.parties)
-    if isinstance(child, Conjugate) and child.perm is not None:
-        # full index (a, r) -> (perm[a], r), with a the subsystem digits
-        idx = _subsystem_index(node)
-        perm = np.empty(node.dim, dtype=np.intp)
-        perm[idx] = idx[child.perm]
-        phase = None
-        if child.phase is not None:
-            phase = np.empty(node.dim, dtype=complex)
-            phase[idx] = child.phase[:, None]
-        return _gather(x, perm, phase)
-    return _eval_blocks(child, node, x)
-
-
-def _party_order(node: Lift) -> list[int]:
-    """The lifted parties, then the rest, each in increasing order."""
-    members = node.parties.members
-    return list(members) + [i for i in range(node.dims.n) if i not in members]
-
-
-def _subsystem_index(node: Lift) -> np.ndarray:
-    """Full basis index of each (subsystem index, rest index) pair, shape (dA, dR)."""
-    dA = node.child.dim
-    idx = np.arange(node.dim).reshape(node.dims.dims).transpose(_party_order(node))
-    return idx.reshape(dA, node.dim // dA)
-
-
-def _eval_blocks(child: MapExpr, node: Lift, x: np.ndarray) -> np.ndarray:
-    """`child` applied to every (subsystem x subsystem) block of the rest-space."""
-    dims = node.dims.dims
-    n = len(dims)
-    dA = child.dim
-    dR = node.dim // dA
-    batch = x.shape[:-2]
-    nb = len(batch)
-    t = x.reshape(batch + tuple(dims) + tuple(dims))
-    order = _party_order(node)
-    perm = list(range(nb)) + [nb + o for o in order] + [nb + n + o for o in order]
-    t = t.transpose(perm).reshape(batch + (dA, dR, dA, dR))
-    # blocks indexed by the rest-space, child acts on the last two axes
-    t = np.moveaxis(t, (-4, -2), (-2, -1))  # (..., dR, dR, dA, dA)
-    t = _eval(child, t)
-    t = np.moveaxis(t, (-2, -1), (-4, -2))
-    odims = tuple(dims[i] for i in order)
-    t = t.reshape(batch + odims + odims)
-    inv = np.argsort(perm).tolist()
-    t = t.transpose(inv)
-    return t.reshape(batch + (node.dim, node.dim))
+    dims = lift.dims.dims
+    dA, dR = lift.index.shape
+    t = x.reshape((-1,) + dims + dims).transpose(lift.block_axes)
+    t = _eval(node, np.ascontiguousarray(t).reshape(-1, dR, dR, dA, dA))
+    t = t.reshape(lift.block_shape).transpose(lift.block_axes_inv)
+    return t.reshape(x.shape)
 
 
 def _check_lift_dims(m: MapExpr, dims: SiteDims) -> None:
@@ -443,9 +439,9 @@ def dual(m: MapExpr) -> MapExpr:
     if isinstance(m, Conjugate):
         return Conjugate(m.u.conj().T)
     if isinstance(m, TraceOuter):
-        return TraceOuter(m.output, m.weight)
+        return TraceOuter(m.output.conj().T, m.weight.conj().T)
     if isinstance(m, SchurWith):
-        return SchurWith(m.mask.T)
+        return SchurWith(m.mask.conj())
     if isinstance(m, Lift):
         return Lift(dual(m.child), m.parties, m.dims)
     if isinstance(m, Sum):

@@ -111,20 +111,19 @@ def identity(dims: Iterable[int] | SiteDims) -> MpOperator:
     return MpOperator(sd, np.eye(sd.total))
 
 
-def is_hermitian(op: MpOperator, rtol: float = HERM_RTOL) -> bool:
+def is_hermitian(op: MpOperator) -> bool:
     m = op.mat
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    return float(np.max(np.abs(m - m.conj().T))) <= rtol * scale
+    return float(np.max(np.abs(m - m.conj().T))) <= HERM_RTOL * scale
 
 
-def is_density(op: MpOperator, trace_tol: float = DENSITY_TRACE_TOL,
-               eig_tol: float = DENSITY_EIG_TOL) -> bool:
+def is_density(op: MpOperator) -> bool:
     if not is_hermitian(op):
         return False
-    if abs(op.trace() - 1.0) > trace_tol:
+    if abs(op.trace() - 1.0) > DENSITY_TRACE_TOL:
         return False
     w = np.linalg.eigvalsh((op.mat + op.mat.conj().T) / 2)
-    return bool(w[0] >= -eig_tol)
+    return bool(w[0] >= -DENSITY_EIG_TOL)
 
 
 def kron(a: MpOperator, b: MpOperator) -> MpOperator:
@@ -189,13 +188,13 @@ def schur_product(a: MpOperator, b: MpOperator) -> MpOperator:
     return MpOperator(a.dims, a.mat * b.mat)
 
 
-def min_eig(op: MpOperator, herm_rtol: float = HERM_RTOL) -> tuple[float, np.ndarray]:
+def min_eig(op: MpOperator) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector of a Hermitian operator.
 
     The input is symmetrised before diagonalisation; non-Hermitian input
     (beyond tolerance) raises ValueError.
     """
-    if not is_hermitian(op, herm_rtol):
+    if not is_hermitian(op):
         raise ValueError("min_eig requires a Hermitian operator")
     h = (op.mat + op.mat.conj().T) / 2
     w, v = np.linalg.eigh(h)

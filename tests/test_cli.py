@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gme_maps import criteria
+from gme_maps import cli, criteria
 from gme_maps.cli import main
 from gme_maps.maps import compose, identity_map
 from gme_maps.operators import SiteDims
@@ -169,6 +170,35 @@ def test_scan_grid_validation(capsys):
     code, _, err = run(capsys, "scan", "--map", "mu-choi", "--n", "3", "--d", "3",
                        "--grid", "0.5:0.1:0.1")
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.1", "0:1:nan", "-inf:0:1",
+                                  "0:1:1e-12", "0:1e308:1e-308", "-1e308:1e308:1"])
+def test_scan_grid_rejects_unbounded_and_non_finite(capsys, grid):
+    code, out, err = run(capsys, "scan", "--map", "mu-choi", "--n", "3", "--d", "3",
+                         f"--grid={grid}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --grid")
+
+
+def test_scan_grid_row_limit_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="rows"):
+            cli._parse_grid("0:1:1e-12")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert len(cli._parse_grid(f"0:{cli.MAX_GRID_ROWS}:1")) == cli.MAX_GRID_ROWS
+
+
+@pytest.mark.parametrize("noise", ["5", "-3"])
+def test_scan_rejects_noise_outside_unit_interval(capsys, noise):
+    code, out, err = run(capsys, "scan", "--map", "mu-choi", "--n", "3", "--d", "3",
+                         "--family", "ppt-qutrit", "--grid", "0.1:0.3:0.1", "--noise", noise)
+    assert code == 2 and out == ""
+    assert "must lie in [0, 1]" in err
 
 
 def test_verify_cli(capsys):

@@ -79,6 +79,12 @@ def test_lambda_scan():
     assert lo.detected and not hi.detected
 
 
+@pytest.mark.parametrize("noise", [5.0, -3.0, float("nan")])
+def test_lambda_scan_rejects_noise_outside_unit_interval(noise):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        lambda_scan(mu_map(3, 3), [0.1], noise=noise)
+
+
 @pytest.mark.parametrize("m, target, white_noise, want", [
     (phi_tx(3), ghz(3, 2), False, 11 / 15),
     (phi_r(2), ghz(3, 2), False, 11 / 15),

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gme_maps import maps
 from gme_maps.criteria import MAP_IDS, SMALLEST, build_map
-from gme_maps.maps import (BreuerHall, Choi, apply, apply_stack,
+from gme_maps.maps import (BreuerHall, Choi, SchurWith, TraceOuter, apply, apply_stack,
                            breuer_hall_map, choi_map, compose,
                            conjugation_map, default_skew_unitary, diag_map,
                            dual, estimate_mu, identity_map, lift, map_sum,
@@ -13,7 +15,8 @@ from gme_maps.maps import (BreuerHall, Choi, apply, apply_stack,
                            scale, trace_identity, transpose_map)
 from gme_maps.operators import MpOperator, SiteDims, is_hermitian, min_eig, operator
 from gme_maps.states import clock_matrix, maximally_entangled, shift_matrix
-from helpers import density_op, hermitian_op, rand_density, rand_hermitian, superoperator
+from helpers import (blocks_reference, density_op, hermitian_op, lifted_map_exprs, map_exprs,
+                     rand_density, rand_hermitian, superoperator)
 
 
 def test_reduction_on_identity():
@@ -195,12 +198,17 @@ def test_dual_adjointness_random():
 
 
 def test_dual_against_superoperator_oracle():
+    rng = np.random.default_rng(12)
+    w, o, mask = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                  for _ in range(3))
     exprs = [
         choi_map(3), breuer_hall_map(4),
         compose(conjugation_map(shift_matrix(3).mat), choi_map(3)),
         map_sum(lift(choi_map(3), (0,), (3, 3)),
                 lift(transpose_map(3), (1,), (3, 3)),
                 trace_identity(2, 9)),
+        # non-Hermitian operators: the adjoint conjugates them
+        TraceOuter(w, o), SchurWith(mask),
     ]
     for m in exprs:
         s = superoperator(m)
@@ -257,11 +265,6 @@ def test_estimate_mu_validation():
 # full-space lift evaluation against the block-by-block route
 # ---------------------------------------------------------------------------
 
-def _blocks_reference(monkeypatch):
-    """Make every lift evaluate block by block, as the route of any other leaf."""
-    monkeypatch.setattr(maps, "_eval_lifted", maps._eval_blocks)
-
-
 def _stack(shape, D, rng):
     return rng.standard_normal(shape + (D, D)) + 1j * rng.standard_normal(shape + (D, D))
 
@@ -316,8 +319,9 @@ def test_lift_full_space_matches_blocks(case):
     _, m, batch = case
     x = _stack(batch, m.dim, np.random.default_rng(10))
     for expr in (m, dual(m)):
-        full = maps._eval_lifted(expr.child, expr, x)
-        blocks = maps._eval_blocks(expr.child, expr, x)
+        full = maps._eval(expr, x)
+        with blocks_reference():
+            blocks = maps._eval(expr, x)
         assert full.shape == x.shape
         assert np.max(np.abs(full - blocks)) <= 1e-12
 
@@ -327,11 +331,24 @@ CATALOG_UP_TO_256 = [(map_id, n, SMALLEST[map_id][1]) for map_id in MAP_IDS
 
 
 @pytest.mark.parametrize("map_id,n,d", CATALOG_UP_TO_256)
-def test_catalog_full_space_matches_blocks(monkeypatch, map_id, n, d):
+def test_catalog_full_space_matches_blocks(map_id, n, d):
     m = build_map(map_id, n, d).expr
     x = _stack((2,), m.dim, np.random.default_rng(n))
     got = [apply_stack(e, x) for e in (m, dual(m))]
-    _blocks_reference(monkeypatch)
-    want = [apply_stack(e, x) for e in (m, dual(m))]
+    with blocks_reference():
+        want = [apply_stack(e, x) for e in (m, dual(m))]
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs),
+                 st.sampled_from([4, 8]).flatmap(lifted_map_exprs)))
+def test_dual_and_full_space_property(expr):
+    """dual is the Hilbert-Schmidt adjoint, and `_eval` matches the block route."""
+    s = superoperator(expr)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(s))))
+    assert np.max(np.abs(superoperator(dual(expr)) - s.conj().T)) <= bound
+    with blocks_reference():
+        ref = superoperator(expr)
+    assert np.max(np.abs(s - ref)) <= bound

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,17 +10,12 @@ from hypothesis import strategies as st
 
 from gme_maps.criteria import SMALLEST, build_map, eta_map, mu_map, phi_b
 from gme_maps.detect import ScanRow
-from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll,
-                           Identity, Lift, Reduction, Scale, SchurWith, Sum,
-                           TraceIdentity, TraceOuter, Transpose, apply,
-                           apply_stack, compose, default_skew_unitary,
-                           identity_map)
-from gme_maps.operators import PartySubset, SiteDims
+from gme_maps.maps import Choi, apply, apply_stack, compose, identity_map
 from gme_maps.serialize import (MAX_MAP_DEPTH, dumps_report, mapexpr_from_json,
                                 mapexpr_to_json, scan_csv, state_from_json,
                                 state_to_json)
 from gme_maps.states import PureState, ghz, ppt_family
-from helpers import hermitian_op
+from helpers import hermitian_op, map_exprs
 
 
 def test_pure_state_roundtrip():
@@ -84,48 +78,6 @@ CATALOG_SHA256 = {
 def test_mapexpr_bytes_pinned(map_id):
     text = json.dumps(mapexpr_to_json(build_map(map_id, *SMALLEST[map_id]).expr))
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[map_id]
-
-
-def _unitary(d, rng):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return np.linalg.qr(z)[0]
-
-
-@st.composite
-def map_exprs(draw, d, depth=3):
-    """Random expression trees on d x d matrices, d in {2, 3, 4, 8}."""
-    composite = ["sum", "scale", "compose"] + (["lift"] if d in (4, 8) else [])
-    kind = draw(st.sampled_from(composite if depth and draw(st.booleans()) else
-                                ["identity", "transpose", "reduction", "diag",
-                                 "trace-identity", "conjugate", "trace-outer", "schur"]
-                                + (["choi"] if d >= 3 else [])
-                                + (["breuer-hall"] if d in (4, 8) else [])))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "sum":
-        return Sum(tuple(draw(st.lists(map_exprs(d, depth - 1), min_size=1, max_size=3))))
-    if kind == "scale":
-        return Scale(draw(st.floats(-2, 2, allow_nan=False)), draw(map_exprs(d, depth - 1)))
-    if kind == "compose":
-        return Compose(draw(map_exprs(d, depth - 1)), draw(map_exprs(d, depth - 1)))
-    if kind == "lift":
-        n = 2 if d == 4 else 3
-        parties = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
-        child = draw(map_exprs(2 ** len(parties), depth - 1))
-        return Lift(child, PartySubset(tuple(sorted(parties))), SiteDims((2,) * n))
-    if kind == "trace-identity":
-        return TraceIdentity(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))), d)
-    if kind == "conjugate":
-        return Conjugate(_unitary(d, rng))
-    if kind == "trace-outer":
-        return TraceOuter(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
-    if kind == "schur":
-        return SchurWith(rng.standard_normal((d, d)))
-    if kind == "choi":
-        return Choi(d, draw(st.booleans()))
-    if kind == "breuer-hall":
-        return BreuerHall(d, default_skew_unitary(d))
-    return {"identity": Identity, "transpose": Transpose, "reduction": Reduction,
-            "diag": DiagAll}[kind](d)
 
 
 @settings(max_examples=60, deadline=None)
