@@ -18,7 +18,7 @@ from . import criteria, maps, serialize, states
 from .detect import (DETECT_TOL, detect, lambda_scan, noise_threshold,
                      verify_biseparable_positivity, visibility_scan,
                      white_noise_threshold)
-from .operators import MpOperator, SiteDims
+from .operators import MpOperator, SiteDims, is_hermitian_array
 from .states import PureState
 
 #: most rows `scan --grid` may ask for; checked before any row is built
@@ -61,17 +61,31 @@ def _resolve_d(args) -> int:
 
 
 def _dims_of_expr(expr: maps.MapExpr, args) -> SiteDims:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, maps.Lift):
-            return node.dims
-        stack.extend(maps.children(node))
+    dims = maps.lift_dims(expr)
+    if dims is not None:
+        return dims
     dims = SiteDims((_resolve_d(args),) * args.n)
     if dims.total != expr.dim:
         raise ValueError(
             f"map file dimension {expr.dim} does not match --n/--d ({dims.dims})")
     return dims
+
+
+#: the operator fields that a map file's nodes must hold Hermitian
+_HERMITIAN_FIELDS = {maps.SchurWith: ("mask",), maps.TraceOuter: ("weight", "output")}
+
+
+def _check_hermitian_nodes(expr: maps.MapExpr, path: str) -> None:
+    """A map file must preserve Hermiticity: its Schur masks and trace-outer
+    weights and outputs are Hermitian."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        for name in _HERMITIAN_FIELDS.get(type(node), ()):
+            if not is_hermitian_array(getattr(node, name)):
+                raise ValueError(f"map file {path}: {serialize.node_kind(node)} node "
+                                 f"has a non-Hermitian {name}")
+        stack.extend(maps.children(node))
 
 
 def _build_gme_map(args) -> criteria.GmeMap:
@@ -90,6 +104,7 @@ def _build_gme_map(args) -> criteria.GmeMap:
         if expr.dim > criteria.MAX_DIM:
             raise ValueError(f"map file dimension {expr.dim} exceeds the supported "
                              f"maximum {criteria.MAX_DIM}")
+        _check_hermitian_nodes(expr, args.map_file)
         return criteria.GmeMap("map-file", expr, _dims_of_expr(expr, args))
     if not args.map:
         raise ValueError("either --map, --map-file or --witness-file is required")
@@ -246,6 +261,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def witness_expectation(w: MpOperator, rho: MpOperator) -> float:
+    """Re Tr(W rho), contracted entry by entry in O(D^2)."""
+    return float(np.einsum("ij,ji->", w.mat, rho.mat).real)
+
+
 def _cmd_witness(args) -> int:
     m = _build_gme_map(args)
     rho = _build_state(args, m)
@@ -257,7 +277,7 @@ def _cmd_witness(args) -> int:
         "config": _config(args, "witness", m, args.state or args.state_file or ""),
         "min_eig": verdict.min_eig,
         "detected": verdict.detected,
-        "witness_expectation": float(np.trace(w.mat @ rho.mat).real),
+        "witness_expectation": witness_expectation(w, rho),
         "output": args.output,
     }
     sys.stdout.write(serialize.dumps_report(summary))

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import GmeMap, bipartitions
-from .maps import apply
+from .maps import apply, apply_blocks
 from .operators import (MpOperator, eigvalsh, is_density, min_eig,
                         partial_transpose)
 from .states import (PptFamilyParams, PureState, depolarized,
@@ -94,7 +94,7 @@ def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
         raise ValueError(f"state dims {rho.dims.dims} do not match map dims {m.dims.dims}")
     if not is_density(rho):
         raise ValueError("input is not a density matrix")
-    val, vec = min_eig(apply(m.expr, rho))
+    val, vec = min_eig(apply_blocks(m.expr, rho))
     return Verdict(val, vec, _detected(val, tol), m.label, tol)
 
 
@@ -271,11 +271,12 @@ def verify_biseparable_positivity(m: GmeMap, samples: int, *, seed: int = 0,
     if samples < 1:
         raise ValueError("need samples >= 1")
     dims = m.dims
-    results = [(i, seed + i, min_eig(apply(m.expr, random_biseparable(dims, 1, seed + i)))[0])
+    results = [(i, seed + i,
+                min_eig(apply_blocks(m.expr, random_biseparable(dims, 1, seed + i)))[0])
                for i in range(samples)]
     if include_adversarial and dims.n >= 3 and len(set(dims.dims)) == 1:
         adv = adversarial_product(dims)
-        results.append((-1, None, min_eig(apply(m.expr, adv))[0]))
+        results.append((-1, None, min_eig(apply_blocks(m.expr, adv))[0]))
 
     worst_index, worst_seed, worst = min(results, key=lambda t: t[2])
     violations = tuple(

@@ -4,20 +4,23 @@ Primitive positive maps (transposition, reduction, Breuer-Hall, Choi,
 unitary conjugation, Diag, trace-times-identity) are combined with
 lift-to-subsystem, sum, scale and composition nodes.  One walker, `_eval`,
 evaluates a tree on a stack of matrices, and duals are computed analytically
-node by node.
+node by node.  A tree projected onto the cyclic GHZ support compiles once
+into a gather table over that support (`x_support_action`), which `apply`
+then uses instead of the walker.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Iterable, get_type_hints
+from typing import Any, Iterable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .operators import (MpOperator, PartySubset, SiteDims, partial_transpose_stack,
-                        party_subset, site_dims)
+from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
+                        partial_transpose_stack, party_subset, site_dims)
 
 UNITARY_TOL = 1e-12
 
@@ -410,10 +413,22 @@ def _check_lift_dims(m: MapExpr, dims: SiteDims) -> None:
 
 def apply(m: MapExpr, op: MpOperator) -> MpOperator:
     """Evaluate the map on a multipartite operator."""
-    if m.dim != op.d:
-        raise ValueError(f"operator side {op.d} does not match map dimension {m.dim}")
-    _check_lift_dims(m, op.dims)
-    return MpOperator(op.dims, _eval(m, op.mat))
+    _check_operator(m, op)
+    act = x_support_action(m)
+    return MpOperator(op.dims, _eval(m, op.mat) if act is None else act.dense(op.mat))
+
+
+def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
+    """`apply`, keeping an output on the X support as its d x d blocks.
+
+    Returns a `BlockOperator` when `x_support_action(m)` compiles the map,
+    else the dense `apply` result.
+    """
+    _check_operator(m, op)
+    act = x_support_action(m)
+    if act is None:
+        return MpOperator(op.dims, _eval(m, op.mat))
+    return BlockOperator(op.dims, act.index, act.blocks(op.mat))
 
 
 def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
@@ -421,7 +436,287 @@ def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack, dtype=complex)
     if stack.shape[-1] != m.dim or stack.shape[-2] != m.dim:
         raise ValueError("stack side does not match map dimension")
-    return _eval(m, stack)
+    act = x_support_action(m)
+    return _eval(m, stack) if act is None else act.dense(stack)
+
+
+def _check_operator(m: MapExpr, op: MpOperator) -> None:
+    if m.dim != op.d:
+        raise ValueError(f"operator side {op.d} does not match map dimension {m.dim}")
+    _check_lift_dims(m, op.dims)
+
+
+# ---------------------------------------------------------------------------
+# the X-support route
+# ---------------------------------------------------------------------------
+#
+# The cyclic GHZ ("X") support of n sites of dimension d is the set S of
+# entries (u, v) whose digits differ by the same c on every site, mod d.  It
+# has D d of the D^2 entries and falls apart into D/d blocks of d x d: block b
+# holds the basis vectors u, u + (1, ..., 1), ..., u + (d-1)(1, ..., 1).  A
+# root Compose(m, P) or Compose(P, m), with P a Schur mask that vanishes off S
+# and every node of m in the closed set below, maps anything to an operator on
+# S, so it compiles once into a gather table over the D d entries of S.
+#
+# Closed nodes are Identity, Transpose, monomial Conjugate, DiagAll, Choi
+# (expanded), Scale, Sum, Compose and Lift, provided every permutation they make
+# sends S onto S.  Each maps S and its complement into themselves, which the
+# dual form Compose(P, m) needs.
+
+
+class _NotClosed(Exception):
+    """A node or tree the X-support route does not cover."""
+
+
+#: largest table (terms x entries) a sum or composition may build while
+#: compiling; a larger one keeps the map on the dense route
+_X_TABLE_LIMIT = 1 << 22
+
+
+class XSupportAction(NamedTuple):
+    """A map compiled onto the X support.
+
+    Output entry e of block b, row a, column a' (e = (b d + a) d + a') is
+    sum_k coef[k, e] * x.flat[src[k, e]]; `index[b, a]` is the full basis
+    index of row a of block b, and `flat[e]` the flat position of entry e.
+    """
+
+    index: np.ndarray
+    flat: np.ndarray
+    src: np.ndarray
+    coef: np.ndarray
+
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        """The output blocks, shape (..., D/d, d, d), of a stack (..., D, D)."""
+        batch = x.shape[:-2]
+        gathered = np.ascontiguousarray(x).reshape(batch + (-1,))[..., self.src]
+        out = np.einsum("kn,...kn->...n", self.coef, gathered)
+        d = self.index.shape[1]
+        return out.reshape(batch + (-1, d, d))
+
+    def dense(self, x: np.ndarray) -> np.ndarray:
+        """The full output, shape (..., D, D), zero off the support."""
+        out = np.zeros(x.shape, dtype=complex)
+        out.reshape(x.shape[:-2] + (-1,))[..., self.flat] = \
+            self.blocks(x).reshape(x.shape[:-2] + (-1,))
+        return out
+
+
+_X_ACTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def x_support_action(m: MapExpr) -> XSupportAction | None:
+    """The compiled X-support form of `m`, or None when `m` keeps the dense route.
+
+    Compiled once per map object and kept exactly as long as the map.
+    """
+    try:
+        return _X_ACTIONS[m]
+    except KeyError:
+        pass
+    try:
+        act = _compile_x(m)
+    except _NotClosed:
+        act = None
+    _X_ACTIONS[m] = act
+    return act
+
+
+class _XSupport(NamedTuple):
+    """Index tables of the X support of `dims` (all sites of dimension d)."""
+
+    dims: SiteDims
+    index: np.ndarray  # (D/d, d) full index of row a of block b
+    block: np.ndarray  # (D,) block of each full index
+    pos: np.ndarray  # (D,) row of each full index within its block (its site-0 digit)
+    rows: np.ndarray  # (N,) full row index of entry e
+    cols: np.ndarray  # (N,) full column index of entry e
+
+    def entry(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Entry index of each full-space position (r, c); raises unless all lie on S."""
+        br = self.block[r]
+        if (br != self.block[c]).any():
+            raise _NotClosed
+        d = self.index.shape[1]
+        return (br * d + self.pos[r]) * d + self.pos[c]
+
+
+@functools.lru_cache(maxsize=8)
+def _x_support(dims: SiteDims) -> _XSupport:
+    d, n, D = dims.dims[0], dims.n, dims.total
+    if any(k != d for k in dims.dims):
+        raise _NotClosed
+    digits = np.arange(D)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    block = (digits[:, 1:] - digits[:, :1]) % d @ d ** np.arange(n - 2, -1, -1)
+    pos = digits[:, 0]
+    index = np.empty((D // d, d), dtype=np.intp)
+    index[block, pos] = np.arange(D)
+    rows = np.repeat(index, d, axis=1).reshape(-1)
+    cols = np.tile(index, (1, d)).reshape(-1)
+    tables = (index, block, pos, rows, cols)
+    for t in tables:  # shared by every map on these dims
+        t.flags.writeable = False
+    return _XSupport(dims, *tables)
+
+
+def lift_dims(m: MapExpr) -> SiteDims | None:
+    """The site dimensions of some `Lift` in the tree, or None without one."""
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Lift):
+            return node.dims
+        stack.extend(children(node))
+    return None
+
+
+def _compile_x(m: MapExpr) -> XSupportAction:
+    if not isinstance(m, Compose):
+        raise _NotClosed
+    if isinstance(m.inner, SchurWith):
+        mask, body, masked_input = m.inner.mask, m.outer, True
+    elif isinstance(m.outer, SchurWith):
+        mask, body, masked_input = m.outer.mask, m.inner, False
+    else:
+        raise _NotClosed
+    dims = lift_dims(body)
+    if dims is None:
+        raise _NotClosed
+    sup = _x_support(dims)
+    on_s = mask[sup.rows, sup.cols]
+    if not np.any(on_s.imag):
+        on_s = on_s.real
+    if np.count_nonzero(on_s) != np.count_nonzero(mask):
+        raise _NotClosed
+    # the memo is an argument only, so its tables are freed before the merge
+    src, coef = _merge(*_x_table(body, None, _lift_digits(None, sup), sup,
+                                 dict.fromkeys(_shared_ids(body))))
+    # the mask scales the input entry a term reads, or the output entry
+    coef = coef * (on_s[src] if masked_input else on_s)
+    D = dims.total
+    return XSupportAction(sup.index, sup.rows * D + sup.cols,
+                          sup.rows[src] * D + sup.cols[src], coef)
+
+
+def _shared_ids(m: MapExpr) -> set[int]:
+    """Ids of the subtrees that occur more than once in the tree."""
+    seen, shared, stack = set(), set(), [m]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            stack.extend(children(node))
+    return shared
+
+
+def _x_table(node: MapExpr, lift: Lift | None, digits, sup: _XSupport, memo: dict):
+    """(src, coef), each (K, N): entry e of node's output on S is
+    sum_k coef[k, e] * input entry src[k, e].
+
+    `digits` are `lift`'s digits of the entries (`_lift_digits`).  A subtree
+    whose id is a key of `memo` compiles once per lift; no other table is
+    kept, so each is freed once its parent has used it.
+    """
+    if id(node) not in memo:
+        return _x_table_uncached(node, lift, digits, sup, memo)
+    tables = memo[id(node)] = memo[id(node)] or {}
+    if id(lift) not in tables:
+        tables[id(lift)] = _x_table_uncached(node, lift, digits, sup, memo)
+    return tables[id(lift)]
+
+
+def _x_table_uncached(node, lift, digits, sup, memo):
+    if isinstance(node, Compose):
+        return _x_compose(_x_table(node.outer, lift, digits, sup, memo),
+                          _x_table(node.inner, lift, digits, sup, memo))
+    if isinstance(node, Sum):
+        tables = [_x_table(c, lift, digits, sup, memo) for c in node.children]
+        if sum(t[0].size for t in tables) > _X_TABLE_LIMIT:
+            raise _NotClosed
+        return (np.concatenate([t[0] for t in tables]),
+                np.concatenate([t[1] for t in tables]))
+    if isinstance(node, Scale):
+        src, coef = _x_table(node.child, lift, digits, sup, memo)
+        return src, node.r * coef
+    if isinstance(node, Lift):
+        if lift is not None or node.dims != sup.dims:
+            raise _NotClosed
+        return _x_table(node.child, node, _lift_digits(node, sup), sup, memo)
+    # leaves act entry by entry: output (u, v) reads input (r, c) times w
+    u, v = sup.rows, sup.cols
+    index, a_u, r_u, a_v, r_v = digits
+    if isinstance(node, Identity):
+        r, c, w = u, v, 1.0
+    elif isinstance(node, Transpose):
+        r, c, w = index[a_v, r_u], index[a_u, r_v], 1.0
+    elif isinstance(node, Conjugate) and node.perm is not None:
+        r, c, w = index[node.perm[a_u], r_u], index[node.perm[a_v], r_v], 1.0
+        if node.phase is not None:
+            w = node.phase[a_u] * node.phase[a_v].conj()
+    elif isinstance(node, DiagAll):
+        r, c, w = u, v, a_u == a_v
+    elif isinstance(node, Choi):
+        # 2 Diag + sum_j X^j Diag X^j^dag - id: on the subsystem's diagonal
+        # the j-th addend reads the entry j further on (j back for the
+        # adjoint); elsewhere it is zero and reads the entry itself
+        same = a_u == a_v
+        shifts = np.arange(1, node.dim - 1)[:, None] * (-1 if node.adjoint else 1)
+        r = np.vstack([u, np.where(same, index[(a_u + shifts) % node.dim, r_u], u)])
+        c = np.vstack([v, np.where(same, index[(a_v + shifts) % node.dim, r_v], v)])
+        w = np.vstack([2.0 * same - 1] + [same] * (node.dim - 2))
+    else:
+        raise _NotClosed
+    src = sup.entry(r, c).reshape(-1, len(u))
+    coef = np.empty(src.shape, dtype=np.result_type(w, float))
+    coef[...] = w
+    return src, coef
+
+
+def _lift_digits(lift: Lift | None, sup: _XSupport):
+    """(index, a_u, r_u, a_v, r_v): the lift's (subsystem, rest) digits of every
+    entry's row u and column v; without a lift the subsystem is everything."""
+    D = sup.dims.total
+    if lift is None:
+        return np.arange(D)[:, None], sup.rows, 0, sup.cols, 0
+    inv = np.empty(D, dtype=np.intp)
+    inv[lift.index.reshape(-1)] = np.arange(D)
+    dR = lift.index.shape[1]
+    return (lift.index, *np.divmod(inv[sup.rows], dR), *np.divmod(inv[sup.cols], dR))
+
+
+def _x_compose(outer, inner):
+    """The table of outer after inner: outer's terms read inner's output entries."""
+    (so, co), (si, ci) = outer, inner
+    N = so.shape[1]
+    if so.shape[0] * si.shape[0] * N > _X_TABLE_LIMIT:
+        raise _NotClosed
+    return si[:, so].reshape(-1, N), (ci[:, so] * co).reshape(-1, N)
+
+
+def _merge(src: np.ndarray, coef: np.ndarray):
+    """Sum the terms of each entry that read the same source, and drop zero terms."""
+    K, N = src.shape
+    # sort each entry's terms by source; flattened, entry e holds [e K, (e + 1) K)
+    order = np.argsort(src.T, axis=1)
+    source = np.take_along_axis(src.T, order, 1).reshape(-1)
+    coef = np.take_along_axis(coef.T, order, 1).reshape(-1)
+    del order
+    first = np.ones(len(source), dtype=bool)
+    first[1:] = source[1:] != source[:-1]
+    first[::K] = True
+    starts = np.flatnonzero(first)
+    total = np.add.reduceat(coef, starts)
+    starts = starts[total != 0]
+    entry, source, total = starts // K, source[starts], total[total != 0]
+    counts = np.bincount(entry, minlength=N)
+    rank = np.arange(len(entry)) - (np.cumsum(counts) - counts)[entry]
+    out_src = np.zeros((max(1, counts.max(initial=0)), N), dtype=np.intp)
+    out_coef = np.zeros(out_src.shape, dtype=total.dtype)
+    out_src[rank, entry] = source
+    out_coef[rank, entry] = total
+    return out_src, out_coef
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +724,20 @@ def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dual(m: MapExpr) -> MapExpr:
-    """Hilbert-Schmidt adjoint, computed structurally."""
+    """Hilbert-Schmidt adjoint, computed structurally.
+
+    A subtree shared within `m` has one shared dual.
+    """
+    return _dual(m, {})
+
+
+def _dual(m: MapExpr, memo: dict) -> MapExpr:
+    if id(m) not in memo:
+        memo[id(m)] = _dual_uncached(m, memo)
+    return memo[id(m)]
+
+
+def _dual_uncached(m: MapExpr, memo: dict) -> MapExpr:
     if isinstance(m, (Identity, Transpose, Reduction, DiagAll, TraceIdentity, BreuerHall)):
         # Breuer-Hall is self-dual: I Tr and I are, and skew-symmetry of V
         # makes the V rho^T V^dag addend self-adjoint.
@@ -443,13 +751,13 @@ def dual(m: MapExpr) -> MapExpr:
     if isinstance(m, SchurWith):
         return SchurWith(m.mask.conj())
     if isinstance(m, Lift):
-        return Lift(dual(m.child), m.parties, m.dims)
+        return Lift(_dual(m.child, memo), m.parties, m.dims)
     if isinstance(m, Sum):
-        return Sum(tuple(dual(c) for c in m.children))
+        return Sum(tuple(_dual(c, memo) for c in m.children))
     if isinstance(m, Scale):
-        return Scale(m.r, dual(m.child))
+        return Scale(m.r, _dual(m.child, memo))
     if isinstance(m, Compose):
-        return Compose(dual(m.inner), dual(m.outer))
+        return Compose(_dual(m.inner, memo), _dual(m.outer, memo))
     raise TypeError(f"unknown map node {type(m).__name__}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -111,10 +111,26 @@ def identity(dims: Iterable[int] | SiteDims) -> MpOperator:
     return MpOperator(sd, np.eye(sd.total))
 
 
-def is_hermitian(op: MpOperator) -> bool:
-    m = op.mat
+class BlockOperator(NamedTuple):
+    """A block-diagonal operator, kept as its diagonal blocks.
+
+    `blocks[b]` acts on the basis vectors `index[b]`; every entry outside the
+    blocks is zero.  Shapes: index (B, k), blocks (B, k, k).
+    """
+
+    dims: SiteDims
+    index: np.ndarray
+    blocks: np.ndarray
+
+
+def is_hermitian_array(m: np.ndarray) -> bool:
+    """Hermiticity of a matrix, or of every matrix of a stack, relative to its largest entry."""
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    return float(np.max(np.abs(m - m.conj().T))) <= HERM_RTOL * scale
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) <= HERM_RTOL * scale
+
+
+def is_hermitian(op: MpOperator) -> bool:
+    return is_hermitian_array(op.mat)
 
 
 def is_density(op: MpOperator) -> bool:
@@ -188,17 +204,24 @@ def schur_product(a: MpOperator, b: MpOperator) -> MpOperator:
     return MpOperator(a.dims, a.mat * b.mat)
 
 
-def min_eig(op: MpOperator) -> tuple[float, np.ndarray]:
+def min_eig(op: MpOperator | BlockOperator) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector of a Hermitian operator.
 
     The input is symmetrised before diagonalisation; non-Hermitian input
-    (beyond tolerance) raises ValueError.
+    (beyond tolerance) raises ValueError.  A `BlockOperator` takes one
+    batched eigensolve over its blocks, and its eigenvector is the first
+    lowest block's, embedded in the full space.
     """
-    if not is_hermitian(op):
+    m = op.blocks if isinstance(op, BlockOperator) else op.mat
+    if not is_hermitian_array(m):
         raise ValueError("min_eig requires a Hermitian operator")
-    h = (op.mat + op.mat.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    return float(w[0]), v[:, 0].copy()
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    if isinstance(op, MpOperator):
+        return float(w[0]), v[:, 0].copy()
+    b = int(np.argmin(w[:, 0]))
+    vec = np.zeros(op.dims.total, dtype=complex)
+    vec[op.index[b]] = v[b, :, 0]
+    return float(w[b, 0]), vec
 
 
 def eigvalsh(op: MpOperator) -> np.ndarray:

@@ -142,6 +142,11 @@ _CODECS = {
 MAX_MAP_DEPTH = 64
 
 
+def node_kind(m: MapExpr) -> str:
+    """The mapexpr-v1 kind name of a node."""
+    return _KINDS[type(m)]
+
+
 def _key(name: str) -> str:
     return "d" if name == "dim" else name
 

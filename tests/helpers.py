@@ -1,5 +1,5 @@
-"""Shared test utilities: random operators, random map expressions, and
-superoperator and block-by-block oracles."""
+"""Shared test utilities: random operators, random map expressions (also
+X-projected ones), and superoperator and block-by-block oracles."""
 
 import contextlib
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from gme_maps import maps
+from gme_maps.criteria import x_projector
 from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll,
                            Identity, Lift, MapExpr, Reduction, Scale, SchurWith,
                            Sum, TraceIdentity, TraceOuter, Transpose, apply_stack,
@@ -94,9 +95,8 @@ def map_exprs(draw, d, depth=3):
         return TraceIdentity(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))), d)
     if kind == "conjugate":
         if draw(st.booleans()):
-            k, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
-            x = np.linalg.matrix_power(shift_matrix(d).mat, j)
-            return Conjugate(clock_matrix(d, k).mat @ x)
+            return Conjugate(monomial(d, draw(st.integers(0, d - 1)),
+                                      draw(st.integers(0, d - 1))))
         return Conjugate(_unitary(d, rng))
     if kind == "trace-outer":
         return TraceOuter(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
@@ -110,10 +110,81 @@ def map_exprs(draw, d, depth=3):
             "diag": DiagAll}[kind](d)
 
 
+def monomial(d, k, j):
+    """Z^k X^j on C^d: the cyclic shift X^j with the clock phases Z^k."""
+    return clock_matrix(d, k).mat @ np.linalg.matrix_power(shift_matrix(d).mat, j)
+
+
 @st.composite
 def lifted_map_exprs(draw, d, depth=2):
-    """A random expression lifted onto some of the log2(d) qubits, d in {4, 8}."""
+    """A random expression lifted onto some of the log2(d) qubits, d in {4, 8}.
+
+    Half of the children are a monomial Z^k X^j on the largest subsystem, the
+    lifted gather's case; on two of three qubits X^j is a 4-cycle, not an
+    involution, so a gather with the inverse permutation differs.
+    """
     n = 2 if d == 4 else 3
-    parties = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
-    child = draw(map_exprs(2 ** len(parties), depth))
+    gather = draw(st.booleans())
+    parties = draw(st.lists(st.integers(0, n - 1), min_size=n - 1 if gather else 1,
+                            max_size=n - 1, unique=True))
+    dA = 2 ** len(parties)
+    if gather:
+        child = Conjugate(monomial(dA, draw(st.integers(0, dA - 1)),
+                                   draw(st.integers(1, dA - 1))))
+    else:
+        child = draw(map_exprs(dA, depth))
     return Lift(child, PartySubset(tuple(sorted(parties))), SiteDims((2,) * n))
+
+
+#: (n, d) of the trees `x_projected_exprs` draws, D <= 27
+X_SIZES = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]
+
+
+@st.composite
+def _x_closed_nodes(draw, d, sites, full, depth):
+    """A random tree on `sites` sites of dimension d from the nodes the X-support
+    route compiles: a transposition only for qubits or on the full space, and
+    monomials Z^k X^j on every site, which keep the digit differences."""
+    dim = d ** sites
+    if depth and draw(st.booleans()):
+        kind = draw(st.sampled_from(["sum", "scale", "compose"]))
+        sub = _x_closed_nodes(d, sites, full, depth - 1)
+        if kind == "sum":
+            return Sum(tuple(draw(st.lists(sub, min_size=1, max_size=3))))
+        if kind == "scale":
+            return Scale(draw(st.floats(-2, 2, allow_nan=False)), draw(sub))
+        return Compose(draw(sub), draw(sub))
+    leaves = ["identity", "diag", "conjugate"] + (["transpose"] if d == 2 or full else []) \
+        + (["choi"] if dim >= 3 else [])
+    kind = draw(st.sampled_from(leaves))
+    if kind == "conjugate":
+        u = np.ones((1, 1))
+        for _ in range(sites):
+            u = np.kron(u, monomial(d, draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))))
+        return Conjugate(u)
+    if kind == "choi":
+        return Choi(dim, draw(st.booleans()))
+    return {"identity": Identity, "diag": DiagAll, "transpose": Transpose}[kind](dim)
+
+
+@st.composite
+def x_projected_exprs(draw, depth=2):
+    """Compose(m, P) or Compose(P, m): m a random closed tree with at least one
+    lift, P a Hermitian Schur mask on the X support of n sites of dimension d."""
+    n, d = draw(st.sampled_from(X_SIZES))
+    dims = SiteDims((d,) * n)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        parties = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                                unique=True))
+        child = draw(_x_closed_nodes(d, len(parties), False, depth))
+        terms.append(Lift(child, PartySubset(tuple(sorted(parties))), dims))
+    if draw(st.booleans()):
+        terms.append(draw(_x_closed_nodes(d, n, True, depth)))
+    body = Sum(tuple(terms))
+    if draw(st.booleans()):
+        body = Compose(draw(_x_closed_nodes(d, n, True, depth)), body)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rand_hermitian(dims.total, rng) if draw(st.booleans()) else 1.0
+    mask = SchurWith(x_projector(n, d).mask * weights)
+    return Compose(body, mask) if draw(st.booleans()) else Compose(mask, body)

@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gme_maps import cli, criteria
+from gme_maps import cli, criteria, maps, states
 from gme_maps.cli import main
-from gme_maps.maps import compose, identity_map
-from gme_maps.operators import SiteDims
-from gme_maps.serialize import save_state, state_to_json
+from gme_maps.maps import SchurWith, TraceOuter, compose, identity_map
+from gme_maps.operators import MpOperator, SiteDims
+from gme_maps.serialize import mapexpr_to_json, save_state, state_to_json, write_json
 from gme_maps.states import ghz, maximally_mixed
+from helpers import hermitian_op, rand_density
 
 
 def run(capsys, *argv):
@@ -66,6 +67,13 @@ def _nested(depth):
 LEAF = '{"kind": "identity", "d": 8}'
 
 
+def _ones_with(i, j, value):
+    """An 8 x 8 matrix of ones whose (i, j) entry is `value`, so not Hermitian."""
+    m = np.ones((8, 8), dtype=complex)
+    m[i, j] = value
+    return m
+
+
 @pytest.mark.parametrize("text, words", [
     ("[]", ["JSON object"]),
     ('{"format": "mapexpr-v1", "root": []}', ["JSON object"]),
@@ -113,6 +121,34 @@ def test_malformed_state_file_exits_2(tmp_path, capsys, text):
                        "--state-file", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind, expr, field", [
+    ("schur", SchurWith(_ones_with(1, 2, 2.0)), "mask"),
+    ("trace-outer", compose(identity_map(8), TraceOuter(_ones_with(0, 3, 1j), np.eye(8))),
+     "weight"),
+    ("trace-outer", compose(TraceOuter(np.eye(8), _ones_with(5, 4, -1.0)), identity_map(8)),
+     "output"),
+], ids=["schur-mask", "trace-outer-weight", "trace-outer-output"])
+def test_non_hermitian_map_file_exits_2(tmp_path, capsys, kind, expr, field):
+    path = tmp_path / "bad.json"
+    write_json(str(path), mapexpr_to_json(expr))
+    code, out, err = run(capsys, "detect", "--map-file", str(path), "--n", "3",
+                         "--state", "w")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(path) in err and f"{kind} node" in err and f"non-Hermitian {field}" in err
+    # the same node built in memory still evaluates
+    assert maps.apply(expr, states.w_state(3).density()).d == 8
+
+
+def test_witness_expectation_matches_trace_of_product():
+    rng = np.random.default_rng(4)
+    for dims in ((2, 2, 2), (3, 3, 3)):
+        w = hermitian_op(dims, rng)
+        rho = MpOperator(SiteDims(dims), rand_density(w.d, rng))
+        want = np.trace(w.mat @ rho.mat).real
+        assert abs(cli.witness_expectation(w, rho) - want) <= 1e-12
 
 
 def test_invalid_map_combo_exits_2(capsys):
@@ -257,6 +293,10 @@ def test_witness_roundtrip_sign(tmp_path, capsys):
 # the GHZ vector as `witness --output` writes it, at each map's smallest size.
 # The CLI's own witness comes from an eigensolver's eigenvector, whose last
 # bits depend on the LAPACK build, so the witness is pinned on the exact vector.
+# The mu-choi witness goes through the X-support route: its three nonzero
+# diagonal entries are one rounding of 3 * <000|rho|000> = 1.00000000000000028,
+# 1.0000000000000002, where summing the tree's terms one by one gave
+# 1.0000000000000004.
 EXPORT_SHA256 = {
     "phi-tx": "c7fa55220fc52490286a9448d24c2b5fa61aa1c53c19a563d4b8b5ed14920e50",
     "eta": "615fdd863a5f478592bfcb7a18bb62f59daee96bdcada8135a6f3c5d4912e216",
@@ -265,7 +305,7 @@ EXPORT_SHA256 = {
 WITNESS_SHA256 = {
     "phi-tx": "c6db874cded02766a379d1f1067f126760c0a7581b7d131bd2c1315a01dcdbf0",
     "eta": "284a4e3f9b2729a9697634c6d2d377c30ad64a531f07d7732432a7005756cdaf",
-    "mu-choi": "e98f4077b2aa884cca87d111feb8985c49f8abca15e316e46a8b8f3d2f00dccf",
+    "mu-choi": "3bcec56c989b5c50cc938b591787d863c32afb00fb7b3747d38dfd59ed1758b2",
 }
 
 

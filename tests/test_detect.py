@@ -20,6 +20,22 @@ from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
                              ppt_family, random_biseparable, w_state)
 
 
+@pytest.mark.parametrize("m", [eta_map(5), mu_map(3, 4)], ids=["eta-5", "mu-choi-3-4"])
+def test_detect_takes_min_eig_from_blocks(m):
+    n, d = m.dims.n, m.dims.dims[0]
+    rho = depolarized(ghz(n, d), 0.9)
+    v = detect(m, rho)
+    out = apply(m.expr, rho).mat
+    assert v.min_eig == pytest.approx(np.linalg.eigvalsh(out)[0], abs=1e-12)
+    assert abs(np.linalg.norm(v.eigvec) - 1) <= 1e-12
+    assert np.linalg.norm(out @ v.eigvec - v.min_eig * v.eigvec) <= 1e-10
+    rep = verify_biseparable_positivity(m, samples=5, seed=1)
+    dense = [np.linalg.eigvalsh(apply(m.expr, random_biseparable(m.dims, 1, 1 + i)).mat)[0]
+             for i in range(5)]
+    worst = min(dense + [np.linalg.eigvalsh(apply(m.expr, adversarial_product(m.dims)).mat)[0]])
+    assert rep.min_over_samples == pytest.approx(worst, abs=1e-12)
+
+
 def test_detect_noisy_ghz():
     m = phi_tx(3)
     assert detect(m, depolarized(ghz(3, 2), 0.8)).detected

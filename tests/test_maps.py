@@ -1,22 +1,31 @@
-"""Map algebra: primitive actions, combinators, duals, minimal output eigenvalue."""
+"""Map algebra: primitive actions, combinators, duals, minimal output eigenvalue,
+and the X-support route."""
+
+import gc
+import json
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gme_maps import maps
-from gme_maps.criteria import MAP_IDS, SMALLEST, build_map
-from gme_maps.maps import (BreuerHall, Choi, SchurWith, TraceOuter, apply, apply_stack,
-                           breuer_hall_map, choi_map, compose,
+from gme_maps.criteria import (MAP_IDS, SMALLEST, build_map, witness_to_map,
+                               x_projector)
+from gme_maps.maps import (BreuerHall, Choi, SchurWith, TraceOuter, apply, apply_blocks,
+                           apply_stack, breuer_hall_map, choi_map, compose,
                            conjugation_map, default_skew_unitary, diag_map,
                            dual, estimate_mu, identity_map, lift, map_sum,
                            mu_constant, mu_sample_values, reduction_map,
-                           scale, trace_identity, transpose_map)
-from gme_maps.operators import MpOperator, SiteDims, is_hermitian, min_eig, operator
-from gme_maps.states import clock_matrix, maximally_entangled, shift_matrix
+                           scale, trace_identity, transpose_map, x_support_action)
+from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, is_hermitian, min_eig,
+                                operator)
+from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
+from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
 from helpers import (blocks_reference, density_op, hermitian_op, lifted_map_exprs, map_exprs,
-                     rand_density, rand_hermitian, superoperator)
+                     monomial, rand_density, rand_hermitian, superoperator,
+                     x_projected_exprs)
 
 
 def test_reduction_on_identity():
@@ -334,9 +343,9 @@ CATALOG_UP_TO_256 = [(map_id, n, SMALLEST[map_id][1]) for map_id in MAP_IDS
 def test_catalog_full_space_matches_blocks(map_id, n, d):
     m = build_map(map_id, n, d).expr
     x = _stack((2,), m.dim, np.random.default_rng(n))
-    got = [apply_stack(e, x) for e in (m, dual(m))]
+    got = [maps._eval(e, x) for e in (m, dual(m))]
     with blocks_reference():
-        want = [apply_stack(e, x) for e in (m, dual(m))]
+        want = [maps._eval(e, x) for e in (m, dual(m))]
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-12
 
@@ -344,6 +353,7 @@ def test_catalog_full_space_matches_blocks(map_id, n, d):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs),
                  st.sampled_from([4, 8]).flatmap(lifted_map_exprs)))
+@example(lift(conjugation_map(monomial(4, 1, 1)), (0, 2), (2, 2, 2)))
 def test_dual_and_full_space_property(expr):
     """dual is the Hilbert-Schmidt adjoint, and `_eval` matches the block route."""
     s = superoperator(expr)
@@ -352,3 +362,151 @@ def test_dual_and_full_space_property(expr):
     with blocks_reference():
         ref = superoperator(expr)
     assert np.max(np.abs(s - ref)) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the X-support route against the dense walker
+# ---------------------------------------------------------------------------
+
+X_ROUTED = [("eta", n, 2) for n in range(3, 9)] + \
+    [("mu-choi", n, 3) for n in (3, 4, 5)] + [("mu-choi", 3, 4)]
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+
+def _x_routed_exprs(map_id, n, d):
+    """The map, its dual, and both after a mapexpr-v1 round trip."""
+    m = build_map(map_id, n, d).expr
+    exprs = [m, dual(m)]
+    return exprs + [mapexpr_from_json(json.loads(json.dumps(mapexpr_to_json(e))))
+                    for e in exprs]
+
+
+@pytest.mark.parametrize("map_id,n,d", X_ROUTED)
+def test_x_support_route_matches_dense(map_id, n, d):
+    rng = np.random.default_rng(n * d)
+    for expr in _x_routed_exprs(map_id, n, d):
+        assert x_support_action(expr) is not None
+        x = rand_hermitian(expr.dim, rng)
+        want = maps._eval(expr, x)
+        assert _max_rel(apply_stack(expr, x), want) <= 1e-12
+        op = MpOperator(SiteDims((d,) * n), x)
+        full = apply(expr, op).mat
+        assert _max_rel(full, want) <= 1e-12
+
+        # the blocks are the output's support, and their eigensolve the dense one's
+        out = apply_blocks(expr, op)
+        assert isinstance(out, BlockOperator)
+        assert np.array_equal(out.blocks, full[out.index[:, :, None], out.index[:, None, :]])
+        val, vec = min_eig(out)
+        dense_val = np.linalg.eigvalsh(want)[0]
+        assert abs(val - dense_val) <= 1e-12 * max(1.0, abs(dense_val))
+        assert abs(np.linalg.norm(vec) - 1) <= 1e-12
+        assert np.linalg.norm(want @ vec - val * vec) <= 1e-10
+
+
+def _unrouted_maps():
+    qubits, qutrits = SiteDims((2, 2, 2)), SiteDims((3, 3, 3))
+    return [
+        ("phi-t", build_map("phi-t", 3, 2).expr, qubits),
+        ("phi-tx", build_map("phi-tx", 3, 2).expr, qubits),
+        ("phi-r", build_map("phi-r", 3, 2).expr, qubits),
+        ("phi-b", build_map("phi-b", 3, 4).expr, SiteDims((4, 4, 4))),
+        ("witness", witness_to_map(ghz(3, 2).density()).expr, qubits),
+        ("eta+id", map_sum(build_map("eta", 3, 2).expr, identity_map(8)), qubits),
+        ("mu-choi+id", map_sum(build_map("mu-choi", 3, 3).expr, identity_map(27)), qutrits),
+        # a lifted qutrit transposition does not keep the support
+        ("qutrit-transpose", compose(lift(transpose_map(3), (0,), qutrits),
+                                     x_projector(3, 3)), qutrits),
+        # without a lift the sites of the support are unknown
+        ("no-lift", compose(diag_map(8), x_projector(3, 2)), qubits),
+    ]
+
+
+@pytest.mark.parametrize("case", _unrouted_maps(), ids=lambda c: c[0])
+def test_x_support_route_not_taken(case):
+    _, expr, dims = case
+    assert x_support_action(expr) is None
+    x = rand_hermitian(expr.dim, np.random.default_rng(3))
+    assert np.array_equal(apply_stack(expr, x), maps._eval(expr, x))
+    assert isinstance(apply_blocks(expr, MpOperator(dims, x)), MpOperator)
+
+
+@pytest.mark.parametrize("limit, routed", [(144, True), (143, False), (47, False)],
+                         ids=["at-limit", "composition-over", "sum-over"])
+def test_x_support_table_limit(monkeypatch, limit, routed):
+    """A sum or composition whose table exceeds the limit keeps the dense route.
+
+    On 3 qubits S has 16 entries: phi's sum has 3 x 16 terms, phi after phi
+    3 x 3 x 16."""
+    monkeypatch.setattr(maps, "_X_TABLE_LIMIT", limit)
+    dims = SiteDims((2, 2, 2))
+    phi = map_sum(*(lift(transpose_map(2), (p,), dims) for p in range(3)))
+    m = compose(compose(phi, phi), x_projector(3, 2))
+    assert (x_support_action(m) is not None) == routed
+    x = rand_hermitian(8, np.random.default_rng(7))
+    assert _max_rel(apply_stack(m, x), maps._eval(m, x)) <= 1e-12
+
+
+def test_x_support_action_lives_with_its_map():
+    m = build_map("eta", 4, 2).expr
+    act = x_support_action(m)
+    assert x_support_action(m) is act
+    ref = weakref.ref(act.src)
+    del m, act
+    gc.collect()
+    assert ref() is None
+
+
+def test_x_support_shared_subtree_compiles_once(monkeypatch):
+    calls = []
+    original = maps._x_table_uncached
+
+    def counting(node, *args):
+        calls.append(node)
+        return original(node, *args)
+
+    monkeypatch.setattr(maps, "_x_table_uncached", counting)
+    m = build_map("eta", 4, 2).expr
+    assert maps.x_support_action(m) is not None
+    assert len(calls) == len({id(c) for c in calls})
+    # eta = Sum(phi, Scale(k - 1, Compose(DiagAll, phi))) shares phi, and so does its dual
+    phi = m.outer.children[0]
+    assert m.outer.children[1].child.inner is phi
+    assert sum(c is phi for c in calls) == 1
+    d = dual(m).inner
+    assert d.children[1].child.outer is d.children[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_projected_exprs())
+def test_x_support_route_property(expr):
+    """Random closed trees under an X-support mask compile, and so do their
+    duals; both agree with the dense walker, and so does the block eigensolve."""
+    x = _stack((2,), expr.dim, np.random.default_rng(5))
+    x = x + x.conj().swapaxes(-1, -2)
+    for m in (expr, dual(expr)):
+        assert x_support_action(m) is not None
+        want = maps._eval(m, x)
+        assert _max_rel(apply_stack(m, x), want) <= 1e-12
+        val, vec = min_eig(apply_blocks(m, MpOperator(maps.lift_dims(m), x[0])))
+        assert abs(val - np.linalg.eigvalsh(want[0])[0]) <= 1e-12 * max(1.0, abs(val))
+        assert abs(np.linalg.norm(vec) - 1) <= 1e-12
+        assert np.linalg.norm(want[0] @ vec - val * vec) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs), x_projected_exprs()),
+       st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
+def test_linearity_property(expr, a, b):
+    """m(a x + b y) = a m(x) + b m(y), through `apply_stack` and so through the
+    X-support route for the projected trees."""
+    rng = np.random.default_rng(6)
+    x, y = (rand_hermitian(expr.dim, rng) for _ in range(2))
+    lhs = apply_stack(expr, a * x + b * y)
+    rhs = a * apply_stack(expr, x) + b * apply_stack(expr, y)
+    size = max(1.0, abs(a), abs(b)) * max(1.0, *(float(np.max(np.abs(apply_stack(expr, z))))
+                                                for z in (x, y)))
+    assert float(np.max(np.abs(lhs - rhs))) <= 1e-12 * size

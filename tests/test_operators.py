@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gme_maps.operators import (MpOperator, PartySubset, SiteDims, diag_part,
+from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, diag_part,
                                 eigvalsh, identity, is_density, is_hermitian,
                                 kron, min_eig, od_part, operator,
                                 partial_trace, partial_transpose,
@@ -176,6 +176,26 @@ def test_min_eig_rejects_non_hermitian():
     bad = operator((2,), np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         min_eig(bad)
+
+
+def test_block_operator_min_eig_matches_dense():
+    rng = np.random.default_rng(15)
+    dims = SiteDims((3, 3))
+    index = rng.permutation(9).reshape(3, 3)
+    blocks = np.stack([rand_hermitian(3, rng) for _ in range(3)])
+    op = BlockOperator(dims, index, blocks)
+    mat = np.zeros((9, 9), dtype=complex)
+    for b in range(3):
+        mat[np.ix_(index[b], index[b])] = blocks[b]
+    dense = MpOperator(dims, mat)
+    val, vec = min_eig(op)
+    assert abs(val - eigvalsh(dense)[0]) <= 1e-12
+    assert abs(np.linalg.norm(vec) - 1) <= 1e-12
+    assert np.linalg.norm(dense.mat @ vec - val * vec) <= 1e-12
+
+    blocks[1, 0, 2] += 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        min_eig(BlockOperator(dims, index, blocks))
 
 
 def test_density_predicate():
