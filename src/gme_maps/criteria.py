@@ -171,11 +171,15 @@ def x_projector_mixture(n: int, d: int) -> MapExpr:
 
 def _phi_tx_sum(n: int) -> Sum:
     dims = SiteDims((2,) * n)
+    flips = {}  # sigma_x on every party of a side, built once per side size
     lifts = []
     for A in bipartitions(n):
-        dA = 2 ** len(A)
-        flip = Conjugate(_kron_all([shift_matrix(2).mat] * len(A)))
-        lifts.append(Lift(Compose(flip, transpose_map(dA)), A, dims))
+        if len(A) not in flips:
+            flips[len(A)] = _kron_all([shift_matrix(2).mat] * len(A))
+        # one node per lift: the X-support compile would keep every lift's table
+        # of a shared node until it ends
+        flip = Conjugate(flips[len(A)])
+        lifts.append(Lift(Compose(flip, transpose_map(2 ** len(A))), A, dims))
     return Sum(tuple(lifts))
 
 

@@ -3,8 +3,9 @@
 Primitive positive maps (transposition, reduction, Breuer-Hall, Choi,
 unitary conjugation, Diag, trace-times-identity) are combined with
 lift-to-subsystem, sum, scale and composition nodes.  One walker, `_eval`,
-evaluates a tree on a stack of matrices, and duals are computed analytically
-node by node.  A tree projected onto the cyclic GHZ support compiles once
+evaluates a tree on a stack of matrices; a sum adds its lifted transpositions
+and digit reversals in place, as strided views of the input.  Duals are
+computed analytically node by node.  A tree projected onto the cyclic GHZ support compiles once
 into a gather table over that support (`x_support_action`), which `apply`
 then uses instead of the walker.
 """
@@ -23,6 +24,19 @@ from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
                         partial_transpose_stack, party_subset, site_dims)
 
 UNITARY_TOL = 1e-12
+
+
+def _monomial_form(u: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(perm, phase) of a monomial U[i, perm[i]] = phase[i], both read-only;
+    `phase` is None when every phase is 1, and both are None for a U that is
+    not monomial."""
+    if not np.all(np.count_nonzero(u, axis=1) == 1):
+        return None, None
+    perm = np.argmax(u != 0, axis=1)
+    phase = u[np.arange(u.shape[0]), perm]
+    perm.flags.writeable = False
+    phase.flags.writeable = False
+    return perm, None if np.all(phase == 1) else phase
 
 
 class MapExpr:
@@ -57,10 +71,16 @@ class Reduction(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class BreuerHall(MapExpr):
-    """rho -> (Tr(rho) I - rho - V rho^T V^dag) / (d - 2), even d >= 4."""
+    """rho -> (Tr(rho) I - rho - V rho^T V^dag) / (d - 2), even d >= 4.
+
+    A monomial V records `perm` and `phase` as `Conjugate` does, so
+    V rho^T V^dag is a signed gather of rho^T.
+    """
 
     dim: int
     v: np.ndarray
+    perm: np.ndarray | None = field(init=False, repr=False)
+    phase: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.dim
@@ -76,6 +96,9 @@ class BreuerHall(MapExpr):
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "v", v)
+        perm, phase = _monomial_form(v)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "phase", phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +142,7 @@ class Conjugate(MapExpr):
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "dim", u.shape[0])
-        perm = phase = None
-        if np.all(np.count_nonzero(u, axis=1) == 1):
-            perm = np.argmax(u != 0, axis=1)
-            phase = u[np.arange(u.shape[0]), perm]
-            perm.flags.writeable = False
-            phase.flags.writeable = False
-            if np.all(phase == 1):
-                phase = None
+        perm, phase = _monomial_form(u)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phase", phase)
 
@@ -195,6 +211,14 @@ class Lift(MapExpr):
     x.reshape((-1,) + dims + dims) as (batch, rest rows, rest columns, A rows,
     A columns), with shape `block_shape`; `index[a, r]` is the full basis
     index of subsystem index a and rest index r, shape (dA, dR).
+
+    `view` is set when `child` is a chain of identities, transpositions and
+    the digit reversal (`Conjugate` with perm [dA-1, ..., 0] and no phases;
+    sigma_x on every qubit of A).  The output is then a strided view of that
+    tensor: `view` holds its axes order, which swaps A's row and column axes
+    for an odd number of transpositions, and its index, which reverses A's
+    axes for an odd number of reversals.  The two commute, so only the
+    parities matter.
     """
 
     child: MapExpr
@@ -205,6 +229,7 @@ class Lift(MapExpr):
     block_axes_inv: tuple[int, ...] = field(init=False, repr=False)
     block_shape: tuple[int, ...] = field(init=False, repr=False)
     index: np.ndarray = field(init=False, repr=False)
+    view: tuple[tuple[int, ...], tuple[slice, ...]] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         n, k = self.dims.n, len(self.parties)
@@ -226,6 +251,35 @@ class Lift(MapExpr):
         object.__setattr__(self, "block_axes_inv", tuple(np.argsort(axes).tolist()))
         object.__setattr__(self, "block_shape", shape)
         object.__setattr__(self, "index", index)
+        parities, view = _permutation_parities(self.child), None
+        if parities is not None:
+            view_axes, flip = list(range(1 + 2 * n)), [slice(None)] * (1 + 2 * n)
+            for p in self.parties:
+                if parities[0]:
+                    view_axes[1 + p], view_axes[1 + n + p] = 1 + n + p, 1 + p
+                if parities[1]:
+                    flip[1 + p] = flip[1 + n + p] = slice(None, None, -1)
+            view = (tuple(view_axes), tuple(flip))
+        object.__setattr__(self, "view", view)
+
+
+def _permutation_parities(node: MapExpr) -> tuple[bool, bool] | None:
+    """(odd number of transpositions, odd number of digit reversals) of a
+    chain of `Identity`, `Transpose` and digit-reversal `Conjugate` nodes;
+    None for any other tree."""
+    if isinstance(node, Compose):
+        outer, inner = _permutation_parities(node.outer), _permutation_parities(node.inner)
+        if outer is None or inner is None:
+            return None
+        return outer[0] != inner[0], outer[1] != inner[1]
+    if isinstance(node, Identity):
+        return False, False
+    if isinstance(node, Transpose):
+        return True, False
+    if (isinstance(node, Conjugate) and node.perm is not None and node.phase is None
+            and np.array_equal(node.perm, np.arange(node.dim - 1, -1, -1))):
+        return False, True
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +398,11 @@ def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
     if isinstance(node, BreuerHall):
         tr = np.trace(x, axis1=-2, axis2=-1)
         eye = np.eye(node.dim)
-        vxv = node.v @ x.swapaxes(-1, -2) @ node.v.conj().T
+        xt = x.swapaxes(-1, -2)
+        if node.perm is None:
+            vxv = node.v @ xt @ node.v.conj().T
+        else:
+            vxv = _gather(xt, node.perm, node.phase)
         return (tr[..., None, None] * eye - x - vxv) / (node.dim - 2)
     if isinstance(node, Choi):
         v = _diag_vec(x)
@@ -366,16 +424,43 @@ def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
     if isinstance(node, SchurWith):
         return node.mask * x
     if isinstance(node, Sum):
-        out = _eval(node.children[0], x)
-        if len(node.children) > 1:
-            # a fresh buffer: a child's result may be its input or a view of it
-            out = out + _eval(node.children[1], x)
-            for c in node.children[2:]:
-                out += _eval(c, x)
-        return out
+        return _eval_sum(node, x)
     if isinstance(node, Scale):
         return node.r * _eval(node.child, x)
     raise TypeError(f"unknown map node {type(node).__name__}")
+
+
+def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
+    """The children's outputs added in order: child 0 plus child 1 into a fresh
+    buffer (a child's result may be its input or a view of it), then each
+    further child added in place.  A lift with a `view` recipe is added as its
+    strided view of x, so it makes no D x D temporary."""
+    if len(node.children) == 1:
+        return _eval(node.children[0], x)
+    c0, c1, *more = node.children
+    views = [_lifted_view(c, x) for c in (c0, c1)]
+    shape = next((v.shape for v in views if v is not None), x.shape)
+    a, b = (_eval(c, x).reshape(shape) if v is None else v for c, v in zip((c0, c1), views))
+    out = np.empty(x.shape, dtype=np.result_type(a, b))
+    np.add(a, b, out=out.reshape(shape))
+    for c in more:
+        v = _lifted_view(c, x)
+        if v is None:
+            out += _eval(c, x)
+        else:
+            t = out.reshape(v.shape)
+            np.add(t, v, out=t)
+    return out
+
+
+def _lifted_view(node: MapExpr, x: np.ndarray) -> np.ndarray | None:
+    """The output of a `Lift` with a `view` recipe as a strided view of x, shape
+    (-1,) + dims + dims; None for every other node."""
+    if not isinstance(node, Lift) or node.view is None:
+        return None
+    axes, flip = node.view
+    dims = node.dims.dims
+    return x.reshape((-1,) + dims + dims).transpose(axes)[flip]
 
 
 def _gather(x: np.ndarray, perm: np.ndarray, phase: np.ndarray | None) -> np.ndarray:

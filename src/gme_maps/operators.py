@@ -138,8 +138,15 @@ def is_density(op: MpOperator) -> bool:
         return False
     if abs(op.trace() - 1.0) > DENSITY_TRACE_TOL:
         return False
-    w = np.linalg.eigvalsh((op.mat + op.mat.conj().T) / 2)
-    return bool(w[0] >= -DENSITY_EIG_TOL)
+    # smallest eigenvalue above -DENSITY_EIG_TOL: H + DENSITY_EIG_TOL I is
+    # positive definite, so it has a Cholesky factor
+    h = (op.mat + op.mat.conj().T) / 2
+    h[np.diag_indices_from(h)] += DENSITY_EIG_TOL
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def kron(a: MpOperator, b: MpOperator) -> MpOperator:

@@ -169,7 +169,26 @@ def _node_to_json(m: MapExpr, depth: int = 1) -> dict:
     return doc
 
 
-def _node_from_json(doc: Any, depth: int = 1) -> MapExpr:
+def _share_key(value: Any) -> Any:
+    """A hashable stand-in for a decoded field value.
+
+    Nodes count by identity, because equal sub-documents already decode to
+    one node; arrays by shape and bytes; floats by their bits, so 0.0 and
+    -0.0 stay apart and re-encode as written.
+    """
+    if isinstance(value, MapExpr):
+        return id(value)
+    if isinstance(value, tuple):
+        return tuple(map(_share_key, value))
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def _node_from_json(doc: Any, shared: dict, depth: int = 1) -> MapExpr:
+    """Decode one node; equal sub-documents decode to the node kept in `shared`."""
     if depth > MAX_MAP_DEPTH:
         raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
     if not isinstance(doc, dict):
@@ -187,17 +206,20 @@ def _node_from_json(doc: Any, depth: int = 1) -> MapExpr:
             continue
         value = doc[key]
         if tp is MapExpr:
-            args[name] = _node_from_json(value, depth + 1)
+            args[name] = _node_from_json(value, shared, depth + 1)
         elif tp == _NODE_LIST:
             if not isinstance(value, list):
                 raise ValueError(f"{kind} node: field {key!r} must be a list")
-            args[name] = tuple(_node_from_json(c, depth + 1) for c in value)
+            args[name] = tuple(_node_from_json(c, shared, depth + 1) for c in value)
         else:
             try:
                 args[name] = _CODECS[tp][1](value)
             except (TypeError, ValueError, KeyError, OverflowError, ZeroDivisionError) as exc:
                 raise ValueError(f"{kind} node: bad field {key!r}: {exc}") from None
-    return cls(**args)
+    key = (cls,) + tuple((name, _share_key(v)) for name, v in args.items())
+    if key not in shared:
+        shared[key] = cls(**args)
+    return shared[key]
 
 
 def mapexpr_to_json(m: MapExpr) -> dict:
@@ -205,11 +227,13 @@ def mapexpr_to_json(m: MapExpr) -> dict:
 
 
 def mapexpr_from_json(doc: Any) -> MapExpr:
+    """Decode a mapexpr-v1 document; equal sub-documents decode to one shared
+    node, so a subtree the written map shared is shared again."""
     if not isinstance(doc, dict):
         raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MAP_FORMAT:
         raise ValueError(f"expected format {MAP_FORMAT!r}, got {doc.get('format')!r}")
-    return _node_from_json(doc.get("root"))
+    return _node_from_json(doc.get("root"), {})
 
 
 def jsonable(obj: Any) -> Any:

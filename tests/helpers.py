@@ -2,6 +2,7 @@
 X-projected ones), and superoperator and block-by-block oracles."""
 
 import contextlib
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +54,8 @@ def superoperator(m: MapExpr) -> np.ndarray:
 
 @contextlib.contextmanager
 def blocks_reference():
-    """Evaluate every lifted node block by block, the reference for the full-space forms."""
+    """Evaluate every lifted node block by block, the reference for the full-space
+    forms and for the strided views a sum adds in place."""
     full_space = maps._eval
 
     def reference(node, x, lift=None):
@@ -61,6 +63,7 @@ def blocks_reference():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_eval", reference)
+        mp.setattr(maps, "_lifted_view", lambda node, x: None)
         yield
 
 
@@ -115,25 +118,53 @@ def monomial(d, k, j):
     return clock_matrix(d, k).mat @ np.linalg.matrix_power(shift_matrix(d).mat, j)
 
 
+#: site dimensions of `lifted_map_exprs(d)`
+LIFT_SITES = {4: (2, 2), 8: (2, 2, 2), 9: (3, 3)}
+
+
+def digit_reversal(dims):
+    """The monomial sending every site's digit j to d - 1 - j: sigma_x on qubits."""
+    return Conjugate(np.eye(int(np.prod(dims)))[::-1])
+
+
 @st.composite
 def lifted_map_exprs(draw, d, depth=2):
-    """A random expression lifted onto some of the log2(d) qubits, d in {4, 8}.
+    """A random lifted expression on the sites `LIFT_SITES[d]`, d in {4, 8, 9}.
 
-    Half of the children are a monomial Z^k X^j on the largest subsystem, the
-    lifted gather's case; on two of three qubits X^j is a 4-cycle, not an
-    involution, so a gather with the inverse permutation differs.
+    A third are a monomial Z^k X^j on the largest subsystem, the lifted
+    gather's case; on two of three qubits X^j is a 4-cycle, not an involution,
+    so a gather with the inverse permutation differs.  A third are a sum of
+    lifted chains of transpositions and digit reversals, plus one other term,
+    which the sum adds in place as strided views.  The rest lift a random tree.
     """
-    n = 2 if d == 4 else 3
-    gather = draw(st.booleans())
-    parties = draw(st.lists(st.integers(0, n - 1), min_size=n - 1 if gather else 1,
-                            max_size=n - 1, unique=True))
-    dA = 2 ** len(parties)
-    if gather:
+    sites = LIFT_SITES[d]
+    n = len(sites)
+    kind = draw(st.sampled_from(["gather", "views", "tree"]))
+
+    def subset(min_size):
+        parties = draw(st.lists(st.integers(0, n - 1), min_size=min_size,
+                                max_size=n - 1, unique=True))
+        return PartySubset(tuple(sorted(parties)))
+
+    dims = SiteDims(sites)
+    if kind == "views":
+        lifts = []
+        for _ in range(draw(st.integers(1, 3))):
+            parties = subset(1)
+            part = [sites[p] for p in parties]
+            steps = st.sampled_from([Transpose(int(np.prod(part))), digit_reversal(part)])
+            chain = [Identity(int(np.prod(part)))] + draw(st.lists(steps, max_size=3))
+            lifts.append(Lift(functools.reduce(Compose, chain), parties, dims))
+        lifts.insert(draw(st.integers(0, len(lifts))), draw(map_exprs(d, 0)))
+        return Sum(tuple(lifts))
+    parties = subset(n - 1 if kind == "gather" else 1)
+    dA = int(np.prod([sites[p] for p in parties]))
+    if kind == "gather":
         child = Conjugate(monomial(dA, draw(st.integers(0, dA - 1)),
                                    draw(st.integers(1, dA - 1))))
     else:
         child = draw(map_exprs(dA, depth))
-    return Lift(child, PartySubset(tuple(sorted(parties))), SiteDims((2,) * n))
+    return Lift(child, parties, dims)
 
 
 #: (n, d) of the trees `x_projected_exprs` draws, D <= 27

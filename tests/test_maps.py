@@ -3,6 +3,7 @@ and the X-support route."""
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,9 +24,9 @@ from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, is_hermitia
                                 operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
 from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
-from helpers import (blocks_reference, density_op, hermitian_op, lifted_map_exprs, map_exprs,
-                     monomial, rand_density, rand_hermitian, superoperator,
-                     x_projected_exprs)
+from helpers import (blocks_reference, density_op, digit_reversal, hermitian_op,
+                     lifted_map_exprs, map_exprs, monomial, rand_density, rand_hermitian,
+                     superoperator, x_projected_exprs)
 
 
 def test_reduction_on_identity():
@@ -352,8 +353,10 @@ def test_catalog_full_space_matches_blocks(map_id, n, d):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs),
-                 st.sampled_from([4, 8]).flatmap(lifted_map_exprs)))
+                 st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs)))
 @example(lift(conjugation_map(monomial(4, 1, 1)), (0, 2), (2, 2, 2)))
+@example(map_sum(lift(compose(digit_reversal((3,)), transpose_map(3)), (1,), (3, 3)),
+                 lift(digit_reversal((3,)), (0,), (3, 3)), identity_map(9)))
 def test_dual_and_full_space_property(expr):
     """dual is the Hilbert-Schmidt adjoint, and `_eval` matches the block route."""
     s = superoperator(expr)
@@ -362,6 +365,82 @@ def test_dual_and_full_space_property(expr):
     with blocks_reference():
         ref = superoperator(expr)
     assert np.max(np.abs(s - ref)) <= bound
+
+
+# ---------------------------------------------------------------------------
+# lifted transpositions and digit reversals as strided views
+# ---------------------------------------------------------------------------
+
+VIEW_MAPS = [("phi-t", n, 2) for n in range(3, 9)] + [("phi-t", n, 3) for n in range(3, 7)] \
+    + [("phi-tx", n, 2) for n in range(3, 9)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("map_id,n,d", VIEW_MAPS)
+def test_lifted_views_match_blocks_bitwise(map_id, n, d):
+    """Every lift of phi-t and phi-tx, and of their duals, is a strided view,
+    and the sum of views equals the block-by-block oracle bit for bit."""
+    m = build_map(map_id, n, d).expr
+    x = rand_hermitian(m.dim, np.random.default_rng(n * d))
+    for expr in (m, dual(m)):
+        lifts = expr.children[:-1]
+        assert all(isinstance(t, maps.Lift) and t.view is not None for t in lifts)
+        got = maps._eval(expr, x)
+        with blocks_reference():
+            want = maps._eval(expr, x)
+        assert _same_bits(got, want)
+
+
+def test_lifted_view_recipe():
+    """Chains of identities, transpositions and digit reversals get a view, in
+    any order and on qudits; phased monomials, cyclic shifts and other nodes
+    do not."""
+    qutrits = SiteDims((3, 3, 3))
+    rev = digit_reversal((3, 3))
+    t = transpose_map(9)
+    view = lift(compose(rev, t, identity_map(9), rev, t, compose(rev, t)), (0, 2), qutrits).view
+    # three of each: A's row and column axes swap, and all four reverse
+    assert view[0] == (0, 4, 2, 6, 1, 5, 3)
+    assert [s.step for s in view[1]] == [None, -1, None, -1, -1, None, -1]
+    assert lift(compose(rev, rev), (0, 2), qutrits).view == (tuple(range(7)), (slice(None),) * 7)
+    for child in (conjugation_map(monomial(3, 1, 2) @ monomial(3, 0, 2)),  # reversal with phases
+                  conjugation_map(monomial(3, 0, 1)),  # the cyclic shift X
+                  compose(transpose_map(3), reduction_map(3))):
+        assert lift(child, (1,), qutrits).view is None
+
+
+def test_lifted_views_make_no_temporaries():
+    """phi-tx at n = 8 adds its 127 lifts in place: the peak stays within three
+    D x D complex buffers (the output, its copy into the operator and the
+    compensation term), where two temporaries per lift would pass it."""
+    g = build_map("phi-tx", 8, 2)
+    rho = MpOperator(g.dims, rand_hermitian(g.dims.total, np.random.default_rng(0)))
+    apply(g.expr, rho)  # warm up
+    tracemalloc.start()
+    try:
+        apply(g.expr, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * g.dims.total ** 2
+
+
+def test_breuer_hall_monomial_gather():
+    """A monomial V records its form and gathers rho^T, a non-monomial skew V
+    keeps the two products; either way the output is the product form's bit
+    for bit."""
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    for v in (default_skew_unitary(4), u @ default_skew_unitary(4) @ u.T):
+        m = breuer_hall_map(4, v)
+        assert (m.perm is None) == (np.count_nonzero(v) > 4)
+        x = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        tr = np.trace(x, axis1=-2, axis2=-1)[:, None, None]
+        want = (tr * np.eye(4) - x - m.v @ x.swapaxes(-1, -2) @ m.v.conj().T) / 2
+        assert _same_bits(apply_stack(m, x), want)
 
 
 # ---------------------------------------------------------------------------

@@ -202,3 +202,18 @@ def test_density_predicate():
     rng = np.random.default_rng(14)
     assert is_density(operator((2, 2), rand_density(4, rng)))
     assert not is_density(operator((2,), np.diag([2.0, 0.0])))
+
+
+@pytest.mark.parametrize("lowest, accepted", [(-0.5e-10, True), (-2e-10, False), (0.0, True)])
+def test_density_eigenvalue_tolerance(lowest, accepted):
+    """A state is accepted down to a smallest eigenvalue of -DENSITY_EIG_TOL = -1e-10."""
+    rng = np.random.default_rng(15)
+    u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+    w = np.array([lowest, 0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.25 - lowest])
+    assert is_density(operator((2, 2, 2), (u * w) @ u.conj().T)) is accepted
+
+
+def test_density_accepts_rank_one_ghz():
+    v = np.zeros(64, dtype=complex)
+    v[0] = v[-1] = 1 / np.sqrt(2)
+    assert is_density(operator((2,) * 6, np.outer(v, v.conj())))

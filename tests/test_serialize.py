@@ -153,3 +153,22 @@ def test_dumps_report_deterministic():
     rep = {"b": 1.5, "a": np.float64(0.25), "v": np.array([1 + 2j])}
     assert dumps_report(rep) == dumps_report(rep)
     assert json.loads(dumps_report(rep))["v"] == [[1.0, 2.0]]
+
+
+def test_mapexpr_decode_shares_equal_subtrees():
+    """A reloaded eta shares its phi again, as the catalog tree does, and
+    re-encodes to the same text; equal documents become one node, nodes that
+    differ in any field (0.0 against -0.0 included) stay apart."""
+    text = json.dumps(mapexpr_to_json(eta_map(5).expr))
+    m = mapexpr_from_json(json.loads(text))
+    assert m.outer.children[1].child.inner is m.outer.children[0]
+    assert json.dumps(mapexpr_to_json(m)) == text
+    ident = {"kind": "identity", "d": 1}
+    doc = {"kind": "sum", "children": [
+        {"kind": "scale", "r": r, "child": ident} for r in (0.0, 0.0, -0.0, 1.0)]
+        + [{"kind": "schur", "mask": {"dim": 1, "entries": [[e, 0.0]]}} for e in (1.0, 1.0, 2.0)]}
+    terms = mapexpr_from_json(_root(doc)).children
+    assert terms[0] is terms[1] and terms[3] is not terms[0] and terms[5] is terms[4]
+    assert terms[2] is not terms[0] and terms[6] is not terms[4]
+    assert len({id(t.child) for t in terms[:4]}) == 1
+    assert json.dumps(mapexpr_to_json(mapexpr_from_json(_root(doc)))) == json.dumps(_root(doc))
