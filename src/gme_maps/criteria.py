@@ -319,7 +319,7 @@ SMALLEST = {
 
 
 #: largest total dimension D = d^n that `build_map` constructs; dense D x D
-#: complex matrices take 16 D^2 bytes each (16 MB at the limit)
+#: matrices take 8 D^2 bytes each when real, 16 D^2 when complex (16 MB at the limit)
 MAX_DIM = 1024
 
 

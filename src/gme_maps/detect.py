@@ -9,7 +9,7 @@ import numpy as np
 
 from .criteria import GmeMap, bipartitions
 from .maps import apply, apply_blocks
-from .operators import (MpOperator, eigvalsh, is_density, min_eig,
+from .operators import (MpOperator, eigvalsh, is_density, min_eig, min_eigval,
                         partial_transpose)
 from .states import (PptFamilyParams, PureState, depolarized,
                      maximally_entangled, maximally_mixed, ppt_family_terms,
@@ -155,7 +155,7 @@ def _threshold(a: MpOperator, b: MpOperator, tol: float, white_noise: bool) -> T
     """
     q = 1 / (1 - _pencil_min(a.mat, b.mat, tol))
     mixed = MpOperator(a.dims, q * a.mat + (1 - q) * b.mat)
-    residual = abs(min_eig(mixed)[0])
+    residual = abs(min_eigval(mixed))
     return ThresholdResult(1 - q if white_noise else q, residual)
 
 
@@ -169,9 +169,9 @@ def noise_threshold(m: GmeMap, psi: PureState, tol: float = DETECT_TOL) -> Thres
     if psi.dims != m.dims:
         raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
     a, b = _noise_outputs(m, psi.density())
-    if not _detected(min_eig(a)[0], tol):
+    if not _detected(min_eigval(a), tol):
         raise NotDetectedError("not detected at p=1")
-    if _detected(min_eig(b)[0], tol):
+    if _detected(min_eigval(b), tol):
         raise ValueError("already detected at p=0; no threshold")
     return _threshold(a, b, tol, white_noise=False)
 
@@ -185,15 +185,15 @@ def white_noise_threshold(m: GmeMap, rho0: MpOperator,
     if rho0.dims != m.dims:
         raise ValueError(f"state dims {rho0.dims.dims} do not match map dims {m.dims.dims}")
     a, b = _noise_outputs(m, rho0)
-    if not _detected(min_eig(a)[0], tol):
+    if not _detected(min_eigval(a), tol):
         raise NotDetectedError("not detected at p=0")
-    if _detected(min_eig(b)[0], tol):
+    if _detected(min_eigval(b), tol):
         raise ValueError("still detected at p=1; no threshold")
     return _threshold(a, b, tol, white_noise=True)
 
 
 def _scan_row(dims, param: float, out: np.ndarray, tol: float) -> ScanRow:
-    val = min_eig(MpOperator(dims, out))[0]
+    val = min_eigval(MpOperator(dims, out))
     return ScanRow(param, val, _detected(val, tol))
 
 
@@ -250,7 +250,7 @@ def adversarial_product(dims) -> MpOperator:
     d = dims.dims[0]
     pair = maximally_entangled(d).vec
     rest = np.prod(dims.dims[2:], dtype=int) if dims.n > 2 else 1
-    block = np.zeros(rest, dtype=complex)
+    block = np.zeros(rest)
     block[0] = 1.0
     v = np.kron(pair, block)
     return MpOperator(dims, np.outer(v, v.conj()))
@@ -272,11 +272,11 @@ def verify_biseparable_positivity(m: GmeMap, samples: int, *, seed: int = 0,
         raise ValueError("need samples >= 1")
     dims = m.dims
     results = [(i, seed + i,
-                min_eig(apply_blocks(m.expr, random_biseparable(dims, 1, seed + i)))[0])
+                min_eigval(apply_blocks(m.expr, random_biseparable(dims, 1, seed + i))))
                for i in range(samples)]
     if include_adversarial and dims.n >= 3 and len(set(dims.dims)) == 1:
         adv = adversarial_product(dims)
-        results.append((-1, None, min_eig(apply_blocks(m.expr, adv))[0]))
+        results.append((-1, None, min_eigval(apply_blocks(m.expr, adv))))
 
     worst_index, worst_seed, worst = min(results, key=lambda t: t[2])
     violations = tuple(

@@ -16,12 +16,13 @@ import functools
 import weakref
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Iterable, NamedTuple, get_type_hints
+from typing import Any, Callable, Iterable, NamedTuple, get_type_hints
 
 import numpy as np
 
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
-                        partial_transpose_stack, party_subset, site_dims)
+                        partial_transpose_stack, party_subset, real_or_complex,
+                        site_dims)
 
 UNITARY_TOL = 1e-12
 
@@ -86,7 +87,7 @@ class BreuerHall(MapExpr):
         d = self.dim
         if d < 4 or d % 2:
             raise ValueError("Breuer-Hall map needs even d >= 4")
-        v = np.asarray(self.v, dtype=complex)
+        v = real_or_complex(self.v)
         if v.shape != (d, d):
             raise ValueError(f"V must be {d}x{d}")
         if np.max(np.abs(v @ v.conj().T - np.eye(d))) > UNITARY_TOL:
@@ -133,7 +134,7 @@ class Conjugate(MapExpr):
     phase: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
+        u = real_or_complex(self.u)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("U must be square")
         if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > UNITARY_TOL:
@@ -174,8 +175,7 @@ class TraceOuter(MapExpr):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=complex)
-        o = np.asarray(self.output, dtype=complex)
+        w, o = real_or_complex(self.weight), real_or_complex(self.output)
         if w.shape != o.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight and output must be square matrices of equal size")
         w, o = w.copy(), o.copy()
@@ -194,7 +194,7 @@ class SchurWith(MapExpr):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=complex)
+        m = real_or_complex(self.mask)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("mask must be square")
         m = m.copy()
@@ -350,9 +350,26 @@ def _diag_vec(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...i", x)
 
 
+def _trace(x: np.ndarray) -> np.ndarray:
+    return _sum_parts(lambda a: np.trace(a, axis1=-2, axis2=-1), x)
+
+
+def _sum_parts(total: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """`total(x)` for a function that sums entries of x.  A complex x is summed
+    as its real and imaginary parts apart, so a real input's sum is bit for
+    bit the real part of the same input's sum in complex128 (numpy adds
+    complex numbers in another order)."""
+    if not np.iscomplexobj(x):
+        return total(x)
+    re, im = total(x.real), total(x.imag)
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _embed_diag(v: np.ndarray) -> np.ndarray:
     d = v.shape[-1]
-    out = np.zeros(v.shape + (d,), dtype=complex)
+    out = np.zeros(v.shape + (d,), dtype=v.dtype)
     idx = np.arange(d)
     out[..., idx, idx] = v
     return out
@@ -384,7 +401,7 @@ def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
         perm[idx] = idx[node.perm]
         phase = None
         if node.phase is not None:
-            phase = np.empty(lift.dim, dtype=complex)
+            phase = np.empty(lift.dim, dtype=node.phase.dtype)
             phase[idx] = node.phase[:, None]
         return _gather(x, perm, phase)
     if lift is not None:
@@ -392,18 +409,20 @@ def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
     if isinstance(node, Lift):
         return _eval(node.child, x, node)
     if isinstance(node, Reduction):
-        tr = np.trace(x, axis1=-2, axis2=-1)
+        tr = _trace(x)
         eye = np.eye(node.dim)
-        return (tr[..., None, None] * eye - x) / (node.dim - 1)
+        # times the reciprocal, as complex128 division scales, so a real input
+        # gives the real part of its complex128 result bit for bit
+        return (tr[..., None, None] * eye - x) * (1 / (node.dim - 1))
     if isinstance(node, BreuerHall):
-        tr = np.trace(x, axis1=-2, axis2=-1)
+        tr = _trace(x)
         eye = np.eye(node.dim)
         xt = x.swapaxes(-1, -2)
         if node.perm is None:
             vxv = node.v @ xt @ node.v.conj().T
         else:
             vxv = _gather(xt, node.perm, node.phase)
-        return (tr[..., None, None] * eye - x - vxv) / (node.dim - 2)
+        return (tr[..., None, None] * eye - x - vxv) * (1 / (node.dim - 2))
     if isinstance(node, Choi):
         v = _diag_vec(x)
         shift = 1 if node.adjoint else -1
@@ -416,10 +435,10 @@ def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
     if isinstance(node, DiagAll):
         return _embed_diag(_diag_vec(x).copy())
     if isinstance(node, TraceIdentity):
-        tr = np.trace(x, axis1=-2, axis2=-1)
+        tr = _trace(x)
         return float(node.c) * tr[..., None, None] * np.eye(node.dim)
     if isinstance(node, TraceOuter):
-        tr = np.einsum("ij,...ji->...", node.weight, x)
+        tr = _sum_parts(lambda a: a.sum(axis=(-2, -1)), node.weight.T * x)
         return tr[..., None, None] * node.output
     if isinstance(node, SchurWith):
         return node.mask * x
@@ -434,7 +453,8 @@ def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
     """The children's outputs added in order: child 0 plus child 1 into a fresh
     buffer (a child's result may be its input or a view of it), then each
     further child added in place.  A lift with a `view` recipe is added as its
-    strided view of x, so it makes no D x D temporary."""
+    strided view of x, so it makes no D x D temporary.  The first complex child
+    after real ones upcasts the buffer once."""
     if len(node.children) == 1:
         return _eval(node.children[0], x)
     c0, c1, *more = node.children
@@ -446,7 +466,11 @@ def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
     for c in more:
         v = _lifted_view(c, x)
         if v is None:
-            out += _eval(c, x)
+            y = _eval(c, x)
+            if np.can_cast(y.dtype, out.dtype):
+                out += y
+            else:
+                out = out + y
         else:
             t = out.reshape(v.shape)
             np.add(t, v, out=t)
@@ -518,7 +542,7 @@ def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
 
 def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
     """Evaluate the map on a stack of matrices, shape (..., d, d)."""
-    stack = np.asarray(stack, dtype=complex)
+    stack = real_or_complex(stack)
     if stack.shape[-1] != m.dim or stack.shape[-2] != m.dim:
         raise ValueError("stack side does not match map dimension")
     act = x_support_action(m)
@@ -581,9 +605,9 @@ class XSupportAction(NamedTuple):
 
     def dense(self, x: np.ndarray) -> np.ndarray:
         """The full output, shape (..., D, D), zero off the support."""
-        out = np.zeros(x.shape, dtype=complex)
-        out.reshape(x.shape[:-2] + (-1,))[..., self.flat] = \
-            self.blocks(x).reshape(x.shape[:-2] + (-1,))
+        blocks = self.blocks(x)
+        out = np.zeros(x.shape, dtype=blocks.dtype)
+        out.reshape(x.shape[:-2] + (-1,))[..., self.flat] = blocks.reshape(x.shape[:-2] + (-1,))
         return out
 
 
@@ -951,7 +975,7 @@ def estimate_mu(m: MapExpr, d: int, samples: int, seed: int,
     nc = d if companion is None else companion
     lifted = Lift(m, PartySubset((0,)), SiteDims((d, nc)))
     for rank in range(2, min(d, nc) + 1):
-        v = np.zeros(d * nc, dtype=complex)
+        v = np.zeros(d * nc)
         for i in range(rank):
             v[i * nc + i] = 1
         best = max(best, _neg_min_eig(lifted, v / np.sqrt(rank)))

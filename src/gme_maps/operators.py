@@ -4,6 +4,12 @@ Operators live on a tensor product of local Hilbert spaces described by
 SiteDims.  The computational product basis is used throughout, row-major,
 with party 0 the most significant index (numpy.kron convention).  Partial
 transposition and partial trace are defined with respect to this basis.
+
+One dtype rule holds for every operator, vector and map-node array: it is
+float64 when every imaginary part is exactly zero, and complex128 otherwise
+(`real_or_complex`).  Real states and maps so stay in real arithmetic, with
+half the bytes per apply and the real symmetric eigensolver; numpy's type
+promotion carries the rule through every evaluation.
 """
 
 from __future__ import annotations
@@ -45,6 +51,15 @@ class SiteDims:
         return iter(self.dims)
 
 
+def real_or_complex(a) -> np.ndarray:
+    """The array as float64 when every imaginary part is exactly zero, else as
+    complex128; may return `a` itself or a view of it."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and a.imag.any():
+        return a.astype(complex, copy=False)
+    return a.real.astype(float, copy=False)
+
+
 def site_dims(dims: Iterable[int] | SiteDims) -> SiteDims:
     return dims if isinstance(dims, SiteDims) else SiteDims(tuple(dims))
 
@@ -80,13 +95,14 @@ def party_subset(members: Iterable[int] | PartySubset) -> PartySubset:
 
 @dataclass(frozen=True, eq=False)
 class MpOperator:
-    """Square complex matrix tagged with the SiteDims it acts on."""
+    """Square matrix tagged with the SiteDims it acts on: float64 when every
+    entry is real, complex128 otherwise (`real_or_complex`)."""
 
     dims: SiteDims
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = real_or_complex(self.mat)
         D = self.dims.total
         if mat.shape != (D, D):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims.dims} (D={D})")
@@ -211,24 +227,36 @@ def schur_product(a: MpOperator, b: MpOperator) -> MpOperator:
     return MpOperator(a.dims, a.mat * b.mat)
 
 
+def _hermitian_part(op: MpOperator | BlockOperator) -> np.ndarray:
+    """(m + m^dag) / 2 of the matrix, or of every block; non-Hermitian input
+    (beyond tolerance) raises ValueError."""
+    m = op.blocks if isinstance(op, BlockOperator) else op.mat
+    if not is_hermitian_array(m):
+        raise ValueError("min_eig requires a Hermitian operator")
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
 def min_eig(op: MpOperator | BlockOperator) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of a Hermitian operator.
+    """Smallest eigenvalue and a complex unit eigenvector of a Hermitian operator.
 
     The input is symmetrised before diagonalisation; non-Hermitian input
     (beyond tolerance) raises ValueError.  A `BlockOperator` takes one
     batched eigensolve over its blocks, and its eigenvector is the first
     lowest block's, embedded in the full space.
     """
-    m = op.blocks if isinstance(op, BlockOperator) else op.mat
-    if not is_hermitian_array(m):
-        raise ValueError("min_eig requires a Hermitian operator")
-    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    w, v = np.linalg.eigh(_hermitian_part(op))
     if isinstance(op, MpOperator):
-        return float(w[0]), v[:, 0].copy()
+        return float(w[0]), v[:, 0].astype(complex)
     b = int(np.argmin(w[:, 0]))
     vec = np.zeros(op.dims.total, dtype=complex)
     vec[op.index[b]] = v[b, :, 0]
     return float(w[b, 0]), vec
+
+
+def min_eigval(op: MpOperator | BlockOperator) -> float:
+    """The smallest eigenvalue of `min_eig`, from an eigenvalue-only solve
+    (about half the cost where the vector is not read)."""
+    return float(np.linalg.eigvalsh(_hermitian_part(op))[..., 0].min())
 
 
 def eigvalsh(op: MpOperator) -> np.ndarray:

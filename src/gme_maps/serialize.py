@@ -1,8 +1,9 @@
 """JSON formats for states (mpop-v1), map expressions (mapexpr-v1) and CSV reports.
 
-Complex scalars are encoded as [re, im] pairs; matrices as row-major flat
-lists of pairs.  Documents carry an explicit "format" field so files stay
-self-describing.
+Complex scalars are encoded as [re, im] pairs, a real entry as [re, 0.0];
+matrices as row-major flat lists of pairs.  Decoded arrays follow the dtype
+rule of `operators.real_or_complex`.  Documents carry an explicit "format"
+field so files stay self-describing.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ import dataclasses
 import io
 import json
 from fractions import Fraction
-from typing import Any, Sequence
+from itertools import chain, count
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Identity,
                    Lift, MapExpr, Reduction, Scale, SchurWith, Sum,
                    TraceIdentity, TraceOuter, Transpose, node_fields)
-from .operators import MpOperator, PartySubset, SiteDims
+from .operators import MpOperator, PartySubset, SiteDims, real_or_complex
 from .states import PureState
 
 STATE_FORMAT = "mpop-v1"
@@ -27,12 +29,18 @@ MAP_FORMAT = "mapexpr-v1"
 
 
 def _pairs(arr: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(arr, dtype=complex).reshape(-1)
+    flat = np.asarray(arr).reshape(-1)  # float64 or complex128; a float's imag is 0.0
     return np.stack((flat.real, flat.imag), -1).tolist()
 
 
 def _unpairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
+    """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`)."""
+    pairs = list(pairs)
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("every matrix entry must be an [re, im] pair")
+    flat = list(chain.from_iterable(pairs))
+    sum(flat)  # raises TypeError unless every part is a number
+    return real_or_complex(np.array(flat, dtype=float).view(complex))
 
 
 def state_to_json(obj: MpOperator | PureState) -> dict:
@@ -140,6 +148,9 @@ _CODECS = {
 }
 # Deeper than any catalog tree (at most 9 levels) by a wide margin.
 MAX_MAP_DEPTH = 64
+# More nodes than any catalog file (eta at n = 10 writes 4096) by a wide margin;
+# a shared subtree counts once per occurrence in the document.
+MAX_MAP_NODES = 1 << 15
 
 
 def node_kind(m: MapExpr) -> str:
@@ -151,9 +162,17 @@ def _key(name: str) -> str:
     return "d" if name == "dim" else name
 
 
-def _node_to_json(m: MapExpr, depth: int = 1) -> dict:
+def _check_size(depth: int, nodes: Iterator[int]) -> None:
+    """Raise once a node lies deeper than `MAX_MAP_DEPTH` or the `nodes`
+    counter passes `MAX_MAP_NODES`; called once per node, before it is built."""
     if depth > MAX_MAP_DEPTH:
         raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
+    if next(nodes) > MAX_MAP_NODES:
+        raise ValueError(f"map tree has more than {MAX_MAP_NODES} nodes")
+
+
+def _node_to_json(m: MapExpr, nodes: Iterator[int], depth: int = 1) -> dict:
+    _check_size(depth, nodes)
     kind = _KINDS.get(type(m))
     if kind is None:
         raise TypeError(f"cannot serialize map node {type(m).__name__}")
@@ -161,9 +180,9 @@ def _node_to_json(m: MapExpr, depth: int = 1) -> dict:
     for name, tp, _ in node_fields(type(m)):
         value = getattr(m, name)
         if tp is MapExpr:
-            doc[_key(name)] = _node_to_json(value, depth + 1)
+            doc[_key(name)] = _node_to_json(value, nodes, depth + 1)
         elif tp == _NODE_LIST:
-            doc[_key(name)] = [_node_to_json(c, depth + 1) for c in value]
+            doc[_key(name)] = [_node_to_json(c, nodes, depth + 1) for c in value]
         else:
             doc[_key(name)] = _CODECS[tp][0](value)
     return doc
@@ -187,10 +206,10 @@ def _share_key(value: Any) -> Any:
     return value
 
 
-def _node_from_json(doc: Any, shared: dict, depth: int = 1) -> MapExpr:
+def _node_from_json(doc: Any, shared: dict, nodes: Iterator[int],
+                    depth: int = 1) -> MapExpr:
     """Decode one node; equal sub-documents decode to the node kept in `shared`."""
-    if depth > MAX_MAP_DEPTH:
-        raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
+    _check_size(depth, nodes)
     if not isinstance(doc, dict):
         raise ValueError(f"map node must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
@@ -206,11 +225,11 @@ def _node_from_json(doc: Any, shared: dict, depth: int = 1) -> MapExpr:
             continue
         value = doc[key]
         if tp is MapExpr:
-            args[name] = _node_from_json(value, shared, depth + 1)
+            args[name] = _node_from_json(value, shared, nodes, depth + 1)
         elif tp == _NODE_LIST:
             if not isinstance(value, list):
                 raise ValueError(f"{kind} node: field {key!r} must be a list")
-            args[name] = tuple(_node_from_json(c, shared, depth + 1) for c in value)
+            args[name] = tuple(_node_from_json(c, shared, nodes, depth + 1) for c in value)
         else:
             try:
                 args[name] = _CODECS[tp][1](value)
@@ -223,7 +242,7 @@ def _node_from_json(doc: Any, shared: dict, depth: int = 1) -> MapExpr:
 
 
 def mapexpr_to_json(m: MapExpr) -> dict:
-    return {"format": MAP_FORMAT, "root": _node_to_json(m)}
+    return {"format": MAP_FORMAT, "root": _node_to_json(m, count(1))}
 
 
 def mapexpr_from_json(doc: Any) -> MapExpr:
@@ -233,7 +252,7 @@ def mapexpr_from_json(doc: Any) -> MapExpr:
         raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MAP_FORMAT:
         raise ValueError(f"expected format {MAP_FORMAT!r}, got {doc.get('format')!r}")
-    return _node_from_json(doc.get("root"), {})
+    return _node_from_json(doc.get("root"), {}, count(1))
 
 
 def jsonable(obj: Any) -> Any:

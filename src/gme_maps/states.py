@@ -13,16 +13,19 @@ from typing import Iterable
 import numpy as np
 
 from .operators import (MpOperator, PartySubset, SiteDims, party_subset,
-                        site_dims)
+                        real_or_complex, site_dims)
 
 
 @dataclass(frozen=True, eq=False)
 class PureState:
+    """Unit vector tagged with its SiteDims; float64 or complex128 by the
+    dtype rule of `operators.real_or_complex`."""
+
     dims: SiteDims
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vec, dtype=complex)
+        v = real_or_complex(self.vec)
         if v.shape != (self.dims.total,):
             raise ValueError(f"vector length {v.shape} does not match dims {self.dims.dims}")
         nrm = np.linalg.norm(v)
@@ -74,7 +77,7 @@ def ghz(n: int, d: int = 2) -> PureState:
     """|GHZ_n^d> = (1/sqrt(d)) sum_i |i>^n."""
     if n < 2 or d < 2:
         raise ValueError("ghz needs n >= 2 and d >= 2")
-    v = np.zeros(d ** n, dtype=complex)
+    v = np.zeros(d ** n)
     for i in range(d):
         v[sum(i * d ** k for k in range(n))] = 1
     return PureState(SiteDims((d,) * n), v)
@@ -84,7 +87,7 @@ def w_state(n: int) -> PureState:
     """Uniform superposition of all weight-1 bitstrings of n qubits."""
     if n < 3:
         raise ValueError("w_state needs n >= 3")
-    v = np.zeros(2 ** n, dtype=complex)
+    v = np.zeros(2 ** n)
     for k in range(n):
         v[1 << k] = 1
     return PureState(SiteDims((2,) * n), v)
@@ -94,7 +97,7 @@ def maximally_entangled(d: int) -> PureState:
     """Bipartite |eps> = (1/sqrt(d)) sum_i |ii>."""
     if d < 2:
         raise ValueError("need d >= 2")
-    v = np.zeros(d * d, dtype=complex)
+    v = np.zeros(d * d)
     v[:: d + 1] = 1
     return PureState(SiteDims((d, d)), v)
 
@@ -117,7 +120,7 @@ def shift_matrix(d: int) -> MpOperator:
     """Cyclic shift X_d with X|j> = |j-1 mod d>; shift_matrix(2) = sigma_x."""
     if d < 2:
         raise ValueError("need d >= 2")
-    X = np.zeros((d, d), dtype=complex)
+    X = np.zeros((d, d))
     for j in range(d):
         X[(j - 1) % d, j] = 1
     return MpOperator(SiteDims((d,)), X)

@@ -142,6 +142,40 @@ def test_non_hermitian_map_file_exits_2(tmp_path, capsys, kind, expr, field):
     assert maps.apply(expr, states.w_state(3).density()).d == 8
 
 
+def test_cached_parser_keeps_no_state(capsys):
+    """In-process calls that alternate subcommands and flags print what a fresh
+    parser prints for each, and no flag value carries over to the next call."""
+    calls = [
+        ["detect", "--map", "phi-t", "--n", "4", "--state", "ghz", "--noise", "0.9"],
+        ["threshold", "--map", "eta", "--n", "3", "--state", "ghz"],
+        ["detect", "--map", "phi-t", "--state", "w"],
+        ["scan", "--map", "eta", "--family", "noisy-ghz", "--grid", "0.4:0.5:0.05"],
+        ["detect", "--map", "mu-choi", "--state", "ghz", "--tol", "1e-6"],
+        ["detect", "--map", "phi-t", "--state", "ghz"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cached = [run(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert cli._parser() is cli._parser()
+    after_n4, after_tol = json.loads(cached[2][1]), json.loads(cached[5][1])
+    assert after_n4["config"]["n"] == 3 and after_n4["config"]["state"] == "w"
+    assert after_tol["config"]["tolerance"] == cli.DETECT_TOL
+    assert after_tol["config"]["map_id"] == "phi-t"
+
+
+def test_detect_report_keeps_complex_eigvec(capsys):
+    """A real problem takes the real eigensolver, yet the report still writes
+    the eigenvector as [re, im] pairs."""
+    code, out, _ = run(capsys, "detect", "--map", "phi-tx", "--n", "3", "--state", "ghz")
+    assert code == 0
+    vec = json.loads(out)["eigvec"]
+    assert len(vec) == 8 and all(len(e) == 2 and e[1] == 0.0 for e in vec)
+    assert abs(np.linalg.norm([e[0] for e in vec]) - 1) <= 1e-12
+
+
 def test_witness_expectation_matches_trace_of_product():
     rng = np.random.default_rng(4)
     for dims in ((2, 2, 2), (3, 3, 3)):

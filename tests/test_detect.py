@@ -15,7 +15,7 @@ from gme_maps.detect import (NotDetectedError, adversarial_product, detect,
                              white_noise_threshold)
 from gme_maps.maps import (Lift, Sum, TraceIdentity, TraceOuter, apply,
                            transpose_map)
-from gme_maps.operators import MpOperator, SiteDims, min_eig, operator
+from gme_maps.operators import MpOperator, SiteDims, min_eigval, operator
 from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
                              ppt_family, random_biseparable, w_state)
 
@@ -211,7 +211,7 @@ def test_verify_biseparable_positivity_passes():
     assert rep.worst_seed == 5 + rep.worst_index
     worst = random_biseparable(m.dims, 1, rep.worst_seed)
     assert np.trace(worst.mat @ worst.mat).real == pytest.approx(1, abs=1e-12)
-    assert min_eig(apply(m.expr, worst))[0] == rep.min_over_samples
+    assert min_eigval(apply(m.expr, worst)) == rep.min_over_samples
 
 
 def _phi_t_with_compensation(c: Fraction) -> GmeMap:

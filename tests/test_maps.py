@@ -431,16 +431,74 @@ def test_lifted_views_make_no_temporaries():
 def test_breuer_hall_monomial_gather():
     """A monomial V records its form and gathers rho^T, a non-monomial skew V
     keeps the two products; either way the output is the product form's bit
-    for bit."""
+    for bit.  The trace sums real and imaginary parts apart, as the
+    evaluator does for every complex input."""
     rng = np.random.default_rng(11)
     u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     for v in (default_skew_unitary(4), u @ default_skew_unitary(4) @ u.T):
         m = breuer_hall_map(4, v)
         assert (m.perm is None) == (np.count_nonzero(v) > 4)
         x = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-        tr = np.trace(x, axis1=-2, axis2=-1)[:, None, None]
-        want = (tr * np.eye(4) - x - m.v @ x.swapaxes(-1, -2) @ m.v.conj().T) / 2
+        tr = np.trace(x.real, axis1=-2, axis2=-1) + 1j * np.trace(x.imag, axis1=-2, axis2=-1)
+        want = (tr[:, None, None] * np.eye(4) - x - m.v @ x.swapaxes(-1, -2) @ m.v.conj().T) * 0.5
         assert _same_bits(apply_stack(m, x), want)
+
+
+# ---------------------------------------------------------------------------
+# real problems in real arithmetic
+# ---------------------------------------------------------------------------
+
+def _is_real_tree(m):
+    """No node of the tree holds a complex array."""
+    own = (getattr(m, name) for name, tp, _ in maps.node_fields(type(m)) if tp is np.ndarray)
+    return not any(map(np.iscomplexobj, own)) and all(map(_is_real_tree, maps.children(m)))
+
+
+def _complex_route(m, x):
+    """The map on x cast to complex128, by the route `apply_stack` takes."""
+    act = x_support_action(m)
+    x = x.astype(complex)
+    return maps._eval(m, x) if act is None else act.dense(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs),
+                 st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs), x_projected_exprs()),
+       st.integers(0, 2 ** 32 - 1))
+@example(map_sum(identity_map(2), transpose_map(2), conjugation_map(np.diag([1, 1j]))), 0)
+def test_real_input_property(expr, seed):
+    """A float64 input gives a float64 output exactly when the tree is real
+    too.  The output is the complex-input route's, bit for bit for a real
+    tree and to 1e-12 relative otherwise."""
+    x = np.random.default_rng(seed).standard_normal((2, expr.dim, expr.dim))
+    x = x + x.swapaxes(-1, -2)
+    got, want = apply_stack(expr, x), _complex_route(expr, x)
+    real = _is_real_tree(expr)
+    assert got.dtype == (float if real else complex)
+    if real:
+        assert not want.imag.any() and np.array_equal(got, want.real)
+    else:
+        assert _max_rel(got, want) <= 1e-12
+
+
+SCALED_SIZES = [("eta", 7, 2), ("eta", 8, 2), ("phi-tx", 8, 2), ("phi-t", 8, 2),
+                ("phi-r", 5, 3), ("phi-b", 4, 4), ("mu-choi", 5, 3)]
+
+
+@pytest.mark.parametrize("map_id,n,d", [(k, *SMALLEST[k]) for k in MAP_IDS] + SCALED_SIZES)
+def test_catalog_real_on_ghz(map_id, n, d):
+    """Every catalog map and its dual, at its smallest size and at the sizes of
+    the scaled detection benchmark, keeps GHZ real: the float64 output is the
+    real part of the complex-input route's bit for bit, and that route's
+    imaginary part is zero."""
+    m = build_map(map_id, n, d).expr
+    psi = ghz(n, d)
+    assert psi.vec.dtype == float and _is_real_tree(m)
+    rho = psi.density()
+    for expr in (m, dual(m)):
+        got, want = apply(expr, rho).mat, _complex_route(expr, rho.mat)
+        assert got.dtype == float
+        assert not want.imag.any() and np.array_equal(got, want.real)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 
 from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, diag_part,
                                 eigvalsh, identity, is_density, is_hermitian,
-                                kron, min_eig, od_part, operator,
+                                kron, min_eig, min_eigval, od_part, operator,
                                 partial_trace, partial_transpose,
-                                schur_product)
+                                real_or_complex, schur_product)
 from helpers import hermitian_op, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -196,6 +196,32 @@ def test_block_operator_min_eig_matches_dense():
     blocks[1, 0, 2] += 1.0
     with pytest.raises(ValueError, match="Hermitian"):
         min_eig(BlockOperator(dims, index, blocks))
+
+
+def test_min_eigval_matches_min_eig():
+    """The eigenvalue-only solve gives `min_eig`'s value, dense and per block,
+    real and complex; `min_eig` returns a complex vector either way."""
+    rng = np.random.default_rng(16)
+    index = rng.permutation(12).reshape(3, 4)
+    for h in (rand_hermitian(12, rng), rand_hermitian(12, rng).real):
+        blocks = np.stack([h[:4, :4], h[4:8, 4:8], h[8:, 8:]])
+        for op in (operator((3, 4), h), BlockOperator(SiteDims((3, 4)), index, blocks)):
+            val, vec = min_eig(op)
+            assert vec.dtype == complex
+            assert abs(min_eigval(op) - val) <= 1e-12
+    with pytest.raises(ValueError, match="Hermitian"):
+        min_eigval(operator((2,), np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def test_dtype_rule():
+    """float64 exactly when every imaginary part is zero, else complex128."""
+    for a, want in (([1, 2], float), ([1 + 0j, -0j], float), ([1 + 0j, 1e-300j], complex),
+                    (np.array([1, 2], dtype=np.complex64), float), ([True, False], float),
+                    ([np.nan * 1j], complex)):
+        assert real_or_complex(a).dtype == want
+    assert operator((2,), np.eye(2) + 0j).mat.dtype == float
+    assert operator((2,), np.diag([1, 1j])).mat.dtype == complex
+    assert is_density(operator((2, 2), bell().mat.real))
 
 
 def test_density_predicate():

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gme_maps import maps
 from gme_maps.criteria import SMALLEST, build_map, eta_map, mu_map, phi_b
 from gme_maps.detect import ScanRow
 from gme_maps.maps import Choi, apply, apply_stack, compose, identity_map
-from gme_maps.serialize import (MAX_MAP_DEPTH, dumps_report, mapexpr_from_json,
-                                mapexpr_to_json, scan_csv, state_from_json,
-                                state_to_json)
+from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report,
+                                mapexpr_from_json, mapexpr_to_json, scan_csv,
+                                state_from_json, state_to_json)
+from gme_maps.cli import main
 from gme_maps.states import PureState, ghz, ppt_family
 from helpers import hermitian_op, map_exprs
 
@@ -138,6 +140,76 @@ def test_mapexpr_encoder_depth_matches_decoder():
         mapexpr_to_json(compose(*[identity_map(2)] * (MAX_MAP_DEPTH + 1)))
     with pytest.raises(ValueError, match="deeper"):
         mapexpr_to_json(compose(*[identity_map(2)] * 70))
+
+
+def _complex_per_entry(pairs):
+    """The decoder of earlier releases: one `complex(re, im)` per entry."""
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, 0], [0, 0]],
+    [[0.5, -0.0], [0.25, 1e-300]],
+    [[True, False], [0, 1]],
+    [["1.5", 0], [0, 1]],
+    [[1, "0"], [0, 1]],
+    [[None, 0], [0, 1]],
+    [[1], [0, 1, 2]],
+    [[1, 0], [0, 1, 2]],
+    [[1], [0]],
+    ["ab", [0, 1]],
+    [{"a": 1, "b": 2}, [0, 1]],
+    [[[1], 0], [0, 1]],
+    [[1, 0], 5],
+    [[10 ** 400, 0], [0, 1]],
+    "ab",
+    5,
+    None,
+], ids=["ints", "floats", "bools", "str-re", "str-im", "null", "lengths-1-3", "length-3",
+        "length-1", "str-pair", "object-pair", "nested", "int-pair", "huge-int", "str-entries",
+        "int-entries", "null-entries"])
+def test_entry_decoding_accepts_what_complex_accepts(entries):
+    """A state vector, like every matrix, accepts exactly the entry lists that
+    one `complex(re, im)` per entry accepts, with the same values; the decoded
+    vector is float64 when every imaginary part is zero."""
+    doc = {"format": "mpop-v1", "dims": [2], "vector": entries}
+    try:
+        want = _complex_per_entry(entries)
+    except (TypeError, ValueError, OverflowError):
+        with pytest.raises(ValueError):
+            state_from_json(doc)
+        return
+    got = state_from_json(doc).vec
+    assert got.dtype == (complex if want.imag.any() else float)
+    assert np.array_equal(got, want / np.linalg.norm(want))
+
+
+def test_map_matrix_entries_reject_strings():
+    with pytest.raises(ValueError, match="bad field 'mask'"):
+        mapexpr_from_json(_root({"kind": "schur", "mask": {"dim": 1, "entries": [["1.5", 0]]}}))
+
+
+def test_map_node_count_limit(tmp_path, capsys):
+    """A file of `MAX_MAP_NODES` nodes loads and one more is refused before its
+    nodes are built; eta at n = 10, the largest catalog file, is well inside."""
+    def sum_of(k):
+        return _root({"kind": "sum", "children": [{"kind": "identity", "d": 8}] * k})
+
+    assert len(mapexpr_from_json(sum_of(MAX_MAP_NODES - 1)).children) == MAX_MAP_NODES - 1
+    with pytest.raises(ValueError, match=f"more than {MAX_MAP_NODES} nodes"):
+        mapexpr_from_json(sum_of(MAX_MAP_NODES))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(sum_of(MAX_MAP_NODES + 1)))
+    code = main(["detect", "--map-file", str(path), "--n", "3", "--state", "mixed"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "nodes" in err
+    with pytest.raises(ValueError, match="nodes"):
+        mapexpr_to_json(maps.map_sum(*[identity_map(2)] * MAX_MAP_NODES))
+
+    def written(m):  # nodes the encoder writes: a shared subtree once per occurrence
+        return 1 + sum(written(c) for c in maps.children(m))
+
+    assert written(build_map("eta", 10, 2).expr) == 4096 <= MAX_MAP_NODES // 8
 
 
 def test_scan_csv_format():

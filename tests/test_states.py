@@ -182,3 +182,15 @@ def test_maximally_mixed():
     mm = maximally_mixed((2, 3))
     assert mm.dims == SiteDims((2, 3))
     assert np.allclose(mm.mat, np.eye(6) / 6)
+
+
+def test_real_families_are_float64():
+    """The paper's states are real and stay float64; random states and clock
+    phases are complex128."""
+    real = [ghz(3, 3).vec, w_state(4).vec, maximally_entangled(3).vec, shift_matrix(3).mat,
+            clock_matrix(3, 0).mat, ppt_family((0.2, 0.3, 0.4)).mat,
+            depolarized(ghz(3), 0.5).mat, maximally_mixed((2, 2)).mat]
+    assert all(a.dtype == np.float64 for a in real)
+    complex_ = [random_pure((2, 2), 1).vec, clock_matrix(3, 1).mat,
+                random_biseparable((2, 2, 2), 2, 1).mat]
+    assert all(a.dtype == np.complex128 for a in complex_)
