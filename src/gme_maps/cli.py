@@ -169,7 +169,7 @@ def _cmd_detect(args) -> int:
     rho = _build_state(args, m)
     verdict = detect(m, rho, args.tol)
     if args.export_map:
-        serialize.write_json(args.export_map, serialize.mapexpr_to_json(m.expr))
+        serialize.save_map(args.export_map, m.expr)
     report = {
         "config": _config(args, "detect", m, args.state or args.state_file or ""),
         "min_eig": verdict.min_eig,

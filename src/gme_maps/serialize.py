@@ -1,9 +1,11 @@
 """JSON formats for states (mpop-v1), map expressions (mapexpr-v1) and CSV reports.
 
 Complex scalars are encoded as [re, im] pairs, a real entry as [re, 0.0];
-matrices as row-major flat lists of pairs.  Decoded arrays follow the dtype
-rule of `operators.real_or_complex`.  Documents carry an explicit "format"
-field so files stay self-describing.
+matrices as row-major flat lists of pairs.  Files are written with each
+array's pair list built as text in bulk, byte for byte what `json.dumps` gives;
+`state_to_json` and `mapexpr_to_json` return the same documents as plain JSON
+data.  Decoded arrays follow the dtype rule of `operators.real_or_complex`.
+Documents carry an explicit "format" field so files stay self-describing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,70 @@ def _pairs(arr: np.ndarray) -> list[list[float]]:
     return np.stack((flat.real, flat.imag), -1).tolist()
 
 
+def _tokens(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a real array as their `json.dumps` tokens, in an
+    object array, and the index of each entry's token.  Each distinct bit
+    pattern is formatted once, so -0.0 keeps its own token."""
+    bits, at = np.unique(np.asarray(part, np.float64).view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    tokens = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        tokens[i] = json.dumps(float(values[i]))  # NaN, Infinity, -Infinity
+    return np.array(tokens, dtype=object), at.reshape(-1)
+
+
+def _pairs_text(arr: np.ndarray) -> str:
+    """`json.dumps(_pairs(arr))`, gathered from the tokens of the distinct real
+    and imaginary parts."""
+    flat = np.asarray(arr).reshape(-1)
+    if not flat.size:
+        return "[]"
+    re_tok, re_at = _tokens(flat.real)
+    if not np.iscomplexobj(flat):  # one cell per distinct real entry
+        cells = np.array([f"[{t}, 0.0]" for t in re_tok], dtype=object)[re_at].tolist()
+        cells[0] = "[" + cells[0]
+        cells[-1] += "]"
+        return ", ".join(cells)
+    im_tok, im_at = _tokens(flat.imag)
+    cells = np.empty((flat.size, 4), dtype=object)  # re, ", ", im, "], [" of each entry
+    cells[:, 0] = re_tok[re_at]
+    cells[:, 1] = ", "
+    cells[:, 2] = im_tok[im_at]
+    cells[:, 3] = "], ["
+    cells[0, 0], cells[-1, 3] = "[[" + cells[0, 0], "]]"
+    cells = cells.reshape(-1).tolist()  # drop the array before the join
+    return "".join(cells)
+
+
+# Stands in for an array while json.dumps writes the rest of a document, which
+# holds no other string with a NUL in it.
+_HOLE = "\0"
+
+
+def _chunks(doc: Any) -> Iterator[str]:
+    """The text of `json.dumps(doc)` in pieces, each array in `doc` written as
+    the flat list of its [re, im] pairs by `_pairs_text`."""
+    arrays = []
+
+    def hold(obj: Any) -> str:
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _HOLE
+
+    head, *tails = json.dumps(doc, default=hold).split(json.dumps(_HOLE))
+    yield head
+    for arr, tail in zip(arrays, tails, strict=True):
+        yield _pairs_text(arr)
+        yield tail
+
+
+def _plain(doc: Any) -> Any:
+    """`doc` as plain JSON data, arrays as [re, im] pair lists: the parsed text
+    `write_json` writes for it."""
+    return json.loads("".join(_chunks(doc)))
+
+
 def _unpairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
     """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`)."""
     pairs = list(pairs)
@@ -43,12 +109,14 @@ def _unpairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
     return real_or_complex(np.array(flat, dtype=float).view(complex))
 
 
-def state_to_json(obj: MpOperator | PureState) -> dict:
+def _state_doc(obj: MpOperator | PureState) -> dict:
     if isinstance(obj, PureState):
-        return {"format": STATE_FORMAT, "dims": list(obj.dims.dims),
-                "vector": _pairs(obj.vec)}
-    return {"format": STATE_FORMAT, "dims": list(obj.dims.dims),
-            "matrix": _pairs(obj.mat)}
+        return {"format": STATE_FORMAT, "dims": list(obj.dims.dims), "vector": obj.vec}
+    return {"format": STATE_FORMAT, "dims": list(obj.dims.dims), "matrix": obj.mat}
+
+
+def state_to_json(obj: MpOperator | PureState) -> dict:
+    return _plain(_state_doc(obj))
 
 
 def state_from_json(doc: Any) -> MpOperator | PureState:
@@ -84,17 +152,19 @@ def load_state(path: str) -> MpOperator | PureState:
 
 
 def write_json(path: str, doc: Any) -> None:
-    """Write one compact JSON document and a newline (C encoder, one shot)."""
+    """Write `json.dumps(doc)` and a newline, each array in `doc` as the flat
+    list of its [re, im] pairs, written in bulk."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.writelines(_chunks(doc))
+        fh.write("\n")
 
 
 def save_state(path: str, obj: MpOperator | PureState) -> None:
-    write_json(path, state_to_json(obj))
+    write_json(path, _state_doc(obj))
 
 
 def _mat_doc(arr: np.ndarray) -> dict:
-    return {"dim": int(arr.shape[0]), "entries": _pairs(arr)}
+    return {"dim": int(arr.shape[0]), "entries": arr}
 
 
 def _mat_undoc(doc: dict) -> np.ndarray:
@@ -241,8 +311,18 @@ def _node_from_json(doc: Any, shared: dict, nodes: Iterator[int],
     return shared[key]
 
 
-def mapexpr_to_json(m: MapExpr) -> dict:
+def _map_doc(m: MapExpr) -> dict:
     return {"format": MAP_FORMAT, "root": _node_to_json(m, count(1))}
+
+
+def mapexpr_to_json(m: MapExpr) -> dict:
+    return _plain(_map_doc(m))
+
+
+def save_map(path: str, m: MapExpr) -> None:
+    """Write the mapexpr-v1 file of a map: `json.dumps(mapexpr_to_json(m))`
+    and a newline."""
+    write_json(path, _map_doc(m))
 
 
 def mapexpr_from_json(doc: Any) -> MapExpr:

@@ -1,8 +1,10 @@
 """Shared test utilities: random operators, random map expressions (also
-X-projected ones), and superoperator and block-by-block oracles."""
+X-projected ones), superoperator and block-by-block oracles, and the text
+`json.dumps` writes for a document with arrays."""
 
 import contextlib
 import functools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +72,16 @@ def blocks_reference():
 def _unitary(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return np.linalg.qr(z)[0]
+
+
+def reference_text(doc) -> str:
+    """The file text of `doc` as `json.dumps` writes it when every array in
+    `doc` is first made a list of [re, im] pairs by `tolist`."""
+    def pairs(arr):
+        flat = np.asarray(arr).reshape(-1)
+        return np.stack((flat.real, flat.imag), -1).tolist()
+
+    return json.dumps(doc, default=pairs) + "\n"
 
 
 @st.composite

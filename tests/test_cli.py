@@ -7,13 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gme_maps import cli, criteria, maps, states
+from gme_maps import cli, criteria, maps, serialize, states
 from gme_maps.cli import main
+from gme_maps.detect import detect
 from gme_maps.maps import SchurWith, TraceOuter, compose, identity_map
 from gme_maps.operators import MpOperator, SiteDims
 from gme_maps.serialize import mapexpr_to_json, save_state, state_to_json, write_json
-from gme_maps.states import ghz, maximally_mixed
-from helpers import hermitian_op, rand_density
+from gme_maps.states import PureState, ghz, maximally_mixed
+from helpers import hermitian_op, rand_density, reference_text
 
 
 def run(capsys, *argv):
@@ -359,6 +360,47 @@ def test_written_files_pinned(tmp_path, capsys, map_id):
     save_state(str(wpath), criteria.map_to_witness(criteria.build_map(map_id, n, d),
                                                    ghz(n, d)))
     assert _sha256(wpath) == WITNESS_SHA256[map_id]
+
+
+# Every catalog map at the sizes of the detect-scaled benchmark, D = 128..256.
+SCALED = (("eta", 7, 2), ("eta", 8, 2), ("phi-tx", 8, 2), ("phi-t", 8, 2),
+          ("phi-r", 5, 3), ("phi-b", 4, 4), ("mu-choi", 5, 3))
+
+
+@pytest.mark.parametrize("map_id, n, d", SCALED)
+def test_scaled_files_are_json_dumps(tmp_path, capsys, map_id, n, d):
+    """The map file `detect --export-map` writes and the witness file `witness`
+    writes are `json.dumps` of their documents and a newline, with the bytes
+    of the [re, im] pair lists `tolist` makes."""
+    size = ["--n", str(n), "--d", str(d), "--state", "ghz"]
+    mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+    assert run(capsys, "detect", "--map", map_id, *size, "--export-map", str(mpath))[0] == 0
+    assert run(capsys, "witness", "--map", map_id, *size, "--output", str(wpath))[0] == 0
+    m = criteria.build_map(map_id, n, d)
+    text = mpath.read_text(encoding="utf-8")
+    assert text == json.dumps(mapexpr_to_json(m.expr)) + "\n"
+    assert text == reference_text(serialize._map_doc(m.expr))
+    psi = PureState(m.dims, detect(m, states.depolarized(ghz(n, d), 1.0)).eigvec)
+    w = criteria.map_to_witness(m, psi)  # the witness as the command builds it
+    text = wpath.read_text(encoding="utf-8")
+    assert text == json.dumps(state_to_json(w)) + "\n"
+    assert text == reference_text(serialize._state_doc(w))
+
+
+def test_witness_write_makes_no_pair_lists(tmp_path):
+    """Saving a 256 x 256 real witness peaks at 2.6 * 16 D^2 bytes of Python
+    allocations; a list of [re, im] floats per entry before `json.dumps`
+    peaked at 11.1 * 16 D^2."""
+    w = criteria.map_to_witness(criteria.build_map("phi-tx", 8, 2), ghz(8, 2))
+    path = str(tmp_path / "w.json")
+    save_state(path, w)
+    tracemalloc.start()
+    try:
+        save_state(path, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 16 * 256 ** 2
 
 
 def test_unexportable_map_exits_2(tmp_path, capsys, monkeypatch):

@@ -5,19 +5,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gme_maps import maps
+from gme_maps import maps, serialize
 from gme_maps.criteria import SMALLEST, build_map, eta_map, mu_map, phi_b
 from gme_maps.detect import ScanRow
 from gme_maps.maps import Choi, apply, apply_stack, compose, identity_map
 from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report,
-                                mapexpr_from_json, mapexpr_to_json, scan_csv,
-                                state_from_json, state_to_json)
+                                mapexpr_from_json, mapexpr_to_json, save_map, save_state,
+                                scan_csv, state_from_json, state_to_json, write_json)
 from gme_maps.cli import main
+from gme_maps.operators import MpOperator, SiteDims
 from gme_maps.states import PureState, ghz, ppt_family
-from helpers import hermitian_op, map_exprs
+from helpers import (hermitian_op, lifted_map_exprs, map_exprs, reference_text,
+                     x_projected_exprs)
 
 
 def test_pure_state_roundtrip():
@@ -244,3 +246,62 @@ def test_mapexpr_decode_shares_equal_subtrees():
     assert terms[2] is not terms[0] and terms[6] is not terms[4]
     assert len({id(t.child) for t in terms[:4]}) == 1
     assert json.dumps(mapexpr_to_json(mapexpr_from_json(_root(doc)))) == json.dumps(_root(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs),
+                 st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs), x_projected_exprs()))
+def test_map_file_is_json_dumps_property(tmp_path_factory, expr):
+    """`save_map` writes `json.dumps(mapexpr_to_json(m))` and a newline, the
+    bytes of the pair lists `tolist` makes."""
+    path = tmp_path_factory.mktemp("maps") / "m.json"
+    save_map(str(path), expr)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(mapexpr_to_json(expr)) + "\n"
+    assert text == reference_text(serialize._map_doc(expr))
+
+
+# Entries whose tokens differ in form: signed zeros, NaN with either sign bit,
+# infinities, the least subnormal, exponent and fixed notation.
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1]
+
+
+@st.composite
+def entry_arrays(draw):
+    """A real or complex vector or square matrix, possibly empty, whose parts
+    are drawn from `SPECIAL`, standard normals and any float; drawing from a
+    few values repeats entries, drawing from any float rarely does."""
+    k = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from([(k,), (k, k)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = SPECIAL + rng.standard_normal(3).tolist()
+    part = st.one_of(st.sampled_from(pool), st.floats())
+    size = int(np.prod(shape))
+    arr = np.empty(size, complex if draw(st.booleans()) else float)
+    arr.real = draw(st.lists(part, min_size=size, max_size=size))
+    if np.iscomplexobj(arr):
+        arr.imag = draw(st.lists(part, min_size=size, max_size=size))
+    return arr.reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_arrays())
+@example(np.zeros(0))
+@example(np.zeros((0, 0), complex))
+def test_array_text_is_json_dumps_property(tmp_path_factory, arr):
+    """`write_json` and `save_state` write an array with the bytes of its
+    `tolist` pair list through `json.dumps`."""
+    path = tmp_path_factory.mktemp("arrays") / "a.json"
+    write_json(str(path), {"dim": len(arr), "entries": arr})
+    assert path.read_text(encoding="utf-8") == reference_text({"dim": len(arr), "entries": arr})
+    if arr.size < 2:
+        return
+    with np.errstate(all="ignore"):  # a PureState of infinities normalises to NaNs
+        if arr.ndim == 1 and np.linalg.norm(arr) == 0:
+            return
+        state = (MpOperator(SiteDims((len(arr),)), arr) if arr.ndim == 2
+                 else PureState(SiteDims((arr.size,)), arr))
+    save_state(str(path), state)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(state_to_json(state)) + "\n"
+    assert text == reference_text(serialize._state_doc(state))
