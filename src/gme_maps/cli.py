@@ -42,6 +42,10 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state-file", help="state JSON (mpop-v1)")
     p.add_argument("--noise", type=float, default=None,
                    help="visibility p for ghz/w, white-noise fraction for ppt")
+    _add_lam_arg(p)
+
+
+def _add_lam_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", default="0.1111111111111111",
                    help="ppt family parameter(s): one value or l1,l2,l3")
 
@@ -79,14 +83,11 @@ _HERMITIAN_FIELDS = {maps.SchurWith: ("mask",), maps.TraceOuter: ("weight", "out
 def _check_hermitian_nodes(expr: maps.MapExpr, path: str) -> None:
     """A map file must preserve Hermiticity: its Schur masks and trace-outer
     weights and outputs are Hermitian."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
+    for node in maps.nodes(expr):
         for name in _HERMITIAN_FIELDS.get(type(node), ()):
             if not is_hermitian_array(getattr(node, name)):
                 raise ValueError(f"map file {path}: {serialize.node_kind(node)} node "
                                  f"has a non-Hermitian {name}")
-        stack.extend(maps.children(node))
 
 
 def _build_gme_map(args) -> criteria.GmeMap:
@@ -189,11 +190,11 @@ def _cmd_threshold(args) -> int:
         kind = "white-noise"
     else:
         n, d = m.dims.n, m.dims.dims[0]
-        psi = states.ghz(n, d) if args.state in (None, "ghz") else states.w_state(n)
+        psi = states.ghz(n, d) if args.state == "ghz" else states.w_state(n)
         res = noise_threshold(m, psi, args.tol)
         kind = "visibility"
     report = {
-        "config": _config(args, "threshold", m, args.state or "ghz"),
+        "config": _config(args, "threshold", m, args.state),
         "kind": kind,
         "p_star": res.p_star,
         "residual": res.residual,
@@ -220,6 +221,8 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_scan(args) -> int:
     grid = _parse_grid(args.grid)
+    if args.noise is not None and args.family != "ppt-qutrit":
+        raise ValueError("--noise applies only to --family ppt-qutrit")
     m = _build_gme_map(args)
     if args.family == "ppt-qutrit":
         rows = lambda_scan(m, grid, noise=args.noise or 0.0, tol=args.tol)
@@ -301,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="exact noise threshold of a state family")
     _add_map_args(p)
-    _add_state_args(p)
+    p.add_argument("--state", choices=("ghz", "w", "ppt"), default="ghz",
+                   help="state family: visibility of ghz or w, white noise on ppt")
+    _add_lam_arg(p)
     p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_threshold)
@@ -311,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("ppt-qutrit", "noisy-ghz", "noisy-w"),
                    default="ppt-qutrit")
     p.add_argument("--grid", required=True, help="start:stop:step (stop exclusive)")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="extra white-noise fraction for ppt-qutrit rows")
+    p.add_argument("--noise", type=float, default=None,
+                   help="extra white-noise fraction for ppt-qutrit rows (default 0)")
     p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_scan)

@@ -19,7 +19,7 @@ import numpy as np
 from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
                    Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
                    apply, breuer_hall_map, dual, mu_constant, reduction_map,
-                   transpose_map)
+                   transpose_map, x_support_blocks)
 from .operators import MpOperator, PartySubset, SiteDims, is_hermitian
 from .states import PureState, clock_matrix, shift_matrix
 
@@ -121,21 +121,6 @@ def phi_tx(n: int) -> GmeMap:
     return GmeMap("phi-tx", expr, dims, claims)
 
 
-def _digit_patterns(n: int, d: int) -> np.ndarray:
-    """Per-basis-index digit offsets relative to party 0, encoded as integers."""
-    D = d ** n
-    idx = np.arange(D)
-    digits = np.empty((D, n), dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = idx % d
-        idx = idx // d
-    rel = (digits - digits[:, :1]) % d
-    enc = np.zeros(D, dtype=np.int64)
-    for k in range(1, n):
-        enc = enc * d + rel[:, k]
-    return enc
-
-
 def x_projector(n: int, d: int) -> MapExpr:
     """Projector onto the cyclic GHZ subspace via a 0/1 Schur mask.
 
@@ -144,9 +129,8 @@ def x_projector(n: int, d: int) -> MapExpr:
     """
     if n < 2 or d < 2:
         raise ValueError("x_projector needs n >= 2 and d >= 2")
-    enc = _digit_patterns(n, d)
-    mask = (enc[:, None] == enc[None, :]).astype(float)
-    return SchurWith(mask)
+    block = x_support_blocks(SiteDims((d,) * n))
+    return SchurWith((block[:, None] == block[None, :]).astype(float))
 
 
 def x_projector_mixture(n: int, d: int) -> MapExpr:

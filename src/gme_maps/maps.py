@@ -3,26 +3,28 @@
 Primitive positive maps (transposition, reduction, Breuer-Hall, Choi,
 unitary conjugation, Diag, trace-times-identity) are combined with
 lift-to-subsystem, sum, scale and composition nodes.  One walker, `_eval`,
-evaluates a tree on a stack of matrices; a sum adds its lifted transpositions
-and digit reversals in place, as strided views of the input.  Duals are
-computed analytically node by node.  A tree projected onto the cyclic GHZ support compiles once
-into a gather table over that support (`x_support_action`), which `apply`
-then uses instead of the walker.
+evaluates a tree on a stack of matrices.  A lift is evaluated one of two
+ways: a chain of transpositions and digit reversals is a strided view of the
+input, which a sum adds in place, and every other child acts block by block.
+`nodes` visits each distinct node of a tree once.  Duals are computed
+analytically node by node.  A tree projected onto the cyclic GHZ support
+compiles once into a gather table over that support (`x_support_action`),
+which `apply` then uses instead of the walker.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NamedTuple, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
-                        partial_transpose_stack, party_subset, real_or_complex,
-                        site_dims)
+                        party_subset, real_or_complex, site_dims)
 
 UNITARY_TOL = 1e-12
 
@@ -346,6 +348,18 @@ def children(node: MapExpr) -> list[MapExpr]:
     return out
 
 
+def nodes(m: MapExpr) -> Iterator[MapExpr]:
+    """Each distinct node of the tree once, a parent before its children; a
+    subtree shared by several parents is walked at its first occurrence."""
+    seen, stack = set(), [m]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(children(node))
+
+
 def _diag_vec(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...i", x)
 
@@ -375,39 +389,23 @@ def _embed_diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
+def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
     """Apply `node` to a stack of matrices, shape (..., d, d).
 
-    Under `lift`, x is a stack of full-space matrices and `node` acts on the
-    lift's subsystem, identity elsewhere.  Composition passes the lift on to
-    both sides; the identity, transposition and monomial conjugations act on
-    the full matrix as index permutations, and every other node acts block
-    by block (`_eval_blocks`).
+    A `Lift` with a `view` recipe is its strided view of x, copied back to
+    the shape of x; every other lift applies its child to each block of the
+    rest-space (`_eval_blocks`).  A monomial conjugation is a row and column
+    gather.
     """
     if isinstance(node, Compose):
-        return _eval(node.outer, _eval(node.inner, x, lift), lift)
+        return _eval(node.outer, _eval(node.inner, x))
     if isinstance(node, Identity):
         return x
     if isinstance(node, Transpose):
-        if lift is None:
-            return x.swapaxes(-1, -2)
-        return partial_transpose_stack(x, lift.dims, lift.parties)
-    if isinstance(node, Conjugate) and node.perm is not None:
-        if lift is None:
-            return _gather(x, node.perm, node.phase)
-        # full index (a, r) -> (perm[a], r), with a the subsystem digits
-        idx = lift.index
-        perm = np.empty(lift.dim, dtype=np.intp)
-        perm[idx] = idx[node.perm]
-        phase = None
-        if node.phase is not None:
-            phase = np.empty(lift.dim, dtype=node.phase.dtype)
-            phase[idx] = node.phase[:, None]
-        return _gather(x, perm, phase)
-    if lift is not None:
-        return _eval_blocks(node, lift, x)
+        return x.swapaxes(-1, -2)
     if isinstance(node, Lift):
-        return _eval(node.child, x, node)
+        v = _lifted_view(node, x)
+        return _eval_blocks(node, x) if v is None else v.reshape(x.shape)
     if isinstance(node, Reduction):
         tr = _trace(x)
         eye = np.eye(node.dim)
@@ -431,6 +429,8 @@ def _eval(node: MapExpr, x: np.ndarray, lift: Lift | None = None) -> np.ndarray:
             acc = acc + np.roll(v, shift * j, axis=-1)
         return _embed_diag(acc) - x
     if isinstance(node, Conjugate):
+        if node.perm is not None:
+            return _gather(x, node.perm, node.phase)
         return node.u @ x @ node.u.conj().T
     if isinstance(node, DiagAll):
         return _embed_diag(_diag_vec(x).copy())
@@ -495,8 +495,9 @@ def _gather(x: np.ndarray, perm: np.ndarray, phase: np.ndarray | None) -> np.nda
     return out
 
 
-def _eval_blocks(node: MapExpr, lift: Lift, x: np.ndarray) -> np.ndarray:
-    """`node` applied to every (subsystem x subsystem) block of the rest-space.
+def _eval_blocks(lift: Lift, x: np.ndarray) -> np.ndarray:
+    """The lift's child applied to every (subsystem x subsystem) block of the
+    rest-space.
 
     One transpose gathers the blocks into a C-contiguous stack of shape
     (-1, dR, dR, dA, dA), and one transpose scatters the result back.
@@ -504,7 +505,7 @@ def _eval_blocks(node: MapExpr, lift: Lift, x: np.ndarray) -> np.ndarray:
     dims = lift.dims.dims
     dA, dR = lift.index.shape
     t = x.reshape((-1,) + dims + dims).transpose(lift.block_axes)
-    t = _eval(node, np.ascontiguousarray(t).reshape(-1, dR, dR, dA, dA))
+    t = _eval(lift.child, np.ascontiguousarray(t).reshape(-1, dR, dR, dA, dA))
     t = t.reshape(lift.block_shape).transpose(lift.block_axes_inv)
     return t.reshape(x.shape)
 
@@ -668,15 +669,16 @@ def _x_support(dims: SiteDims) -> _XSupport:
     return _XSupport(dims, *tables)
 
 
+def x_support_blocks(dims: SiteDims) -> np.ndarray:
+    """The X-support block of each basis index of `dims`, all sites of one
+    dimension d: its digits' offsets from site 0, mod d, read in base d.
+    Entry (u, v) lies on the support exactly when u and v share a block."""
+    return _x_support(dims).block
+
+
 def lift_dims(m: MapExpr) -> SiteDims | None:
     """The site dimensions of some `Lift` in the tree, or None without one."""
-    stack = [m]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Lift):
-            return node.dims
-        stack.extend(children(node))
-    return None
+    return next((node.dims for node in nodes(m) if isinstance(node, Lift)), None)
 
 
 def _compile_x(m: MapExpr) -> XSupportAction:
@@ -707,17 +709,10 @@ def _compile_x(m: MapExpr) -> XSupportAction:
                           sup.rows[src] * D + sup.cols[src], coef)
 
 
-def _shared_ids(m: MapExpr) -> set[int]:
+def _shared_ids(m: MapExpr) -> list[int]:
     """Ids of the subtrees that occur more than once in the tree."""
-    seen, shared, stack = set(), set(), [m]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            shared.add(id(node))
-        else:
-            seen.add(id(node))
-            stack.extend(children(node))
-    return shared
+    parents = Counter(id(c) for node in nodes(m) for c in children(node))
+    return [i for i, k in parents.items() if k > 1]
 
 
 def _x_table(node: MapExpr, lift: Lift | None, digits, sup: _XSupport, memo: dict):

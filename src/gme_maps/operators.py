@@ -181,20 +181,12 @@ def partial_transpose(op: MpOperator, parties: Iterable[int] | PartySubset) -> M
     Involution: applying twice returns the input.
     """
     ps = party_subset(parties)
-    ps.validate(op.dims.n)
-    return MpOperator(op.dims, partial_transpose_stack(op.mat, op.dims, ps))
-
-
-def partial_transpose_stack(x: np.ndarray, dims: SiteDims, parties: PartySubset) -> np.ndarray:
-    """`partial_transpose` of every matrix in a stack of shape (..., D, D)."""
-    n = dims.n
-    batch = x.shape[:-2]
-    nb = len(batch)
-    perm = list(range(nb + 2 * n))
-    for p in parties:
-        perm[nb + p], perm[nb + n + p] = perm[nb + n + p], perm[nb + p]
-    t = x.reshape(batch + dims.dims + dims.dims).transpose(perm)
-    return t.reshape(x.shape)
+    n = op.dims.n
+    ps.validate(n)
+    perm = list(range(2 * n))
+    for p in ps:
+        perm[p], perm[n + p] = n + p, p
+    return MpOperator(op.dims, _axes_tensor(op).transpose(perm).reshape(op.mat.shape))
 
 
 def partial_trace(op: MpOperator, parties: Iterable[int] | PartySubset) -> MpOperator:

@@ -56,15 +56,9 @@ def superoperator(m: MapExpr) -> np.ndarray:
 
 @contextlib.contextmanager
 def blocks_reference():
-    """Evaluate every lifted node block by block, the reference for the full-space
-    forms and for the strided views a sum adds in place."""
-    full_space = maps._eval
-
-    def reference(node, x, lift=None):
-        return full_space(node, x) if lift is None else maps._eval_blocks(node, lift, x)
-
+    """Evaluate every lift block by block (`maps._eval_blocks`), the reference
+    for the strided views of lifted transpositions and digit reversals."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps, "_eval", reference)
         mp.setattr(maps, "_lifted_view", lambda node, x: None)
         yield
 
@@ -89,7 +83,7 @@ def map_exprs(draw, d, depth=3):
     """Random expression trees on d x d matrices, d in {2, 3, 4, 8}.
 
     Conjugations draw either a Haar-like unitary or a monomial Z^k X^j, so
-    the full-space gather also runs inside random and nested lifts.
+    the index gather also runs on the blocks of random and nested lifts.
     """
     composite = ["sum", "scale", "compose"] + (["lift"] if d in (4, 8) else [])
     kind = draw(st.sampled_from(composite if depth and draw(st.booleans()) else
@@ -143,9 +137,9 @@ def digit_reversal(dims):
 def lifted_map_exprs(draw, d, depth=2):
     """A random lifted expression on the sites `LIFT_SITES[d]`, d in {4, 8, 9}.
 
-    A third are a monomial Z^k X^j on the largest subsystem, the lifted
-    gather's case; on two of three qubits X^j is a 4-cycle, not an involution,
-    so a gather with the inverse permutation differs.  A third are a sum of
+    A third are a monomial Z^k X^j on the largest subsystem, gathered block
+    by block; on two of three qubits X^j is a 4-cycle, not an involution, so
+    a gather with the inverse permutation differs.  A third are a sum of
     lifted chains of transpositions and digit reversals, plus one other term,
     which the sum adds in place as strided views.  The rest lift a random tree.
     """

@@ -124,6 +124,22 @@ def test_malformed_state_file_exits_2(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+def test_map_file_shared_node_checked_once(tmp_path, capsys, monkeypatch):
+    """Equal subtrees of a map file load as one node, so its mask is checked once."""
+    mask = SchurWith(np.ones((8, 8)))
+    path = tmp_path / "shared.json"
+    write_json(str(path), mapexpr_to_json(maps.map_sum(mask, compose(identity_map(8), mask))))
+    checked = []
+
+    def counting(a):
+        checked.append(a)
+        return True
+
+    monkeypatch.setattr(cli, "is_hermitian_array", counting)
+    code, _, _ = run(capsys, "detect", "--map-file", str(path), "--n", "3", "--state", "w")
+    assert code == 0 and len(checked) == 1
+
+
 @pytest.mark.parametrize("kind, expr, field", [
     ("schur", SchurWith(_ones_with(1, 2, 2.0)), "mask"),
     ("trace-outer", compose(identity_map(8), TraceOuter(_ones_with(0, 3, 1j), np.eye(8))),
@@ -215,6 +231,23 @@ def test_threshold_ppt_white_noise(capsys):
     assert doc["p_star"] == pytest.approx(9 / 179, abs=1e-5)
 
 
+@pytest.mark.parametrize("flags", [["--state", "mixed"], ["--state-file", "/nonexistent"],
+                                   ["--noise", "0.5"]], ids=["mixed", "state-file", "noise"])
+def test_threshold_rejects_flags_it_does_not_read(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--map", "phi-t", "--n", "3", *flags])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert flags[0] in out.err
+
+
+def test_threshold_defaults_to_ghz(capsys):
+    code, out, _ = run(capsys, "threshold", "--map", "eta", "--n", "3")
+    assert code == 0
+    assert out == run(capsys, "threshold", "--map", "eta", "--n", "3", "--state", "ghz")[1]
+    assert json.loads(out)["config"]["state"] == "ghz"
+
+
 def test_mu_reduction(capsys):
     code, out, _ = run(capsys, "mu", "--primitive", "reduction", "--d", "4",
                        "--samples", "200", "--seed", "7")
@@ -270,6 +303,14 @@ def test_scan_rejects_noise_outside_unit_interval(capsys, noise):
                          "--family", "ppt-qutrit", "--grid", "0.1:0.3:0.1", "--noise", noise)
     assert code == 2 and out == ""
     assert "must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize("family", ["noisy-ghz", "noisy-w"])
+def test_scan_noise_only_for_ppt_family(capsys, family):
+    code, out, err = run(capsys, "scan", "--map", "phi-t", "--n", "3", "--family", family,
+                         "--grid", "0.4:0.5:0.05", "--noise", "0.9")
+    assert code == 2 and out == ""
+    assert err == "error: --noise applies only to --family ppt-qutrit\n"
 
 
 def test_verify_cli(capsys):

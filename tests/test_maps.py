@@ -272,7 +272,7 @@ def test_estimate_mu_validation():
 
 
 # ---------------------------------------------------------------------------
-# full-space lift evaluation against the block-by-block route
+# lift evaluation (strided views and block stacks) against the block-by-block route
 # ---------------------------------------------------------------------------
 
 def _stack(shape, D, rng):
@@ -321,12 +321,17 @@ def _lift_cases():
         ("compose-nested", lift(compose(compose(transpose_map(3), conjugation_map(zx3)),
                                         compose(choi_map(3), conjugation_map(u3))),
                                 (1,), (2, 3, 2)), (3,)),
+        # lone view lifts, outside a sum: estimate_mu's, and a qutrit chain
+        ("view-mu-transpose", lift(transpose_map(2), (0,), (2, 2)), ()),
+        ("view-qutrit-chain", lift(compose(transpose_map(9), digit_reversal((3, 3))),
+                                   (0, 2), (3, 2, 3)), (2,)),
     ]
 
 
 @pytest.mark.parametrize("case", _lift_cases(), ids=lambda c: c[0])
 def test_lift_full_space_matches_blocks(case):
-    _, m, batch = case
+    name, m, batch = case
+    assert (m.view is not None) == name.startswith("view-")
     x = _stack(batch, m.dim, np.random.default_rng(10))
     for expr in (m, dual(m)):
         full = maps._eval(expr, x)
@@ -595,6 +600,26 @@ def test_x_support_action_lives_with_its_map():
     del m, act
     gc.collect()
     assert ref() is None
+
+
+def test_nodes_visit_each_distinct_node_once():
+    """`nodes` yields every node reachable from the root, each once, a parent
+    before its children; eta's shared phi and its subtree come once."""
+    m = build_map("eta", 4, 2).expr
+    reachable, stack = {}, [m]
+    while stack:
+        node = stack.pop()
+        reachable[id(node)] = node
+        stack.extend(maps.children(node))
+    got = list(maps.nodes(m))
+    assert len(got) == len({id(n) for n in got}) == len(reachable)
+    assert {id(n) for n in got} == set(reachable)
+    position = {id(n): i for i, n in enumerate(got)}
+    assert all(position[id(n)] < position[id(c)] for n in got for c in maps.children(n))
+    phi = m.outer.children[0]
+    assert sum(n is phi for n in got) == 1
+    assert maps.lift_dims(m) == SiteDims((2,) * 4)
+    assert maps.lift_dims(identity_map(4)) is None
 
 
 def test_x_support_shared_subtree_compiles_once(monkeypatch):
