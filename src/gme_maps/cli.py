@@ -46,11 +46,13 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_lam_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lam", default="0.1111111111111111",
-                   help="ppt family parameter(s): one value or l1,l2,l3")
+    p.add_argument("--lam", default=None,
+                   help="ppt family parameter(s): one value or l1,l2,l3 (default 1/9)")
 
 
-def _parse_lam(text: str) -> tuple[float, float, float]:
+def _parse_lam(text: str | None) -> tuple[float, float, float]:
+    if text is None:
+        return (1 / 9,) * 3
     parts = [float(x) for x in str(text).split(",")]
     if len(parts) == 1:
         return (parts[0],) * 3
@@ -113,7 +115,21 @@ def _build_gme_map(args) -> criteria.GmeMap:
     return criteria.build_map(args.map, args.n, _resolve_d(args))
 
 
+def _check_lam(args) -> None:
+    if args.lam is not None and args.state != "ppt":
+        raise ValueError("--lam applies only to --state ppt")
+
+
 def _build_state(args, m: criteria.GmeMap) -> MpOperator:
+    """The state of --state or --state-file; a flag the state would not read
+    is an error."""
+    if not args.state and not args.state_file:
+        raise ValueError("either --state or --state-file is required")
+    if args.state and args.state_file:
+        raise ValueError("give either --state or --state-file, not both")
+    if args.noise is not None and args.state not in ("ghz", "w", "ppt"):
+        raise ValueError("--noise applies only to --state ghz, w or ppt")
+    _check_lam(args)
     if args.state_file:
         obj = serialize.load_state(args.state_file)
         return obj.density() if isinstance(obj, PureState) else obj
@@ -134,9 +150,7 @@ def _build_state(args, m: criteria.GmeMap) -> MpOperator:
             mm = states.maximally_mixed(rho.dims).mat
             rho = MpOperator(rho.dims, args.noise * mm + (1 - args.noise) * rho.mat)
         return rho
-    if args.state == "mixed":
-        return states.maximally_mixed(m.dims)
-    raise ValueError("either --state or --state-file is required")
+    return states.maximally_mixed(m.dims)  # --state mixed, the last choice
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -183,6 +197,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    _check_lam(args)
     m = _build_gme_map(args)
     if args.state == "ppt":
         rho = states.ppt_family(_parse_lam(args.lam))

@@ -56,10 +56,21 @@ def superoperator(m: MapExpr) -> np.ndarray:
 
 @contextlib.contextmanager
 def blocks_reference():
-    """Evaluate every lift block by block (`maps._eval_blocks`), the reference
-    for the strided views of lifted transpositions and digit reversals."""
+    """Evaluate every lift on its own and block by block (`maps._eval_blocks`):
+    the reference for the strided views of lifted transpositions and digit
+    reversals, and for the grade recurrence that sums them (`Sum.graded`)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_lifted_view", lambda node, x: None)
+        mp.setattr(maps, "bipartition_sum", lambda x, graded: None)
+        yield
+
+
+@contextlib.contextmanager
+def lifts_one_by_one():
+    """Switch off only the grade recurrence (`grades.bipartition_sum`): a sum
+    with `graded` lifts adds them one by one, each as its strided view."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "bipartition_sum", lambda x, graded: None)
         yield
 
 

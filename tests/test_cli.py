@@ -57,6 +57,50 @@ def test_detect_malformed_state_file(tmp_path, capsys):
     assert "error" in err
 
 
+STATE_FILE = "<ghz file>"
+UNREAD_STATE_FLAGS = {
+    "state-and-file": (["--state", "w", "--state-file", STATE_FILE],
+                       "give either --state or --state-file, not both"),
+    "file-noise": (["--state-file", STATE_FILE, "--noise", "0.1"],
+                   "--noise applies only to --state ghz, w or ppt"),
+    "mixed-noise": (["--state", "mixed", "--noise", "0.3"],
+                    "--noise applies only to --state ghz, w or ppt"),
+    "ghz-lam": (["--state", "ghz", "--lam", "0.2"], "--lam applies only to --state ppt"),
+    "file-lam": (["--state-file", STATE_FILE, "--lam", "0.2"],
+                 "--lam applies only to --state ppt"),
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "witness"])
+@pytest.mark.parametrize("case", sorted(UNREAD_STATE_FLAGS))
+def test_state_flags_the_state_would_not_read_exit_2(tmp_path, capsys, command, case):
+    """detect and witness refuse a state flag the chosen state ignores, and
+    write nothing."""
+    path = tmp_path / "ghz.json"
+    save_state(str(path), ghz(3, 2))
+    flags, message = UNREAD_STATE_FLAGS[case]
+    flags = [str(path) if f == STATE_FILE else f for f in flags]
+    output = tmp_path / "w.json"
+    extra = ["--output", str(output)] if command == "witness" else []
+    code, out, err = run(capsys, command, "--map", "phi-tx", "--n", "3", *flags, *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not output.exists()
+
+
+def test_threshold_rejects_lam_outside_ppt(capsys):
+    code, out, err = run(capsys, "threshold", "--map", "phi-t", "--n", "3",
+                         "--state", "w", "--lam", "0.2")
+    assert (code, out, err) == (2, "", "error: --lam applies only to --state ppt\n")
+
+
+@pytest.mark.parametrize("command", ["detect", "threshold"])
+def test_ppt_lam_defaults_to_one_ninth(capsys, command):
+    argv = [command, "--map", "mu-choi", "--n", "3", "--d", "3", "--state", "ppt"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == run(capsys, *argv, "--lam", repr(1 / 9))[1]
+
+
 def _nested(depth):
     """A mapexpr-v1 text whose root is `depth` scale nodes around an identity."""
     text = '{"kind": "identity", "d": 2}'

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gme_maps import maps
-from gme_maps.criteria import (MAP_IDS, SMALLEST, build_map, witness_to_map,
-                               x_projector)
+from gme_maps.criteria import (MAP_IDS, SMALLEST, bipartitions, build_map,
+                               witness_to_map, x_projector)
 from gme_maps.maps import (BreuerHall, Choi, SchurWith, TraceOuter, apply, apply_blocks,
                            apply_stack, breuer_hall_map, choi_map, compose,
                            conjugation_map, default_skew_unitary, diag_map,
@@ -25,8 +25,8 @@ from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, is_hermitia
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
 from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
 from helpers import (blocks_reference, density_op, digit_reversal, hermitian_op,
-                     lifted_map_exprs, map_exprs, monomial, rand_density, rand_hermitian,
-                     superoperator, x_projected_exprs)
+                     lifted_map_exprs, lifts_one_by_one, map_exprs, monomial, rand_density,
+                     rand_hermitian, superoperator, x_projected_exprs)
 
 
 def test_reduction_on_identity():
@@ -387,13 +387,14 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("map_id,n,d", VIEW_MAPS)
 def test_lifted_views_match_blocks_bitwise(map_id, n, d):
     """Every lift of phi-t and phi-tx, and of their duals, is a strided view,
-    and the sum of views equals the block-by-block oracle bit for bit."""
+    and the views added one by one equal the block-by-block oracle bit for bit."""
     m = build_map(map_id, n, d).expr
     x = rand_hermitian(m.dim, np.random.default_rng(n * d))
     for expr in (m, dual(m)):
         lifts = expr.children[:-1]
         assert all(isinstance(t, maps.Lift) and t.view is not None for t in lifts)
-        got = maps._eval(expr, x)
+        with lifts_one_by_one():
+            got = maps._eval(expr, x)
         with blocks_reference():
             want = maps._eval(expr, x)
         assert _same_bits(got, want)
@@ -431,6 +432,92 @@ def test_lifted_views_make_no_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 16 * g.dims.total ** 2
+
+
+# ---------------------------------------------------------------------------
+# bipartition sums by the grade recurrence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("map_id,n,d", VIEW_MAPS)
+def test_graded_lifts_match_one_by_one(map_id, n, d):
+    """The grade recurrence sums the lifts of phi-t, phi-tx and their duals
+    as the lifts added one by one do, to 1e-13 relative: on a batched complex
+    stack and on a real matrix, with grade buffers held whole (D < 256) and
+    one block of site-0 digits at a time (D >= 256)."""
+    m = build_map(map_id, n, d).expr
+    rng = np.random.default_rng(n * d)
+    stack = _stack((2,), m.dim, rng)
+    stack = stack + stack.conj().swapaxes(-1, -2)
+    for expr in (m, dual(m)):
+        assert expr.graded is not None
+        for x in (stack, stack[0].real.copy()):
+            got = maps._eval(expr, x)
+            with lifts_one_by_one():
+                want = maps._eval(expr, x)
+            assert got.dtype == want.dtype
+            assert _max_rel(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("map_id,d,sizes", [("phi-t", 2, range(3, 11)), ("phi-t", 3, range(3, 7)),
+                                            ("phi-tx", 2, range(3, 11))])
+def test_catalog_sums_are_graded(map_id, d, sizes):
+    """Every bipartition sum of phi-t and phi-tx, and of their duals, is
+    recognised as graded, with the compensation left to the general route."""
+    parities = (True, map_id == "phi-tx")
+    for n in sizes:
+        m = build_map(map_id, n, d).expr
+        for expr in (m, dual(m)):
+            assert expr.graded is not None
+            assert (expr.graded.count, expr.graded.parities) == (2 ** (n - 1) - 1, parities)
+            assert expr.graded.count == len(expr.children) - 1
+
+
+def _graded_cases(n):
+    """Sums of lifted chains (digit reversal after transposition) plus a
+    compensation: the "exact" cases have the graded pattern, every other case
+    is one step off it."""
+    def flip_t(parties, on):
+        k = int(np.prod([on.dims[p] for p in parties]))
+        return lift(compose(digit_reversal([on.dims[p] for p in parties]), transpose_map(k)),
+                    parties, on)
+
+    dims = SiteDims((2,) * n)
+    reps = [flip_t(A, dims) for A in bipartitions(n)]
+    rest = [trace_identity(1, 2 ** n)]
+    # a 4-level site 0, and the same total dimension with site 1 the 4-level one
+    wide, swapped = SiteDims((4,) + (2,) * (n - 1)), SiteDims((2, 4) + (2,) * (n - 2))
+    wide_reps = [flip_t(A, wide) for A in bipartitions(n)]
+    wide_rest = [trace_identity(1, 2 ** (n + 1))]
+    cases = {
+        "exact": reps + rest,
+        "exact-4-level-site": wide_reps + wide_rest,
+        "missing": reps[:-1] + rest,
+        "duplicated": reps + reps[:1] + rest,
+        "duplicate-for-another": reps[:-1] + reps[:1] + rest,
+        "larger-side": [flip_t(reps[0].parties.complement(n), dims)] + reps[1:] + rest,
+        "mixed-parities": [lift(transpose_map(2), reps[0].parties, dims)] + reps[1:] + rest,
+        "mixed-dims": wide_reps[:-1] + [flip_t(wide_reps[-1].parties, swapped)] + wide_rest,
+    }
+    if n % 2 == 0:
+        # the n/2 side without party 0 in place of its complement
+        cases["half-without-party-0"] = [
+            flip_t(c.parties.complement(n), dims) if 2 * len(c.parties) == n else c
+            for c in reps] + rest
+    return cases
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_graded_near_misses(n):
+    """A sum one step off the pattern is not graded, and every case evaluates
+    as the sum of its children (at n = 7 the 4-level site-0 sum runs one
+    block of site-0 digits at a time)."""
+    rng = np.random.default_rng(n)
+    for name, children in _graded_cases(n).items():
+        m = map_sum(*children)
+        assert (m.graded is not None) == name.startswith("exact"), name
+        x = _stack((), m.dim, rng)
+        want = sum(maps._eval(c, x) for c in children)
+        assert _max_rel(maps._eval(m, x), want) <= 1e-13, name
 
 
 def test_breuer_hall_monomial_gather():
