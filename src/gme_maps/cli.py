@@ -31,7 +31,7 @@ def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> Non
     p.add_argument("--map-file", help="map expression JSON (mapexpr-v1); used instead of --map")
     if with_witness:
         p.add_argument("--witness-file", help="witness JSON (mpop-v1); used instead of --map")
-    p.add_argument("--n", type=int, default=3, help="number of parties (default 3)")
+    p.add_argument("--n", type=int, default=None, help="number of parties (default 3)")
     p.add_argument("--d", type=int, default=None,
                    help="local dimension (default 2, or 3 for mu-choi)")
 
@@ -70,12 +70,19 @@ def _resolve_d(args) -> int:
 def _dims_of_expr(expr: maps.MapExpr, args) -> SiteDims:
     dims = maps.lift_dims(expr)
     if dims is not None:
+        _check_dims_flags(dims, args, "map file")
         return dims
-    dims = SiteDims((_resolve_d(args),) * args.n)
+    dims = SiteDims((_resolve_d(args),) * (3 if args.n is None else args.n))
     if dims.total != expr.dim:
         raise ValueError(
             f"map file dimension {expr.dim} does not match --n/--d ({dims.dims})")
     return dims
+
+
+def _check_dims_flags(dims: SiteDims, args, source: str) -> None:
+    """An --n or --d given with a map or witness file must match its sites."""
+    if args.n not in (None, dims.n) or args.d is not None and set(dims.dims) != {args.d}:
+        raise ValueError(f"--n/--d disagree with the sites {dims.dims} of the {source}")
 
 
 #: the operator fields that a map file's nodes must hold Hermitian
@@ -93,10 +100,15 @@ def _check_hermitian_nodes(expr: maps.MapExpr, path: str) -> None:
 
 
 def _build_gme_map(args) -> criteria.GmeMap:
+    given = [f for f in ("--map", "--map-file", "--witness-file")
+             if getattr(args, f[2:].replace("-", "_"), None)]
+    if len(given) > 1:
+        raise ValueError(f"give only one of {', '.join(given)}")
     if getattr(args, "witness_file", None):
         w = serialize.load_state(args.witness_file)
         if isinstance(w, PureState):
             raise ValueError("witness file must hold a matrix, not a pure state")
+        _check_dims_flags(w.dims, args, "witness file")
         return criteria.witness_to_map(w)
     if getattr(args, "map_file", None):
         with open(args.map_file, encoding="utf-8") as fh:
@@ -112,12 +124,13 @@ def _build_gme_map(args) -> criteria.GmeMap:
         return criteria.GmeMap("map-file", expr, _dims_of_expr(expr, args))
     if not args.map:
         raise ValueError("either --map, --map-file or --witness-file is required")
-    return criteria.build_map(args.map, args.n, _resolve_d(args))
+    return criteria.build_map(args.map, 3 if args.n is None else args.n, _resolve_d(args))
 
 
 def _check_lam(args) -> None:
     if args.lam is not None and args.state != "ppt":
         raise ValueError("--lam applies only to --state ppt")
+    states.PptFamilyParams(*_parse_lam(args.lam))
 
 
 def _build_state(args, m: criteria.GmeMap) -> MpOperator:
@@ -180,6 +193,7 @@ def _config(args, command: str, m: criteria.GmeMap, state_desc: str) -> RunConfi
 
 
 def _cmd_detect(args) -> int:
+    _check_lam(args)  # before the map is built
     m = _build_gme_map(args)
     rho = _build_state(args, m)
     verdict = detect(m, rho, args.tol)
@@ -252,6 +266,8 @@ def _cmd_scan(args) -> int:
 def _cmd_mu(args) -> int:
     d = args.d if args.d is not None else {"transpose": 2, "reduction": 2,
                                            "breuer-hall": 4}[args.primitive]
+    if d * d > criteria.MAX_DIM:
+        raise ValueError(f"d^2 = {d * d} exceeds the supported maximum {criteria.MAX_DIM}")
     if args.primitive == "transpose":
         prim = maps.transpose_map(d)
     elif args.primitive == "reduction":
@@ -286,6 +302,7 @@ def witness_expectation(w: MpOperator, rho: MpOperator) -> float:
 
 
 def _cmd_witness(args) -> int:
+    _check_lam(args)
     m = _build_gme_map(args)
     rho = _build_state(args, m)
     verdict = detect(m, rho, args.tol)
@@ -373,6 +390,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if not 0 <= getattr(args, "tol", 0) < np.inf:  # also false for NaN
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

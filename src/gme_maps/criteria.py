@@ -160,8 +160,6 @@ def _phi_tx_sum(n: int) -> Sum:
     for A in bipartitions(n):
         if len(A) not in flips:
             flips[len(A)] = _kron_all([shift_matrix(2).mat] * len(A))
-        # one node per lift: the X-support compile would keep every lift's table
-        # of a shared node until it ends
         flip = Conjugate(flips[len(A)])
         lifts.append(Lift(Compose(flip, transpose_map(2 ** len(A))), A, dims))
     return Sum(tuple(lifts))

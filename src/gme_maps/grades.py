@@ -1,4 +1,4 @@
-"""Bipartition sums of lifted transpositions and digit reversals, by grades.
+"""Bipartition sums of lifted site-wise involutions and shifts, by grades.
 
 A chain of transpositions and digit reversals (sigma_x on qubits) lifted
 onto parties A is a strided view of x.reshape((-1,) + dims + dims), given by
@@ -7,13 +7,13 @@ of the commuting involutions L_i, i in A.  The criteria add such a lift for
 one side of every bipartition: the smaller side, or at an even split the
 side holding party 0.  `bipartition_sum` adds all 2^(n-1) - 1 of them by a
 recurrence over grades, the sizes of the sides, in about n^2 / 2 strided
-adds.
+adds; `bipartition_gather_sum` does so on D-vectors, for L_i an index gather.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,67 +60,85 @@ def _parities(lift: Lift) -> tuple[bool, bool]:
     return axes[1 + p] != 1 + p, flip[1 + p].step == -1
 
 
+def covers_bipartitions(lifts: Sequence[Lift]) -> bool:
+    """True when `lifts` are one lift per bipartition representative of
+    n >= 3 sites, all on the same dims."""
+    n = lifts[0].dims.n if lifts else 0
+    sides = {c.parties.members for c in lifts if c.dims == lifts[0].dims and (
+        2 * len(c.parties) < n or 2 * len(c.parties) == n and 0 in c.parties.members)}
+    return n >= 3 and len(lifts) == len(sides) == 2 ** (n - 1) - 1
+
+
 def graded_form(lifts: list[Lift]) -> GradedLifts | None:
     """The `GradedLifts` of a sum's leading lifts with a view recipe, when they
-    are exactly one lift per bipartition representative of n >= 3 sites, all
-    on the same dims with the same parities; None otherwise."""
-    if not lifts:
+    cover the bipartitions (`covers_bipartitions`) with the same parities;
+    None otherwise."""
+    if not covers_bipartitions(lifts) or len({_parities(c) for c in lifts}) > 1:
         return None
     dims, parities = lifts[0].dims, _parities(lifts[0])
-    n = dims.n
-    count = 2 ** (n - 1) - 1
-    if n < 3 or len(lifts) != count or any(c.dims != dims or _parities(c) != parities
-                                           for c in lifts):
-        return None
-    sides = {c.parties.members for c in lifts}
-    if len(sides) < count or any(2 * len(A) > n or (2 * len(A) == n and 0 not in A)
-                                 for A in sides):
-        return None
-    return GradedLifts(count, dims, parities,
-                       tuple(view_recipe((i,), n, parities) for i in range(n)))
+    return GradedLifts(len(lifts), dims, parities,
+                       tuple(view_recipe((i,), dims.n, parities) for i in range(dims.n)))
+
+
+def _grades(x: np.ndarray, step: Callable[[int, np.ndarray], np.ndarray],
+            n: int) -> list[np.ndarray]:
+    """[E_0 = x, E_1, ..., E_g], the latter fresh, g = (n - 1) // 2, with E_k
+    the sum of L_B(x) over B in {1..n-1}, |B| <= k, and L_i(y) = step(i, y).
+    Built site by site as E_k <- E_k + L_i(E_{k-1}), k = g..1, from E_k = x;
+    every E_k with k at least the number of sites seen so far is one sum."""
+    top = (n - 1) // 2
+    grades = [x]
+    for i in range(1, n):
+        h = len(grades) - 1
+        if h < top:
+            grades.append(grades[h] + step(i, grades[h]))
+        for k in range(h, 0, -1):
+            np.add(grades[k], step(i, grades[k - 1]), out=grades[k])
+    return grades
 
 
 def bipartition_sum(x: np.ndarray, graded: GradedLifts) -> np.ndarray:
     """The graded lifts applied to a stack x, shape (..., D, D), and added up.
 
-    With g = (n - 1) // 2, E_k = sum of L_B(x) over B in {1..n-1}, |B| <= k,
-    is built site by site as E_k <- E_k + L_i(E_{k-1}), k = g..1, from
-    E_k = x.  Every E_k with k at least the number of sites seen so far is
-    the same sum, held once.  The representatives without party 0 add up to
-    E_g - x, and those with it to L_0(E_g) for even n and L_0(E_{g-1}) for
-    odd n.  L_1..L_{n-1} keep the site-0 digits, so from `_BLOCKS_MIN_DIM` on
-    each block of one site-0 row digit and one site-0 column digit runs on
-    its own, with grade buffers of D^2 / d_0^2 entries.
+    The representatives without party 0 add up to E_g - x (`_grades`), and
+    those with it to L_0(E_g) for even n and L_0(E_{g-1}) for odd n.
+    L_1..L_{n-1} keep the site-0 digits, so from `_BLOCKS_MIN_DIM` on each
+    block of one site-0 row digit and one site-0 column digit runs on its
+    own, with grade buffers of D^2 / d_0^2 entries.
     """
     dims = graded.dims.dims
     n, d0 = len(dims), dims[0]
-    top = (n - 1) // 2
     transpose, reverse = graded.parities
     t = x.reshape((-1,) + dims + dims)
     chunked = x.shape[-1] >= _BLOCKS_MIN_DIM
     out = (np.zeros if chunked else np.empty)(t.shape, dtype=x.dtype)
     spans = [(r, r + 1) for r in range(d0)] if chunked else [(0, d0)]
     mirror = (lambda a, b: slice(d0 - b, d0 - a)) if reverse else slice
+    step = lambda i, y: y.transpose(graded.sites[i][0])[graded.sites[i][1]]  # noqa: E731
     for (a, b), (c, e) in itertools.product(spans, spans):
         block = [slice(None)] * t.ndim
         block[1], block[1 + n] = slice(a, b), slice(c, e)
-        grades = [t[tuple(block)]]
-        for axes, flip in graded.sites[1:]:
-            h = len(grades) - 1
-            if h < top:
-                grades.append(grades[h] + grades[h].transpose(axes)[flip])
-            for k in range(h, 0, -1):
-                np.add(grades[k], grades[k - 1].transpose(axes)[flip], out=grades[k])
+        grades = _grades(t[tuple(block)], step, n)
         own = out[tuple(block)]
         if chunked:
-            own += grades[top]
+            own += grades[-1]
             own -= grades[0]
         else:
-            np.subtract(grades[top], grades[0], out=own)
+            np.subtract(grades[-1], grades[0], out=own)
         # L_0 moves this block of site-0 digits to the block `block` names
         rows, cols = mirror(a, b), mirror(c, e)
         block[1], block[1 + n] = (cols, rows) if transpose else (rows, cols)
         dest = out[tuple(block)]
-        axes, flip = graded.sites[0]
-        dest += grades[top - n % 2].transpose(axes)[flip]
+        dest += step(0, grades[-1 - n % 2])
     return out.reshape(x.shape)
+
+
+def bipartition_gather_sum(p: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """The sum over bipartition representatives A of (prod_{i in A} L_i) p,
+    p of shape (..., D), for commuting gathers (L_i p)[u] = p[sites[i, u]],
+    n >= 3, by the recurrence of `bipartition_sum`."""
+    n = len(sites)
+    grades = _grades(p, lambda i, y: y[..., sites[i]], n)
+    out = grades[-1] - grades[0]
+    out += grades[-1 - n % 2][..., sites[0]]
+    return out

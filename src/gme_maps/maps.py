@@ -10,24 +10,25 @@ A sum that lifts one such chain onto a side of every bipartition
 (`Sum.graded`) adds its lifts by a recurrence over grades, the sizes of the
 sides: about n^2 / 2 strided adds instead of 2^(n-1) - 1 lifts.
 `nodes` visits each distinct node of a tree once.  Duals are computed
-analytically node by node.  A tree projected onto the cyclic GHZ support
-compiles once into a gather table over that support (`x_support_action`),
-which `apply` then uses instead of the walker.
+analytically node by node.  A bipartition sum of lifted sigma_x T or Choi
+maps projected onto the cyclic GHZ support (eta, mu-choi, their duals and
+their map files) is recognised when its root is built (`Compose.support`),
+and `apply` evaluates it in closed form on the D d entries of that support
+instead of walking the tree; every other tree takes the walker.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import weakref
-from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .grades import GradedLifts, bipartition_sum, graded_form, view_recipe
+from .grades import (GradedLifts, bipartition_gather_sum, bipartition_sum,
+                     covers_bipartitions, graded_form, view_recipe)
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
                         party_subset, real_or_complex, site_dims)
 
@@ -51,6 +52,8 @@ class MapExpr:
     """Base node; every node knows the side length of matrices it accepts."""
 
     dim: int
+    #: the closed form on the X support, set on a recognised root `Compose`
+    support: SupportForm | None = None
 
     def __call__(self, op: MpOperator) -> MpOperator:
         return apply(self, op)
@@ -321,16 +324,19 @@ class Scale(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class Compose(MapExpr):
-    """outer after inner."""
+    """outer after inner; `support` is set on a bipartition sum projected onto
+    the X support (eta, mu-choi, their duals), which `apply` evaluates on it."""
 
     outer: MapExpr
     inner: MapExpr
     dim: int = field(init=False)
+    support: SupportForm | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.outer.dim != self.inner.dim:
             raise ValueError("composed maps disagree on dimension")
         object.__setattr__(self, "dim", self.inner.dim)
+        object.__setattr__(self, "support", _support_form(self))
 
 
 # ---------------------------------------------------------------------------
@@ -544,21 +550,16 @@ def _check_lift_dims(m: MapExpr, dims: SiteDims) -> None:
 def apply(m: MapExpr, op: MpOperator) -> MpOperator:
     """Evaluate the map on a multipartite operator."""
     _check_operator(m, op)
-    act = x_support_action(m)
-    return MpOperator(op.dims, _eval(m, op.mat) if act is None else act.dense(op.mat))
+    return MpOperator(op.dims, _eval(m, op.mat) if m.support is None else m.support.dense(op.mat))
 
 
 def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
-    """`apply`, keeping an output on the X support as its d x d blocks.
-
-    Returns a `BlockOperator` when `x_support_action(m)` compiles the map,
-    else the dense `apply` result.
-    """
+    """`apply`, keeping the output of a map with a `Compose.support` form as
+    its d x d blocks on the X support (a `BlockOperator`)."""
     _check_operator(m, op)
-    act = x_support_action(m)
-    if act is None:
+    if m.support is None:
         return MpOperator(op.dims, _eval(m, op.mat))
-    return BlockOperator(op.dims, act.index, act.blocks(op.mat))
+    return BlockOperator(op.dims, m.support.index, m.support.blocks(op.mat))
 
 
 def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
@@ -566,134 +567,81 @@ def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
     stack = real_or_complex(stack)
     if stack.shape[-1] != m.dim or stack.shape[-2] != m.dim:
         raise ValueError("stack side does not match map dimension")
-    act = x_support_action(m)
-    return _eval(m, stack) if act is None else act.dense(stack)
+    return _eval(m, stack) if m.support is None else m.support.dense(stack)
 
 
 def _check_operator(m: MapExpr, op: MpOperator) -> None:
     if m.dim != op.d:
         raise ValueError(f"operator side {op.d} does not match map dimension {m.dim}")
-    _check_lift_dims(m, op.dims)
+    if m.support is None or m.support.dims != op.dims:  # else every lift is on op.dims
+        _check_lift_dims(m, op.dims)
 
 
 # ---------------------------------------------------------------------------
 # the X-support route
 # ---------------------------------------------------------------------------
 #
-# The cyclic GHZ ("X") support of n sites of dimension d is the set S of
-# entries (u, v) whose digits differ by the same c on every site, mod d.  It
-# has D d of the D^2 entries and falls apart into D/d blocks of d x d: block b
-# holds the basis vectors u, u + (1, ..., 1), ..., u + (d-1)(1, ..., 1).  A
-# root Compose(m, P) or Compose(P, m), with P a Schur mask that vanishes off S
-# and every node of m in the closed set below, maps anything to an operator on
-# S, so it compiles once into a gather table over the D d entries of S.
-#
-# Closed nodes are Identity, Transpose, monomial Conjugate, DiagAll, Choi
-# (expanded), Scale, Sum, Compose and Lift, provided every permutation they make
-# sends S onto S.  Each maps S and its complement into themselves, which the
-# dual form Compose(P, m) needs.
+# The cyclic GHZ ("X") support S of n sites of dimension d holds the entries
+# (u, v) whose digits differ by the same c on every site, mod d: D/d blocks of
+# d x d, block b on the basis vectors u, u + (1, ..., 1), ....  eta and mu-choi
+# are Compose(m, P) or Compose(P, m), P the 0/1 mask of S, m = phi + c1 Diag phi
+# + c2 Diag and phi one lift per bipartition side A of sigma_x T (qubits) or of
+# the Choi map with local shifts.  With k lifts and p(u) = x(u, u), m sends the
+# off-diagonal entries of S to beta k times themselves (beta = 1 for sigma_x T,
+# -1 for Choi), the diagonal to (1 + c1) phi(p) + c2 p, all else to zero, with
+# phi(p) = G_1(p) for sigma_x T and k p + G_1(p) + ... + G_{d-2}(p) for Choi,
+# G_t(p)(u) = sum_A p(u + s t e_A) and s = -1 for the adjoint shifts.
 
 
-class _NotClosed(Exception):
-    """A node or tree the X-support route does not cover."""
+class SupportForm(NamedTuple):
+    """A map recognised on the X support (`Compose.support`): the output
+    diagonal is `graded` G(p) + `own` p, with one table of per-site digit
+    shifts (`bipartition_gather_sum`) per addend of G, and every other entry
+    of a block is `off` times the input's; `index[b, a]` is the basis index of
+    row a of block b of the X support of `dims`."""
 
-
-#: largest table (terms x entries) a sum or composition may build while
-#: compiling; a larger one keeps the map on the dense route
-_X_TABLE_LIMIT = 1 << 22
-
-
-class XSupportAction(NamedTuple):
-    """A map compiled onto the X support.
-
-    Output entry e of block b, row a, column a' (e = (b d + a) d + a') is
-    sum_k coef[k, e] * x.flat[src[k, e]]; `index[b, a]` is the full basis
-    index of row a of block b, and `flat[e]` the flat position of entry e.
-    """
-
+    dims: SiteDims
     index: np.ndarray
-    flat: np.ndarray
-    src: np.ndarray
-    coef: np.ndarray
+    off: float
+    own: float
+    graded: float
+    shifts: tuple[np.ndarray, ...]
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         """The output blocks, shape (..., D/d, d, d), of a stack (..., D, D)."""
-        batch = x.shape[:-2]
-        gathered = np.ascontiguousarray(x).reshape(batch + (-1,))[..., self.src]
-        out = np.einsum("kn,...kn->...n", self.coef, gathered)
-        d = self.index.shape[1]
-        return out.reshape(batch + (-1, d, d))
+        idx, p = self.index, _diag_vec(x)
+        diag = sum(bipartition_gather_sum(p, t) for t in self.shifts) * self.graded + self.own * p
+        out = x[..., idx[:, :, None], idx[:, None, :]] * self.off
+        a = np.arange(idx.shape[1])
+        out[..., a, a] = diag[..., idx]
+        out += 0.0  # -k times a zero entry is -0.0, which a file would write as such
+        return out
 
     def dense(self, x: np.ndarray) -> np.ndarray:
         """The full output, shape (..., D, D), zero off the support."""
         blocks = self.blocks(x)
         out = np.zeros(x.shape, dtype=blocks.dtype)
-        out.reshape(x.shape[:-2] + (-1,))[..., self.flat] = blocks.reshape(x.shape[:-2] + (-1,))
+        out[..., self.index[:, :, None], self.index[:, None, :]] = blocks
         return out
 
 
-_X_ACTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def x_support_action(m: MapExpr) -> XSupportAction | None:
-    """The compiled X-support form of `m`, or None when `m` keeps the dense route.
-
-    Compiled once per map object and kept exactly as long as the map.
-    """
-    try:
-        return _X_ACTIONS[m]
-    except KeyError:
-        pass
-    try:
-        act = _compile_x(m)
-    except _NotClosed:
-        act = None
-    _X_ACTIONS[m] = act
-    return act
-
-
-class _XSupport(NamedTuple):
-    """Index tables of the X support of `dims` (all sites of dimension d)."""
-
-    dims: SiteDims
-    index: np.ndarray  # (D/d, d) full index of row a of block b
-    block: np.ndarray  # (D,) block of each full index
-    pos: np.ndarray  # (D,) row of each full index within its block (its site-0 digit)
-    rows: np.ndarray  # (N,) full row index of entry e
-    cols: np.ndarray  # (N,) full column index of entry e
-
-    def entry(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Entry index of each full-space position (r, c); raises unless all lie on S."""
-        br = self.block[r]
-        if (br != self.block[c]).any():
-            raise _NotClosed
-        d = self.index.shape[1]
-        return (br * d + self.pos[r]) * d + self.pos[c]
+def _shift_steps(d: int, n: int, t: int) -> np.ndarray:
+    """(n, d^n): the change of each basis index when the digit of site i moves
+    by t, mod d."""
+    digits = np.arange(d ** n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    return ((digits + t) % d - digits).T * d ** np.arange(n - 1, -1, -1)[:, None]
 
 
 @functools.lru_cache(maxsize=8)
-def _x_support(dims: SiteDims) -> _XSupport:
-    d, n, D = dims.dims[0], dims.n, dims.total
-    if any(k != d for k in dims.dims):
-        raise _NotClosed
-    digits = np.arange(D)[:, None] // d ** np.arange(n - 1, -1, -1) % d
-    block = (digits[:, 1:] - digits[:, :1]) % d @ d ** np.arange(n - 2, -1, -1)
-    pos = digits[:, 0]
-    index = np.empty((D // d, d), dtype=np.intp)
-    index[block, pos] = np.arange(D)
-    rows = np.repeat(index, d, axis=1).reshape(-1)
-    cols = np.tile(index, (1, d)).reshape(-1)
-    tables = (index, block, pos, rows, cols)
-    for t in tables:  # shared by every map on these dims
-        t.flags.writeable = False
-    return _XSupport(dims, *tables)
-
-
 def x_support_blocks(dims: SiteDims) -> np.ndarray:
     """The X-support block of each basis index of `dims`, all sites of one
     dimension d: its digits' offsets from site 0, mod d, read in base d.
     Entry (u, v) lies on the support exactly when u and v share a block."""
-    return _x_support(dims).block
+    d, n = dims.dims[0], dims.n
+    digits = np.arange(d ** n) // d ** np.arange(n - 1, -1, -1)[:, None] % d
+    block = d ** np.arange(n - 2, -1, -1) @ ((digits[1:] - digits[0]) % d)
+    block.flags.writeable = False  # shared by every map on these dims
+    return block
 
 
 def lift_dims(m: MapExpr) -> SiteDims | None:
@@ -701,146 +649,61 @@ def lift_dims(m: MapExpr) -> SiteDims | None:
     return next((node.dims for node in nodes(m) if isinstance(node, Lift)), None)
 
 
-def _compile_x(m: MapExpr) -> XSupportAction:
-    if not isinstance(m, Compose):
-        raise _NotClosed
-    if isinstance(m.inner, SchurWith):
-        mask, body, masked_input = m.inner.mask, m.outer, True
-    elif isinstance(m.outer, SchurWith):
-        mask, body, masked_input = m.outer.mask, m.inner, False
+def _support_form(m: Compose) -> SupportForm | None:
+    """The `SupportForm` of a root Compose of the shape above, else None."""
+    mask, body = (m.inner, m.outer) if isinstance(m.inner, SchurWith) else (m.outer, m.inner)
+    if not (isinstance(mask, SchurWith) and isinstance(body, Sum)):
+        return None
+    phi, *rest = body.children
+    c1 = c2 = 0.0
+    pair = (rest[0].child.outer, rest[0].child.inner) \
+        if rest and isinstance(rest[0], Scale) and isinstance(rest[0].child, Compose) else ()
+    if phi in pair and any(isinstance(c, DiagAll) for c in pair):
+        c1 = float(rest.pop(0).r)
+    if rest and isinstance(rest[0], Scale) and isinstance(rest[0].child, DiagAll):
+        c2 = float(rest.pop(0).r)
+    lifts = phi.children if isinstance(phi, Sum) and not rest else ()
+    if not (all(isinstance(c, Lift) for c in lifts) and covers_bipartitions(lifts)
+            and len(set(lifts[0].dims.dims)) == 1):
+        return None
+    dims, k, d = lifts[0].dims, len(lifts), lifts[0].dims.dims[0]
+    if d == 2 and phi.graded is not None and phi.graded.parities == (True, True):
+        off, own, shifts = k, c2, (1,)
     else:
-        raise _NotClosed
-    dims = lift_dims(body)
-    if dims is None:
-        raise _NotClosed
-    sup = _x_support(dims)
-    on_s = mask[sup.rows, sup.cols]
-    if not np.any(on_s.imag):
-        on_s = on_s.real
-    if np.count_nonzero(on_s) != np.count_nonzero(mask):
-        raise _NotClosed
-    # the memo is an argument only, so its tables are freed before the merge
-    src, coef = _merge(*_x_table(body, None, _lift_digits(None, sup), sup,
-                                 dict.fromkeys(_shared_ids(body))))
-    # the mask scales the input entry a term reads, or the output entry
-    coef = coef * (on_s[src] if masked_input else on_s)
-    D = dims.total
-    return XSupportAction(sup.index, sup.rows * D + sup.cols,
-                          sup.rows[src] * D + sup.cols[src], coef)
+        signs = {_choi_sign(c.child, len(c.parties), d) for c in lifts}
+        if len(signs) != 1 or None in signs:
+            return None
+        s = signs.pop()
+        off, own, shifts = -k, (1 + c1) * k + c2, range(s, s * (d - 1), s)
+    index = np.argsort(x_support_blocks(dims), kind="stable").reshape(-1, d)
+    on_s = mask.mask[index[:, :, None], index[:, None, :]]
+    if np.count_nonzero(mask.mask) != on_s.size or not np.all(on_s == 1):
+        return None
+    tables = tuple(np.arange(dims.total) + _shift_steps(d, dims.n, t) for t in shifts)
+    return SupportForm(dims, index, float(off), float(own), 1 + c1, tables)
 
 
-def _shared_ids(m: MapExpr) -> list[int]:
-    """Ids of the subtrees that occur more than once in the tree."""
-    parents = Counter(id(c) for node in nodes(m) for c in children(node))
-    return [i for i, k in parents.items() if k > 1]
-
-
-def _x_table(node: MapExpr, lift: Lift | None, digits, sup: _XSupport, memo: dict):
-    """(src, coef), each (K, N): entry e of node's output on S is
-    sum_k coef[k, e] * input entry src[k, e].
-
-    `digits` are `lift`'s digits of the entries (`_lift_digits`).  A subtree
-    whose id is a key of `memo` compiles once per lift; no other table is
-    kept, so each is freed once its parent has used it.
-    """
-    if id(node) not in memo:
-        return _x_table_uncached(node, lift, digits, sup, memo)
-    tables = memo[id(node)] = memo[id(node)] or {}
-    if id(lift) not in tables:
-        tables[id(lift)] = _x_table_uncached(node, lift, digits, sup, memo)
-    return tables[id(lift)]
-
-
-def _x_table_uncached(node, lift, digits, sup, memo):
-    if isinstance(node, Compose):
-        return _x_compose(_x_table(node.outer, lift, digits, sup, memo),
-                          _x_table(node.inner, lift, digits, sup, memo))
-    if isinstance(node, Sum):
-        tables = [_x_table(c, lift, digits, sup, memo) for c in node.children]
-        if sum(t[0].size for t in tables) > _X_TABLE_LIMIT:
-            raise _NotClosed
-        return (np.concatenate([t[0] for t in tables]),
-                np.concatenate([t[1] for t in tables]))
-    if isinstance(node, Scale):
-        src, coef = _x_table(node.child, lift, digits, sup, memo)
-        return src, node.r * coef
-    if isinstance(node, Lift):
-        if lift is not None or node.dims != sup.dims:
-            raise _NotClosed
-        return _x_table(node.child, node, _lift_digits(node, sup), sup, memo)
-    # leaves act entry by entry: output (u, v) reads input (r, c) times w
-    u, v = sup.rows, sup.cols
-    index, a_u, r_u, a_v, r_v = digits
-    if isinstance(node, Identity):
-        r, c, w = u, v, 1.0
-    elif isinstance(node, Transpose):
-        r, c, w = index[a_v, r_u], index[a_u, r_v], 1.0
-    elif isinstance(node, Conjugate) and node.perm is not None:
-        r, c, w = index[node.perm[a_u], r_u], index[node.perm[a_v], r_v], 1.0
-        if node.phase is not None:
-            w = node.phase[a_u] * node.phase[a_v].conj()
-    elif isinstance(node, DiagAll):
-        r, c, w = u, v, a_u == a_v
-    elif isinstance(node, Choi):
-        # 2 Diag + sum_j X^j Diag X^j^dag - id: on the subsystem's diagonal
-        # the j-th addend reads the entry j further on (j back for the
-        # adjoint); elsewhere it is zero and reads the entry itself
-        same = a_u == a_v
-        shifts = np.arange(1, node.dim - 1)[:, None] * (-1 if node.adjoint else 1)
-        r = np.vstack([u, np.where(same, index[(a_u + shifts) % node.dim, r_u], u)])
-        c = np.vstack([v, np.where(same, index[(a_v + shifts) % node.dim, r_v], v)])
-        w = np.vstack([2.0 * same - 1] + [same] * (node.dim - 2))
-    else:
-        raise _NotClosed
-    src = sup.entry(r, c).reshape(-1, len(u))
-    coef = np.empty(src.shape, dtype=np.result_type(w, float))
-    coef[...] = w
-    return src, coef
-
-
-def _lift_digits(lift: Lift | None, sup: _XSupport):
-    """(index, a_u, r_u, a_v, r_v): the lift's (subsystem, rest) digits of every
-    entry's row u and column v; without a lift the subsystem is everything."""
-    D = sup.dims.total
-    if lift is None:
-        return np.arange(D)[:, None], sup.rows, 0, sup.cols, 0
-    inv = np.empty(D, dtype=np.intp)
-    inv[lift.index.reshape(-1)] = np.arange(D)
-    dR = lift.index.shape[1]
-    return (lift.index, *np.divmod(inv[sup.rows], dR), *np.divmod(inv[sup.cols], dR))
-
-
-def _x_compose(outer, inner):
-    """The table of outer after inner: outer's terms read inner's output entries."""
-    (so, co), (si, ci) = outer, inner
-    N = so.shape[1]
-    if so.shape[0] * si.shape[0] * N > _X_TABLE_LIMIT:
-        raise _NotClosed
-    return si[:, so].reshape(-1, N), (ci[:, so] * co).reshape(-1, N)
-
-
-def _merge(src: np.ndarray, coef: np.ndarray):
-    """Sum the terms of each entry that read the same source, and drop zero terms."""
-    K, N = src.shape
-    # sort each entry's terms by source; flattened, entry e holds [e K, (e + 1) K)
-    order = np.argsort(src.T, axis=1)
-    source = np.take_along_axis(src.T, order, 1).reshape(-1)
-    coef = np.take_along_axis(coef.T, order, 1).reshape(-1)
-    del order
-    first = np.ones(len(source), dtype=bool)
-    first[1:] = source[1:] != source[:-1]
-    first[::K] = True
-    starts = np.flatnonzero(first)
-    total = np.add.reduceat(coef, starts)
-    starts = starts[total != 0]
-    entry, source, total = starts // K, source[starts], total[total != 0]
-    counts = np.bincount(entry, minlength=N)
-    rank = np.arange(len(entry)) - (np.cumsum(counts) - counts)[entry]
-    out_src = np.zeros((max(1, counts.max(initial=0)), N), dtype=np.intp)
-    out_coef = np.zeros(out_src.shape, dtype=total.dtype)
-    out_src[rank, entry] = source
-    out_coef[rank, entry] = total
-    return out_src, out_coef
+def _choi_sign(node: MapExpr, m: int, d: int) -> int | None:
+    """s when `node` on m sites of dimension d is the Choi map whose j-th
+    addend shifts the digit of every site by s j: `Choi` on one site (s = -1
+    for the adjoint), or the sum `criteria._choi_on_subset` builds, or its
+    dual; None otherwise."""
+    if isinstance(node, Choi):
+        return (-1 if node.adjoint else 1) if m == 1 else None
+    kids = node.children if isinstance(node, Sum) and d >= 3 else ()
+    if len(kids) != d or not all(
+            isinstance(c, Scale) and c.r == r and isinstance(c.child, kind)
+            for c, r, kind in ((kids[0], 2, DiagAll), (kids[-1], -1, Identity))):
+        return None
+    # the j-th addend: a phase-free monomial conjugation composed with diag, either way
+    pairs = [(t.outer, t.inner) if isinstance(t, Compose) else () for t in kids[1:-1]]
+    perms = [next((c.perm for c in pair if isinstance(c, Conjugate) and c.phase is None), None)
+             if any(isinstance(c, DiagAll) for c in pair) else None for pair in pairs]
+    for s in (1, -1):
+        if all(np.array_equal(perm, np.arange(d ** m) + _shift_steps(d, m, s * j).sum(0))
+               for j, perm in enumerate(perms, 1)):
+            return s
+    return None
 
 
 # ---------------------------------------------------------------------------

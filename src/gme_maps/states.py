@@ -65,8 +65,8 @@ class PptFamilyParams:
     l3: float
 
     def __post_init__(self):
-        if min(self.l1, self.l2, self.l3) <= 0:
-            raise ValueError("all family parameters must be strictly positive")
+        if not all(0 < lam < np.inf for lam in (self.l1, self.l2, self.l3)):
+            raise ValueError("all family parameters must be finite and strictly positive")
 
 
 def pure(dims: Iterable[int] | SiteDims, vec: np.ndarray) -> PureState:

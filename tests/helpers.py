@@ -190,8 +190,8 @@ X_SIZES = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]
 
 @st.composite
 def _x_closed_nodes(draw, d, sites, full, depth):
-    """A random tree on `sites` sites of dimension d from the nodes the X-support
-    route compiles: a transposition only for qubits or on the full space, and
+    """A random tree on `sites` sites of dimension d from nodes that keep the X
+    support: a transposition only for qubits or on the full space, and
     monomials Z^k X^j on every site, which keep the digit differences."""
     dim = d ** sites
     if depth and draw(st.booleans()):

@@ -413,10 +413,12 @@ def test_witness_roundtrip_sign(tmp_path, capsys):
 # the GHZ vector as `witness --output` writes it, at each map's smallest size.
 # The CLI's own witness comes from an eigensolver's eigenvector, whose last
 # bits depend on the LAPACK build, so the witness is pinned on the exact vector.
-# The mu-choi witness goes through the X-support route: its three nonzero
-# diagonal entries are one rounding of 3 * <000|rho|000> = 1.00000000000000028,
-# 1.0000000000000002, where summing the tree's terms one by one gave
-# 1.0000000000000004.
+# The eta and mu-choi witnesses go through the closed form on the X support
+# (`maps.Compose.support`), which folds the tree's scalars before it touches
+# the data: each of mu-choi's twelve nonzero diagonal entries is one rounding
+# of 3 * <000|rho|000> = 1.00000000000000028, 1.0000000000000002, where summing
+# the tree's terms one by one gave 1.0000000000000004.  The zero off-diagonal
+# support entries are written as 0.0, not as the -0.0 that -3 * 0.0 gives.
 EXPORT_SHA256 = {
     "phi-tx": "c7fa55220fc52490286a9448d24c2b5fa61aa1c53c19a563d4b8b5ed14920e50",
     "eta": "615fdd863a5f478592bfcb7a18bb62f59daee96bdcada8135a6f3c5d4912e216",
@@ -520,3 +522,104 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one map source, and --n/--d that agree with the file that fixes the sites
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def map_and_witness_files(tmp_path, capsys):
+    """A phi-tx map file and a witness file, both on 3 qubits."""
+    mpath, wpath = tmp_path / "m3.json", tmp_path / "w3.json"
+    code, _, _ = run(capsys, "detect", "--map", "phi-tx", "--n", "3", "--state", "ghz",
+                     "--export-map", str(mpath))
+    assert code == 0
+    save_state(str(wpath), maximally_mixed((2, 2, 2)))
+    return {"--map": "eta", "--map-file": str(mpath), "--witness-file": str(wpath)}
+
+
+@pytest.mark.parametrize("sources", [("--map", "--map-file"), ("--map", "--witness-file"),
+                                     ("--map-file", "--witness-file"),
+                                     ("--map", "--map-file", "--witness-file")])
+def test_one_map_source(capsys, map_and_witness_files, sources):
+    argv = [a for flag in sources for a in (flag, map_and_witness_files[flag])]
+    code, out, err = run(capsys, "detect", *argv, "--n", "3", "--state", "ghz")
+    assert code == 2 and out == ""
+    assert err == f"error: give only one of {', '.join(sources)}\n"
+
+
+@pytest.mark.parametrize("source", ["--map-file", "--witness-file"])
+@pytest.mark.parametrize("flags", [["--n", "5"], ["--d", "3"], ["--n", "5", "--d", "3"],
+                                   ["--n", "3", "--d", "3"]])
+def test_file_sites_must_match_n_and_d(capsys, map_and_witness_files, source, flags):
+    code, out, err = run(capsys, "detect", source, map_and_witness_files[source], *flags,
+                         "--state", "ghz")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --n/--d disagree with the sites (2, 2, 2)")
+
+
+@pytest.mark.parametrize("source", ["--map-file", "--witness-file"])
+def test_file_sites_matching_or_omitted_flags(capsys, map_and_witness_files, source):
+    """Omitted or matching --n/--d give the same report, byte for byte."""
+    reports = set()
+    for flags in ([], ["--n", "3"], ["--d", "2"], ["--n", "3", "--d", "2"]):
+        code, out, _ = run(capsys, "detect", source, map_and_witness_files[source], *flags,
+                           "--state", "ghz")
+        assert code == 0
+        reports.add(out)
+    assert len(reports) == 1
+
+
+# ---------------------------------------------------------------------------
+# hostile numeric flags exit 2 before anything is built
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_build(monkeypatch):
+    def fail(*args):
+        raise AssertionError("map built")
+
+    monkeypatch.setattr(criteria, "build_map", fail)
+    monkeypatch.setattr(maps, "estimate_mu", fail)
+
+
+TOL_COMMANDS = [
+    ["verify", "--map", "eta", "--n", "3", "--samples", "3"],
+    ["detect", "--map", "eta", "--n", "3", "--state", "ghz"],
+    ["threshold", "--map", "eta", "--n", "3"],
+    ["scan", "--map", "eta", "--n", "3", "--family", "noisy-ghz", "--grid", "0.5:0.6:0.1"],
+    ["witness", "--map", "eta", "--n", "3", "--state", "ghz", "--output", "/nonexistent/w"],
+]
+
+
+@pytest.mark.parametrize("argv", TOL_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+def test_tol_must_be_finite_and_non_negative(capsys, no_build, argv, tol):
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --tol must be finite and >= 0")
+
+
+def test_tol_zero_is_valid(capsys):
+    code, out, _ = run(capsys, "verify", "--map", "eta", "--n", "3", "--samples", "3",
+                       "--tol", "0")
+    assert code == 0 and json.loads(out)["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["threshold", "detect", "witness"])
+@pytest.mark.parametrize("lam", ["inf", "nan", "-inf", "1,nan,1", "1,1,inf"])
+def test_lam_must_be_finite(capsys, no_build, command, lam):
+    argv = [command, "--map", "mu-choi", "--n", "3", "--d", "3", "--state", "ppt",
+            f"--lam={lam}"] + (["--output", "/nonexistent/w"] if command == "witness" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: all family parameters must be finite and strictly positive\n"
+
+
+@pytest.mark.parametrize("primitive, d", [("transpose", "100000"), ("reduction", "33"),
+                                          ("breuer-hall", "34")])
+def test_mu_rejects_oversized_d(capsys, no_build, primitive, d):
+    code, out, err = run(capsys, "mu", "--primitive", primitive, "--d", d)
+    assert code == 2 and out == ""
+    assert err == f"error: d^2 = {int(d) ** 2} exceeds the supported maximum 1024\n"

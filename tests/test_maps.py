@@ -1,10 +1,9 @@
 """Map algebra: primitive actions, combinators, duals, minimal output eigenvalue,
 and the X-support route."""
 
-import gc
+import functools
 import json
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -12,14 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gme_maps import maps
-from gme_maps.criteria import (MAP_IDS, SMALLEST, bipartitions, build_map,
+from gme_maps.criteria import (MAP_IDS, MAX_DIM, SMALLEST, bipartitions, build_map,
                                witness_to_map, x_projector)
-from gme_maps.maps import (BreuerHall, Choi, SchurWith, TraceOuter, apply, apply_blocks,
+from gme_maps.maps import (BreuerHall, Choi, Compose, DiagAll, Lift, Scale, SchurWith, Sum,
+                           TraceOuter, Transpose, apply, apply_blocks,
                            apply_stack, breuer_hall_map, choi_map, compose,
                            conjugation_map, default_skew_unitary, diag_map,
                            dual, estimate_mu, identity_map, lift, map_sum,
                            mu_constant, mu_sample_values, reduction_map,
-                           scale, trace_identity, transpose_map, x_support_action)
+                           scale, trace_identity, transpose_map)
 from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, is_hermitian, min_eig,
                                 operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
@@ -174,6 +174,11 @@ def test_dims_mismatch_raises():
     lifted = lift(transpose_map(2), (0,), (2, 4))
     with pytest.raises(ValueError):
         apply(lifted, operator((4, 2), np.eye(8)))
+    # and so it is for a map with a support form, which skips the lift walk
+    eta = build_map("eta", 4, 2).expr
+    for route in (apply, apply_blocks):
+        with pytest.raises(ValueError, match="lift dims"):
+            route(eta, operator((4, 4), np.eye(16)))
 
 
 def test_dual_simple_cases():
@@ -548,9 +553,8 @@ def _is_real_tree(m):
 
 def _complex_route(m, x):
     """The map on x cast to complex128, by the route `apply_stack` takes."""
-    act = x_support_action(m)
     x = x.astype(complex)
-    return maps._eval(m, x) if act is None else act.dense(x)
+    return maps._eval(m, x) if m.support is None else m.support.dense(x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -605,19 +609,22 @@ def _max_rel(got, want):
     return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
 
 
+def _reload(m):
+    return mapexpr_from_json(json.loads(json.dumps(mapexpr_to_json(m))))
+
+
 def _x_routed_exprs(map_id, n, d):
     """The map, its dual, and both after a mapexpr-v1 round trip."""
     m = build_map(map_id, n, d).expr
     exprs = [m, dual(m)]
-    return exprs + [mapexpr_from_json(json.loads(json.dumps(mapexpr_to_json(e))))
-                    for e in exprs]
+    return exprs + [_reload(e) for e in exprs]
 
 
 @pytest.mark.parametrize("map_id,n,d", X_ROUTED)
 def test_x_support_route_matches_dense(map_id, n, d):
     rng = np.random.default_rng(n * d)
     for expr in _x_routed_exprs(map_id, n, d):
-        assert x_support_action(expr) is not None
+        assert expr.support is not None
         x = rand_hermitian(expr.dim, rng)
         want = maps._eval(expr, x)
         assert _max_rel(apply_stack(expr, x), want) <= 1e-12
@@ -636,8 +643,26 @@ def test_x_support_route_matches_dense(map_id, n, d):
         assert np.linalg.norm(want @ vec - val * vec) <= 1e-10
 
 
+def _bipartition_sum(child_for, n, d):
+    """The sum of `child_for(A)` lifted onto every bipartition representative A."""
+    dims = SiteDims((d,) * n)
+    return Sum(tuple(Lift(child_for(A), A, dims) for A in bipartitions(n)))
+
+
+def _x_shaped(phi, n, d, mask=None):
+    """Compose(phi + Diag phi, P), the shape of eta, with the X-support mask P."""
+    D = d ** n
+    body = Sum((phi, Scale(1.0, Compose(DiagAll(D), phi))))
+    return Compose(body, SchurWith(x_projector(n, d).mask if mask is None else mask))
+
+
 def _unrouted_maps():
     qubits, qutrits = SiteDims((2, 2, 2)), SiteDims((3, 3, 3))
+    eta_phi = build_map("eta", 3, 2).expr.outer.children[0]
+    mu_lifts = build_map("mu-choi", 3, 3).expr.outer.children[0].children
+    mu4_lifts = build_map("mu-choi", 4, 3).expr.outer.children[0].children
+    mask = x_projector(3, 2).mask.copy()
+    mask[0, 0] = 2.0
     return [
         ("phi-t", build_map("phi-t", 3, 2).expr, qubits),
         ("phi-tx", build_map("phi-tx", 3, 2).expr, qubits),
@@ -651,42 +676,48 @@ def _unrouted_maps():
                                      x_projector(3, 3)), qutrits),
         # without a lift the sites of the support are unknown
         ("no-lift", compose(diag_map(8), x_projector(3, 2)), qubits),
+        # near misses of the recognised shape
+        ("missing-lift", _x_shaped(Sum(eta_phi.children[:-1]), 3, 2), qubits),
+        ("mask-entry", _x_shaped(eta_phi, 3, 2, mask), qubits),
+        ("phi-t-lifts", _x_shaped(_bipartition_sum(lambda A: Transpose(2 ** len(A)), 3, 2),
+                                  3, 2), qubits),
+        ("mixed-adjoint", _x_shaped(Sum((Lift(Choi(3, True), mu_lifts[0].parties, qutrits),)
+                                        + mu_lifts[1:]), 3, 3), qutrits),
+        # on 4 qutrits the two-site lifts hold the Choi sum; one of them dualised
+        ("mixed-adjoint-sum", _x_shaped(Sum(mu4_lifts[:-1] + (dual(mu4_lifts[-1]),)), 4, 3),
+         SiteDims((3,) * 4)),
+        ("qutrit-transposes", _x_shaped(_bipartition_sum(
+            lambda A: Compose(digit_reversal((3,) * len(A)), Transpose(3 ** len(A))), 3, 3),
+            3, 3), qutrits),
     ]
 
 
 @pytest.mark.parametrize("case", _unrouted_maps(), ids=lambda c: c[0])
 def test_x_support_route_not_taken(case):
     _, expr, dims = case
-    assert x_support_action(expr) is None
+    assert expr.support is None
     x = rand_hermitian(expr.dim, np.random.default_rng(3))
     assert np.array_equal(apply_stack(expr, x), maps._eval(expr, x))
     assert isinstance(apply_blocks(expr, MpOperator(dims, x)), MpOperator)
 
 
-@pytest.mark.parametrize("limit, routed", [(144, True), (143, False), (47, False)],
-                         ids=["at-limit", "composition-over", "sum-over"])
-def test_x_support_table_limit(monkeypatch, limit, routed):
-    """A sum or composition whose table exceeds the limit keeps the dense route.
-
-    On 3 qubits S has 16 entries: phi's sum has 3 x 16 terms, phi after phi
-    3 x 3 x 16."""
-    monkeypatch.setattr(maps, "_X_TABLE_LIMIT", limit)
-    dims = SiteDims((2, 2, 2))
-    phi = map_sum(*(lift(transpose_map(2), (p,), dims) for p in range(3)))
-    m = compose(compose(phi, phi), x_projector(3, 2))
-    assert (x_support_action(m) is not None) == routed
-    x = rand_hermitian(8, np.random.default_rng(7))
-    assert _max_rel(apply_stack(m, x), maps._eval(m, x)) <= 1e-12
+#: every catalog size of eta and mu-choi, D <= MAX_DIM
+SUPPORT_SIZES = [("eta", n, 2) for n in range(3, 11)] + \
+    [("mu-choi", n, d) for d in range(3, 11) for n in range(3, 7) if d ** n <= MAX_DIM]
+#: largest side at which these tests reload a map file: at D = 1024 the parsed
+#: document alone holds a few hundred MB
+RELOAD_MAX_DIM = 256
 
 
-def test_x_support_action_lives_with_its_map():
-    m = build_map("eta", 4, 2).expr
-    act = x_support_action(m)
-    assert x_support_action(m) is act
-    ref = weakref.ref(act.src)
-    del m, act
-    gc.collect()
-    assert ref() is None
+def test_x_support_route_coverage():
+    """eta, mu-choi and their duals take the support form at every catalog
+    size, and so do their map files up to `RELOAD_MAX_DIM`."""
+    for map_id, n, d in SUPPORT_SIZES:
+        m = build_map(map_id, n, d).expr
+        exprs = [m, dual(m)]
+        if m.dim <= RELOAD_MAX_DIM:
+            exprs += [_reload(e) for e in exprs]
+        assert all(e.support is not None for e in exprs), (map_id, n, d)
 
 
 def test_nodes_visit_each_distinct_node_once():
@@ -709,41 +740,58 @@ def test_nodes_visit_each_distinct_node_once():
     assert maps.lift_dims(identity_map(4)) is None
 
 
-def test_x_support_shared_subtree_compiles_once(monkeypatch):
-    calls = []
-    original = maps._x_table_uncached
-
-    def counting(node, *args):
-        calls.append(node)
-        return original(node, *args)
-
-    monkeypatch.setattr(maps, "_x_table_uncached", counting)
-    m = build_map("eta", 4, 2).expr
-    assert maps.x_support_action(m) is not None
-    assert len(calls) == len({id(c) for c in calls})
-    # eta = Sum(phi, Scale(k - 1, Compose(DiagAll, phi))) shares phi, and so does its dual
-    phi = m.outer.children[0]
-    assert m.outer.children[1].child.inner is phi
-    assert sum(c is phi for c in calls) == 1
-    d = dual(m).inner
-    assert d.children[1].child.outer is d.children[0]
+@functools.cache
+def _catalog_phi(map_id, n, d):
+    """The shared phi and the X-support mask node of a catalog map."""
+    m = build_map(map_id, n, d).expr
+    return m.outer.children[0], m.inner
 
 
-@settings(max_examples=60, deadline=None)
-@given(x_projected_exprs())
-def test_x_support_route_property(expr):
-    """Random closed trees under an X-support mask compile, and so do their
-    duals; both agree with the dense walker, and so does the block eigensolve."""
-    x = _stack((2,), expr.dim, np.random.default_rng(5))
+def _support_case(map_id, n, d, c1, c2, dual_, reload):
+    """phi + c1 Diag phi + c2 Diag under the mask (a None scalar leaves its term
+    out), then optionally its dual and a map-file round trip."""
+    phi, mask = _catalog_phi(map_id, n, d)
+    D = d ** n
+    terms = [phi]
+    if c1 is not None:
+        terms.append(Scale(c1, Compose(DiagAll(D), phi)))
+    if c2 is not None:
+        terms.append(Scale(c2, DiagAll(D)))
+    m = Compose(Sum(tuple(terms)), mask)
+    m = dual(m) if dual_ else m
+    return _reload(m) if reload else m
+
+
+#: sizes the support property draws from; the larger catalog sizes run as examples
+SUPPORT_DRAWN = [c for c in SUPPORT_SIZES if c[2] ** c[1] <= RELOAD_MAX_DIM and c[2] <= 4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SUPPORT_DRAWN), st.none() | st.floats(-3, 3), st.none() | st.floats(-3, 3),
+       st.booleans(), st.booleans(), st.sampled_from([(), (1,), (2,)]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(("eta", 9, 2), 254.0, None, True, False, (), True, 1)
+@example(("eta", 10, 2), 510.0, None, False, False, (), True, 2)
+@example(("eta", 10, 2), 510.0, None, True, False, (), False, 3)
+@example(("mu-choi", 6, 3), 30.0, -930.0, True, False, (), True, 4)
+@example(("mu-choi", 5, 4), 14.0, -210.0, False, False, (), True, 5)
+def test_x_support_route_property(case, c1, c2, dual_, reload, batch, real, seed):
+    """The support form equals the dense walker to 1e-12 relative, for any c1
+    and c2, as built, as dual and reloaded, on a matrix or a stack.  A real
+    input stays float64 and is the complex route's real part bit for bit."""
+    m = _support_case(*case, c1, c2, dual_, reload)
+    form = m.support
+    assert form is not None
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(batch + (m.dim, m.dim))
+    if not real:
+        x = x + 1j * rng.standard_normal(x.shape)
     x = x + x.conj().swapaxes(-1, -2)
-    for m in (expr, dual(expr)):
-        assert x_support_action(m) is not None
-        want = maps._eval(m, x)
-        assert _max_rel(apply_stack(m, x), want) <= 1e-12
-        val, vec = min_eig(apply_blocks(m, MpOperator(maps.lift_dims(m), x[0])))
-        assert abs(val - np.linalg.eigvalsh(want[0])[0]) <= 1e-12 * max(1.0, abs(val))
-        assert abs(np.linalg.norm(vec) - 1) <= 1e-12
-        assert np.linalg.norm(want[0] @ vec - val * vec) <= 1e-10
+    got = apply_stack(m, x)
+    assert _max_rel(got, maps._eval(m, x)) <= 1e-12
+    if real:
+        want = _complex_route(m, x)
+        assert got.dtype == float and not want.imag.any() and np.array_equal(got, want.real)
 
 
 @settings(max_examples=60, deadline=None)

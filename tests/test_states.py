@@ -194,3 +194,9 @@ def test_real_families_are_float64():
     complex_ = [random_pure((2, 2), 1).vec, clock_matrix(3, 1).mat,
                 random_biseparable((2, 2, 2), 2, 1).mat]
     assert all(a.dtype == np.complex128 for a in complex_)
+
+
+@pytest.mark.parametrize("lams", [(np.inf, 1, 1), (1, np.nan, 1), (1, 1, -np.inf), (0, 1, 1)])
+def test_ppt_family_params_finite_and_positive(lams):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        PptFamilyParams(*lams)
