@@ -763,7 +763,7 @@ def _support_case(map_id, n, d, c1, c2, dual_, reload):
 
 
 #: sizes the support property draws from; the larger catalog sizes run as examples
-SUPPORT_DRAWN = [c for c in SUPPORT_SIZES if c[2] ** c[1] <= RELOAD_MAX_DIM and c[2] <= 4]
+SUPPORT_DRAWN = [c for c in SUPPORT_SIZES if c[2] ** c[1] <= RELOAD_MAX_DIM]
 
 
 @settings(max_examples=30, deadline=None)
