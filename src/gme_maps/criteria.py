@@ -153,16 +153,17 @@ def x_projector_mixture(n: int, d: int) -> MapExpr:
     return expr
 
 
+def _side_lifts(dims: SiteDims, child_for) -> tuple[Lift, ...]:
+    """`child_for(k)` lifted onto the side of k parties of every bipartition;
+    the lifts onto sides of one size share one child node."""
+    kids = {k: child_for(k) for k in range(1, dims.n // 2 + 1)}
+    return tuple(Lift(kids[len(A)], A, dims) for A in bipartitions(dims.n))
+
+
 def _phi_tx_sum(n: int) -> Sum:
-    dims = SiteDims((2,) * n)
-    flips = {}  # sigma_x on every party of a side, built once per side size
-    lifts = []
-    for A in bipartitions(n):
-        if len(A) not in flips:
-            flips[len(A)] = _kron_all([shift_matrix(2).mat] * len(A))
-        flip = Conjugate(flips[len(A)])
-        lifts.append(Lift(Compose(flip, transpose_map(2 ** len(A))), A, dims))
-    return Sum(tuple(lifts))
+    """sigma_x T lifted onto every bipartition side, one chain per side size."""
+    return Sum(_side_lifts(SiteDims((2,) * n), lambda k: Compose(
+        Conjugate(_kron_all([shift_matrix(2).mat] * k)), transpose_map(2 ** k))))
 
 
 def eta_map(n: int) -> GmeMap:
@@ -182,11 +183,11 @@ def eta_map(n: int) -> GmeMap:
 
 def _single_lift_criterion(label: str, n: int, d: int, child_for,
                            claims: tuple[Claim, ...]) -> GmeMap:
-    """`child_for(k)` lifted onto every bipartition side of k parties, plus the
-    compensation sized by the single-party primitive's `mu_constant`."""
+    """`child_for(k)` lifted onto every bipartition side of k parties, one child
+    per side size, plus the compensation sized by `mu_constant` of `child_for(1)`."""
     dims = SiteDims((d,) * n)
-    lifts = [Lift(child_for(len(A)), A, dims) for A in bipartitions(n)]
-    expr = Sum(tuple(lifts) + (_compensation(n, mu_constant(child_for(1)), dims.total),))
+    lifts = _side_lifts(dims, child_for)
+    expr = Sum(lifts + (_compensation(n, mu_constant(lifts[0].child), dims.total),))
     return GmeMap(label, expr, dims, claims)
 
 
@@ -231,12 +232,12 @@ def _choi_on_subset(size: int, d: int) -> MapExpr:
     """
     if size == 1:
         return Choi(d)
-    dA = d ** size
+    dA, diag = d ** size, DiagAll(d ** size)
     x = shift_matrix(d).mat
-    terms: list[MapExpr] = [Scale(2.0, DiagAll(dA))]
+    terms: list[MapExpr] = [Scale(2.0, diag)]
     for j in range(1, d - 1):
         xj = np.linalg.matrix_power(x, j)
-        terms.append(Compose(Conjugate(_kron_all([xj] * size)), DiagAll(dA)))
+        terms.append(Compose(Conjugate(_kron_all([xj] * size)), diag))
     terms.append(Scale(-1.0, Identity(dA)))
     return Sum(tuple(terms))
 
@@ -248,19 +249,19 @@ def alpha_critical(n: int, d: int) -> float:
 
 
 def mu_map(n: int, d: int) -> GmeMap:
-    """Choi-lift criterion with Diag compensation, composed with the projector."""
+    """Choi-lift criterion (one Choi child per side size) with Diag
+    compensation, composed with the projector."""
     if n < 3:
         raise ValueError("mu-choi needs n >= 3")
     if d < 3:
         raise ValueError("mu-choi needs d >= 3")
     dims = SiteDims((d,) * n)
-    D = dims.total
-    lifts = [Lift(_choi_on_subset(len(A), d), A, dims) for A in bipartitions(n)]
-    phi = Sum(tuple(lifts))
+    diag = DiagAll(dims.total)
+    phi = Sum(_side_lifts(dims, lambda size: _choi_on_subset(size, d)))
     k = 2 ** (n - 1) - 1
     mu = Sum((phi,
-              Scale(float(k - 1), Compose(DiagAll(D), phi)),
-              Scale(-float((k - 1) * k), DiagAll(D))))
+              Scale(float(k - 1), Compose(diag, phi)),
+              Scale(-float((k - 1) * k), diag)))
     expr = Compose(mu, x_projector(n, d))
     claims = (
         Claim("threshold:noisy-ghz", alpha_critical(n, d), "closed-form"),

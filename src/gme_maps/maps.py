@@ -5,16 +5,17 @@ unitary conjugation, Diag, trace-times-identity) are combined with
 lift-to-subsystem, sum, scale and composition nodes.  One walker, `_eval`,
 evaluates a tree on a stack of matrices.  A lift is evaluated one of two
 ways: a chain of transpositions and digit reversals is a strided view of the
-input, which a sum adds in place, and every other child acts block by block.
-A sum that lifts one such chain onto a side of every bipartition
-(`Sum.graded`) adds its lifts by a recurrence over grades, the sizes of the
-sides: about n^2 / 2 strided adds instead of 2^(n-1) - 1 lifts.
-`nodes` visits each distinct node of a tree once.  Duals are computed
-analytically node by node.  A bipartition sum of lifted sigma_x T or Choi
-maps projected onto the cyclic GHZ support (eta, mu-choi, their duals and
-their map files) is recognised when its root is built (`Compose.support`),
-and `apply` evaluates it in closed form on the D d entries of that support
-instead of walking the tree; every other tree takes the walker.
+input, which a sum adds in place, and every other child acts block by block,
+on tables made at its first such evaluation.  A sum that lifts one such
+chain onto a side of every bipartition (`Sum.graded`) adds its lifts by a
+recurrence over grades, the sizes of the sides: about n^2 / 2 strided adds
+instead of 2^(n-1) - 1 lifts.  The catalog lifts one child node onto every
+side of a size, so a tree costs about its distinct nodes to build; `dual`
+and `nodes` take each distinct node once.  A bipartition sum of lifted
+sigma_x T or Choi maps projected onto the cyclic GHZ support (eta, mu-choi,
+their duals and their map files) is recognised when its root is built
+(`Compose.support`), and `apply` evaluates it in closed form on the D d
+entries of that support instead of walking the tree; else the walker runs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import itertools
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from math import prod
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
@@ -217,53 +219,46 @@ class SchurWith(MapExpr):
 class Lift(MapExpr):
     """Apply `child` to the composite subsystem A, identity elsewhere.
 
-    Index tables, computed once: `block_axes` orders the axes of
-    x.reshape((-1,) + dims + dims) as (batch, rest rows, rest columns, A rows,
-    A columns), with shape `block_shape`; `index[a, r]` is the full basis
-    index of subsystem index a and rest index r, shape (dA, dR).
-
-    `view` is set when `child` is a chain of identities, transpositions and
-    the digit reversal (`Conjugate` with perm [dA-1, ..., 0] and no phases;
-    sigma_x on every qubit of A).  The output is then a strided view of that
-    tensor: `view` holds its axes order, which swaps A's row and column axes
-    for an odd number of transpositions, and its index, which reverses A's
-    axes for an odd number of reversals.  The two commute, so only the
-    parities matter.
+    The constructor checks the parties and the child's dimension.  `view` is
+    set when `child` is a chain of identities, transpositions and the digit
+    reversal (`Conjugate` with perm [dA-1, ..., 0] and no phases; sigma_x on
+    every qubit of A).  The output is then a strided view of the tensor
+    x.reshape((-1,) + dims + dims): `view` holds its axes order, which swaps
+    A's row and column axes for an odd number of transpositions, and its
+    index, which reverses A's axes for an odd number of reversals.  The two
+    commute, so only the parities matter.  Every other child acts block by
+    block, on the tables `blocks` makes at the first such evaluation.
     """
 
     child: MapExpr
     parties: PartySubset
     dims: SiteDims
     dim: int = field(init=False)
-    block_axes: tuple[int, ...] = field(init=False, repr=False)
-    block_axes_inv: tuple[int, ...] = field(init=False, repr=False)
-    block_shape: tuple[int, ...] = field(init=False, repr=False)
-    index: np.ndarray = field(init=False, repr=False)
     view: tuple[tuple[int, ...], tuple[slice, ...]] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, k = self.dims.n, len(self.parties)
-        self.parties.validate(n)
-        order = self.parties.members + self.parties.complement(n).members
-        sizes = [self.dims.dims[p] for p in order]
-        dA = int(np.prod(sizes[:k]))
+        self.parties.validate(self.dims.n)
+        dA = prod(self.dims.dims[p] for p in self.parties.members)
         if self.child.dim != dA:
             raise ValueError(
                 f"child map dimension {self.child.dim} does not match subsystem size {dA}")
-        D = self.dims.total
+        object.__setattr__(self, "dim", self.dims.total)
+        parities = _permutation_parities(self.child)
+        view = None if parities is None else view_recipe(self.parties, self.dims.n, parities)
+        object.__setattr__(self, "view", view)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(axes, inverse axes, shape): the axes order of
+        x.reshape((-1,) + dims + dims) as (batch, rest rows, rest columns, A
+        rows, A columns), its inverse, and that tensor's shape."""
+        n, k = self.dims.n, len(self.parties)
+        order = self.parties.members + self.parties.complement(n).members
+        sizes = [self.dims.dims[p] for p in order]
         rows, cols = [1 + p for p in order], [1 + n + p for p in order]
         axes = (0, *rows[k:], *cols[k:], *rows[:k], *cols[:k])
         shape = (-1, *sizes[k:], *sizes[k:], *sizes[:k], *sizes[:k])
-        index = np.arange(D).reshape(self.dims.dims).transpose(order).reshape(dA, D // dA)
-        index.flags.writeable = False
-        object.__setattr__(self, "dim", D)
-        object.__setattr__(self, "block_axes", axes)
-        object.__setattr__(self, "block_axes_inv", tuple(np.argsort(axes).tolist()))
-        object.__setattr__(self, "block_shape", shape)
-        object.__setattr__(self, "index", index)
-        parities = _permutation_parities(self.child)
-        view = None if parities is None else view_recipe(self.parties, n, parities)
-        object.__setattr__(self, "view", view)
+        return axes, tuple(np.argsort(axes).tolist()), shape
 
 
 def _permutation_parities(node: MapExpr) -> tuple[bool, bool] | None:
@@ -365,15 +360,18 @@ def children(node: MapExpr) -> list[MapExpr]:
 
 
 def nodes(m: MapExpr) -> Iterator[MapExpr]:
-    """Each distinct node of the tree once, a parent before its children; a
-    subtree shared by several parents is walked at its first occurrence."""
-    seen, stack = set(), [m]
+    """Each distinct node of the tree once, every parent before all of its
+    children, also under a subtree shared by several parents: the reverse of
+    a depth-first post-order."""
+    seen, post, stack = set(), [], [(m, False)]
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
+        node, done = stack.pop()
+        if done:
+            post.append(node)
+        elif id(node) not in seen:
             seen.add(id(node))
-            yield node
-            stack.extend(children(node))
+            stack += [(node, True)] + [(c, False) for c in children(node)]
+    return reversed(post)
 
 
 def _diag_vec(x: np.ndarray) -> np.ndarray:
@@ -528,11 +526,11 @@ def _eval_blocks(lift: Lift, x: np.ndarray) -> np.ndarray:
     One transpose gathers the blocks into a C-contiguous stack of shape
     (-1, dR, dR, dA, dA), and one transpose scatters the result back.
     """
-    dims = lift.dims.dims
-    dA, dR = lift.index.shape
-    t = x.reshape((-1,) + dims + dims).transpose(lift.block_axes)
+    dims, (axes, inverse, shape) = lift.dims.dims, lift.blocks
+    dA, dR = lift.child.dim, lift.dim // lift.child.dim
+    t = x.reshape((-1,) + dims + dims).transpose(axes)
     t = _eval(lift.child, np.ascontiguousarray(t).reshape(-1, dR, dR, dA, dA))
-    t = t.reshape(lift.block_shape).transpose(lift.block_axes_inv)
+    t = t.reshape(shape).transpose(inverse)
     return t.reshape(x.shape)
 
 

@@ -1,6 +1,6 @@
 """Shared test utilities: random operators, random map expressions (also
-X-projected ones), superoperator and block-by-block oracles, and the text
-`json.dumps` writes for a document with arrays."""
+X-projected ones), superoperator, block-by-block and lift-by-lift oracles,
+and the text `json.dumps` writes for a document with arrays."""
 
 import contextlib
 import functools
@@ -63,6 +63,24 @@ def blocks_reference():
         mp.setattr(maps, "_lifted_view", lambda node, x: None)
         mp.setattr(maps, "bipartition_sum", lambda x, graded: None)
         yield
+
+
+def lift_by_lift(m: Sum, x: np.ndarray) -> np.ndarray:
+    """m(x) for a sum m and one matrix x, every `Lift` child evaluated on its
+    own from the definition and every other child by `maps._eval`.  For each
+    pair (r, s) of basis indices of the sites outside A, the lift's child maps
+    the block x[index[:, r], index[:, s]] into the same entries, where
+    index[a, r] is the full basis index of subsystem index a and rest index r."""
+    out = np.zeros(x.shape, dtype=complex)
+    for c in m.children:
+        if not isinstance(c, Lift):
+            out += maps._eval(c, x)
+            continue
+        order = c.parties.members + c.parties.complement(c.dims.n).members
+        index = np.arange(c.dim).reshape(c.dims.dims).transpose(order).reshape(c.child.dim, -1)
+        rows, cols = index.T[:, None, :, None], index.T[None, :, None, :]
+        out[rows, cols] += maps._eval(c.child, x[rows, cols])
+    return out
 
 
 @contextlib.contextmanager

@@ -20,12 +20,12 @@ from gme_maps.maps import (BreuerHall, Choi, Compose, DiagAll, Lift, Scale, Schu
                            dual, estimate_mu, identity_map, lift, map_sum,
                            mu_constant, mu_sample_values, reduction_map,
                            scale, trace_identity, transpose_map)
-from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, is_hermitian, min_eig,
-                                operator)
+from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, is_hermitian,
+                                min_eig, operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
 from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
 from helpers import (blocks_reference, density_op, digit_reversal, hermitian_op,
-                     lifted_map_exprs, lifts_one_by_one, map_exprs, monomial, rand_density,
+                     lift_by_lift, lifted_map_exprs, lifts_one_by_one, map_exprs, monomial, rand_density,
                      rand_hermitian, superoperator, x_projected_exprs)
 
 
@@ -721,23 +721,81 @@ def test_x_support_route_coverage():
 
 
 def test_nodes_visit_each_distinct_node_once():
-    """`nodes` yields every node reachable from the root, each once, a parent
-    before its children; eta's shared phi and its subtree come once."""
+    """`nodes` yields every node reachable from the root, each once, every
+    parent before all of its children, also under a subtree with several
+    parents that are not each other's ancestors: the lifts of one side size
+    share their child, equal sub-documents of a map file decode to one node,
+    and eta's phi is shared by two terms."""
+    trees = [_reload(build_map("phi-tx", 4, 2).expr)]
+    for map_id in MAP_IDS:
+        m = build_map(map_id, 4, SMALLEST[map_id][1]).expr
+        trees += [m, dual(m)]
+    for m in trees:
+        reachable, stack = {}, [m]
+        while stack:
+            node = stack.pop()
+            reachable[id(node)] = node
+            stack.extend(maps.children(node))
+        got = list(maps.nodes(m))
+        assert len(got) == len({id(node) for node in got}) == len(reachable)
+        assert {id(node) for node in got} == set(reachable)
+        position = {id(node): i for i, node in enumerate(got)}
+        assert all(position[id(node)] < position[id(c)]
+                   for node in got for c in maps.children(node))
     m = build_map("eta", 4, 2).expr
-    reachable, stack = {}, [m]
-    while stack:
-        node = stack.pop()
-        reachable[id(node)] = node
-        stack.extend(maps.children(node))
-    got = list(maps.nodes(m))
-    assert len(got) == len({id(n) for n in got}) == len(reachable)
-    assert {id(n) for n in got} == set(reachable)
-    position = {id(n): i for i, n in enumerate(got)}
-    assert all(position[id(n)] < position[id(c)] for n in got for c in maps.children(n))
     phi = m.outer.children[0]
-    assert sum(n is phi for n in got) == 1
+    assert sum(node is phi for node in maps.nodes(m)) == 1
     assert maps.lift_dims(m) == SiteDims((2,) * 4)
     assert maps.lift_dims(identity_map(4)) is None
+
+
+#: two sizes of each catalog id, every one with at least two side sizes
+SHARING_SIZES = [("phi-t", 4, 2), ("phi-t", 5, 3), ("phi-tx", 4, 2), ("phi-tx", 7, 2),
+                 ("eta", 4, 2), ("eta", 8, 2), ("phi-r", 4, 2), ("phi-r", 5, 3),
+                 ("phi-b", 3, 4), ("phi-b", 4, 4), ("mu-choi", 4, 3), ("mu-choi", 5, 3)]
+
+
+@pytest.mark.parametrize("map_id,n,d", SHARING_SIZES)
+def test_one_lifted_child_per_side_size(map_id, n, d):
+    """The 2^(n-1) - 1 lifts of a catalog map hold one child node per side
+    size, and so do its dual's; its map file reloads to as many distinct
+    nodes as the tree has."""
+    m = build_map(map_id, n, d).expr
+    for expr in (m, dual(m)):
+        lifts = [node for node in maps.nodes(expr) if isinstance(node, Lift)]
+        assert len(lifts) == 2 ** (n - 1) - 1
+        assert len({id(c.child) for c in lifts}) == n // 2
+        assert len(list(maps.nodes(_reload(expr)))) == len(list(maps.nodes(expr)))
+
+
+def test_lift_validates_when_built():
+    """A lift rejects bad parties and a child of the wrong dimension when it is
+    built, before any evaluation, and makes its block tables only when it
+    first acts block by block."""
+    dims = SiteDims((2, 3, 2))
+    for parties, message in [((3,), "out of range"), ((-1,), "out of range"),
+                             ((), "proper and nonempty"), ((0, 1, 2), "proper and nonempty")]:
+        with pytest.raises(ValueError, match=message):
+            Lift(Transpose(2), PartySubset(parties), dims)
+    for child in (Transpose(2), reduction_map(4), choi_map(3)):
+        with pytest.raises(ValueError, match=f"child map dimension {child.dim} does not "
+                                             "match subsystem size 6"):
+            Lift(child, PartySubset((0, 1)), dims)
+    m = Lift(reduction_map(6), PartySubset((0, 1)), dims)
+    assert "blocks" not in vars(m)
+    apply_stack(m, np.eye(12))
+    assert "blocks" in vars(m)
+
+
+@pytest.mark.parametrize("map_id,n,d", [("phi-r", 5, 3), ("phi-b", 4, 4)])
+def test_block_lifts_after_dual_and_reload(map_id, n, d):
+    """Block lifts that share one child per side size, after a `dual` or a
+    map-file reload, match the lift-by-lift reference."""
+    m = build_map(map_id, n, d).expr
+    x = rand_hermitian(m.dim, np.random.default_rng(n * d))
+    for expr in (dual(m), _reload(m), _reload(dual(m))):
+        assert all(c.view is None for c in expr.children[:-1])
+        assert np.max(np.abs(apply_stack(expr, x) - lift_by_lift(expr, x))) <= 1e-12
 
 
 @functools.cache
