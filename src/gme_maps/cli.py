@@ -111,12 +111,13 @@ def _build_gme_map(args) -> criteria.GmeMap:
         _check_dims_flags(w.dims, args, "witness file")
         return criteria.witness_to_map(w)
     if getattr(args, "map_file", None):
-        with open(args.map_file, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:
-                raise ValueError("map file is nested too deeply") from None
-        expr = serialize.mapexpr_from_json(doc)
+        try:
+            with open(args.map_file, encoding="utf-8") as fh:
+                doc = json.load(fh, cls=serialize.BulkDecoder)
+            expr = serialize.mapexpr_from_json(doc)
+        except RecursionError:
+            raise ValueError("map file is nested too deeply") from None
+        del doc  # frees the document and the text a bulk document keeps
         if expr.dim > criteria.MAX_DIM:
             raise ValueError(f"map file dimension {expr.dim} exceeds the supported "
                              f"maximum {criteria.MAX_DIM}")

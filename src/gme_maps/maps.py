@@ -60,6 +60,26 @@ class MapExpr:
     def __call__(self, op: MpOperator) -> MpOperator:
         return apply(self, op)
 
+    @functools.cached_property
+    def parities(self) -> tuple[bool, bool] | None:
+        """(odd number of transpositions, odd number of digit reversals) of a
+        chain of `Identity`, `Transpose` and digit-reversal `Conjugate` nodes;
+        None for any other tree.  Kept on the node, so the lifts that share a
+        child work it out once."""
+        if isinstance(self, Compose):
+            outer, inner = self.outer.parities, self.inner.parities
+            if outer is None or inner is None:
+                return None
+            return outer[0] != inner[0], outer[1] != inner[1]
+        if isinstance(self, Identity):
+            return False, False
+        if isinstance(self, Transpose):
+            return True, False
+        if (isinstance(self, Conjugate) and self.perm is not None and self.phase is None
+                and np.array_equal(self.perm, np.arange(self.dim - 1, -1, -1))):
+            return False, True
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class Identity(MapExpr):
@@ -243,7 +263,7 @@ class Lift(MapExpr):
             raise ValueError(
                 f"child map dimension {self.child.dim} does not match subsystem size {dA}")
         object.__setattr__(self, "dim", self.dims.total)
-        parities = _permutation_parities(self.child)
+        parities = self.child.parities
         view = None if parities is None else view_recipe(self.parties, self.dims.n, parities)
         object.__setattr__(self, "view", view)
 
@@ -259,25 +279,6 @@ class Lift(MapExpr):
         axes = (0, *rows[k:], *cols[k:], *rows[:k], *cols[:k])
         shape = (-1, *sizes[k:], *sizes[k:], *sizes[:k], *sizes[:k])
         return axes, tuple(np.argsort(axes).tolist()), shape
-
-
-def _permutation_parities(node: MapExpr) -> tuple[bool, bool] | None:
-    """(odd number of transpositions, odd number of digit reversals) of a
-    chain of `Identity`, `Transpose` and digit-reversal `Conjugate` nodes;
-    None for any other tree."""
-    if isinstance(node, Compose):
-        outer, inner = _permutation_parities(node.outer), _permutation_parities(node.inner)
-        if outer is None or inner is None:
-            return None
-        return outer[0] != inner[0], outer[1] != inner[1]
-    if isinstance(node, Identity):
-        return False, False
-    if isinstance(node, Transpose):
-        return True, False
-    if (isinstance(node, Conjugate) and node.perm is not None and node.phase is None
-            and np.array_equal(node.perm, np.arange(node.dim - 1, -1, -1))):
-        return False, True
-    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,24 +6,34 @@ array's pair list built as text in bulk, byte for byte what `json.dumps` gives;
 `state_to_json` and `mapexpr_to_json` return the same documents as plain JSON
 data.  Decoded arrays follow the dtype rule of `operators.real_or_complex`.
 Documents carry an explicit "format" field so files stay self-describing.
+
+Map, state and witness files are read in bulk, by `json.load(fh,
+cls=BulkDecoder)` (module `bulkread`): each distinct pair list is parsed once
+and equal sub-documents are one object, which `mapexpr_from_json` decodes
+once while it counts every repeat's nodes and depth against `MAX_MAP_NODES`
+and `MAX_MAP_DEPTH`.  A text the bulk route cannot take is parsed by
+`json.loads` as it stands, and a bulk document whose decode raises is decoded
+again from `json.loads` of its text: the strict route, unchanged, gives the
+result or the error.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 from fractions import Fraction
-from itertools import chain, count
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from .bulkread import Bulk, BulkDecoder, unpairs
 from .maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Identity,
                    Lift, MapExpr, Reduction, Scale, SchurWith, Sum,
                    TraceIdentity, TraceOuter, Transpose, node_fields)
-from .operators import MpOperator, PartySubset, SiteDims, real_or_complex
+from .operators import MpOperator, PartySubset, SiteDims
 from .states import PureState
 
 STATE_FORMAT = "mpop-v1"
@@ -99,14 +109,15 @@ def _plain(doc: Any) -> Any:
     return json.loads("".join(_chunks(doc)))
 
 
-def _unpairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`)."""
-    pairs = list(pairs)
-    if set(map(len, pairs)) - {2}:
-        raise ValueError("every matrix entry must be an [re, im] pair")
-    flat = list(chain.from_iterable(pairs))
-    sum(flat)  # raises TypeError unless every part is a number
-    return real_or_complex(np.array(flat, dtype=float).view(complex))
+def _decoded(decode: Callable[[Any], Any], doc: Any) -> Any:
+    """`decode(doc)`; a bulk document it fails on is decoded again from the
+    document `json.loads` makes of its text, so it fails as that one does."""
+    if isinstance(doc, Bulk):
+        try:
+            return decode(doc)
+        except Exception:  # the strict route gives the result or its own error
+            doc = json.loads(doc.text)
+    return decode(doc)
 
 
 def _state_doc(obj: MpOperator | PureState) -> dict:
@@ -120,6 +131,10 @@ def state_to_json(obj: MpOperator | PureState) -> dict:
 
 
 def state_from_json(doc: Any) -> MpOperator | PureState:
+    return _decoded(_state_from_doc, doc)
+
+
+def _state_from_doc(doc: Any) -> MpOperator | PureState:
     if not isinstance(doc, dict):
         raise ValueError(f"state document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != STATE_FORMAT:
@@ -128,12 +143,12 @@ def state_from_json(doc: Any) -> MpOperator | PureState:
         dims = SiteDims(tuple(int(d) for d in doc["dims"]))
         D = dims.total
         if "vector" in doc:
-            vec = _unpairs(doc["vector"])
+            vec = unpairs(doc["vector"])
             if vec.shape != (D,):
                 raise ValueError("vector length does not match dims")
             return PureState(dims, vec)
         if "matrix" in doc:
-            mat = _unpairs(doc["matrix"])
+            mat = unpairs(doc["matrix"])
             if mat.size != D * D:
                 raise ValueError("matrix size does not match dims")
             return MpOperator(dims, mat.reshape(D, D))
@@ -143,12 +158,12 @@ def state_from_json(doc: Any) -> MpOperator | PureState:
 
 
 def load_state(path: str) -> MpOperator | PureState:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("state file is nested too deeply") from None
-    return state_from_json(doc)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, cls=BulkDecoder)
+        return state_from_json(doc)
+    except RecursionError:
+        raise ValueError("state file is nested too deeply") from None
 
 
 def write_json(path: str, doc: Any) -> None:
@@ -169,7 +184,7 @@ def _mat_doc(arr: np.ndarray) -> dict:
 
 def _mat_undoc(doc: dict) -> np.ndarray:
     d = _json_int(doc["dim"])
-    return _unpairs(doc["entries"]).reshape(d, d)
+    return unpairs(doc["entries"]).reshape(d, d)
 
 
 def _json_int(v: Any) -> int:
@@ -193,6 +208,8 @@ def _json_float(v: Any) -> float:
 def _json_ints(v: Any) -> tuple[int, ...]:
     if not isinstance(v, list):
         raise ValueError(f"expected a list of integers, got {v!r}")
+    if set(map(type, v)) <= {int}:
+        return tuple(v)
     return tuple(_json_int(x) for x in v)
 
 
@@ -228,33 +245,40 @@ def node_kind(m: MapExpr) -> str:
     return _KINDS[type(m)]
 
 
-def _key(name: str) -> str:
-    return "d" if name == "dim" else name
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(name, document key, declared type, required) of each constructor field
+    of a node class; `dim` is written as "d", and a tuple of child nodes is
+    typed `_NODE_LIST` itself."""
+    return tuple((name, "d" if name == "dim" else name, _NODE_LIST if tp == _NODE_LIST else tp,
+                  required) for name, tp, required in node_fields(cls))
 
 
-def _check_size(depth: int, nodes: Iterator[int]) -> None:
-    """Raise once a node lies deeper than `MAX_MAP_DEPTH` or the `nodes`
-    counter passes `MAX_MAP_NODES`; called once per node, before it is built."""
+def _check_size(depth: int, nodes: list[int], size: int = 1) -> None:
+    """Count `size` more nodes in `nodes`, the deepest of them at `depth`, and
+    raise once that depth passes `MAX_MAP_DEPTH` or the count `MAX_MAP_NODES`;
+    called once per node before it is built, and once per subtree met again."""
     if depth > MAX_MAP_DEPTH:
         raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
-    if next(nodes) > MAX_MAP_NODES:
+    nodes[0] += size
+    if nodes[0] > MAX_MAP_NODES:
         raise ValueError(f"map tree has more than {MAX_MAP_NODES} nodes")
 
 
-def _node_to_json(m: MapExpr, nodes: Iterator[int], depth: int = 1) -> dict:
+def _node_to_json(m: MapExpr, nodes: list[int], depth: int = 1) -> dict:
     _check_size(depth, nodes)
     kind = _KINDS.get(type(m))
     if kind is None:
         raise TypeError(f"cannot serialize map node {type(m).__name__}")
     doc = {"kind": kind}
-    for name, tp, _ in node_fields(type(m)):
+    for name, key, tp, _ in _fields(type(m)):
         value = getattr(m, name)
         if tp is MapExpr:
-            doc[_key(name)] = _node_to_json(value, nodes, depth + 1)
-        elif tp == _NODE_LIST:
-            doc[_key(name)] = [_node_to_json(c, nodes, depth + 1) for c in value]
+            doc[key] = _node_to_json(value, nodes, depth + 1)
+        elif tp is _NODE_LIST:
+            doc[key] = [_node_to_json(c, nodes, depth + 1) for c in value]
         else:
-            doc[_key(name)] = _CODECS[tp][0](value)
+            doc[key] = _CODECS[tp][0](value)
     return doc
 
 
@@ -276,9 +300,19 @@ def _share_key(value: Any) -> Any:
     return value
 
 
-def _node_from_json(doc: Any, shared: dict, nodes: Iterator[int],
+def _node_from_json(doc: Any, shared: dict, seen: dict | None, nodes: list[int],
                     depth: int = 1) -> MapExpr:
-    """Decode one node; equal sub-documents decode to the node kept in `shared`."""
+    """Decode one node; equal sub-documents decode to the node kept in `shared`.
+
+    In a bulk document equal sub-documents are one object.  `seen` then keeps
+    each one decoded so far by identity, with its node count and height, and
+    one met again is counted against the limits as if decoded again.
+    """
+    if seen is not None and id(doc) in seen:
+        node, size, height = seen[id(doc)]
+        _check_size(depth + height - 1, nodes, size)
+        return node
+    before = nodes[0]
     _check_size(depth, nodes)
     if not isinstance(doc, dict):
         raise ValueError(f"map node must be a JSON object, got {type(doc).__name__}")
@@ -286,20 +320,22 @@ def _node_from_json(doc: Any, shared: dict, nodes: Iterator[int],
     cls = _NODE_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown map node kind {kind!r}")
-    args = {}
-    for name, tp, required in node_fields(cls):
-        key = _key(name)
+    args, subdocs = {}, []
+    for name, key, tp, required in _fields(cls):
         if key not in doc:
             if required:
                 raise ValueError(f"{kind} node: missing field {key!r}")
             continue
         value = doc[key]
         if tp is MapExpr:
-            args[name] = _node_from_json(value, shared, nodes, depth + 1)
-        elif tp == _NODE_LIST:
+            args[name] = _node_from_json(value, shared, seen, nodes, depth + 1)
+            subdocs.append(value)
+        elif tp is _NODE_LIST:
             if not isinstance(value, list):
                 raise ValueError(f"{kind} node: field {key!r} must be a list")
-            args[name] = tuple(_node_from_json(c, shared, nodes, depth + 1) for c in value)
+            args[name] = tuple(_node_from_json(c, shared, seen, nodes, depth + 1)
+                               for c in value)
+            subdocs += value
         else:
             try:
                 args[name] = _CODECS[tp][1](value)
@@ -308,11 +344,14 @@ def _node_from_json(doc: Any, shared: dict, nodes: Iterator[int],
     key = (cls,) + tuple((name, _share_key(v)) for name, v in args.items())
     if key not in shared:
         shared[key] = cls(**args)
+    if seen is not None:
+        height = 1 + max((seen[id(c)][2] for c in subdocs), default=0)
+        seen[id(doc)] = shared[key], nodes[0] - before, height
     return shared[key]
 
 
 def _map_doc(m: MapExpr) -> dict:
-    return {"format": MAP_FORMAT, "root": _node_to_json(m, count(1))}
+    return {"format": MAP_FORMAT, "root": _node_to_json(m, [0])}
 
 
 def mapexpr_to_json(m: MapExpr) -> dict:
@@ -328,11 +367,16 @@ def save_map(path: str, m: MapExpr) -> None:
 def mapexpr_from_json(doc: Any) -> MapExpr:
     """Decode a mapexpr-v1 document; equal sub-documents decode to one shared
     node, so a subtree the written map shared is shared again."""
+    return _decoded(_map_from_doc, doc)
+
+
+def _map_from_doc(doc: Any) -> MapExpr:
     if not isinstance(doc, dict):
         raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MAP_FORMAT:
         raise ValueError(f"expected format {MAP_FORMAT!r}, got {doc.get('format')!r}")
-    return _node_from_json(doc.get("root"), {}, count(1))
+    seen = {} if isinstance(doc, Bulk) else None
+    return _node_from_json(doc.get("root"), {}, seen, [0])
 
 
 def jsonable(obj: Any) -> Any:
