@@ -9,7 +9,8 @@ steps:
   "entries", "vector" or "matrix" is found with `str.find` and parsed once
   per distinct text: split into `re, im` cells, each distinct cell parsed
   once by `json.loads` under the rules of `unpairs`, the entries gathered by
-  index;
+  index (a list whose head repeats few cells, such as a random complex
+  matrix, is left in the text for `json.loads`);
 - the rest of the text, with a stand-in string for each such list, is read by
   `json.loads`, which interns equal sub-documents to one object, so a decoder
   that keeps what it decoded by identity decodes each distinct one once;
@@ -25,7 +26,7 @@ fall back to the strict route too.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, count
 from typing import Any, Sequence
 
 import numpy as np
@@ -51,8 +52,11 @@ _ARRAY_KEYS = frozenset(("entries", "vector", "matrix"))
 # Followed by a number, stands in for a pair list while json.loads reads the
 # rest of a text that has no "\u0000" escape.
 _STAND_IN = "\0"
-# Characters of a pair list split into cells at a time.
-_SPLIT = 1 << 16
+# Characters at the head of a pair list probed for repeated cells.
+_PROBE = 1 << 12
+# Characters of a pair list split into cells at a time: this bounds the list
+# of cell strings, which at D = 1024 would hold a million of them (~60 MB).
+_CHUNK = 1 << 16
 # The values a sub-document's intern key holds as they are, next to their
 # type; it holds a float by its bits and any other value by identity (a list
 # by its items' identities, so equal lists of small ints match).
@@ -79,36 +83,41 @@ class BulkDecoder:
 
 def _pair_list_spans(text: str) -> list[tuple[int, int]]:
     """(start, end) of each `[[` ... `]]` that stands after `"entries": `,
-    `"vector": ` or `"matrix": ` as `json.dumps` writes them, in text order;
-    the list ends at the first `]]`."""
+    `"vector": ` or `"matrix": ` as `json.dumps` writes them and whose head
+    repeats cells, in text order; the list ends at the first `]]`.
+
+    A list whose head (`_PROBE` characters) repeats fewer than one cell in
+    two after the first, such as a random complex matrix, is left to
+    `json.loads`: splitting and indexing it would cost more than they save.
+    """
     spans = []
-    for key in _ARRAY_KEYS:
-        head = f'"{key}": [['
-        at = text.find(head)
-        while at >= 0:
-            start = at + len(head) - 2
-            end = text.index("]]", start) + 2
-            spans.append((start, end))
-            at = text.find(head, end)
-    return sorted(spans)
+    at = text.find('": [[')
+    while at >= 0:
+        start = at + 3
+        if text[text.rfind('"', 0, at) + 1:at] in _ARRAY_KEYS:
+            head = text[start + 2:start + 2 + _PROBE].split("]]", 1)[0].split("], [")
+            if 2 * (len(set(head)) - 1) < len(head):  # a repeat per two cells
+                end = text.index("]]", start) + 2
+                spans.append((start, end))
+                start = end
+        at = text.find('": [[', start)
+    return spans
 
 
-def _parse_pairs(text: str, start: int, end: int) -> np.ndarray:
-    """The array of the pair list whose cells stand in text[start:end].
+def _parse_pairs(payload: str) -> np.ndarray:
+    """The array of a pair list whose cells, joined by "], [", are `payload`.
 
-    The cells are split off `_SPLIT` characters at a time, and each distinct
+    The cells are split off `_CHUNK` characters at a time and each distinct
     cell is parsed once, by `json.loads` and `unpairs`; the entries are then
     gathered by index.
     """
-    index, at = {}, []
-    while True:
-        stop = text.find("], [", min(start + _SPLIT, end), end)
-        cells = text[start:end if stop < 0 else stop].split("], [")
-        new = dict.fromkeys(cells).keys() - index.keys()
-        index.update(zip(new, range(len(index), len(index) + len(new))))
+    index, at, start = {}, [], 0
+    while start <= len(payload):
+        stop = payload.find("], [", start + _CHUNK)
+        stop = len(payload) if stop < 0 else stop
+        cells = payload[start:stop].split("], [")
+        index.update(zip(set(cells).difference(index), count(len(index))))
         at.append(np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)))
-        if stop < 0:
-            break
         start = stop + 4
     body = "], [".join(index)
     if body.count("[") != len(index) - 1 or body.count("]") != len(index) - 1:
@@ -125,12 +134,10 @@ def _bulk_parse(text: str) -> Bulk | None:
         return None
     arrays, tokens, pieces, prev = {}, {}, [], 0  # stand-in: array; payload: token
     for start, end in spans:
-        if start < prev:
-            return None
         payload = text[start + 2:end - 2]
         if payload not in tokens:
             stand_in = f"{_STAND_IN}{len(arrays)}"
-            arrays[stand_in] = _parse_pairs(text, start + 2, end - 2)
+            arrays[stand_in] = _parse_pairs(payload)
             tokens[payload] = json.dumps(stand_in)
         pieces += text[prev:start], tokens[payload]
         prev = end

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import json
 from fractions import Fraction
@@ -208,8 +207,6 @@ def _json_float(v: Any) -> float:
 def _json_ints(v: Any) -> tuple[int, ...]:
     if not isinstance(v, list):
         raise ValueError(f"expected a list of integers, got {v!r}")
-    if set(map(type, v)) <= {int}:
-        return tuple(v)
     return tuple(_json_int(x) for x in v)
 
 
@@ -245,13 +242,8 @@ def node_kind(m: MapExpr) -> str:
     return _KINDS[type(m)]
 
 
-@functools.cache
-def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
-    """(name, document key, declared type, required) of each constructor field
-    of a node class; `dim` is written as "d", and a tuple of child nodes is
-    typed `_NODE_LIST` itself."""
-    return tuple((name, "d" if name == "dim" else name, _NODE_LIST if tp == _NODE_LIST else tp,
-                  required) for name, tp, required in node_fields(cls))
+def _key(name: str) -> str:
+    return "d" if name == "dim" else name
 
 
 def _check_size(depth: int, nodes: list[int], size: int = 1) -> None:
@@ -271,14 +263,14 @@ def _node_to_json(m: MapExpr, nodes: list[int], depth: int = 1) -> dict:
     if kind is None:
         raise TypeError(f"cannot serialize map node {type(m).__name__}")
     doc = {"kind": kind}
-    for name, key, tp, _ in _fields(type(m)):
+    for name, tp, _ in node_fields(type(m)):
         value = getattr(m, name)
         if tp is MapExpr:
-            doc[key] = _node_to_json(value, nodes, depth + 1)
-        elif tp is _NODE_LIST:
-            doc[key] = [_node_to_json(c, nodes, depth + 1) for c in value]
+            doc[_key(name)] = _node_to_json(value, nodes, depth + 1)
+        elif tp == _NODE_LIST:
+            doc[_key(name)] = [_node_to_json(c, nodes, depth + 1) for c in value]
         else:
-            doc[key] = _CODECS[tp][0](value)
+            doc[_key(name)] = _CODECS[tp][0](value)
     return doc
 
 
@@ -321,7 +313,8 @@ def _node_from_json(doc: Any, shared: dict, seen: dict | None, nodes: list[int],
     if cls is None:
         raise ValueError(f"unknown map node kind {kind!r}")
     args, subdocs = {}, []
-    for name, key, tp, required in _fields(cls):
+    for name, tp, required in node_fields(cls):
+        key = _key(name)
         if key not in doc:
             if required:
                 raise ValueError(f"{kind} node: missing field {key!r}")
@@ -330,7 +323,7 @@ def _node_from_json(doc: Any, shared: dict, seen: dict | None, nodes: list[int],
         if tp is MapExpr:
             args[name] = _node_from_json(value, shared, seen, nodes, depth + 1)
             subdocs.append(value)
-        elif tp is _NODE_LIST:
+        elif tp == _NODE_LIST:
             if not isinstance(value, list):
                 raise ValueError(f"{kind} node: field {key!r} must be a list")
             args[name] = tuple(_node_from_json(c, shared, seen, nodes, depth + 1)

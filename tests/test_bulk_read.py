@@ -93,9 +93,9 @@ def test_each_distinct_pair_list_and_sub_document_once(monkeypatch):
     parsed, decoded = Counter(), Counter()
     parse, decode = bulkread._parse_pairs, serialize._node_from_json
 
-    def parse_counted(text, start, end):
-        parsed[text[start:end]] += 1
-        return parse(text, start, end)
+    def parse_counted(payload):
+        parsed[payload] += 1
+        return parse(payload)
 
     def decode_counted(doc, shared, seen, *args):
         if id(doc) not in seen:
@@ -264,6 +264,19 @@ def test_stand_in_only_under_array_keys():
     assert not isinstance(doc, bulkread.Bulk) and doc == json.loads(text)
 
 
+def test_list_without_repeats_left_to_json_loads():
+    """In one document the bulk route takes a mask that repeats its cells and
+    leaves a random unitary, whose cells do not repeat, to `json.loads`."""
+    z = np.random.default_rng(1).standard_normal((2, 4, 4))
+    u = np.linalg.qr(z[0] + 1j * z[1])[0]
+    text = json.dumps(mapexpr_to_json(maps.Sum((maps.SchurWith(np.ones((4, 4))),
+                                                maps.Conjugate(u)))))
+    doc = _agree(text)
+    schur, conj = doc["root"]["children"]
+    assert isinstance(doc, bulkread.Bulk) and isinstance(schur["mask"]["entries"], np.ndarray)
+    assert conj["u"]["entries"] == json.loads(text)["root"]["children"][1]["u"]["entries"]
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_repeats_count_against_the_node_limit(extra):
     """A repeated sub-document of 3 nodes decoded once still counts all its
@@ -325,17 +338,22 @@ def test_state_entry_lists(entries):
 
 def test_state_and_witness_files(tmp_path):
     """State and witness files as `save_state` writes them, read by
-    `load_state` through the bulk route."""
+    `load_state`; a random density matrix, whose entries do not repeat, goes
+    the strict route and every other file the bulk route, the diagonal one
+    with a pair list longer than one split."""
     rng = np.random.default_rng(3)
     objs = [ghz(3, 3), w_state(4), density_op((2, 2, 2), rng),
             MpOperator(SiteDims((2, 2)), np.diag([0.5, -0.0, 0.25, 0.25])),
             map_to_witness(build_map("phi-tx", 4, 2), ghz(4, 2)),
-            map_to_witness(build_map("mu-choi", 3, 3), ghz(3, 3))]
-    for obj in objs:
+            map_to_witness(build_map("mu-choi", 3, 3), ghz(3, 3)),
+            # new entries in every split of the pair list, past the first
+            MpOperator(SiteDims((2,) * 8), np.diag(np.arange(1, 257) / 32896))]
+    for i, obj in enumerate(objs):
         path = tmp_path / "s.json"
         save_state(str(path), obj)
         text = path.read_text(encoding="utf-8")
-        assert isinstance(_agree(text, STATE), bulkread.Bulk)
+        assert isinstance(_agree(text, STATE), bulkread.Bulk) == (i != 2)
+        assert i != 6 or len(text) > 4 * bulkread._CHUNK
         assert _state_summary(serialize.load_state(str(path))) == _state_summary(obj)
         assert text == json.dumps(state_to_json(obj)) + "\n"
 
