@@ -1,13 +1,16 @@
 """Bipartition sums of lifted site-wise involutions and shifts, by grades.
 
-A chain of transpositions and digit reversals (sigma_x on qubits) lifted
-onto parties A is a strided view of x.reshape((-1,) + dims + dims), given by
-`view_recipe`.  With L_i the chain on site i alone, that lift is the product
-of the commuting involutions L_i, i in A.  The criteria add such a lift for
-one side of every bipartition: the smaller side, or at an even split the
-side holding party 0.  `bipartition_sum` adds all 2^(n-1) - 1 of them by a
-recurrence over grades, the sizes of the sides, in about n^2 / 2 strided
-adds; `bipartition_gather_sum` does so on D-vectors, for L_i an index gather.
+The criteria add one lift of a positive map for one side of every
+bipartition: the smaller side, or at an even split the side holding party 0.
+When the lifted map is a chain of transpositions and digit reversals (sigma_x
+on qubits), `maps.Sum` records the lifts as `GradedLifts`.  With L_i the
+chain on site i alone, the lift onto parties A is the product of the
+commuting involutions L_i, i in A, and L_i is a strided view of
+x.reshape((-1,) + dims + dims), given by `view_recipe`.  `bipartition_sum`
+adds all 2^(n-1) - 1 lifts by a recurrence over grades, the sizes of the
+sides, in about n^2 / 2 strided adds; `bipartition_gather_sum` does so on
+D-vectors, for L_i an index gather.  Every other lift is evaluated block by
+block in `maps`.
 """
 
 from __future__ import annotations
@@ -53,13 +56,6 @@ class GradedLifts(NamedTuple):
     sites: tuple[ViewRecipe, ...]
 
 
-def _parities(lift: Lift) -> tuple[bool, bool]:
-    """The (transposition, reversal) parities a lift's view recipe applies."""
-    axes, flip = lift.view
-    p = lift.parties.members[0]
-    return axes[1 + p] != 1 + p, flip[1 + p].step == -1
-
-
 def covers_bipartitions(lifts: Sequence[Lift]) -> bool:
     """True when `lifts` are one lift per bipartition representative of
     n >= 3 sites, all on the same dims."""
@@ -70,12 +66,12 @@ def covers_bipartitions(lifts: Sequence[Lift]) -> bool:
 
 
 def graded_form(lifts: list[Lift]) -> GradedLifts | None:
-    """The `GradedLifts` of a sum's leading lifts with a view recipe, when they
-    cover the bipartitions (`covers_bipartitions`) with the same parities;
-    None otherwise."""
-    if not covers_bipartitions(lifts) or len({_parities(c) for c in lifts}) > 1:
+    """The `GradedLifts` of a sum's leading lifts of chains (`MapExpr.parities`
+    not None), when they cover the bipartitions (`covers_bipartitions`) with
+    the same parities; None otherwise."""
+    if not covers_bipartitions(lifts) or len({c.child.parities for c in lifts}) > 1:
         return None
-    dims, parities = lifts[0].dims, _parities(lifts[0])
+    dims, parities = lifts[0].dims, lifts[0].child.parities
     return GradedLifts(len(lifts), dims, parities,
                        tuple(view_recipe((i,), dims.n, parities) for i in range(dims.n)))
 

@@ -4,18 +4,18 @@ Primitive positive maps (transposition, reduction, Breuer-Hall, Choi,
 unitary conjugation, Diag, trace-times-identity) are combined with
 lift-to-subsystem, sum, scale and composition nodes.  One walker, `_eval`,
 evaluates a tree on a stack of matrices.  A lift is evaluated one of two
-ways: a chain of transpositions and digit reversals is a strided view of the
-input, which a sum adds in place, and every other child acts block by block,
-on tables made at its first such evaluation.  A sum that lifts one such
-chain onto a side of every bipartition (`Sum.graded`) adds its lifts by a
-recurrence over grades, the sizes of the sides: about n^2 / 2 strided adds
-instead of 2^(n-1) - 1 lifts.  The catalog lifts one child node onto every
-side of a size, so a tree costs about its distinct nodes to build; `dual`
-and `nodes` take each distinct node once.  A bipartition sum of lifted
-sigma_x T or Choi maps projected onto the cyclic GHZ support (eta, mu-choi,
-their duals and their map files) is recognised when its root is built
-(`Compose.support`), and `apply` evaluates it in closed form on the D d
-entries of that support instead of walking the tree; else the walker runs.
+ways.  A sum whose leading children lift one chain of transpositions and
+digit reversals onto a side of every bipartition (`Sum.graded`) adds those
+lifts by a recurrence over grades, the sizes of the sides: about n^2 / 2
+strided adds instead of 2^(n-1) - 1 lifts.  Every other lift applies its
+child block by block, on tables made at its first such evaluation.  The
+catalog lifts one child node onto every side of a size, so a tree costs
+about its distinct nodes to build; `dual` and `nodes` take each distinct
+node once.  A bipartition sum of lifted sigma_x T or Choi maps projected
+onto the cyclic GHZ support (eta, mu-choi, their duals and their map files)
+is recognised when its root is built (`Compose.support`), and `apply`
+evaluates it in closed form on the D d entries of that support instead of
+walking the tree; else the walker runs.
 """
 
 from __future__ import annotations
@@ -30,11 +30,18 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 import numpy as np
 
 from .grades import (GradedLifts, bipartition_gather_sum, bipartition_sum,
-                     covers_bipartitions, graded_form, view_recipe)
+                     covers_bipartitions, graded_form)
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
                         party_subset, real_or_complex, site_dims)
 
 UNITARY_TOL = 1e-12
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    """U U^dag = I to `UNITARY_TOL`, written so that a NaN or infinite entry
+    fails it (every comparison with NaN is False)."""
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product is NaN
+        return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= UNITARY_TOL)
 
 
 def _monomial_form(u: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -122,7 +129,7 @@ class BreuerHall(MapExpr):
         v = real_or_complex(self.v)
         if v.shape != (d, d):
             raise ValueError(f"V must be {d}x{d}")
-        if np.max(np.abs(v @ v.conj().T - np.eye(d))) > UNITARY_TOL:
+        if not _is_unitary(v):
             raise ValueError("V must be unitary")
         if np.max(np.abs(v.T + v)) > UNITARY_TOL:
             raise ValueError("V must be skew-symmetric (V^T = -V)")
@@ -169,7 +176,7 @@ class Conjugate(MapExpr):
         u = real_or_complex(self.u)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("U must be square")
-        if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > UNITARY_TOL:
+        if not _is_unitary(u):
             raise ValueError("U must be unitary")
         u = u.copy()
         u.flags.writeable = False
@@ -239,22 +246,15 @@ class SchurWith(MapExpr):
 class Lift(MapExpr):
     """Apply `child` to the composite subsystem A, identity elsewhere.
 
-    The constructor checks the parties and the child's dimension.  `view` is
-    set when `child` is a chain of identities, transpositions and the digit
-    reversal (`Conjugate` with perm [dA-1, ..., 0] and no phases; sigma_x on
-    every qubit of A).  The output is then a strided view of the tensor
-    x.reshape((-1,) + dims + dims): `view` holds its axes order, which swaps
-    A's row and column axes for an odd number of transpositions, and its
-    index, which reverses A's axes for an odd number of reversals.  The two
-    commute, so only the parities matter.  Every other child acts block by
-    block, on the tables `blocks` makes at the first such evaluation.
+    The constructor checks the parties and the child's dimension.  The child
+    acts block by block, on the tables `blocks` makes at the first
+    evaluation, unless the lift is one of a sum's `graded` lifts.
     """
 
     child: MapExpr
     parties: PartySubset
     dims: SiteDims
     dim: int = field(init=False)
-    view: tuple[tuple[int, ...], tuple[slice, ...]] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.parties.validate(self.dims.n)
@@ -263,9 +263,6 @@ class Lift(MapExpr):
             raise ValueError(
                 f"child map dimension {self.child.dim} does not match subsystem size {dA}")
         object.__setattr__(self, "dim", self.dims.total)
-        parities = self.child.parities
-        view = None if parities is None else view_recipe(self.parties, self.dims.n, parities)
-        object.__setattr__(self, "view", view)
 
     @functools.cached_property
     def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -303,7 +300,7 @@ class Sum(MapExpr):
             raise ValueError("sum children disagree on dimension")
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "dim", d)
-        run = itertools.takewhile(lambda c: isinstance(c, Lift) and c.view is not None,
+        run = itertools.takewhile(lambda c: isinstance(c, Lift) and c.child.parities is not None,
                                   self.children)
         object.__setattr__(self, "graded", graded_form(list(run)))
 
@@ -407,10 +404,9 @@ def _embed_diag(v: np.ndarray) -> np.ndarray:
 def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
     """Apply `node` to a stack of matrices, shape (..., d, d).
 
-    A `Lift` with a `view` recipe is its strided view of x, copied back to
-    the shape of x; every other lift applies its child to each block of the
-    rest-space (`_eval_blocks`).  A monomial conjugation is a row and column
-    gather.
+    A `Lift` applies its child to each block of the rest-space
+    (`_eval_blocks`); a `Sum` adds its `graded` lifts by grades
+    (`_eval_sum`).  A monomial conjugation is a row and column gather.
     """
     if isinstance(node, Compose):
         return _eval(node.outer, _eval(node.inner, x))
@@ -419,8 +415,7 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
     if isinstance(node, Transpose):
         return x.swapaxes(-1, -2)
     if isinstance(node, Lift):
-        v = _lifted_view(node, x)
-        return _eval_blocks(node, x) if v is None else v.reshape(x.shape)
+        return _eval_blocks(node, x)
     if isinstance(node, Reduction):
         tr = _trace(x)
         eye = np.eye(node.dim)
@@ -468,48 +463,29 @@ def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
     """The children's outputs added in order into one fresh buffer.
 
     Graded leading lifts (`Sum.graded`) are summed by
-    `grades.bipartition_sum`.
-    Otherwise child 0 plus child 1 go into a fresh buffer (a child's result
-    may be its input or a view of it).  Each further child is added in place;
-    a lift with a `view` recipe is added as its strided view of x, so it makes
-    no D x D temporary.  The first complex child after real ones upcasts the
-    buffer once."""
+    `grades.bipartition_sum`.  Otherwise child 0 plus child 1 go into a fresh
+    buffer (a child's result may be its input or a view of it).  Each further
+    child is added in place; the first complex child after real ones upcasts
+    the buffer once."""
     if len(node.children) == 1:
         return _eval(node.children[0], x)
-    # the reference helpers in the tests swap in a `bipartition_sum` that
+    # the reference helper in the tests swaps in a `bipartition_sum` that
     # returns None, which takes the lift-by-lift route below
     out = None if node.graded is None else bipartition_sum(x, node.graded)
     if out is None:
         c0, c1, *more = node.children
-        views = [_lifted_view(c, x) for c in (c0, c1)]
-        shape = next((v.shape for v in views if v is not None), x.shape)
-        a, b = (_eval(c, x).reshape(shape) if v is None else v for c, v in zip((c0, c1), views))
+        a, b = _eval(c0, x), _eval(c1, x)
         out = np.empty(x.shape, dtype=np.result_type(a, b))
-        np.add(a, b, out=out.reshape(shape))
+        np.add(a, b, out=out)
     else:
         more = node.children[node.graded.count:]
     for c in more:
-        v = _lifted_view(c, x)
-        if v is None:
-            y = _eval(c, x)
-            if np.can_cast(y.dtype, out.dtype):
-                out += y
-            else:
-                out = out + y
+        y = _eval(c, x)
+        if np.can_cast(y.dtype, out.dtype):
+            out += y
         else:
-            t = out.reshape(v.shape)
-            np.add(t, v, out=t)
+            out = out + y
     return out
-
-
-def _lifted_view(node: MapExpr, x: np.ndarray) -> np.ndarray | None:
-    """The output of a `Lift` with a `view` recipe as a strided view of x, shape
-    (-1,) + dims + dims; None for every other node."""
-    if not isinstance(node, Lift) or node.view is None:
-        return None
-    axes, flip = node.view
-    dims = node.dims.dims
-    return x.reshape((-1,) + dims + dims).transpose(axes)[flip]
 
 
 def _gather(x: np.ndarray, perm: np.ndarray, phase: np.ndarray | None) -> np.ndarray:

@@ -138,8 +138,13 @@ def _state_from_doc(doc: Any) -> MpOperator | PureState:
         raise ValueError(f"state document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != STATE_FORMAT:
         raise ValueError(f"expected format {STATE_FORMAT!r}, got {doc.get('format')!r}")
+    if "dims" not in doc:
+        raise ValueError(f"{STATE_FORMAT} document: missing field 'dims'")
     try:
-        dims = SiteDims(tuple(int(d) for d in doc["dims"]))
+        dims = SiteDims(_json_ints(doc["dims"]))
+    except ValueError as exc:
+        raise ValueError(f"{STATE_FORMAT} document: bad field 'dims': {exc}") from None
+    try:
         D = dims.total
         if "vector" in doc:
             vec = unpairs(doc["vector"])

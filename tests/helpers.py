@@ -56,11 +56,10 @@ def superoperator(m: MapExpr) -> np.ndarray:
 
 @contextlib.contextmanager
 def blocks_reference():
-    """Evaluate every lift on its own and block by block (`maps._eval_blocks`):
-    the reference for the strided views of lifted transpositions and digit
-    reversals, and for the grade recurrence that sums them (`Sum.graded`)."""
+    """Switch off the grade recurrence (`grades.bipartition_sum`): every lift
+    is then evaluated on its own and block by block (`maps._eval_blocks`),
+    the reference for the recurrence that sums a sum's `graded` lifts."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps, "_lifted_view", lambda node, x: None)
         mp.setattr(maps, "bipartition_sum", lambda x, graded: None)
         yield
 
@@ -81,15 +80,6 @@ def lift_by_lift(m: Sum, x: np.ndarray) -> np.ndarray:
         rows, cols = index.T[:, None, :, None], index.T[None, :, None, :]
         out[rows, cols] += maps._eval(c.child, x[rows, cols])
     return out
-
-
-@contextlib.contextmanager
-def lifts_one_by_one():
-    """Switch off only the grade recurrence (`grades.bipartition_sum`): a sum
-    with `graded` lifts adds them one by one, each as its strided view."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps, "bipartition_sum", lambda x, graded: None)
-        yield
 
 
 def _unitary(d, rng):
@@ -169,12 +159,13 @@ def lifted_map_exprs(draw, d, depth=2):
     A third are a monomial Z^k X^j on the largest subsystem, gathered block
     by block; on two of three qubits X^j is a 4-cycle, not an involution, so
     a gather with the inverse permutation differs.  A third are a sum of
-    lifted chains of transpositions and digit reversals, plus one other term,
-    which the sum adds in place as strided views.  The rest lift a random tree.
+    lifted chains of transpositions and digit reversals, plus one other term;
+    on three qubits the chains may cover the bipartitions and be summed by
+    grades.  The rest lift a random tree.
     """
     sites = LIFT_SITES[d]
     n = len(sites)
-    kind = draw(st.sampled_from(["gather", "views", "tree"]))
+    kind = draw(st.sampled_from(["gather", "chains", "tree"]))
 
     def subset(min_size):
         parties = draw(st.lists(st.integers(0, n - 1), min_size=min_size,
@@ -182,7 +173,7 @@ def lifted_map_exprs(draw, d, depth=2):
         return PartySubset(tuple(sorted(parties)))
 
     dims = SiteDims(sites)
-    if kind == "views":
+    if kind == "chains":
         lifts = []
         for _ in range(draw(st.integers(1, 3))):
             parties = subset(1)

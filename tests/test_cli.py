@@ -139,8 +139,12 @@ def _ones_with(i, j, value):
      ["transpose", "'d'"]),
     ('{"format": "mapexpr-v1", "root": {"kind": "identity", "d": 65536}}',
      ["65536", "exceeds"]),
+    ('{"format": "mapexpr-v1", "root": {"kind": "lift", "child": {"kind": "conjugate", "u": '
+     '{"dim": 2, "entries": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}}, '
+     '"parties": [0], "dims": [2, 2, 2]}}', ["U must be unitary"]),
 ], ids=["list-doc", "list-root", "int-children", "list-r", "missing-d", "int-parties",
-        "depth-100", "depth-3000", "str-adjoint", "float-d", "str-d", "oversized"])
+        "depth-100", "depth-3000", "str-adjoint", "float-d", "str-d", "oversized",
+        "nan-conjugate"])
 @pytest.mark.parametrize("command", ["detect", "verify"])
 def test_malformed_map_file_exits_2(tmp_path, capsys, text, words, command):
     path = tmp_path / "bad.json"
@@ -158,14 +162,17 @@ def test_malformed_map_file_exits_2(tmp_path, capsys, text, words, command):
     '{"format": "mpop-v1", "dims": 5, "vector": [[1, 0]]}',
     '{"format": "mpop-v1", "dims": [2], "vector": [[1, 0], 7]}',
     "[" * 3000 + "]" * 3000,
-], ids=["list-doc", "int-dims", "int-pair", "depth-3000"])
+    '{"format": "mpop-v1", "dims": [2.9, 2.2, 2.5], "vector": %s}' % json.dumps(
+        [[1.0, 0.0]] + [[0.0, 0.0]] * 7),
+    '{"format": "mpop-v1", "vector": [[1, 0]]}',
+], ids=["list-doc", "int-dims", "int-pair", "depth-3000", "float-dims", "missing-dims"])
 def test_malformed_state_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, _, err = run(capsys, "detect", "--map", "phi-tx", "--n", "3",
                        "--state-file", str(path))
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_map_file_shared_node_checked_once(tmp_path, capsys, monkeypatch):

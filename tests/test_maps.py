@@ -24,8 +24,9 @@ from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims
                                 min_eig, operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
 from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
+from gme_maps.grades import view_recipe
 from helpers import (blocks_reference, density_op, digit_reversal, hermitian_op,
-                     lift_by_lift, lifted_map_exprs, lifts_one_by_one, map_exprs, monomial, rand_density,
+                     lift_by_lift, lifted_map_exprs, map_exprs, monomial, rand_density,
                      rand_hermitian, superoperator, x_projected_exprs)
 
 
@@ -122,6 +123,21 @@ def test_breuer_hall_validation():
     bad = default_skew_unitary(4) * 2
     with pytest.raises(ValueError):
         BreuerHall(4, bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("build, words", [
+    (lambda m: conjugation_map(m), "U must be unitary"),
+    (lambda m: BreuerHall(4, m), "V must be unitary"),
+], ids=["conjugate", "breuer-hall"])
+def test_unitary_check_refuses_non_finite_entries(build, words, value):
+    """A NaN or infinite entry fails the unitarity check, which a NaN
+    maximum deviation would pass as `> UNITARY_TOL`."""
+    m = default_skew_unitary(4)
+    build(m)
+    m[0, 2] = value
+    with pytest.raises(ValueError, match=words):
+        build(m)
 
 
 def test_primitive_positivity_on_states():
@@ -277,7 +293,7 @@ def test_estimate_mu_validation():
 
 
 # ---------------------------------------------------------------------------
-# lift evaluation (strided views and block stacks) against the block-by-block route
+# lift evaluation (block stacks and graded sums) against the lift-by-lift route
 # ---------------------------------------------------------------------------
 
 def _stack(shape, D, rng):
@@ -326,7 +342,7 @@ def _lift_cases():
         ("compose-nested", lift(compose(compose(transpose_map(3), conjugation_map(zx3)),
                                         compose(choi_map(3), conjugation_map(u3))),
                                 (1,), (2, 3, 2)), (3,)),
-        # lone view lifts, outside a sum: estimate_mu's, and a qutrit chain
+        # lone lifted chains, outside a sum: estimate_mu's, and a qutrit chain
         ("view-mu-transpose", lift(transpose_map(2), (0,), (2, 2)), ()),
         ("view-qutrit-chain", lift(compose(transpose_map(9), digit_reversal((3, 3))),
                                    (0, 2), (3, 2, 3)), (2,)),
@@ -335,15 +351,16 @@ def _lift_cases():
 
 @pytest.mark.parametrize("case", _lift_cases(), ids=lambda c: c[0])
 def test_lift_full_space_matches_blocks(case):
+    """A lone lift, chain or not, goes block by block and matches the
+    lift-by-lift reference on every matrix of the stack."""
     name, m, batch = case
-    assert (m.view is not None) == name.startswith("view-")
+    assert (m.child.parities is not None) == name.startswith("view-")
     x = _stack(batch, m.dim, np.random.default_rng(10))
     for expr in (m, dual(m)):
         full = maps._eval(expr, x)
-        with blocks_reference():
-            blocks = maps._eval(expr, x)
         assert full.shape == x.shape
-        assert np.max(np.abs(full - blocks)) <= 1e-12
+        want = [lift_by_lift(map_sum(expr), xi) for xi in x.reshape(-1, m.dim, m.dim)]
+        assert np.max(np.abs(full - np.reshape(want, x.shape))) <= 1e-12
 
 
 CATALOG_UP_TO_256 = [(map_id, n, SMALLEST[map_id][1]) for map_id in MAP_IDS
@@ -378,7 +395,7 @@ def test_dual_and_full_space_property(expr):
 
 
 # ---------------------------------------------------------------------------
-# lifted transpositions and digit reversals as strided views
+# lifted transpositions and digit reversals: the view recipes of the grades
 # ---------------------------------------------------------------------------
 
 VIEW_MAPS = [("phi-t", n, 2) for n in range(3, 9)] + [("phi-t", n, 3) for n in range(3, 7)] \
@@ -391,42 +408,45 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("map_id,n,d", VIEW_MAPS)
 def test_lifted_views_match_blocks_bitwise(map_id, n, d):
-    """Every lift of phi-t and phi-tx, and of their duals, is a strided view,
-    and the views added one by one equal the block-by-block oracle bit for bit."""
+    """Every lift of phi-t and phi-tx, and of their duals, lifts a chain, and
+    the strided view `grades.view_recipe` gives for its parties and parities
+    equals the lift's block-by-block output bit for bit."""
     m = build_map(map_id, n, d).expr
     x = rand_hermitian(m.dim, np.random.default_rng(n * d))
+    t = x.reshape((-1,) + m.graded.dims.dims * 2)
     for expr in (m, dual(m)):
         lifts = expr.children[:-1]
-        assert all(isinstance(t, maps.Lift) and t.view is not None for t in lifts)
-        with lifts_one_by_one():
-            got = maps._eval(expr, x)
-        with blocks_reference():
-            want = maps._eval(expr, x)
-        assert _same_bits(got, want)
+        assert all(isinstance(c, maps.Lift) and c.child.parities is not None for c in lifts)
+        for c in lifts:
+            axes, flip = view_recipe(c.parties, n, c.child.parities)
+            assert _same_bits(maps._eval(c, x), t.transpose(axes)[flip].reshape(x.shape))
 
 
 def test_lifted_view_recipe():
-    """Chains of identities, transpositions and digit reversals get a view, in
-    any order and on qudits; phased monomials, cyclic shifts and other nodes
-    do not."""
-    qutrits = SiteDims((3, 3, 3))
+    """Chains of identities, transpositions and digit reversals have parities,
+    in any order and on qudits, and `view_recipe` turns them into a view of
+    three qutrits; phased monomials, cyclic shifts and other nodes have none."""
     rev = digit_reversal((3, 3))
     t = transpose_map(9)
-    view = lift(compose(rev, t, identity_map(9), rev, t, compose(rev, t)), (0, 2), qutrits).view
+    chain = compose(rev, t, identity_map(9), rev, t, compose(rev, t))
     # three of each: A's row and column axes swap, and all four reverse
-    assert view[0] == (0, 4, 2, 6, 1, 5, 3)
-    assert [s.step for s in view[1]] == [None, -1, None, -1, -1, None, -1]
-    assert lift(compose(rev, rev), (0, 2), qutrits).view == (tuple(range(7)), (slice(None),) * 7)
+    assert chain.parities == (True, True)
+    axes, flip = view_recipe((0, 2), 3, chain.parities)
+    assert axes == (0, 4, 2, 6, 1, 5, 3)
+    assert [s.step for s in flip] == [None, -1, None, -1, -1, None, -1]
+    assert compose(rev, rev).parities == (False, False)
+    assert view_recipe((0, 2), 3, (False, False)) == (tuple(range(7)), (slice(None),) * 7)
     for child in (conjugation_map(monomial(3, 1, 2) @ monomial(3, 0, 2)),  # reversal with phases
                   conjugation_map(monomial(3, 0, 1)),  # the cyclic shift X
                   compose(transpose_map(3), reduction_map(3))):
-        assert lift(child, (1,), qutrits).view is None
+        assert child.parities is None
 
 
-def test_lifted_views_make_no_temporaries():
-    """phi-tx at n = 8 adds its 127 lifts in place: the peak stays within three
-    D x D complex buffers (the output, its copy into the operator and the
-    compensation term), where two temporaries per lift would pass it."""
+def test_graded_sum_makes_no_temporaries():
+    """phi-tx at n = 8 sums its 127 lifts by the grade recurrence, one block
+    of site-0 digits at a time: the peak stays within three D x D complex
+    buffers (the output, its copy into the operator and the compensation
+    term), where the lifts added one by one, block by block, reach six."""
     g = build_map("phi-tx", 8, 2)
     rho = MpOperator(g.dims, rand_hermitian(g.dims.total, np.random.default_rng(0)))
     apply(g.expr, rho)  # warm up
@@ -446,7 +466,7 @@ def test_lifted_views_make_no_temporaries():
 @pytest.mark.parametrize("map_id,n,d", VIEW_MAPS)
 def test_graded_lifts_match_one_by_one(map_id, n, d):
     """The grade recurrence sums the lifts of phi-t, phi-tx and their duals
-    as the lifts added one by one do, to 1e-13 relative: on a batched complex
+    as the lifts added one by one, block by block, do, to 1e-13 relative: on a batched complex
     stack and on a real matrix, with grade buffers held whole (D < 256) and
     one block of site-0 digits at a time (D >= 256)."""
     m = build_map(map_id, n, d).expr
@@ -457,7 +477,7 @@ def test_graded_lifts_match_one_by_one(map_id, n, d):
         assert expr.graded is not None
         for x in (stack, stack[0].real.copy()):
             got = maps._eval(expr, x)
-            with lifts_one_by_one():
+            with blocks_reference():
                 want = maps._eval(expr, x)
             assert got.dtype == want.dtype
             assert _max_rel(got, want) <= 1e-13
@@ -794,7 +814,7 @@ def test_block_lifts_after_dual_and_reload(map_id, n, d):
     m = build_map(map_id, n, d).expr
     x = rand_hermitian(m.dim, np.random.default_rng(n * d))
     for expr in (dual(m), _reload(m), _reload(dual(m))):
-        assert all(c.view is None for c in expr.children[:-1])
+        assert expr.graded is None and all(c.child.parities is None for c in expr.children[:-1])
         assert np.max(np.abs(apply_stack(expr, x) - lift_by_lift(expr, x))) <= 1e-12
 
 

@@ -48,6 +48,30 @@ def test_state_format_errors():
         state_from_json({"format": "mpop-v1", "dims": [2, 2], "vector": [[1, 0]]})
 
 
+@pytest.mark.parametrize("dims, message", [
+    (None, "mpop-v1 document: missing field 'dims'"),
+    ([2.9, 2.2, 2.5], "mpop-v1 document: bad field 'dims': expected an integer, got 2.9"),
+    ([2, True, 2], "bad field 'dims': expected an integer, got True"),
+    (8, "bad field 'dims': expected a list of integers, got 8"),
+    ([2, 1, 4], "bad field 'dims': every local dimension must be >= 2"),
+], ids=["missing", "floats", "bool", "int", "one"])
+def test_state_dims_are_integers(tmp_path, dims, message):
+    """A state file's dims decode as a map file's do; the bulk reader
+    (`load_state`) and the strict one fail with the same text."""
+    doc = json.loads(json.dumps(state_to_json(ghz(3, 2))))
+    doc.pop("dims")
+    if dims is not None:
+        doc["dims"] = dims
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for read in (lambda: serialize.load_state(str(path)), lambda: state_from_json(doc)):
+        with pytest.raises(ValueError) as info:
+            read()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and message in errors[0]
+
+
 @pytest.mark.parametrize("factory", [
     lambda: eta_map(3).expr,
     lambda: mu_map(3, 3).expr,
