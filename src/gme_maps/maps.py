@@ -87,6 +87,20 @@ class MapExpr:
             return False, True
         return None
 
+    @functools.cached_property
+    def shared(self) -> dict[int, int]:
+        """The number of parents of each node the tree reaches more than once,
+        by id, not counting inside a `Lift`: its child runs on the lift's
+        blocks, which no other parent's input is."""
+        uses, stack = {}, [self]
+        while stack:
+            node = stack.pop()
+            for c in () if isinstance(node, Lift) else children(node):
+                uses[id(c)] = uses.get(id(c), 0) + 1
+                if uses[id(c)] == 1:
+                    stack.append(c)
+        return {key: n for key, n in uses.items() if n > 1}
+
 
 @dataclass(frozen=True, eq=False)
 class Identity(MapExpr):
@@ -401,15 +415,34 @@ def _embed_diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
+def _eval(node: MapExpr, x: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Apply `node` to a stack of matrices, shape (..., d, d).
 
     A `Lift` applies its child to each block of the rest-space
     (`_eval_blocks`); a `Sum` adds its `graded` lifts by grades
-    (`_eval_sum`).  A monomial conjugation is a row and column gather.
+    (`_eval_sum`).  A monomial conjugation is a row and column gather.  A
+    node the tree reaches more than once (`MapExpr.shared`) runs once per
+    input: `memo` keeps its uses left, last input and output, by id, and
+    drops them at its last use.
     """
+    if memo is None:
+        memo = {key: [uses, None, None] for key, uses in node.shared.items()}
+    entry = memo.get(id(node))
+    if entry is None:
+        return _eval_node(node, x, memo)
+    if entry[1] is not x:  # the entry keeps its input alive, so `is` is exact
+        entry[1], entry[2] = x, _eval_node(node, x, memo)
+    entry[0] -= 1
+    out = entry[2]
+    if not entry[0]:
+        del memo[id(node)]
+    return out
+
+
+def _eval_node(node: MapExpr, x: np.ndarray, memo: dict) -> np.ndarray:
+    """`_eval` of one node, its sub-expressions through `memo`."""
     if isinstance(node, Compose):
-        return _eval(node.outer, _eval(node.inner, x))
+        return _eval(node.outer, _eval(node.inner, x, memo), memo)
     if isinstance(node, Identity):
         return x
     if isinstance(node, Transpose):
@@ -453,13 +486,13 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
     if isinstance(node, SchurWith):
         return node.mask * x
     if isinstance(node, Sum):
-        return _eval_sum(node, x)
+        return _eval_sum(node, x, memo)
     if isinstance(node, Scale):
-        return node.r * _eval(node.child, x)
+        return node.r * _eval(node.child, x, memo)
     raise TypeError(f"unknown map node {type(node).__name__}")
 
 
-def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
+def _eval_sum(node: Sum, x: np.ndarray, memo: dict) -> np.ndarray:
     """The children's outputs added in order into one fresh buffer.
 
     Graded leading lifts (`Sum.graded`) are summed by
@@ -468,19 +501,19 @@ def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
     child is added in place; the first complex child after real ones upcasts
     the buffer once."""
     if len(node.children) == 1:
-        return _eval(node.children[0], x)
+        return _eval(node.children[0], x, memo)
     # the reference helper in the tests swaps in a `bipartition_sum` that
     # returns None, which takes the lift-by-lift route below
     out = None if node.graded is None else bipartition_sum(x, node.graded)
     if out is None:
         c0, c1, *more = node.children
-        a, b = _eval(c0, x), _eval(c1, x)
+        a, b = _eval(c0, x, memo), _eval(c1, x, memo)
         out = np.empty(x.shape, dtype=np.result_type(a, b))
         np.add(a, b, out=out)
     else:
         more = node.children[node.graded.count:]
     for c in more:
-        y = _eval(c, x)
+        y = _eval(c, x, memo)
         if np.can_cast(y.dtype, out.dtype):
             out += y
         else:
@@ -530,11 +563,11 @@ def apply(m: MapExpr, op: MpOperator) -> MpOperator:
 
 def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
     """`apply`, keeping the output of a map with a `Compose.support` form as
-    its d x d blocks on the X support (a `BlockOperator`)."""
+    its d x d blocks on the X support (a `BlockOperator` of one group)."""
     _check_operator(m, op)
     if m.support is None:
         return MpOperator(op.dims, _eval(m, op.mat))
-    return BlockOperator(op.dims, m.support.index, m.support.blocks(op.mat))
+    return BlockOperator(op.dims, ((m.support.index, m.support.blocks(op.mat)),))
 
 
 def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:

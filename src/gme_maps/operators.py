@@ -23,6 +23,9 @@ import numpy as np
 HERM_RTOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_TOL = 1e-10
+# Up to this side one dense eigensolve costs no more than the block search of
+# `block_form` (about 0.1-0.2 ms in numpy calls, measured at D = 27..243).
+DENSE_MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -128,38 +131,114 @@ def identity(dims: Iterable[int] | SiteDims) -> MpOperator:
 
 
 class BlockOperator(NamedTuple):
-    """A block-diagonal operator, kept as its diagonal blocks.
+    """A block-diagonal operator, kept as its diagonal blocks in groups of one
+    block size.
 
-    `blocks[b]` acts on the basis vectors `index[b]`; every entry outside the
-    blocks is zero.  Shapes: index (B, k), blocks (B, k, k).
+    In each group `(index, blocks)`, `blocks[b]` acts on the basis vectors
+    `index[b]`; shapes index (B, k), blocks (B, k, k).  No basis vector is in
+    two blocks, and every entry outside the blocks is zero.
     """
 
     dims: SiteDims
-    index: np.ndarray
-    blocks: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _component_labels(pattern: np.ndarray) -> np.ndarray:
+    """The smallest index of each index's connected component in a square
+    boolean pattern, (r, c) and (c, r) joined.
+
+    Every index takes the smallest label among itself and its neighbours,
+    then that label's own label, until nothing changes.
+    """
+    r, c = np.divmod(np.flatnonzero(pattern), len(pattern))
+    labels = np.arange(len(pattern))
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, r, labels[c])
+        np.minimum.at(new, c, labels[r])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def block_form(op: MpOperator | BlockOperator) -> BlockOperator:
+    """The operator as the blocks of the connected components of its exact
+    nonzero pattern, grouped by size; a `BlockOperator` as it is.
+
+    Only exact zeros split blocks, so a tiny entry can merge two blocks but
+    never drop out.  Groups come in ascending size, blocks in the order of
+    their smallest index, each block's indices ascending.  Without a search,
+    one block holds a matrix of side up to `DENSE_MAX_DIM` and one with more
+    than (D - 1)^2 + 1 nonzero entries, more than any split matrix holds.
+    """
+    if isinstance(op, BlockOperator):
+        return op
+    mat, D = op.mat, op.d
+    pattern = mat != 0 if D > DENSE_MAX_DIM else None
+    if pattern is None or np.count_nonzero(pattern) > (D - 1) ** 2 + 1:
+        return BlockOperator(op.dims, ((np.arange(D)[None], mat[None]),))
+    labels = _component_labels(pattern)
+    counts = np.bincount(labels, minlength=D)
+    sizes = counts[counts > 0]  # per component, in the order of its smallest index
+    order = np.argsort(labels, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    groups = []
+    for k in sorted(set(sizes.tolist())):
+        index = order[first[sizes == k][:, None] + np.arange(k)]
+        groups.append((index, mat[index[:, :, None], index[:, None, :]]))
+    return BlockOperator(op.dims, tuple(groups))
 
 
 def is_hermitian_array(m: np.ndarray) -> bool:
     """Hermiticity of a matrix, or of every matrix of a stack, relative to its largest entry."""
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) <= HERM_RTOL * scale
+    peak = float(np.max(np.abs(m))) if m.size else 1.0
+    # a NaN or infinite entry fails, before inf - inf could warn
+    return peak < np.inf and (float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+                              <= HERM_RTOL * max(1.0, peak))
 
 
 def is_hermitian(op: MpOperator) -> bool:
     return is_hermitian_array(op.mat)
 
 
-def is_density(op: MpOperator) -> bool:
-    if not is_hermitian(op):
-        return False
-    if abs(op.trace() - 1.0) > DENSITY_TRACE_TOL:
-        return False
-    # smallest eigenvalue above -DENSITY_EIG_TOL: H + DENSITY_EIG_TOL I is
-    # positive definite, so it has a Cholesky factor
-    h = (op.mat + op.mat.conj().T) / 2
-    h[np.diag_indices_from(h)] += DENSITY_EIG_TOL
+def _hermitian_blocks(op: MpOperator | BlockOperator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(index, (m + m^dag) / 2) of every group of `block_form(op)`.
+
+    `is_hermitian_array` of the whole operator, run on its blocks:
+    non-Hermitian input (beyond tolerance) raises ValueError.
+    """
+    groups = block_form(op).groups
+    peaks = [float(np.abs(b).max()) for _, b in groups]
+    scale = max(1.0, *peaks)
+    out = []
+    for (index, b), peak in zip(groups, peaks):
+        bh = b.conj().swapaxes(-1, -2)
+        # a NaN or infinite entry fails, before inf - inf could warn
+        if not (peak < np.inf and float(np.abs(b - bh).max()) <= HERM_RTOL * scale):
+            raise ValueError("min_eig requires a Hermitian operator")
+        out.append((index, (b + bh) / 2))
+    return out
+
+
+def is_density(op: MpOperator | BlockOperator) -> bool:
+    """Hermitian, trace one and no eigenvalue below -DENSITY_EIG_TOL, checked
+    block by block (`block_form`)."""
+    op = block_form(op)
     try:
-        np.linalg.cholesky(h)
+        groups = _hermitian_blocks(op)
+    except ValueError:
+        return False
+    trace = sum(np.trace(b, axis1=-2, axis2=-1).sum() for _, b in op.groups)
+    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
+        return False
+    # smallest eigenvalue above -DENSITY_EIG_TOL: every H + DENSITY_EIG_TOL I is
+    # positive definite, so it has a Cholesky factor
+    try:
+        for _, h in groups:
+            k = h.shape[-1]
+            h[..., np.arange(k), np.arange(k)] += DENSITY_EIG_TOL
+            np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -219,36 +298,30 @@ def schur_product(a: MpOperator, b: MpOperator) -> MpOperator:
     return MpOperator(a.dims, a.mat * b.mat)
 
 
-def _hermitian_part(op: MpOperator | BlockOperator) -> np.ndarray:
-    """(m + m^dag) / 2 of the matrix, or of every block; non-Hermitian input
-    (beyond tolerance) raises ValueError."""
-    m = op.blocks if isinstance(op, BlockOperator) else op.mat
-    if not is_hermitian_array(m):
-        raise ValueError("min_eig requires a Hermitian operator")
-    return (m + m.conj().swapaxes(-1, -2)) / 2
-
-
 def min_eig(op: MpOperator | BlockOperator) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a complex unit eigenvector of a Hermitian operator.
 
     The input is symmetrised before diagonalisation; non-Hermitian input
-    (beyond tolerance) raises ValueError.  A `BlockOperator` takes one
-    batched eigensolve over its blocks, and its eigenvector is the first
-    lowest block's, embedded in the full space.
+    (beyond tolerance) raises ValueError.  Each group of `block_form(op)`
+    takes one batched eigensolve, and the eigenvector is the first lowest
+    block's, embedded in the full space.
     """
-    w, v = np.linalg.eigh(_hermitian_part(op))
-    if isinstance(op, MpOperator):
-        return float(w[0]), v[:, 0].astype(complex)
-    b = int(np.argmin(w[:, 0]))
+    best = None
+    for index, h in _hermitian_blocks(op):
+        w, v = np.linalg.eigh(h)
+        b = int(np.argmin(w[:, 0]))
+        if best is None or w[b, 0] < best[0]:
+            best = w[b, 0], index[b], v[b, :, 0]
+    val, index, low = best
     vec = np.zeros(op.dims.total, dtype=complex)
-    vec[op.index[b]] = v[b, :, 0]
-    return float(w[b, 0]), vec
+    vec[index] = low
+    return float(val), vec
 
 
 def min_eigval(op: MpOperator | BlockOperator) -> float:
-    """The smallest eigenvalue of `min_eig`, from an eigenvalue-only solve
+    """The smallest eigenvalue of `min_eig`, from eigenvalue-only solves
     (about half the cost where the vector is not read)."""
-    return float(np.linalg.eigvalsh(_hermitian_part(op))[..., 0].min())
+    return min(float(np.linalg.eigvalsh(h)[:, 0].min()) for _, h in _hermitian_blocks(op))
 
 
 def eigvalsh(op: MpOperator) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Complex scalars are encoded as [re, im] pairs, a real entry as [re, 0.0];
 matrices as row-major flat lists of pairs.  Files are written with each
-array's pair list built as text in bulk, byte for byte what `json.dumps` gives;
+array's pair list built as text in bulk, byte for byte what `json.dumps` gives:
+by runs of equal bit patterns, each run's head formatted once and the run
+written as one repeat, and each distinct array object once per document.
 `state_to_json` and `mapexpr_to_json` return the same documents as plain JSON
 data.  Decoded arrays follow the dtype rule of `operators.real_or_complex`.
 Documents carry an explicit "format" field so files stay self-describing.
@@ -44,39 +46,40 @@ def _pairs(arr: np.ndarray) -> list[list[float]]:
     return np.stack((flat.real, flat.imag), -1).tolist()
 
 
-def _tokens(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of a real array as their `json.dumps` tokens, in an
-    object array, and the index of each entry's token.  Each distinct bit
-    pattern is formatted once, so -0.0 keeps its own token."""
+def _tokens(part: np.ndarray) -> list[str]:
+    """The entries of a real array as their `json.dumps` tokens.  Each distinct
+    bit pattern is formatted once, so -0.0 keeps its own token."""
     bits, at = np.unique(np.asarray(part, np.float64).view(np.uint64), return_inverse=True)
     values = bits.view(np.float64)
     tokens = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         tokens[i] = json.dumps(float(values[i]))  # NaN, Infinity, -Infinity
-    return np.array(tokens, dtype=object), at.reshape(-1)
+    return np.array(tokens, dtype=object)[at.reshape(-1)].tolist()
 
 
 def _pairs_text(arr: np.ndarray) -> str:
-    """`json.dumps(_pairs(arr))`, gathered from the tokens of the distinct real
-    and imaginary parts."""
+    """`json.dumps(_pairs(arr))`, written by runs: entries with the bit
+    patterns of the entry before them repeat its cell, and only the head of
+    each run is formatted."""
     flat = np.asarray(arr).reshape(-1)
     if not flat.size:
         return "[]"
-    re_tok, re_at = _tokens(flat.real)
-    if not np.iscomplexobj(flat):  # one cell per distinct real entry
-        cells = np.array([f"[{t}, 0.0]" for t in re_tok], dtype=object)[re_at].tolist()
-        cells[0] = "[" + cells[0]
-        cells[-1] += "]"
-        return ", ".join(cells)
-    im_tok, im_at = _tokens(flat.imag)
-    cells = np.empty((flat.size, 4), dtype=object)  # re, ", ", im, "], [" of each entry
-    cells[:, 0] = re_tok[re_at]
-    cells[:, 1] = ", "
-    cells[:, 2] = im_tok[im_at]
-    cells[:, 3] = "], ["
-    cells[0, 0], cells[-1, 3] = "[[" + cells[0, 0], "]]"
-    cells = cells.reshape(-1).tolist()  # drop the array before the join
-    return "".join(cells)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat.real,)
+    head = np.zeros(flat.size, dtype=bool)
+    head[0] = True
+    for part in parts:
+        bits = np.ascontiguousarray(part, np.float64).view(np.uint64)
+        head[1:] |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(head)
+    runs = np.diff(starts, append=flat.size).tolist()
+    if len(parts) == 1:
+        cells = [f"[{re}, 0.0], " for re in _tokens(flat.real[starts])]
+    else:
+        cells = [f"[{re}, {im}], " for re, im in zip(_tokens(flat.real[starts]),
+                                                     _tokens(flat.imag[starts]))]
+    text = [cell * run for cell, run in zip(cells, runs)]
+    text[-1] = text[-1][:-2]  # the last cell's ", "
+    return "[" + "".join(text) + "]"
 
 
 # Stands in for an array while json.dumps writes the rest of a document, which
@@ -87,7 +90,7 @@ _HOLE = "\0"
 def _chunks(doc: Any) -> Iterator[str]:
     """The text of `json.dumps(doc)` in pieces, each array in `doc` written as
     the flat list of its [re, im] pairs by `_pairs_text`."""
-    arrays = []
+    arrays, texts = [], {}
 
     def hold(obj: Any) -> str:
         if not isinstance(obj, np.ndarray):
@@ -98,7 +101,9 @@ def _chunks(doc: Any) -> Iterator[str]:
     head, *tails = json.dumps(doc, default=hold).split(json.dumps(_HOLE))
     yield head
     for arr, tail in zip(arrays, tails, strict=True):
-        yield _pairs_text(arr)
+        if id(arr) not in texts:  # `arrays` keeps every array, so ids stay unique
+            texts[id(arr)] = _pairs_text(arr)
+        yield texts[id(arr)]
         yield tail
 
 

@@ -28,6 +28,11 @@ class PureState:
         v = real_or_complex(self.vec)
         if v.shape != (self.dims.total,):
             raise ValueError(f"vector length {v.shape} does not match dims {self.dims.dims}")
+        if not np.isfinite(v).all():
+            raise ValueError("vector entries must be finite (no NaN or infinity)")
+        peak = np.abs(v).max()
+        if peak > 1e150:  # the squared norm would overflow
+            v = v / peak
         nrm = np.linalg.norm(v)
         if nrm == 0:
             raise ValueError("zero vector")

@@ -42,15 +42,16 @@ def density_op(dims, rng):
     return MpOperator(sd, rand_density(sd.total, rng))
 
 
-def superoperator(m: MapExpr) -> np.ndarray:
+def superoperator(m: MapExpr, evaluate=apply_stack) -> np.ndarray:
     """D^2 x D^2 matrix of the map in the row-major vec convention.
 
     With vec(rho) the row-major flattening, S @ vec(rho) = vec(m[rho]) and
-    the Hilbert-Schmidt adjoint of the map is S^dagger.
+    the Hilbert-Schmidt adjoint of the map is S^dagger.  `evaluate(m, stack)`
+    applies the map, by default as `apply_stack` does.
     """
     D = m.dim
     basis = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
-    out = apply_stack(m, basis)
+    out = evaluate(m, basis)
     return out.reshape(D * D, D * D).T
 
 
@@ -64,22 +65,27 @@ def blocks_reference():
         yield
 
 
-def lift_by_lift(m: Sum, x: np.ndarray) -> np.ndarray:
-    """m(x) for a sum m and one matrix x, every `Lift` child evaluated on its
-    own from the definition and every other child by `maps._eval`.  For each
-    pair (r, s) of basis indices of the sites outside A, the lift's child maps
+def lift_by_lift(m: MapExpr, x: np.ndarray) -> np.ndarray:
+    """m(x) for a stack x, shape (..., D, D), with every `Lift` evaluated on
+    its own from the definition and every sum child by child, each node as
+    often as the tree reaches it; leaves go through `maps._eval`.  For each
+    pair (r, s) of basis indices of the sites outside A, a lift's child maps
     the block x[index[:, r], index[:, s]] into the same entries, where
     index[a, r] is the full basis index of subsystem index a and rest index r."""
-    out = np.zeros(x.shape, dtype=complex)
-    for c in m.children:
-        if not isinstance(c, Lift):
-            out += maps._eval(c, x)
-            continue
-        order = c.parties.members + c.parties.complement(c.dims.n).members
-        index = np.arange(c.dim).reshape(c.dims.dims).transpose(order).reshape(c.child.dim, -1)
+    if isinstance(m, Lift):
+        order = m.parties.members + m.parties.complement(m.dims.n).members
+        index = np.arange(m.dim).reshape(m.dims.dims).transpose(order).reshape(m.child.dim, -1)
         rows, cols = index.T[:, None, :, None], index.T[None, :, None, :]
-        out[rows, cols] += maps._eval(c.child, x[rows, cols])
-    return out
+        out = np.zeros(x.shape, dtype=complex)
+        out[..., rows, cols] = lift_by_lift(m.child, x[..., rows, cols])
+        return out
+    if isinstance(m, Sum):
+        return sum(lift_by_lift(c, x) for c in m.children)
+    if isinstance(m, Scale):
+        return m.r * lift_by_lift(m.child, x)
+    if isinstance(m, Compose):
+        return lift_by_lift(m.outer, lift_by_lift(m.inner, x))
+    return maps._eval(m, x)
 
 
 def _unitary(d, rng):

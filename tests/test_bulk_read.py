@@ -43,8 +43,7 @@ STATE = (serialize._state_from_doc, state_from_json, _state_summary)
 
 def _outcome(read, summary):
     try:
-        with np.errstate(all="ignore"):  # NaN and inf entries warn, e.g. as a vector is normalised
-            return "ok", summary(read())
+        return "ok", summary(read())
     except ValueError as exc:
         return "error", repr(exc)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,55 @@ def test_malformed_state_file_exits_2(tmp_path, capsys, text):
                        "--state-file", str(path))
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _ghz_state_file(path, first):
+    """The 3-qubit GHZ vector as a state file, its first entry's real part `first`."""
+    cells = [f"[{first}, 0.0]"] + ["[0.0, 0.0]"] * 6 + [f"[{first}, 0.0]".replace("-", "")]
+    path.write_text('{"format": "mpop-v1", "dims": [2, 2, 2], "vector": [%s]}' % ", ".join(cells))
+
+
+@pytest.mark.parametrize("first", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_state_vector_exits_2(tmp_path, capsys, first):
+    """A NaN or infinite vector entry is refused with its own message before
+    the vector is normalised, so numpy warns of nothing."""
+    path = tmp_path / "inf.json"
+    _ghz_state_file(path, first)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "detect", "--map", "phi-tx", "--n", "3",
+                             "--state-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: vector entries must be finite (no NaN or infinity)\n"
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+def test_non_finite_state_matrix_exits_2(tmp_path, capsys, bad):
+    """A density matrix with an infinite or NaN entry fails the Hermiticity
+    check of `is_density`, and numpy warns of nothing."""
+    path = tmp_path / "bad.json"
+    cells = [f"[{bad}, 0.0]"] + ["[0.0, 0.0]"] * 62 + ["[1.0, 0.0]"]
+    path.write_text('{"format": "mpop-v1", "dims": [2, 2, 2], "matrix": [%s]}' % ", ".join(cells))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "detect", "--map", "phi-tx", "--n", "3",
+                             "--state-file", str(path))
+    assert (code, out, err) == (2, "", "error: input is not a density matrix\n")
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_huge_state_vector_is_normalised(tmp_path, capsys):
+    """Entries whose squared norm would overflow are scaled down first: the
+    GHZ vector times 1e300 is detected as GHZ is, with no warning."""
+    path = tmp_path / "huge.json"
+    _ghz_state_file(path, "1e300")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "detect", "--map", "phi-tx", "--n", "3",
+                           "--state-file", str(path))
+    assert code == 0 and not caught
+    assert json.loads(out)["min_eig"] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_map_file_shared_node_checked_once(tmp_path, capsys, monkeypatch):

@@ -371,11 +371,8 @@ CATALOG_UP_TO_256 = [(map_id, n, SMALLEST[map_id][1]) for map_id in MAP_IDS
 def test_catalog_full_space_matches_blocks(map_id, n, d):
     m = build_map(map_id, n, d).expr
     x = _stack((2,), m.dim, np.random.default_rng(n))
-    got = [maps._eval(e, x) for e in (m, dual(m))]
-    with blocks_reference():
-        want = [maps._eval(e, x) for e in (m, dual(m))]
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g - w)) <= 1e-12
+    for e in (m, dual(m)):
+        assert np.max(np.abs(maps._eval(e, x) - lift_by_lift(e, x))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,13 +382,12 @@ def test_catalog_full_space_matches_blocks(map_id, n, d):
 @example(map_sum(lift(compose(digit_reversal((3,)), transpose_map(3)), (1,), (3, 3)),
                  lift(digit_reversal((3,)), (0,), (3, 3)), identity_map(9)))
 def test_dual_and_full_space_property(expr):
-    """dual is the Hilbert-Schmidt adjoint, and `_eval` matches the block route."""
+    """dual is the Hilbert-Schmidt adjoint, and `_eval` matches the lift-by-lift
+    reference."""
     s = superoperator(expr)
     bound = 1e-12 * max(1.0, float(np.max(np.abs(s))))
     assert np.max(np.abs(superoperator(dual(expr)) - s.conj().T)) <= bound
-    with blocks_reference():
-        ref = superoperator(expr)
-    assert np.max(np.abs(s - ref)) <= bound
+    assert np.max(np.abs(s - superoperator(expr, lift_by_lift))) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +651,8 @@ def test_x_support_route_matches_dense(map_id, n, d):
         # the blocks are the output's support, and their eigensolve the dense one's
         out = apply_blocks(expr, op)
         assert isinstance(out, BlockOperator)
-        assert np.array_equal(out.blocks, full[out.index[:, :, None], out.index[:, None, :]])
+        (index, blocks), = out.groups
+        assert np.array_equal(blocks, full[index[:, :, None], index[:, None, :]])
         val, vec = min_eig(out)
         dense_val = np.linalg.eigvalsh(want)[0]
         assert abs(val - dense_val) <= 1e-12 * max(1.0, abs(dense_val))
@@ -870,6 +867,39 @@ def test_x_support_route_property(case, c1, c2, dual_, reload, batch, real, seed
     if real:
         want = _complex_route(m, x)
         assert got.dtype == float and not want.imag.any() and np.array_equal(got, want.real)
+
+
+def _count_block_lifts(monkeypatch) -> list:
+    calls = []
+    blocks = maps._eval_blocks
+    monkeypatch.setattr(maps, "_eval_blocks", lambda lift, x: calls.append(lift) or blocks(lift, x))
+    return calls
+
+
+def test_shared_subtree_runs_once_per_input(monkeypatch):
+    """mu-choi (5, 3) with its mask scaled by 2 leaves the support form, and
+    the walker reaches phi twice on one input: its 15 lifts run once."""
+    m = build_map("mu-choi", 5, 3).expr
+    scaled = Compose(m.outer, SchurWith(2 * m.inner.mask))
+    assert scaled.support is None and scaled.shared[id(m.outer.children[0])] == 2
+    x = rand_hermitian(scaled.dim, np.random.default_rng(5))
+    calls = _count_block_lifts(monkeypatch)
+    got = maps._eval(scaled, x)
+    assert len(calls) == 15
+    assert _max_rel(got, lift_by_lift(scaled, x)) <= 1e-12
+
+
+def test_shared_subtree_on_other_inputs(monkeypatch):
+    """A node reached on different inputs runs on each of them: phi sees x,
+    then Diag x, then x again, and the last input replaces the one before."""
+    phi, _ = _catalog_phi("mu-choi", 3, 3)
+    diag = DiagAll(phi.dim)
+    m = Sum((phi, Compose(phi, diag), Compose(diag, phi), Scale(2.0, phi)))
+    x = rand_hermitian(m.dim, np.random.default_rng(6))
+    calls = _count_block_lifts(monkeypatch)
+    got = maps._eval(m, x)
+    assert len(calls) == 3 * len(phi.children)
+    assert _max_rel(got, lift_by_lift(m, x)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

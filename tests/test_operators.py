@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, diag_part,
-                                eigvalsh, identity, is_density, is_hermitian,
-                                kron, min_eig, min_eigval, od_part, operator,
-                                partial_trace, partial_transpose,
-                                real_or_complex, schur_product)
+from gme_maps.operators import (DENSE_MAX_DIM, DENSITY_EIG_TOL, DENSITY_TRACE_TOL, HERM_RTOL,
+                                BlockOperator, MpOperator, PartySubset, SiteDims,
+                                block_form, diag_part, eigvalsh, identity, is_density,
+                                is_hermitian, is_hermitian_array, kron, min_eig,
+                                min_eigval, od_part, operator, partial_trace,
+                                partial_transpose, real_or_complex, schur_product)
 from helpers import hermitian_op, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,7 +186,7 @@ def test_block_operator_min_eig_matches_dense():
     dims = SiteDims((3, 3))
     index = rng.permutation(9).reshape(3, 3)
     blocks = np.stack([rand_hermitian(3, rng) for _ in range(3)])
-    op = BlockOperator(dims, index, blocks)
+    op = BlockOperator(dims, ((index, blocks),))
     mat = np.zeros((9, 9), dtype=complex)
     for b in range(3):
         mat[np.ix_(index[b], index[b])] = blocks[b]
@@ -195,7 +198,7 @@ def test_block_operator_min_eig_matches_dense():
 
     blocks[1, 0, 2] += 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        min_eig(BlockOperator(dims, index, blocks))
+        min_eig(BlockOperator(dims, ((index, blocks),)))
 
 
 def test_min_eigval_matches_min_eig():
@@ -205,7 +208,7 @@ def test_min_eigval_matches_min_eig():
     index = rng.permutation(12).reshape(3, 4)
     for h in (rand_hermitian(12, rng), rand_hermitian(12, rng).real):
         blocks = np.stack([h[:4, :4], h[4:8, 4:8], h[8:, 8:]])
-        for op in (operator((3, 4), h), BlockOperator(SiteDims((3, 4)), index, blocks)):
+        for op in (operator((3, 4), h), BlockOperator(SiteDims((3, 4)), ((index, blocks),))):
             val, vec = min_eig(op)
             assert vec.dtype == complex
             assert abs(min_eigval(op) - val) <= 1e-12
@@ -243,3 +246,100 @@ def test_density_accepts_rank_one_ghz():
     v = np.zeros(64, dtype=complex)
     v[0] = v[-1] = 1 / np.sqrt(2)
     assert is_density(operator((2,) * 6, np.outer(v, v.conj())))
+
+
+def _dense_is_density(mat):
+    """`is_density` on the whole matrix: Hermitian, trace one, and a Cholesky
+    factor of H + DENSITY_EIG_TOL I."""
+    if not is_hermitian_array(mat) or abs(np.trace(mat) - 1) > DENSITY_TRACE_TOL:
+        return False
+    try:
+        np.linalg.cholesky((mat + mat.conj().T) / 2 + DENSITY_EIG_TOL * np.eye(len(mat)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@st.composite
+def planted_blocks(draw):
+    """A matrix of side 65..96, above `DENSE_MAX_DIM`, so that `block_form`
+    searches it, with planted blocks on scattered indices: each block
+    U diag(w) U^dag, the w of all blocks of trace one, positive, singular
+    (zeros in w) or indefinite.  Optionally the lowest eigenvalue of one
+    block is moved to 0, -0.5e-10 or -2e-10 (the density tolerance is
+    -1e-10), one block is scaled by 1e3, tiny couplings (down to the least
+    subnormal) join blocks, and one entry of a row of the last block is
+    moved by half, twice or 1e6 times the Hermiticity tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    D = draw(st.integers(DENSE_MAX_DIM + 1, 96))
+    cplx = draw(st.booleans())
+    kind = draw(st.sampled_from(["positive", "singular", "indefinite"]))
+    cuts = np.sort(rng.choice(np.arange(1, D), draw(st.integers(0, 40)), replace=False))
+    blocks = np.split(rng.permutation(D), cuts)
+    weights = [rng.random(len(b)) for b in blocks]
+    if kind == "singular":
+        weights = [w * (rng.random(len(w)) < 0.5) for w in weights]
+    elif kind == "indefinite":
+        weights = [rng.standard_normal(len(w)) for w in weights]
+    total = sum(w.sum() for w in weights)
+    weights = [w / total if total else w for w in weights]
+    lowest = draw(st.sampled_from([None, 0.0, -0.5e-10, -2e-10]))
+    wide = [i for i, w in enumerate(weights) if len(w) > 1]
+    if lowest is not None and wide:
+        w = weights[wide[0]]
+        w[1] += w[0] - lowest
+        w[0] = lowest
+    mat = np.zeros((D, D), complex if cplx else float)
+    for b, w in zip(blocks, weights):
+        z = rng.standard_normal((len(b), len(b)))
+        u = np.linalg.qr(z + 1j * rng.standard_normal(z.shape) if cplx else z)[0]
+        mat[np.ix_(b, b)] = (u * w) @ u.conj().T
+    if draw(st.booleans()):
+        mat[np.ix_(blocks[0], blocks[0])] *= 1e3
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.choice(D, 2, replace=False)
+        eps = draw(st.sampled_from([5e-324, 1e-300, 1e-17, 1e-3]))
+        mat[i, j] = mat[j, i] = eps
+    if draw(st.booleans()):  # within, just past or far past the tolerance
+        i, j = rng.choice(blocks[-1]), rng.choice(D)
+        mat[i, j] += draw(st.sampled_from([0.5, 2.0, 1e6])) * HERM_RTOL * max(1.0, np.abs(mat).max())
+    return MpOperator(SiteDims((D,)), mat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_blocks())
+def test_block_route_matches_dense_property(op):
+    """`min_eig`, `min_eigval` and `is_density` through the blocks of the exact
+    nonzero pattern give the dense solve's eigenvalue to 1e-12 relative, its
+    density verdict and its ValueError on non-Hermitian input.  The blocks
+    are the components: they cover every index once, hold every nonzero
+    entry, and each is connected."""
+    mat, D = op.mat, op.d
+    form = block_form(op)
+    index = np.concatenate([i.reshape(-1) for i, _ in form.groups])
+    assert np.array_equal(np.sort(index), np.arange(D))
+    assert [i.shape[1] for i, _ in form.groups] == sorted({i.shape[1] for i, _ in form.groups})
+    inside = np.zeros((D, D), bool)
+    for i, b in form.groups:
+        inside[i[:, :, None], i[:, None, :]] = True
+        assert np.array_equal(b, mat[i[:, :, None], i[:, None, :]])
+        # every block is connected: its joined pattern reaches each index from each
+        reach = ((b != 0) | (b != 0).swapaxes(1, 2) | np.eye(i.shape[1], dtype=bool)).astype(float)
+        for _ in range(i.shape[1].bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        assert reach.all()
+    assert not mat[~inside].any()
+
+    assert is_density(op) == _dense_is_density(mat)
+    if not is_hermitian_array(mat):
+        for solve in (min_eig, min_eigval):
+            with pytest.raises(ValueError, match="Hermitian"):
+                solve(op)
+        return
+    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+    scale = max(1.0, float(np.abs(w).max()))
+    val, vec = min_eig(op)
+    assert abs(val - w[0]) <= 1e-12 * scale
+    assert abs(min_eigval(op) - w[0]) <= 1e-12 * scale
+    assert abs(np.linalg.norm(vec) - 1) <= 1e-12
+    assert np.linalg.norm(mat @ vec - val * vec) <= 1e-10 * scale

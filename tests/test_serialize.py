@@ -308,6 +308,37 @@ def entry_arrays(draw):
     return arr.reshape(shape)
 
 
+@pytest.mark.parametrize("arr", [
+    np.array([-0.0, 0.0, 0.0, -0.0, -0.0]),
+    np.array([np.nan, -np.nan, np.nan, 1.0, np.nan]),
+    np.array([np.inf, np.inf, -np.inf, -np.inf, np.inf]),
+    np.array([2.5]),
+    np.array([-0.0 + 0.0j]),
+    np.array([1 + 1j, 1 + 1j, 1 + 2j, 1 + 2j, 1 - 0.0j, 1 + 0j, 2 + 0j]),
+    np.array([[np.nan + 1j, np.nan + 1j], [np.nan - np.inf * 1j, 0.0]]),
+    np.zeros((4, 4)),
+], ids=["signed-zeros", "nan", "infinities", "single", "single-complex", "shared-real",
+        "complex-specials", "one-run"])
+def test_array_text_by_runs(arr):
+    """The run-wise text of an array is `json.dumps` of its pair list: runs of
+    equal bit patterns, never of equal values, so -0.0 and 0.0 and the two
+    imaginary parts under one real part stay apart."""
+    assert serialize._pairs_text(arr) == json.dumps(serialize._pairs(arr))
+
+
+def test_repeated_array_object_written_once(tmp_path, monkeypatch):
+    """An array object met twice in one document is turned into text once; an
+    equal array that is another object is turned into text on its own."""
+    a = np.arange(6.0).reshape(2, 3) - 2.5
+    doc = {"x": a, "y": [a, a.copy()], "z": {"w": a}}
+    texts = []
+    monkeypatch.setattr(serialize, "_pairs_text",
+                        lambda arr, f=serialize._pairs_text: texts.append(arr) or f(arr))
+    write_json(str(tmp_path / "d.json"), doc)
+    assert len(texts) == 2
+    assert (tmp_path / "d.json").read_text(encoding="utf-8") == reference_text(doc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(entry_arrays())
 @example(np.zeros(0))
@@ -320,11 +351,16 @@ def test_array_text_is_json_dumps_property(tmp_path_factory, arr):
     assert path.read_text(encoding="utf-8") == reference_text({"dim": len(arr), "entries": arr})
     if arr.size < 2:
         return
-    with np.errstate(all="ignore"):  # a PureState of infinities normalises to NaNs
-        if arr.ndim == 1 and np.linalg.norm(arr) == 0:
+    if arr.ndim == 1:
+        if not np.isfinite(arr).all():
+            with pytest.raises(ValueError, match="finite"):
+                PureState(SiteDims((arr.size,)), arr)
             return
-        state = (MpOperator(SiteDims((len(arr),)), arr) if arr.ndim == 2
-                 else PureState(SiteDims((arr.size,)), arr))
+        with np.errstate(over="ignore"):  # a norm past the largest float is inf, not 0
+            if np.linalg.norm(arr) == 0:
+                return
+    state = (MpOperator(SiteDims((len(arr),)), arr) if arr.ndim == 2
+             else PureState(SiteDims((arr.size,)), arr))
     save_state(str(path), state)
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(state_to_json(state)) + "\n"
