@@ -8,16 +8,21 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import GmeMap, bipartitions
-from .maps import apply, apply_blocks
-from .operators import (MpOperator, eigvalsh, is_density, min_eig, min_eigval,
+# every application here keeps an X-support output as its blocks
+# (`maps.apply_blocks`); bound as `apply`, the name perfbench/spans.py times
+from .maps import apply_blocks as apply
+from .operators import (Groups, MpOperator, density_rows, eigvalsh, is_density,
+                        joint_blocks, min_eig, min_eigval, min_eigvals,
                         partial_transpose)
-from .states import (PptFamilyParams, PureState, depolarized,
+from .states import (PptFamilyParams, PureState, check_visibility,
                      maximally_entangled, maximally_mixed, ppt_family_terms,
                      random_biseparable)
-from .states import ppt_family  # noqa: F401  perfbench/spans.py wraps detect.ppt_family
+from .states import depolarized, ppt_family  # noqa: F401  perfbench/spans.py wraps both
 
 DETECT_TOL = 1e-9
 PPT_TOL = 1e-10
+# most entries a scan stacks at once: its rows are solved in runs this size
+SCAN_CHUNK_ENTRIES = 2 ** 20
 
 
 class NotDetectedError(ValueError):
@@ -94,47 +99,67 @@ def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
         raise ValueError(f"state dims {rho.dims.dims} do not match map dims {m.dims.dims}")
     if not is_density(rho):
         raise ValueError("input is not a density matrix")
-    val, vec = min_eig(apply_blocks(m.expr, rho))
+    val, vec = min_eig(apply(m.expr, rho))
     return Verdict(val, vec, _detected(val, tol), m.label, tol)
 
 
-def _noise_outputs(m: GmeMap, target: MpOperator) -> tuple[MpOperator, MpOperator]:
-    """A = m(target) and B = m(I/D); by linearity a noisy state's output combines them."""
-    return apply(m.expr, target), apply(m.expr, maximally_mixed(m.dims))
+def _noise_outputs(m: GmeMap, target: MpOperator) -> Groups:
+    """The blocks of A = m(target) and B = m(I/D) (`joint_blocks`); by
+    linearity a noisy state's output combines them."""
+    return joint_blocks((apply(m.expr, target),
+                         apply(m.expr, maximally_mixed(m.dims))))
 
 
-def _pencil_min(a: np.ndarray, b: np.ndarray, tol: float) -> float:
-    """Smallest generalized eigenvalue sigma of the pencil (a, b), b >= 0.
+def _mixed(groups: Groups, p: np.ndarray) -> Groups:
+    """Rows p A + (1 - p) B of the groups of (A, B), one per weight in p."""
+    w = p[:, None, None, None]
+    return tuple((index, w * a + (1 - w) * b) for index, (a, b) in groups)
 
-    a - s b is positive semidefinite exactly for s <= sigma.  Returns -inf
-    when no s makes it so: a is negative on the kernel of b, or couples the
-    kernel to the range of b along a direction where a vanishes.
+
+def _pencil_min(groups: Groups, tol: float) -> float:
+    """Smallest generalized eigenvalue sigma of the pencil (a, b), b >= 0,
+    given as the groups of `joint_blocks((a, b))`.
+
+    a - s b is positive semidefinite exactly for s <= sigma, the minimum over
+    the blocks.  -inf when no s makes a block so: a is negative on the kernel
+    of b, or couples the kernel to the range of b along a direction where a
+    vanishes; +inf when every block has b = 0 and a >= 0.
     """
+    return min(_pencil_min_stack(a, b, tol) for _, (a, b) in groups)
+
+
+def _pencil_min_stack(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """`_pencil_min` over a stack of blocks (B, k, k): one batched Cholesky
+    factorisation, two solves and one eigenvalue-only solve, or block by
+    block when a b is singular."""
     try:
         low = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
-        return _pencil_min_singular(a, b, tol)
+        if len(b) == 1:
+            return _pencil_min_singular(a[0], b[0], tol)
+        return min(_pencil_min_stack(a[i:i + 1], b[i:i + 1], tol) for i in range(len(b)))
     half = np.linalg.solve(low, a)
-    c = np.linalg.solve(low, half.conj().T)
-    return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
+    c = np.linalg.solve(low, half.conj().swapaxes(-1, -2))
+    return float(np.linalg.eigvalsh((c + c.conj().swapaxes(-1, -2)) / 2)[:, 0].min())
 
 
 def _pencil_min_singular(a: np.ndarray, b: np.ndarray, tol: float) -> float:
-    """`_pencil_min` for a singular b, restricted to the range of b.
+    """`_pencil_min` of one block with a singular b, restricted to the range of b.
 
     Split the kernel of b into directions kp where a is positive and kn where
     it vanishes.  Then a - s b >= 0 iff a does not couple kn to the range and
-    the Schur complement of a on kp is >= s b on the range.  Eigenvalues and
-    couplings within tol of zero count as zero.
+    the Schur complement of a on kp is >= s b on the range; with no range
+    (b = 0) that holds for every s once a >= 0.  Eigenvalues and couplings
+    within tol of zero count as zero.
     """
     w, u = np.linalg.eigh(b)
     in_range = w > tol
-    if not in_range.any():
-        return -np.inf
     r, k = u[:, in_range], u[:, ~in_range]
     wk, vk = np.linalg.eigh(k.conj().T @ a @ k)
-    if _detected(wk[0], tol):
+    if _detected(wk.min(initial=np.inf), tol):
         return -np.inf
+    if not in_range.any():
+        return np.inf
     pos = wk > tol
     kp, kn = k @ vk[:, pos], k @ vk[:, ~pos]
     ra = r.conj().T @ a
@@ -147,15 +172,26 @@ def _pencil_min_singular(a: np.ndarray, b: np.ndarray, tol: float) -> float:
     return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
 
 
-def _threshold(a: MpOperator, b: MpOperator, tol: float, white_noise: bool) -> ThresholdResult:
-    """p* from the pencil of a (the noiseless output) and b (the output on I/D).
+def _threshold(m: GmeMap, target: MpOperator, tol: float, white_noise: bool,
+               not_detected: str, detected: str) -> ThresholdResult:
+    """p* from the pencil of a = m(target) and b = m(I/D).
 
     lambda_min(q a + (1-q) b) is concave in the weight q of a; with a detected
-    and b not, it crosses zero exactly once, at q* = 1/(1 - sigma_min).
+    and b not, it crosses zero exactly once, at q* = 1/(1 - sigma_min).  The
+    end points, the pencil and the residual at q* all run on the blocks of
+    (a, b).  `not_detected` and `detected` are the errors for an a that is
+    not detected and a b that is.
     """
-    q = 1 / (1 - _pencil_min(a.mat, b.mat, tol))
-    mixed = MpOperator(a.dims, q * a.mat + (1 - q) * b.mat)
-    residual = abs(min_eigval(mixed))
+    if target.dims != m.dims:
+        raise ValueError(f"state dims {target.dims.dims} do not match map dims {m.dims.dims}")
+    groups = _noise_outputs(m, target)
+    at_a, at_b = min_eigvals(groups)
+    if not _detected(at_a, tol):
+        raise NotDetectedError(not_detected)
+    if _detected(at_b, tol):
+        raise ValueError(detected)
+    q = 1 / (1 - _pencil_min(groups, tol))
+    residual = abs(float(min_eigvals(_mixed(groups, np.array([q])))[0]))
     return ThresholdResult(1 - q if white_noise else q, residual)
 
 
@@ -166,14 +202,8 @@ def noise_threshold(m: GmeMap, psi: PureState, tol: float = DETECT_TOL) -> Thres
     map is applied twice and p* is the exact crossing of that pencil; the
     state is detected (output eigenvalue below -tol) for p above it.
     """
-    if psi.dims != m.dims:
-        raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
-    a, b = _noise_outputs(m, psi.density())
-    if not _detected(min_eigval(a), tol):
-        raise NotDetectedError("not detected at p=1")
-    if _detected(min_eigval(b), tol):
-        raise ValueError("already detected at p=0; no threshold")
-    return _threshold(a, b, tol, white_noise=False)
+    return _threshold(m, psi.density(), tol, False, "not detected at p=1",
+                      "already detected at p=0; no threshold")
 
 
 def white_noise_threshold(m: GmeMap, rho0: MpOperator,
@@ -182,19 +212,28 @@ def white_noise_threshold(m: GmeMap, rho0: MpOperator,
 
     Exact, from the same pencil of m(rho0) and m(I/D) as `noise_threshold`.
     """
-    if rho0.dims != m.dims:
-        raise ValueError(f"state dims {rho0.dims.dims} do not match map dims {m.dims.dims}")
-    a, b = _noise_outputs(m, rho0)
-    if not _detected(min_eigval(a), tol):
-        raise NotDetectedError("not detected at p=0")
-    if _detected(min_eigval(b), tol):
-        raise ValueError("still detected at p=1; no threshold")
-    return _threshold(a, b, tol, white_noise=True)
+    return _threshold(m, rho0, tol, True, "not detected at p=0",
+                      "still detected at p=1; no threshold")
 
 
-def _scan_row(dims, param: float, out: np.ndarray, tol: float) -> ScanRow:
-    val = min_eigval(MpOperator(dims, out))
-    return ScanRow(param, val, _detected(val, tol))
+def _chunks(grid: Sequence[float], *groupings: Groups) -> list[list[float]]:
+    """The grid in runs of rows whose stacked blocks hold at most
+    SCAN_CHUNK_ENTRIES entries, at least one row per run."""
+    per_row = max(sum(s[0].size for _, s in groups) for groups in groupings)
+    step = max(1, SCAN_CHUNK_ENTRIES // per_row)
+    grid = list(grid)
+    return [grid[i:i + step] for i in range(0, len(grid), step)]
+
+
+def _leading(ok: np.ndarray) -> int:
+    """How many rows pass before the first that fails."""
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
+def _scan_rows(params: Sequence[float], rows: Groups, tol: float) -> list[ScanRow]:
+    if not len(params):
+        return []
+    return [ScanRow(x, v, _detected(v, tol)) for x, v in zip(params, min_eigvals(rows).tolist())]
 
 
 def lambda_scan(m: GmeMap, grid: Sequence[float], noise: float = 0.0,
@@ -202,23 +241,35 @@ def lambda_scan(m: GmeMap, grid: Sequence[float], noise: float = 0.0,
     """Detection scan of the 3-qutrit family, optionally with white noise.
 
     The unnormalised family is E(l) = l P + Q/l + C (`ppt_family_terms`), so
-    the map is applied to P, Q and C (and to I/D with noise) once; each row
-    combines those outputs and takes one eigensolve.
+    the map is applied to P, Q and C (and to I/D with noise) once; the rows
+    combine the blocks of those outputs and take one eigenvalue-only solve
+    per group and run of rows (`_chunks`).  A row is checked as `ppt_family`
+    checks its parameter, in grid order: an invalid row raises once the rows
+    before it have been solved.
     """
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"white-noise fraction must lie in [0, 1], got {noise}")
     P, Q, C = ppt_family_terms()
-    parts = (P.sum(axis=0), Q.sum(axis=0), C)
-    outs = [apply(m.expr, MpOperator(m.dims, x)).mat for x in parts]
-    traces = [np.trace(x) for x in parts]
-    mixed_out = apply(m.expr, maximally_mixed(m.dims)).mat if noise else 0.0
+    parts = [MpOperator(m.dims, x) for x in (P.sum(axis=0), Q.sum(axis=0), C)]
+    traces = np.array([np.trace(x.mat) for x in parts])
+    if noise:
+        parts.append(maximally_mixed(m.dims))
+    groups = joint_blocks([apply(m.expr, x) for x in parts])
     rows = []
-    for lam in grid:
-        lam = float(lam)
-        PptFamilyParams(lam, lam, lam)  # rejects lam <= 0, as ppt_family does
-        weights = (lam, 1 / lam, 1.0)
-        family = sum(w * o for w, o in zip(weights, outs)) / np.dot(weights, traces)
-        rows.append(_scan_row(m.dims, lam, noise * mixed_out + (1 - noise) * family, tol))
+    for chunk in _chunks(grid, groups):
+        lam = np.array(chunk, dtype=float)
+        good = _leading((0 < lam) & (lam < np.inf))  # PptFamilyParams' rule
+        lam = lam[:good]
+        weights = np.stack([lam, 1 / lam, np.ones_like(lam)], axis=1)
+        norm = np.array([np.dot(w, traces) for w in weights])[:, None, None, None]
+        w = lam[:, None, None, None]
+        # each row as the dense route formed it: sum(w_i out_i) / norm, then the noise
+        rows += _scan_rows(lam.tolist(), [
+            (index, noise * (outs[3] if noise else 0.0)
+             + (1 - noise) * (sum(c * o for c, o in zip((w, 1 / w, 1.0), outs)) / norm))
+            for index, outs in groups], tol)
+        if good < len(chunk):
+            PptFamilyParams(chunk[good], chunk[good], chunk[good])  # raises its own error
     return rows
 
 
@@ -226,17 +277,29 @@ def visibility_scan(m: GmeMap, psi: PureState, grid: Sequence[float],
                     tol: float = DETECT_TOL) -> list[ScanRow]:
     """Detection scan of p |psi><psi| + (1-p) I/D over the visibilities in grid.
 
-    Each row checks its state as `detect` does, then combines m(|psi><psi|)
-    and m(I/D), each computed once.
+    m(|psi><psi|) and m(I/D) are each computed once, and the rows combine
+    their blocks.  Each row's state is checked as `detect` checks it, by one
+    batched check on the blocks of (|psi><psi|, I/D) per run of rows
+    (`_chunks`), in grid order: an invalid row raises once the rows before
+    it have been solved.
     """
     if psi.dims != m.dims:
         raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
-    a, b = _noise_outputs(m, psi.density())
+    rho = psi.density()
+    outs = _noise_outputs(m, rho)
+    states = joint_blocks((rho, maximally_mixed(m.dims)))
     rows = []
-    for p in grid:
-        if not is_density(depolarized(psi, p)):
+    for chunk in _chunks(grid, outs, states):
+        p = np.array(chunk, dtype=float)
+        in_range = (0 <= p) & (p <= 1)
+        is_state = in_range.copy()
+        if in_range.any():
+            is_state[in_range] = density_rows(_mixed(states, p[in_range]))
+        good = _leading(is_state)
+        rows += _scan_rows(chunk[:good], _mixed(outs, p[:good]), tol)
+        if good < len(chunk):
+            check_visibility(chunk[good])
             raise ValueError("input is not a density matrix")
-        rows.append(_scan_row(m.dims, p, p * a.mat + (1 - p) * b.mat, tol))
     return rows
 
 
@@ -272,11 +335,11 @@ def verify_biseparable_positivity(m: GmeMap, samples: int, *, seed: int = 0,
         raise ValueError("need samples >= 1")
     dims = m.dims
     results = [(i, seed + i,
-                min_eigval(apply_blocks(m.expr, random_biseparable(dims, 1, seed + i))))
+                min_eigval(apply(m.expr, random_biseparable(dims, 1, seed + i))))
                for i in range(samples)]
     if include_adversarial and dims.n >= 3 and len(set(dims.dims)) == 1:
         adv = adversarial_product(dims)
-        results.append((-1, None, min_eigval(apply_blocks(m.expr, adv))))
+        results.append((-1, None, min_eigval(apply(m.expr, adv))))
 
     worst_index, worst_seed, worst = min(results, key=lambda t: t[2])
     violations = tuple(

@@ -14,9 +14,10 @@ promotion carries the rule through every evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ HERM_RTOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_TOL = 1e-10
 # Up to this side one dense eigensolve costs no more than the block search of
-# `block_form` (about 0.1-0.2 ms in numpy calls, measured at D = 27..243).
+# `joint_blocks` (about 0.1-0.2 ms in numpy calls, measured at D = 27..243).
 DENSE_MAX_DIM = 64
 
 
@@ -143,6 +144,13 @@ class BlockOperator(NamedTuple):
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+# `joint_blocks` groups: (index (B, k), stack (rows, B, k, k)) per block size,
+# rows >= 1
+Groups = tuple[tuple[np.ndarray, np.ndarray], ...]
+# the axes of a row's blocks in a stack (rows, B, k, k)
+_BLOCK_AXES = (1, 2, 3)
+
+
 def _component_labels(pattern: np.ndarray) -> np.ndarray:
     """The smallest index of each index's connected component in a square
     boolean pattern, (r, c) and (c, r) joined.
@@ -162,22 +170,61 @@ def _component_labels(pattern: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def block_form(op: MpOperator | BlockOperator) -> BlockOperator:
-    """The operator as the blocks of the connected components of its exact
-    nonzero pattern, grouped by size; a `BlockOperator` as it is.
+@functools.lru_cache(maxsize=None)
+def _whole(D: int) -> np.ndarray:
+    """The index (1, D) of a matrix of side D taken as one block."""
+    index = np.arange(D)[None]
+    index.flags.writeable = False
+    return index
 
-    Only exact zeros split blocks, so a tiny entry can merge two blocks but
-    never drop out.  Groups come in ascending size, blocks in the order of
-    their smallest index, each block's indices ascending.  Without a search,
-    one block holds a matrix of side up to `DENSE_MAX_DIM` and one with more
-    than (D - 1)^2 + 1 nonzero entries, more than any split matrix holds.
+
+def _dense(op: MpOperator | BlockOperator) -> np.ndarray:
+    """The full matrix of an operator, zero off the blocks of a `BlockOperator`."""
+    if isinstance(op, MpOperator):
+        return op.mat
+    D = op.dims.total
+    mat = np.zeros((D, D), dtype=np.result_type(*(b for _, b in op.groups)))
+    for index, b in op.groups:
+        mat[index[:, :, None], index[:, None, :]] = b
+    return mat
+
+
+def _on_index(op, lead: BlockOperator) -> bool:
+    """Whether `op` is a `BlockOperator` on the indices of `lead`."""
+    return isinstance(op, BlockOperator) and len(op.groups) == len(lead.groups) and all(
+        i is j or np.array_equal(i, j) for (i, _), (j, _) in zip(op.groups, lead.groups))
+
+
+def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
+    """Operators of one side split on the connected components of the union of
+    their exact nonzero patterns, (r, c) and (c, r) joined, grouped by size.
+
+    In each group `(index, stack)`, `stack[j, b]` is the block of `ops[j]` on
+    the basis vectors `index[b]`; shapes index (B, k), stack (len(ops), B, k, k).
+    Groups come in ascending size, blocks in the order of their smallest
+    index, each block's indices ascending.  `BlockOperator`s on one set of
+    indices (one X support) pass through on them; other mixes are split as
+    full matrices.  Only exact zeros split blocks, so a tiny entry can merge
+    two blocks but never drop out.  Without a search, one block holds a
+    matrix of side up to `DENSE_MAX_DIM` and a union pattern with more than
+    (D - 1)^2 + 1 nonzero entries, more than any split pattern holds.
     """
-    if isinstance(op, BlockOperator):
-        return op
-    mat, D = op.mat, op.d
-    pattern = mat != 0 if D > DENSE_MAX_DIM else None
+    lead = ops[0]
+    if isinstance(lead, BlockOperator):
+        if len(ops) == 1:
+            return tuple([(index, b[None]) for index, b in lead.groups])
+        if all(_on_index(op, lead) for op in ops[1:]):
+            return tuple((index, np.stack([op.groups[g][1] for op in ops]))
+                         for g, (index, _) in enumerate(lead.groups))
+    mats = [_dense(op) for op in ops]
+    D = len(mats[0])
+    pattern = None
+    if D > DENSE_MAX_DIM:
+        pattern = mats[0] != 0
+        for mat in mats[1:]:
+            pattern |= mat != 0
     if pattern is None or np.count_nonzero(pattern) > (D - 1) ** 2 + 1:
-        return BlockOperator(op.dims, ((np.arange(D)[None], mat[None]),))
+        return ((_whole(D), (mats[0][None] if len(mats) == 1 else np.stack(mats))[:, None]),)
     labels = _component_labels(pattern)
     counts = np.bincount(labels, minlength=D)
     sizes = counts[counts > 0]  # per component, in the order of its smallest index
@@ -186,8 +233,9 @@ def block_form(op: MpOperator | BlockOperator) -> BlockOperator:
     groups = []
     for k in sorted(set(sizes.tolist())):
         index = order[first[sizes == k][:, None] + np.arange(k)]
-        groups.append((index, mat[index[:, :, None], index[:, None, :]]))
-    return BlockOperator(op.dims, tuple(groups))
+        rows, cols = index[:, :, None], index[:, None, :]
+        groups.append((index, np.stack([mat[rows, cols] for mat in mats])))
+    return tuple(groups)
 
 
 def is_hermitian_array(m: np.ndarray) -> bool:
@@ -202,46 +250,83 @@ def is_hermitian(op: MpOperator) -> bool:
     return is_hermitian_array(op.mat)
 
 
-def _hermitian_blocks(op: MpOperator | BlockOperator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(index, (m + m^dag) / 2) of every group of `block_form(op)`.
+def _symmetrised(groups: Groups) -> tuple[np.ndarray, Groups]:
+    """Each row's largest entry of m - m^dag, and the groups with every block
+    replaced by (m + m^dag) / 2."""
+    diffs, out = [], []
+    for index, s in groups:
+        sh = s.conj().swapaxes(-1, -2)
+        diffs.append(np.maximum.reduce(np.abs(s - sh), axis=_BLOCK_AXES))
+        out.append((index, (s + sh) / 2))
+    return functools.reduce(np.maximum, diffs), tuple(out)
 
-    `is_hermitian_array` of the whole operator, run on its blocks:
-    non-Hermitian input (beyond tolerance) raises ValueError.
+
+def hermitian_rows(groups: Groups) -> tuple[list[bool], Groups]:
+    """Which rows of `joint_blocks` groups are Hermitian, and the groups with
+    every block replaced by (m + m^dag) / 2.
+
+    A row is Hermitian when no block of it moves by more than HERM_RTOL times
+    its largest entry over all of its groups (at least 1) under m -> m^dag; a
+    NaN or infinite entry fails.
     """
-    groups = block_form(op).groups
-    peaks = [float(np.abs(b).max()) for _, b in groups]
-    scale = max(1.0, *peaks)
-    out = []
-    for (index, b), peak in zip(groups, peaks):
-        bh = b.conj().swapaxes(-1, -2)
-        # a NaN or infinite entry fails, before inf - inf could warn
-        if not (peak < np.inf and float(np.abs(b - bh).max()) <= HERM_RTOL * scale):
-            raise ValueError("min_eig requires a Hermitian operator")
-        out.append((index, (b + bh) / 2))
+    peaks = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(s), axis=_BLOCK_AXES)
+                                          for _, s in groups]).tolist()
+    # an infinite entry makes its row's peak inf (a NaN only NaN, which stays
+    # quiet); inf - inf would warn, and a failing row's result is not read
+    if max(peaks) < np.inf:
+        diff, out = _symmetrised(groups)
+    else:
+        with np.errstate(invalid="ignore"):
+            diff, out = _symmetrised(groups)
+    ok = [p < np.inf and e <= HERM_RTOL * max(1.0, p) for p, e in zip(peaks, diff.tolist())]
+    return ok, out
+
+
+def _hermitian(groups: Groups) -> Groups:
+    """`hermitian_rows`' symmetrised groups; ValueError when a row is not Hermitian."""
+    ok, out = hermitian_rows(groups)
+    if not all(ok):
+        raise ValueError("min_eig requires a Hermitian operator")
     return out
 
 
+def min_eigvals(groups: Groups) -> np.ndarray:
+    """The smallest eigenvalue of each row of `joint_blocks` groups, from one
+    batched eigenvalue-only solve per group; a row that is not Hermitian
+    (`hermitian_rows`) raises ValueError."""
+    return functools.reduce(np.minimum, [np.minimum.reduce(np.linalg.eigvalsh(h), axis=(1, 2))
+                                         for _, h in _hermitian(groups)])
+
+
+def density_rows(groups: Groups) -> list[bool]:
+    """Which rows of `joint_blocks` groups are density matrices: Hermitian,
+    trace one and no eigenvalue below -DENSITY_EIG_TOL.
+
+    The eigenvalue bound holds exactly when every H + DENSITY_EIG_TOL I has a
+    Cholesky factor: one batched factorisation per group, and one per row of
+    a group only where that fails.
+    """
+    ok, herm = hermitian_rows(groups)
+    trace = sum(s.diagonal(0, -2, -1).sum(axis=(-2, -1)) for _, s in groups)
+    ok = [o and abs(t - 1.0) <= DENSITY_TRACE_TOL for o, t in zip(ok, trace.tolist())]
+    for _, h in herm:
+        k = h.shape[-1]
+        h[..., np.arange(k), np.arange(k)] += DENSITY_EIG_TOL
+        rows = [r for r, o in enumerate(ok) if o]
+        try:
+            np.linalg.cholesky(h if len(rows) == len(ok) else h[rows])
+        except np.linalg.LinAlgError:
+            for r in rows:
+                try:
+                    np.linalg.cholesky(h[r])
+                except np.linalg.LinAlgError:
+                    ok[r] = False
+    return ok
+
+
 def is_density(op: MpOperator | BlockOperator) -> bool:
-    """Hermitian, trace one and no eigenvalue below -DENSITY_EIG_TOL, checked
-    block by block (`block_form`)."""
-    op = block_form(op)
-    try:
-        groups = _hermitian_blocks(op)
-    except ValueError:
-        return False
-    trace = sum(np.trace(b, axis1=-2, axis2=-1).sum() for _, b in op.groups)
-    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
-        return False
-    # smallest eigenvalue above -DENSITY_EIG_TOL: every H + DENSITY_EIG_TOL I is
-    # positive definite, so it has a Cholesky factor
-    try:
-        for _, h in groups:
-            k = h.shape[-1]
-            h[..., np.arange(k), np.arange(k)] += DENSITY_EIG_TOL
-            np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    """`density_rows` of the operator's blocks (`joint_blocks`)."""
+    return density_rows(joint_blocks((op,)))[0]
 
 
 def kron(a: MpOperator, b: MpOperator) -> MpOperator:
@@ -302,13 +387,13 @@ def min_eig(op: MpOperator | BlockOperator) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a complex unit eigenvector of a Hermitian operator.
 
     The input is symmetrised before diagonalisation; non-Hermitian input
-    (beyond tolerance) raises ValueError.  Each group of `block_form(op)`
-    takes one batched eigensolve, and the eigenvector is the first lowest
-    block's, embedded in the full space.
+    (beyond tolerance) raises ValueError.  Each group of `joint_blocks` of
+    the operator takes one batched eigensolve, and the eigenvector is the
+    first lowest block's, embedded in the full space.
     """
     best = None
-    for index, h in _hermitian_blocks(op):
-        w, v = np.linalg.eigh(h)
+    for index, h in _hermitian(joint_blocks((op,))):
+        w, v = np.linalg.eigh(h[0])
         b = int(np.argmin(w[:, 0]))
         if best is None or w[b, 0] < best[0]:
             best = w[b, 0], index[b], v[b, :, 0]
@@ -321,7 +406,7 @@ def min_eig(op: MpOperator | BlockOperator) -> tuple[float, np.ndarray]:
 def min_eigval(op: MpOperator | BlockOperator) -> float:
     """The smallest eigenvalue of `min_eig`, from eigenvalue-only solves
     (about half the cost where the vector is not read)."""
-    return min(float(np.linalg.eigvalsh(h)[:, 0].min()) for _, h in _hermitian_blocks(op))
+    return float(min_eigvals(joint_blocks((op,)))[0])
 
 
 def eigvalsh(op: MpOperator) -> np.ndarray:

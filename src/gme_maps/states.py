@@ -31,7 +31,7 @@ class PureState:
         if not np.isfinite(v).all():
             raise ValueError("vector entries must be finite (no NaN or infinity)")
         peak = np.abs(v).max()
-        if peak > 1e150:  # the squared norm would overflow
+        if peak > 1e150 or 0 < peak < 1e-150:  # the squared norm would overflow or underflow
             v = v / peak
         nrm = np.linalg.norm(v)
         if nrm == 0:
@@ -56,8 +56,7 @@ class NoiseMixture:
     visibility: float
 
     def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
+        check_visibility(self.visibility)
 
     def density(self) -> MpOperator:
         return depolarized(self.base, self.visibility)
@@ -112,10 +111,15 @@ def maximally_mixed(dims: Iterable[int] | SiteDims) -> MpOperator:
     return MpOperator(sd, np.eye(sd.total) / sd.total)
 
 
-def depolarized(psi: PureState, p: float) -> MpOperator:
-    """p |psi><psi| + (1-p) I/D."""
+def check_visibility(p: float) -> None:
+    """Reject a visibility outside [0, 1] (or NaN)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {p}")
+
+
+def depolarized(psi: PureState, p: float) -> MpOperator:
+    """p |psi><psi| + (1-p) I/D."""
+    check_visibility(p)
     D = psi.d
     rho = p * np.outer(psi.vec, psi.vec.conj()) + (1 - p) * np.eye(D) / D
     return MpOperator(psi.dims, rho)

@@ -225,6 +225,22 @@ def test_huge_state_vector_is_normalised(tmp_path, capsys):
     assert json.loads(out)["min_eig"] == pytest.approx(-0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("first", ["1e-170", "5e-324"])
+def test_tiny_state_vector_is_normalised(tmp_path, capsys, first):
+    """Entries whose squared norm would underflow to zero are scaled up first:
+    the GHZ vector times 1e-170, or at the least subnormal, is detected as GHZ
+    is, with no warning."""
+    path = tmp_path / "tiny.json"
+    cells = [f"[{first}, 0.0]"] + ["[0.0, 0.0]"] * 6 + [f"[{first}, 0.0]"]
+    path.write_text('{"format": "mpop-v1", "dims": [2, 2, 2], "vector": [%s]}' % ", ".join(cells))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "detect", "--map", "phi-tx", "--n", "3",
+                           "--state-file", str(path))
+    assert code == 0 and not caught
+    assert json.loads(out)["min_eig"] == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_map_file_shared_node_checked_once(tmp_path, capsys, monkeypatch):
     """Equal subtrees of a map file load as one node, so its mask is checked once."""
     mask = SchurWith(np.ones((8, 8)))

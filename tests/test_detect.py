@@ -1,23 +1,31 @@
 """Detector: verdicts, exact thresholds, scans, fuzzing, PPT report."""
 
+import importlib
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from gme_maps.criteria import (GmeMap, alpha_critical, bipartitions, eta_map,
-                               mu_map, phi_b, phi_r, phi_t, phi_tx,
+from gme_maps.criteria import (GmeMap, alpha_critical, bipartitions, build_map,
+                               eta_map, mu_map, phi_b, phi_r, phi_t, phi_tx,
                                witness_to_map)
-from gme_maps.detect import (NotDetectedError, adversarial_product, detect,
-                             lambda_scan, noise_threshold, ppt_check,
+from gme_maps.detect import (DETECT_TOL, NotDetectedError, _noise_outputs,
+                             _pencil_min, _pencil_min_singular, _pencil_min_stack,
+                             adversarial_product, detect, lambda_scan,
+                             noise_threshold, ppt_check,
                              verify_biseparable_positivity, visibility_scan,
                              white_noise_threshold)
 from gme_maps.maps import (Lift, Sum, TraceIdentity, TraceOuter, apply,
-                           transpose_map)
-from gme_maps.operators import MpOperator, SiteDims, min_eigval, operator
+                           apply_blocks, transpose_map)
+from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, joint_blocks,
+                                min_eigval, operator)
 from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
                              ppt_family, random_biseparable, w_state)
+
+
+# the module, which the package's `detect` function shadows as an attribute
+detect_module = importlib.import_module("gme_maps.detect")
 
 
 @pytest.mark.parametrize("m", [eta_map(5), mu_map(3, 4)], ids=["eta-5", "mu-choi-3-4"])
@@ -158,6 +166,96 @@ def test_threshold_with_singular_noise_output():
     assert noise_threshold(projected, g).p_star == pytest.approx(3 / 7, abs=1e-12)
 
 
+def _singular_noise_maps():
+    """The hand-built maps of `test_threshold_with_singular_noise_output`, with
+    their targets: m(I/D) is singular for each."""
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dims = SiteDims((2,))
+    psi = PureState(dims, np.array([1.0, 0.0]))
+    g = ghz(3, 2)
+    w = 0.5 * np.eye(8) - np.outer(g.vec, g.vec.conj())
+    return [
+        (_witness_terms(dims, (np.diag([-0.5, 1.5]), e11), (np.diag([1.0, -1.0]), e22),
+                        (np.diag([1.0, -1.0]), x)), psi),
+        (_witness_terms(dims, (np.diag([-0.5, 1.5]), e11), (np.diag([-1.0, 1.0]), e22)), psi),
+        (_witness_terms(dims, (np.diag([-0.5, 1.5]), e11), (np.diag([1.0, -1.0]), x)), psi),
+        (_witness_terms(g.dims, (w, np.diag([1.0] * 4 + [0.0] * 4))), g),
+    ]
+
+
+def _dense(op):
+    if isinstance(op, MpOperator):
+        return op.mat
+    mat = np.zeros((op.dims.total,) * 2, dtype=complex)
+    for index, b in op.groups:
+        mat[index[:, :, None], index[:, None, :]] = b
+    return mat
+
+
+def _assert_block_pencil_matches_dense(m, target):
+    a, b = apply_blocks(m.expr, target), apply_blocks(m.expr, maximally_mixed(m.dims))
+    blocks = _pencil_min(joint_blocks((a, b)), DETECT_TOL)
+    # the whole matrices as one block: the dense pencil
+    dense = _pencil_min_stack(_dense(a)[None], _dense(b)[None], DETECT_TOL)
+    if np.isinf(dense):
+        assert blocks == dense
+    else:
+        assert abs(blocks - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+CATALOG_PENCILS = [(map_id, n, d) for map_id, d in (("phi-t", 2), ("phi-tx", 2), ("eta", 2),
+                                                    ("phi-r", 2), ("phi-b", 4), ("mu-choi", 3))
+                   for n in range(3, 9) if d ** n <= 256]
+
+
+@pytest.mark.parametrize("map_id, n, d", CATALOG_PENCILS,
+                         ids=[f"{m}-{n}-{d}" for m, n, d in CATALOG_PENCILS])
+def test_block_pencil_matches_dense_on_catalog(map_id, n, d):
+    m = build_map(map_id, n, d)
+    target = w_state(n) if map_id == "phi-t" else ghz(n, d)
+    _assert_block_pencil_matches_dense(m, target.density())
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_block_pencil_matches_dense_on_singular_noise_output(case):
+    m, target = _singular_noise_maps()[case]
+    _assert_block_pencil_matches_dense(m, target.density())
+
+
+def test_pencil_block_with_zero_noise_output_is_no_constraint():
+    """A block where b = 0 and a >= 0 holds a - s b >= 0 for every s: +inf, so
+    sigma_min is the other blocks'.  Taken as a whole, that block alone is a
+    b with no range, which the pencil once read as -inf."""
+    dims = SiteDims((2, 2))
+    index = np.arange(4).reshape(2, 2)
+    a_blocks = np.array([[[-1.0, 0.5], [0.5, 2.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    b_blocks = np.array([[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]])
+    a, b = BlockOperator(dims, ((index, a_blocks),)), BlockOperator(dims, ((index, b_blocks),))
+    want = float(np.linalg.eigvalsh(a_blocks[0] / 0.5)[0])
+    assert _pencil_min_singular(a_blocks[1], b_blocks[1], DETECT_TOL) == np.inf
+    assert _pencil_min(joint_blocks((a, b)), DETECT_TOL) == pytest.approx(want, abs=1e-12)
+    # the whole matrices give the same sigma
+    dense = _pencil_min_stack(_dense(a)[None].real, _dense(b)[None].real, DETECT_TOL)
+    assert dense == pytest.approx(want, abs=1e-12)
+    # a negative on the kernel of b still makes every s infeasible
+    a_blocks[1, 1, 1] = -1.0
+    assert _pencil_min(joint_blocks((BlockOperator(dims, ((index, a_blocks),)), b)),
+                       DETECT_TOL) == -np.inf
+
+
+def test_threshold_with_zero_noise_output_blocks():
+    """The GHZ witness read out on a rank-64 diagonal projector at D = 128:
+    the outputs are diagonal, so every index is its own block, and on half of
+    them a = b = 0.  Those blocks are no constraint, and p* is the witness's
+    (D/2 - 1)/(D - 1)."""
+    g = ghz(7, 2)
+    w = 0.5 * np.eye(128) - np.outer(g.vec, g.vec.conj())
+    m = _witness_terms(g.dims, (w, np.diag([1.0] * 64 + [0.0] * 64)))
+    _assert_block_pencil_matches_dense(m, g.density())
+    assert noise_threshold(m, g).p_star == pytest.approx(63 / 127, abs=1e-12)
+
+
 def test_threshold_endpoints_use_detection_tolerance():
     # the output at p=1 dips below zero, but by less than tol: not detected
     g = ghz(3, 2)
@@ -191,6 +289,46 @@ def test_visibility_scan_matches_per_row_detect():
         assert abs(row.min_eig - v.min_eig) <= 1e-12
         assert row.detected == v.detected
     assert [r.detected for r in rows] == [p > 3 / 7 for p in grid]
+
+
+@pytest.mark.parametrize("m, psi", [(eta_map(7), ghz(7, 2)), (phi_tx(7), ghz(7, 2))],
+                         ids=["eta-7", "phi-tx-7"])
+def test_visibility_scan_matches_per_row_detect_at_d128(m, psi):
+    grid = [0.1 * i for i in range(11)]
+    for row in visibility_scan(m, psi, grid):
+        v = detect(m, depolarized(psi, row.param))
+        assert abs(row.min_eig - v.min_eig) <= 1e-12
+        assert row.detected == v.detected
+
+
+def test_visibility_scan_spans_two_chunks():
+    """At D = 1024 eta's rows hold 2048 block entries, so 600 rows take two
+    runs of SCAN_CHUNK_ENTRIES; each row is the per-row solve of its blocks."""
+    m, psi = eta_map(10), ghz(10, 2)
+    grid = [i / 600 for i in range(600)]
+    (index, (a, b)), = _noise_outputs(m, psi.density())
+    assert len(grid) * a.size > detect_module.SCAN_CHUNK_ENTRIES
+    rows = visibility_scan(m, psi, grid)
+    assert [r.param for r in rows] == grid
+    for p, row in zip(grid, rows):
+        want = min_eigval(BlockOperator(m.dims, ((index, p * a + (1 - p) * b),)))
+        assert abs(row.min_eig - want) <= 1e-12
+        assert row.detected == (want < -DETECT_TOL)
+
+
+@pytest.mark.parametrize("entries", [1, 81 * 4, 729 * 5])
+def test_scan_rows_do_not_depend_on_chunks(monkeypatch, entries):
+    """Runs of one row, of a few rows or of all rows give the same rows, bit
+    for bit, and an invalid row in a later run still raises its own error."""
+    m, psi = mu_map(3, 3), ghz(3, 3)
+    lam_grid, p_grid = [0.02 * i for i in range(1, 20)], [0.05 * i for i in range(21)]
+    whole = lambda_scan(m, lam_grid, noise=0.02), visibility_scan(m, psi, p_grid)
+    monkeypatch.setattr(detect_module, "SCAN_CHUNK_ENTRIES", entries)
+    assert (lambda_scan(m, lam_grid, noise=0.02), visibility_scan(m, psi, p_grid)) == whole
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        lambda_scan(m, lam_grid + [-1.0])
+    with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\], got 1.05"):
+        visibility_scan(m, psi, p_grid + [1.05, 0.5])
 
 
 def test_scans_keep_per_row_checks():

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from gme_maps.operators import (DENSE_MAX_DIM, DENSITY_EIG_TOL, DENSITY_TRACE_TOL, HERM_RTOL,
                                 BlockOperator, MpOperator, PartySubset, SiteDims,
-                                block_form, diag_part, eigvalsh, identity, is_density,
-                                is_hermitian, is_hermitian_array, kron, min_eig,
-                                min_eigval, od_part, operator, partial_trace,
-                                partial_transpose, real_or_complex, schur_product)
+                                density_rows, diag_part, eigvalsh,
+                                hermitian_rows, identity, is_density, is_hermitian,
+                                is_hermitian_array, joint_blocks, kron, min_eig,
+                                min_eigval, min_eigvals, od_part, operator,
+                                partial_trace, partial_transpose, real_or_complex,
+                                schur_product)
 from helpers import hermitian_op, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -261,17 +263,18 @@ def _dense_is_density(mat):
 
 
 @st.composite
-def planted_blocks(draw):
-    """A matrix of side 65..96, above `DENSE_MAX_DIM`, so that `block_form`
+def planted_blocks(draw, D=None):
+    """A matrix of side 65..96, above `DENSE_MAX_DIM`, so that `joint_blocks`
     searches it, with planted blocks on scattered indices: each block
     U diag(w) U^dag, the w of all blocks of trace one, positive, singular
     (zeros in w) or indefinite.  Optionally the lowest eigenvalue of one
     block is moved to 0, -0.5e-10 or -2e-10 (the density tolerance is
     -1e-10), one block is scaled by 1e3, tiny couplings (down to the least
     subnormal) join blocks, and one entry of a row of the last block is
-    moved by half, twice or 1e6 times the Hermiticity tolerance."""
+    moved by half, twice or 1e6 times the Hermiticity tolerance.  `D` fixes
+    the side."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    D = draw(st.integers(DENSE_MAX_DIM + 1, 96))
+    D = draw(st.integers(DENSE_MAX_DIM + 1, 96)) if D is None else D
     cplx = draw(st.booleans())
     kind = draw(st.sampled_from(["positive", "singular", "indefinite"]))
     cuts = np.sort(rng.choice(np.arange(1, D), draw(st.integers(0, 40)), replace=False))
@@ -315,12 +318,12 @@ def test_block_route_matches_dense_property(op):
     are the components: they cover every index once, hold every nonzero
     entry, and each is connected."""
     mat, D = op.mat, op.d
-    form = block_form(op)
-    index = np.concatenate([i.reshape(-1) for i, _ in form.groups])
+    groups = [(i, s[0]) for i, s in joint_blocks((op,))]
+    index = np.concatenate([i.reshape(-1) for i, _ in groups])
     assert np.array_equal(np.sort(index), np.arange(D))
-    assert [i.shape[1] for i, _ in form.groups] == sorted({i.shape[1] for i, _ in form.groups})
+    assert [i.shape[1] for i, _ in groups] == sorted({i.shape[1] for i, _ in groups})
     inside = np.zeros((D, D), bool)
-    for i, b in form.groups:
+    for i, b in groups:
         inside[i[:, :, None], i[:, None, :]] = True
         assert np.array_equal(b, mat[i[:, :, None], i[:, None, :]])
         # every block is connected: its joined pattern reaches each index from each
@@ -343,3 +346,52 @@ def test_block_route_matches_dense_property(op):
     assert abs(min_eigval(op) - w[0]) <= 1e-12 * scale
     assert abs(np.linalg.norm(vec) - 1) <= 1e-12
     assert np.linalg.norm(mat @ vec - val * vec) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_joint_blocks_rows_match_dense_property(data):
+    """Several operators split on the union of their patterns: every block
+    holds each operator's entries there and nothing is left outside, and row
+    by row `hermitian_rows`, `density_rows` and `min_eigvals` give each
+    operator's dense verdicts and eigenvalue, the Hermiticity scale being the
+    row's own largest entry."""
+    D = data.draw(st.integers(DENSE_MAX_DIM + 1, 96))
+    ops = data.draw(st.lists(planted_blocks(D), min_size=1, max_size=3))
+    groups = joint_blocks(ops)
+    inside = np.zeros((D, D), bool)
+    for index, stack in groups:
+        rows, cols = index[:, :, None], index[:, None, :]
+        inside[rows, cols] = True
+        for op, blocks in zip(ops, stack, strict=True):
+            assert np.array_equal(blocks, op.mat[rows, cols])
+    assert not any(op.mat[~inside].any() for op in ops)
+
+    hermitian = [is_hermitian_array(op.mat) for op in ops]
+    assert hermitian_rows(groups)[0] == hermitian
+    assert density_rows(groups) == [_dense_is_density(op.mat) for op in ops]
+    if not all(hermitian):
+        with pytest.raises(ValueError, match="Hermitian"):
+            min_eigvals(groups)
+        return
+    for op, val in zip(ops, min_eigvals(groups)):
+        w = np.linalg.eigvalsh((op.mat + op.mat.conj().T) / 2)
+        assert abs(val - w[0]) <= 1e-12 * max(1.0, float(np.abs(w).max()))
+
+
+def test_joint_blocks_pass_shared_blocks_through():
+    """`BlockOperator`s on one index stack on it, unsearched; with a full
+    matrix among them they are split as full matrices, to the same
+    eigenvalues."""
+    rng = np.random.default_rng(17)
+    dims = SiteDims((3, 3))
+    index = rng.permutation(9).reshape(3, 3)
+    ops = [BlockOperator(dims, ((index, np.stack([rand_hermitian(3, rng) for _ in range(3)])),))
+           for _ in range(2)]
+    (shared, stack), = joint_blocks(ops)
+    assert shared is index
+    assert all(np.array_equal(s, op.groups[0][1]) for s, op in zip(stack, ops))
+    full = operator(dims, rand_hermitian(9, rng))
+    mixed = joint_blocks(ops + [full])
+    want = [min_eigval(op) for op in ops + [full]]
+    assert np.allclose(min_eigvals(mixed), want, rtol=0, atol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gme_maps.operators import SiteDims, eigvalsh, is_density, min_eig, partial_transpose
-from gme_maps.states import (NoiseMixture, PptFamilyParams, clock_matrix,
+from gme_maps.states import (NoiseMixture, PptFamilyParams, PureState, clock_matrix,
                              depolarized, ghz, maximally_entangled,
                              maximally_mixed, ppt_family, random_biseparable,
                              random_product_pure, random_pure, shift_matrix,
@@ -200,3 +200,14 @@ def test_real_families_are_float64():
 def test_ppt_family_params_finite_and_positive(lams):
     with pytest.raises(ValueError, match="finite and strictly positive"):
         PptFamilyParams(*lams)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 5e-324, 1e300])
+def test_pure_state_normalises_tiny_and_huge_entries(scale):
+    """A vector whose squared norm would underflow to zero or overflow is
+    scaled by its peak entry first, so it normalises, with no warning."""
+    with np.errstate(all="raise"):
+        psi = PureState(SiteDims((2,)), np.array([scale, scale]))
+    assert np.array_equal(psi.vec, np.full(2, 1 / np.sqrt(2)))
+    with pytest.raises(ValueError, match="zero vector"):
+        PureState(SiteDims((2,)), np.zeros(2))
