@@ -134,6 +134,21 @@ def _check_lam(args) -> None:
     states.PptFamilyParams(*_parse_lam(args.lam))
 
 
+def _named_state(name: str, m: criteria.GmeMap,
+                 lam: str | None = None) -> PureState | MpOperator:
+    """The named target state on the sites of the map: GHZ or W as a pure
+    state, the ppt family at --lam as a matrix.  Sites the state is not
+    defined on are an error."""
+    if name == "ghz":
+        return states.ghz(m.dims.n, m.dims.dims[0])
+    if name == "w":
+        if set(m.dims.dims) != {2}:
+            raise ValueError("the w state is defined for qubits")
+        return states.w_state(m.dims.n)
+    states.check_ppt_dims(m.dims)
+    return states.ppt_family(_parse_lam(lam))
+
+
 def _build_state(args, m: criteria.GmeMap) -> MpOperator:
     """The state of --state or --state-file; a flag the state would not read
     is an error."""
@@ -143,28 +158,18 @@ def _build_state(args, m: criteria.GmeMap) -> MpOperator:
         raise ValueError("give either --state or --state-file, not both")
     if args.noise is not None and args.state not in ("ghz", "w", "ppt"):
         raise ValueError("--noise applies only to --state ghz, w or ppt")
-    _check_lam(args)
     if args.state_file:
         obj = serialize.load_state(args.state_file)
         return obj.density() if isinstance(obj, PureState) else obj
-    n, d = m.dims.n, m.dims.dims[0]
-    if args.state == "ghz":
-        psi = states.ghz(n, d)
-        return states.depolarized(psi, 1.0 if args.noise is None else args.noise)
-    if args.state == "w":
-        if d != 2:
-            raise ValueError("the w state is defined for qubits")
-        psi = states.w_state(n)
-        return states.depolarized(psi, 1.0 if args.noise is None else args.noise)
-    if args.state == "ppt":
-        if m.dims.dims != (3, 3, 3):
-            raise ValueError("the ppt family is a 3-qutrit family (n=3, d=3)")
-        rho = states.ppt_family(_parse_lam(args.lam))
-        if args.noise:
-            mm = states.maximally_mixed(rho.dims).mat
-            rho = MpOperator(rho.dims, args.noise * mm + (1 - args.noise) * rho.mat)
-        return rho
-    return states.maximally_mixed(m.dims)  # --state mixed, the last choice
+    if args.state == "mixed":
+        return states.maximally_mixed(m.dims)
+    target = _named_state(args.state, m, args.lam)
+    if isinstance(target, PureState):
+        return states.depolarized(target, 1.0 if args.noise is None else args.noise)
+    if args.noise:
+        mm = states.maximally_mixed(target.dims).mat
+        target = MpOperator(target.dims, args.noise * mm + (1 - args.noise) * target.mat)
+    return target
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -214,14 +219,12 @@ def _cmd_detect(args) -> int:
 def _cmd_threshold(args) -> int:
     _check_lam(args)
     m = _build_gme_map(args)
+    target = _named_state(args.state, m, args.lam)
     if args.state == "ppt":
-        rho = states.ppt_family(_parse_lam(args.lam))
-        res = white_noise_threshold(m, rho, args.tol)
+        res = white_noise_threshold(m, target, args.tol)
         kind = "white-noise"
     else:
-        n, d = m.dims.n, m.dims.dims[0]
-        psi = states.ghz(n, d) if args.state == "ghz" else states.w_state(n)
-        res = noise_threshold(m, psi, args.tol)
+        res = noise_threshold(m, target, args.tol)
         kind = "visibility"
     report = {
         "config": _config(args, "threshold", m, args.state),
@@ -257,8 +260,7 @@ def _cmd_scan(args) -> int:
     if args.family == "ppt-qutrit":
         rows = lambda_scan(m, grid, noise=args.noise or 0.0, tol=args.tol)
     else:
-        psi = (states.ghz(m.dims.n, m.dims.dims[0]) if args.family == "noisy-ghz"
-               else states.w_state(m.dims.n))
+        psi = _named_state("ghz" if args.family == "noisy-ghz" else "w", m)
         rows = visibility_scan(m, psi, grid, args.tol)
     _emit(serialize.scan_csv(rows), args.output)
     return 0

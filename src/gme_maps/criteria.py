@@ -9,51 +9,19 @@ or as a mixture of clock-unitary conjugations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
+from .grades import BipartitionSet, bipartitions  # noqa: F401  re-exported
 from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
                    Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
                    apply, breuer_hall_map, dual, mu_constant, reduction_map,
                    transpose_map, x_support_blocks)
 from .operators import MpOperator, PartySubset, SiteDims, is_hermitian
 from .states import PureState, clock_matrix, shift_matrix
-
-
-@dataclass(frozen=True)
-class BipartitionSet:
-    """One representative subset per unordered bipartition A|Abar."""
-
-    n: int
-    representatives: tuple[PartySubset, ...]
-
-    def __len__(self):
-        return len(self.representatives)
-
-    def __iter__(self):
-        return iter(self.representatives)
-
-
-def bipartitions(n: int) -> BipartitionSet:
-    """All 2^(n-1) - 1 bipartition representatives, by size then lexicographic.
-
-    The representative is the smaller side; for even splits, the side
-    containing party 0.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 parties")
-    reps = []
-    for size in range(1, n // 2 + 1):
-        for combo in itertools.combinations(range(n), size):
-            if 2 * size == n and 0 not in combo:
-                continue
-            reps.append(PartySubset(combo))
-    assert len(reps) == 2 ** (n - 1) - 1
-    return BipartitionSet(n, tuple(reps))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from .maps import apply_blocks as apply
 from .operators import (Groups, MpOperator, density_rows, eigvalsh, is_density,
                         joint_blocks, min_eig, min_eigval, min_eigvals,
                         partial_transpose)
-from .states import (PptFamilyParams, PureState, check_visibility,
+from .states import (PptFamilyParams, PureState, check_ppt_dims, check_visibility,
                      maximally_entangled, maximally_mixed, ppt_family_terms,
                      random_biseparable)
 from .states import depolarized, ppt_family  # noqa: F401  perfbench/spans.py wraps both
@@ -245,8 +245,10 @@ def lambda_scan(m: GmeMap, grid: Sequence[float], noise: float = 0.0,
     combine the blocks of those outputs and take one eigenvalue-only solve
     per group and run of rows (`_chunks`).  A row is checked as `ppt_family`
     checks its parameter, in grid order: an invalid row raises once the rows
-    before it have been solved.
+    before it have been solved.  A map not on three qutrits is refused
+    (`check_ppt_dims`).
     """
+    check_ppt_dims(m.dims)
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"white-noise fraction must lie in [0, 1], got {noise}")
     P, Q, C = ppt_family_terms()

@@ -1,26 +1,28 @@
 """Bipartition sums of lifted site-wise involutions and shifts, by grades.
 
 The criteria add one lift of a positive map for one side of every
-bipartition: the smaller side, or at an even split the side holding party 0.
-When the lifted map is a chain of transpositions and digit reversals (sigma_x
-on qubits), `maps.Sum` records the lifts as `GradedLifts`.  With L_i the
-chain on site i alone, the lift onto parties A is the product of the
-commuting involutions L_i, i in A, and L_i is a strided view of
-x.reshape((-1,) + dims + dims), given by `view_recipe`.  `bipartition_sum`
-adds all 2^(n-1) - 1 lifts by a recurrence over grades, the sizes of the
-sides, in about n^2 / 2 strided adds; `bipartition_gather_sum` does so on
-D-vectors, for L_i an index gather.  Every other lift is evaluated block by
-block in `maps`.
+bipartition, its representative (`bipartitions`), and the recurrence below
+depends on that choice of side.  When the lifted map is a chain of
+transpositions and digit reversals (sigma_x on qubits), `maps.Sum` records
+the lifts as `GradedLifts`.  With L_i the chain on site i alone, the lift
+onto parties A is the product of the commuting involutions L_i, i in A, and
+L_i is a strided view of x.reshape((-1,) + dims + dims), given by
+`view_recipe`.  `bipartition_sum` adds all 2^(n-1) - 1 lifts by a
+recurrence over grades, the sizes of the sides, in about n^2 / 2 strided
+adds; `bipartition_gather_sum` does so on D-vectors, for L_i an index
+gather.  Every other lift is evaluated block by block in `maps`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import SiteDims
+from .operators import PartySubset, SiteDims
 
 if TYPE_CHECKING:
     from .maps import Lift
@@ -31,6 +33,44 @@ ViewRecipe = tuple[tuple[int, ...], tuple[slice, ...]]
 #: smallest side D at which `bipartition_sum` runs one block of site-0
 #: digits at a time
 _BLOCKS_MIN_DIM = 256
+
+
+@dataclass(frozen=True)
+class BipartitionSet:
+    """One representative subset per unordered bipartition A|Abar."""
+
+    n: int
+    representatives: tuple[PartySubset, ...]
+
+    def __len__(self):
+        return len(self.representatives)
+
+    def __iter__(self):
+        return iter(self.representatives)
+
+
+def bipartitions(n: int) -> BipartitionSet:
+    """All 2^(n-1) - 1 bipartition representatives, by size then lexicographic.
+
+    The representative is the smaller side; for even splits, the side
+    containing party 0.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2 parties")
+    reps = []
+    for size in range(1, n // 2 + 1):
+        for combo in itertools.combinations(range(n), size):
+            if 2 * size == n and 0 not in combo:
+                continue
+            reps.append(PartySubset(combo))
+    assert len(reps) == 2 ** (n - 1) - 1
+    return BipartitionSet(n, tuple(reps))
+
+
+@functools.lru_cache(maxsize=16)
+def _sides(n: int) -> frozenset[tuple[int, ...]]:
+    """The members of every representative of `bipartitions(n)`."""
+    return frozenset(a.members for a in bipartitions(n))
 
 
 def view_recipe(parties: Iterable[int], n: int, parities: tuple[bool, bool]) -> ViewRecipe:
@@ -57,12 +97,11 @@ class GradedLifts(NamedTuple):
 
 
 def covers_bipartitions(lifts: Sequence[Lift]) -> bool:
-    """True when `lifts` are one lift per bipartition representative of
-    n >= 3 sites, all on the same dims."""
+    """True when `lifts` are one lift per bipartition representative
+    (`bipartitions`) of n >= 3 sites, all on the same dims."""
     n = lifts[0].dims.n if lifts else 0
-    sides = {c.parties.members for c in lifts if c.dims == lifts[0].dims and (
-        2 * len(c.parties) < n or 2 * len(c.parties) == n and 0 in c.parties.members)}
-    return n >= 3 and len(lifts) == len(sides) == 2 ** (n - 1) - 1
+    return n >= 3 and len(lifts) == 2 ** (n - 1) - 1 and {
+        c.parties.members for c in lifts if c.dims == lifts[0].dims} == _sides(n)
 
 
 def graded_form(lifts: list[Lift]) -> GradedLifts | None:

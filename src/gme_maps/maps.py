@@ -2,20 +2,21 @@
 
 Primitive positive maps (transposition, reduction, Breuer-Hall, Choi,
 unitary conjugation, Diag, trace-times-identity) are combined with
-lift-to-subsystem, sum, scale and composition nodes.  One walker, `_eval`,
-evaluates a tree on a stack of matrices.  A lift is evaluated one of two
-ways.  A sum whose leading children lift one chain of transpositions and
-digit reversals onto a side of every bipartition (`Sum.graded`) adds those
-lifts by a recurrence over grades, the sizes of the sides: about n^2 / 2
-strided adds instead of 2^(n-1) - 1 lifts.  Every other lift applies its
-child block by block, on tables made at its first such evaluation.  The
-catalog lifts one child node onto every side of a size, so a tree costs
-about its distinct nodes to build; `dual` and `nodes` take each distinct
-node once.  A bipartition sum of lifted sigma_x T or Choi maps projected
-onto the cyclic GHZ support (eta, mu-choi, their duals and their map files)
-is recognised when its root is built (`Compose.support`), and `apply`
-evaluates it in closed form on the D d entries of that support instead of
-walking the tree; else the walker runs.
+lift-to-subsystem, sum, scale and composition nodes.  One stateless walker,
+`_eval`, evaluates a tree on a stack of matrices, a subtree that several
+parents share once per use.  A lift is evaluated one of two ways.  A sum
+whose leading children lift one chain of transpositions and digit reversals
+onto a side of every bipartition (`Sum.graded`) adds those lifts by a
+recurrence over grades, the sizes of the sides: about n^2 / 2 strided adds
+instead of 2^(n-1) - 1 lifts.  Every other lift applies its child block by
+block, on tables made at its first such evaluation.  The catalog lifts one
+child node onto every side of a size, so a tree costs about its distinct
+nodes to build; `dual` and `nodes` take each distinct node once.  A
+bipartition sum of lifted sigma_x T or Choi maps projected onto the cyclic
+GHZ support (eta, mu-choi, their duals and their map files, the catalog
+trees that share a subtree) is recognised when its root is built
+(`Compose.support`), and `apply` evaluates it in closed form on the D d
+entries of that support instead of walking the tree; else the walker runs.
 """
 
 from __future__ import annotations
@@ -86,20 +87,6 @@ class MapExpr:
                 and np.array_equal(self.perm, np.arange(self.dim - 1, -1, -1))):
             return False, True
         return None
-
-    @functools.cached_property
-    def shared(self) -> dict[int, int]:
-        """The number of parents of each node the tree reaches more than once,
-        by id, not counting inside a `Lift`: its child runs on the lift's
-        blocks, which no other parent's input is."""
-        uses, stack = {}, [self]
-        while stack:
-            node = stack.pop()
-            for c in () if isinstance(node, Lift) else children(node):
-                uses[id(c)] = uses.get(id(c), 0) + 1
-                if uses[id(c)] == 1:
-                    stack.append(c)
-        return {key: n for key, n in uses.items() if n > 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +285,8 @@ class Sum(MapExpr):
 
     `graded` is set when the leading children lift one chain of transpositions
     and digit reversals (with equal parities) onto every bipartition
-    representative: the smaller side, or at an even split the side holding
-    party 0.  `_eval_sum` then sums those lifts by a grade recurrence.
+    representative (`grades.bipartitions`).  `_eval_sum` then sums those
+    lifts by a grade recurrence.
     """
 
     children: tuple[MapExpr, ...]
@@ -415,34 +402,15 @@ def _embed_diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval(node: MapExpr, x: np.ndarray, memo: dict | None = None) -> np.ndarray:
+def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
     """Apply `node` to a stack of matrices, shape (..., d, d).
 
     A `Lift` applies its child to each block of the rest-space
     (`_eval_blocks`); a `Sum` adds its `graded` lifts by grades
-    (`_eval_sum`).  A monomial conjugation is a row and column gather.  A
-    node the tree reaches more than once (`MapExpr.shared`) runs once per
-    input: `memo` keeps its uses left, last input and output, by id, and
-    drops them at its last use.
+    (`_eval_sum`).  A monomial conjugation is a row and column gather.
     """
-    if memo is None:
-        memo = {key: [uses, None, None] for key, uses in node.shared.items()}
-    entry = memo.get(id(node))
-    if entry is None:
-        return _eval_node(node, x, memo)
-    if entry[1] is not x:  # the entry keeps its input alive, so `is` is exact
-        entry[1], entry[2] = x, _eval_node(node, x, memo)
-    entry[0] -= 1
-    out = entry[2]
-    if not entry[0]:
-        del memo[id(node)]
-    return out
-
-
-def _eval_node(node: MapExpr, x: np.ndarray, memo: dict) -> np.ndarray:
-    """`_eval` of one node, its sub-expressions through `memo`."""
     if isinstance(node, Compose):
-        return _eval(node.outer, _eval(node.inner, x, memo), memo)
+        return _eval(node.outer, _eval(node.inner, x))
     if isinstance(node, Identity):
         return x
     if isinstance(node, Transpose):
@@ -450,20 +418,16 @@ def _eval_node(node: MapExpr, x: np.ndarray, memo: dict) -> np.ndarray:
     if isinstance(node, Lift):
         return _eval_blocks(node, x)
     if isinstance(node, Reduction):
-        tr = _trace(x)
-        eye = np.eye(node.dim)
         # times the reciprocal, as complex128 division scales, so a real input
         # gives the real part of its complex128 result bit for bit
-        return (tr[..., None, None] * eye - x) * (1 / (node.dim - 1))
+        return (_trace(x)[..., None, None] * np.eye(node.dim) - x) * (1 / (node.dim - 1))
     if isinstance(node, BreuerHall):
-        tr = _trace(x)
-        eye = np.eye(node.dim)
         xt = x.swapaxes(-1, -2)
         if node.perm is None:
             vxv = node.v @ xt @ node.v.conj().T
         else:
             vxv = _gather(xt, node.perm, node.phase)
-        return (tr[..., None, None] * eye - x - vxv) * (1 / (node.dim - 2))
+        return (_trace(x)[..., None, None] * np.eye(node.dim) - x - vxv) * (1 / (node.dim - 2))
     if isinstance(node, Choi):
         v = _diag_vec(x)
         shift = 1 if node.adjoint else -1
@@ -478,21 +442,20 @@ def _eval_node(node: MapExpr, x: np.ndarray, memo: dict) -> np.ndarray:
     if isinstance(node, DiagAll):
         return _embed_diag(_diag_vec(x).copy())
     if isinstance(node, TraceIdentity):
-        tr = _trace(x)
-        return float(node.c) * tr[..., None, None] * np.eye(node.dim)
+        return float(node.c) * _trace(x)[..., None, None] * np.eye(node.dim)
     if isinstance(node, TraceOuter):
         tr = _sum_parts(lambda a: a.sum(axis=(-2, -1)), node.weight.T * x)
         return tr[..., None, None] * node.output
     if isinstance(node, SchurWith):
         return node.mask * x
     if isinstance(node, Sum):
-        return _eval_sum(node, x, memo)
+        return _eval_sum(node, x)
     if isinstance(node, Scale):
-        return node.r * _eval(node.child, x, memo)
+        return node.r * _eval(node.child, x)
     raise TypeError(f"unknown map node {type(node).__name__}")
 
 
-def _eval_sum(node: Sum, x: np.ndarray, memo: dict) -> np.ndarray:
+def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
     """The children's outputs added in order into one fresh buffer.
 
     Graded leading lifts (`Sum.graded`) are summed by
@@ -501,19 +464,19 @@ def _eval_sum(node: Sum, x: np.ndarray, memo: dict) -> np.ndarray:
     child is added in place; the first complex child after real ones upcasts
     the buffer once."""
     if len(node.children) == 1:
-        return _eval(node.children[0], x, memo)
+        return _eval(node.children[0], x)
     # the reference helper in the tests swaps in a `bipartition_sum` that
     # returns None, which takes the lift-by-lift route below
     out = None if node.graded is None else bipartition_sum(x, node.graded)
     if out is None:
         c0, c1, *more = node.children
-        a, b = _eval(c0, x, memo), _eval(c1, x, memo)
+        a, b = _eval(c0, x), _eval(c1, x)
         out = np.empty(x.shape, dtype=np.result_type(a, b))
         np.add(a, b, out=out)
     else:
         more = node.children[node.graded.count:]
     for c in more:
-        y = _eval(c, x, memo)
+        y = _eval(c, x)
         if np.can_cast(y.dtype, out.dtype):
             out += y
         else:

@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .grades import bipartitions
 from .operators import (MpOperator, PartySubset, SiteDims, party_subset,
                         real_or_complex, site_dims)
 
@@ -71,6 +72,12 @@ class PptFamilyParams:
     def __post_init__(self):
         if not all(0 < lam < np.inf for lam in (self.l1, self.l2, self.l3)):
             raise ValueError("all family parameters must be finite and strictly positive")
+
+
+def check_ppt_dims(dims: SiteDims) -> None:
+    """Reject sites other than the three qutrits the ppt family lives on."""
+    if dims.dims != (3, 3, 3):
+        raise ValueError("the ppt family is a 3-qutrit family (n=3, d=3)")
 
 
 def pure(dims: Iterable[int] | SiteDims, vec: np.ndarray) -> PureState:
@@ -238,7 +245,6 @@ def random_biseparable(dims: Iterable[int] | SiteDims, k: int, seed: int) -> MpO
     sd = site_dims(dims)
     n = sd.n
     rng = np.random.default_rng(seed)
-    from .criteria import bipartitions  # local import to avoid a cycle
     reps = bipartitions(n).representatives
     w = rng.exponential(size=k)
     w = w / w.sum()

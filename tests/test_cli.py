@@ -102,6 +102,32 @@ def test_ppt_lam_defaults_to_one_ninth(capsys, command):
     assert out == run(capsys, *argv, "--lam", repr(1 / 9))[1]
 
 
+#: (map flags, named state, message) of a state named on sites it is not defined on
+WRONG_SITES = {
+    "w-on-qutrits": (["--map", "phi-t", "--n", "3", "--d", "3"], "w",
+                     "the w state is defined for qubits"),
+    "ppt-on-four-qubits": (["--map", "phi-t", "--n", "4"], "ppt",
+                           "the ppt family is a 3-qutrit family (n=3, d=3)"),
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "witness", "threshold", "scan"])
+@pytest.mark.parametrize("case", sorted(WRONG_SITES))
+def test_named_state_on_wrong_sites_exits_2(tmp_path, capsys, command, case):
+    """Every command that names a target state refuses sites the state is not
+    defined on with the same message, and writes nothing."""
+    map_flags, state, message = WRONG_SITES[case]
+    if command == "scan":
+        family = {"w": "noisy-w", "ppt": "ppt-qutrit"}[state]
+        flags = ["--family", family, "--grid", "0.1:0.5:0.1"]
+    else:
+        flags = ["--state", state]
+    output = tmp_path / "out.json"
+    code, out, err = run(capsys, command, *map_flags, *flags, "--output", str(output))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not output.exists()
+
+
 def _nested(depth):
     """A mapexpr-v1 text whose root is `depth` scale nodes around an identity."""
     text = '{"kind": "identity", "d": 2}'

@@ -109,6 +109,12 @@ def test_lambda_scan_rejects_noise_outside_unit_interval(noise):
         lambda_scan(mu_map(3, 3), [0.1], noise=noise)
 
 
+@pytest.mark.parametrize("m", [phi_t(4), phi_r(4, 3), mu_map(4, 3)])
+def test_lambda_scan_refuses_maps_off_three_qutrits(m):
+    with pytest.raises(ValueError, match=r"^the ppt family is a 3-qutrit family \(n=3, d=3\)$"):
+        lambda_scan(m, [0.1])
+
+
 @pytest.mark.parametrize("m, target, white_noise, want", [
     (phi_tx(3), ghz(3, 2), False, 11 / 15),
     (phi_r(2), ghz(3, 2), False, 11 / 15),
