@@ -163,6 +163,8 @@ def _build_state(args, m: criteria.GmeMap) -> MpOperator:
         return obj.density() if isinstance(obj, PureState) else obj
     if args.state == "mixed":
         return states.maximally_mixed(m.dims)
+    if args.state == "ppt" and args.noise is not None and not 0.0 <= args.noise <= 1.0:
+        raise ValueError(f"white-noise fraction must lie in [0, 1], got {args.noise}")
     target = _named_state(args.state, m, args.lam)
     if isinstance(target, PureState):
         return states.depolarized(target, 1.0 if args.noise is None else args.noise)

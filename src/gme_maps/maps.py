@@ -5,13 +5,17 @@ unitary conjugation, Diag, trace-times-identity) are combined with
 lift-to-subsystem, sum, scale and composition nodes.  One stateless walker,
 `_eval`, evaluates a tree on a stack of matrices, a subtree that several
 parents share once per use.  A lift is evaluated one of two ways.  A sum
-whose leading children lift one chain of transpositions and digit reversals
-onto a side of every bipartition (`Sum.graded`) adds those lifts by a
-recurrence over grades, the sizes of the sides: about n^2 / 2 strided adds
-instead of 2^(n-1) - 1 lifts.  Every other lift applies its child block by
-block, on tables made at its first such evaluation.  The catalog lifts one
-child node onto every side of a size, so a tree costs about its distinct
-nodes to build; `dual` and `nodes` take each distinct node once.  A
+whose leading children lift one kind of map onto a side of every
+bipartition (`Sum.graded`, `MapExpr.graded_kind`) adds those lifts by a
+recurrence over grades, the sizes of the sides: about n^2 / 2 site steps
+instead of 2^(n-1) - 1 lifts.  The kinds are a chain of transpositions and
+digit reversals (phi-t, phi-tx), the reduction map (phi-r) and the
+Breuer-Hall map with `default_skew_unitary` (phi-b), the latter two with a
+weight per side size.  Every other lift (a lone lift, as `estimate_mu`
+makes, or a sum of another shape) applies its child block by block, on
+tables made at its first such evaluation.  The catalog lifts one child node
+onto every side of a size, so a tree costs about its distinct nodes to
+build; `dual` and `nodes` take each distinct node once.  A
 bipartition sum of lifted sigma_x T or Choi maps projected onto the cyclic
 GHZ support (eta, mu-choi, their duals and their map files, the catalog
 trees that share a subtree) is recognised when its root is built
@@ -86,6 +90,20 @@ class MapExpr:
         if (isinstance(self, Conjugate) and self.perm is not None and self.phase is None
                 and np.array_equal(self.perm, np.arange(self.dim - 1, -1, -1))):
             return False, True
+        return None
+
+    @functools.cached_property
+    def graded_kind(self) -> str | None:
+        """How `grades.bipartition_sum` adds this map lifted onto a side of
+        every bipartition: "chain" when `parities` is not None, "reduction",
+        "breuer-hall" when V is exactly `default_skew_unitary`; None for any
+        other tree, whose lifts go block by block."""
+        if self.parities is not None:
+            return "chain"
+        if isinstance(self, Reduction):
+            return "reduction"
+        if isinstance(self, BreuerHall) and np.array_equal(self.v, default_skew_unitary(self.dim)):
+            return "breuer-hall"
         return None
 
 
@@ -283,10 +301,10 @@ class Lift(MapExpr):
 class Sum(MapExpr):
     """The children's outputs added.
 
-    `graded` is set when the leading children lift one chain of transpositions
-    and digit reversals (with equal parities) onto every bipartition
-    representative (`grades.bipartitions`).  `_eval_sum` then sums those
-    lifts by a grade recurrence.
+    `graded` is set when the leading children lift one `graded_kind` of map
+    (chains with equal parities, reductions or default Breuer-Hall maps)
+    onto every bipartition representative (`grades.bipartitions`).
+    `_eval_sum` then sums those lifts by a grade recurrence.
     """
 
     children: tuple[MapExpr, ...]
@@ -301,7 +319,7 @@ class Sum(MapExpr):
             raise ValueError("sum children disagree on dimension")
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "dim", d)
-        run = itertools.takewhile(lambda c: isinstance(c, Lift) and c.child.parities is not None,
+        run = itertools.takewhile(lambda c: isinstance(c, Lift) and c.child.graded_kind is not None,
                                   self.children)
         object.__setattr__(self, "graded", graded_form(list(run)))
 

@@ -31,7 +31,9 @@ class PureState:
             raise ValueError(f"vector length {v.shape} does not match dims {self.dims.dims}")
         if not np.isfinite(v).all():
             raise ValueError("vector entries must be finite (no NaN or infinity)")
-        peak = np.abs(v).max()
+        # a complex entry by its larger part: |re + i im| overflows near the float limit
+        peak = max(np.abs(v.real).max(), np.abs(v.imag).max()) if np.iscomplexobj(v) \
+            else np.abs(v).max()
         if peak > 1e150 or 0 < peak < 1e-150:  # the squared norm would overflow or underflow
             v = v / peak
         nrm = np.linalg.norm(v)

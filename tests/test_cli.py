@@ -448,6 +448,16 @@ def test_scan_rejects_noise_outside_unit_interval(capsys, noise):
     assert "must lie in [0, 1]" in err
 
 
+@pytest.mark.parametrize("noise", ["1.5", "-0.5"])
+def test_detect_rejects_ppt_noise_outside_unit_interval(capsys, noise):
+    """The white-noise fraction on the PPT state is checked as `scan` checks
+    it, before a state is built: 1.5 would still mix to a density matrix."""
+    code, out, err = run(capsys, "detect", "--map", "mu-choi", "--n", "3", "--d", "3",
+                         "--state", "ppt", "--noise", noise)
+    assert code == 2 and out == ""
+    assert err == f"error: white-noise fraction must lie in [0, 1], got {float(noise)}\n"
+
+
 @pytest.mark.parametrize("family", ["noisy-ghz", "noisy-w"])
 def test_scan_noise_only_for_ppt_family(capsys, family):
     code, out, err = run(capsys, "scan", "--map", "phi-t", "--n", "3", "--family", family,

@@ -211,3 +211,12 @@ def test_pure_state_normalises_tiny_and_huge_entries(scale):
     assert np.array_equal(psi.vec, np.full(2, 1 / np.sqrt(2)))
     with pytest.raises(ValueError, match="zero vector"):
         PureState(SiteDims((2,)), np.zeros(2))
+
+
+def test_pure_state_normalises_complex_entries_near_the_float_limit():
+    """Scaling reads the largest real or imaginary part: the modulus of
+    1.27e308 (1 + i) overflows to infinity, and dividing by it would leave a
+    zero vector.  Underflow stays ignored, as numpy's default has it."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        psi = PureState(SiteDims((2,)), np.array([0, 1.27116101e308 * (1 + 1j)]))
+    assert np.allclose(psi.vec, [0, (1 + 1j) / np.sqrt(2)], rtol=0, atol=1e-15)
