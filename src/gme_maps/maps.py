@@ -6,17 +6,18 @@ lift-to-subsystem, sum, scale and composition nodes.  One stateless walker,
 `_eval`, evaluates a tree on a stack of matrices, a subtree that several
 parents share once per use.  A lift is evaluated one of two ways.  A sum
 whose leading children lift one kind of map onto a side of every
-bipartition (`Sum.graded`, `MapExpr.graded_kind`) adds those lifts by a
+bipartition (`Sum.graded`, `MapExpr.graded_kind`) adds those lifts by one
 recurrence over grades, the sizes of the sides: about n^2 / 2 site steps
 instead of 2^(n-1) - 1 lifts.  The kinds are a chain of transpositions and
 digit reversals (phi-t, phi-tx), the reduction map (phi-r) and the
-Breuer-Hall map with `default_skew_unitary` (phi-b), the latter two with a
-weight per side size.  Every other lift (a lone lift, as `estimate_mu`
-makes, or a sum of another shape) applies its child block by block, on
-tables made at its first such evaluation.  The catalog lifts one child node
-onto every side of a size, so a tree costs about its distinct nodes to
-build; `dual` and `nodes` take each distinct node once.  A
-bipartition sum of lifted sigma_x T or Choi maps projected onto the cyclic
+Breuer-Hall map with `default_skew_unitary` (phi-b); each is a signed sum
+of products of per-site maps with a weight per side size, so the recurrence
+and its site-0 rule do not depend on the kind.  Every other lift (a lone
+lift, as `estimate_mu` makes, or a sum of another shape) applies its child
+block by block, on tables made at its first such evaluation.  The catalog
+lifts one child node onto every side of a size, so a tree costs about its
+distinct nodes to build; `dual` and `nodes` take each distinct node once.
+A bipartition sum of lifted sigma_x T or Choi maps projected onto the cyclic
 GHZ support (eta, mu-choi, their duals and their map files, the catalog
 trees that share a subtree) is recognised when its root is built
 (`Compose.support`), and `apply` evaluates it in closed form on the D d
@@ -304,7 +305,8 @@ class Sum(MapExpr):
     `graded` is set when the leading children lift one `graded_kind` of map
     (chains with equal parities, reductions or default Breuer-Hall maps)
     onto every bipartition representative (`grades.bipartitions`).
-    `_eval_sum` then sums those lifts by a grade recurrence.
+    `_eval_sum` then sums those lifts by `grades.bipartition_sum`, one
+    recurrence for every kind.
     """
 
     children: tuple[MapExpr, ...]
@@ -483,16 +485,13 @@ def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
     the buffer once."""
     if len(node.children) == 1:
         return _eval(node.children[0], x)
-    # the reference helper in the tests swaps in a `bipartition_sum` that
-    # returns None, which takes the lift-by-lift route below
-    out = None if node.graded is None else bipartition_sum(x, node.graded)
-    if out is None:
+    if node.graded is None:
         c0, c1, *more = node.children
         a, b = _eval(c0, x), _eval(c1, x)
         out = np.empty(x.shape, dtype=np.result_type(a, b))
         np.add(a, b, out=out)
     else:
-        more = node.children[node.graded.count:]
+        out, more = bipartition_sum(x, node.graded), node.children[node.graded.count:]
     for c in more:
         y = _eval(c, x)
         if np.can_cast(y.dtype, out.dtype):

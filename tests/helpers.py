@@ -1,14 +1,12 @@
 """Shared test utilities: random operators, random map expressions (also
-X-projected ones), superoperator, block-by-block and lift-by-lift oracles,
-and the text `json.dumps` writes for a document with arrays."""
+X-projected ones), superoperator and lift-by-lift oracles, and the text
+`json.dumps` writes for a document with arrays."""
 
-import contextlib
 import functools
 import json
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
 from gme_maps import maps
@@ -53,16 +51,6 @@ def superoperator(m: MapExpr, evaluate=apply_stack) -> np.ndarray:
     basis = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
     out = evaluate(m, basis)
     return out.reshape(D * D, D * D).T
-
-
-@contextlib.contextmanager
-def blocks_reference():
-    """Switch off the grade recurrence (`grades.bipartition_sum`): every lift
-    is then evaluated on its own and block by block (`maps._eval_blocks`),
-    the reference for the recurrence that sums a sum's `graded` lifts."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps, "bipartition_sum", lambda x, graded: None)
-        yield
 
 
 def lift_by_lift(m: MapExpr, x: np.ndarray) -> np.ndarray:

@@ -24,10 +24,9 @@ from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims
                                 min_eig, operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
 from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
-from gme_maps.grades import view_recipe
-from helpers import (blocks_reference, density_op, digit_reversal, hermitian_op,
-                     lift_by_lift, lifted_map_exprs, map_exprs, monomial, rand_density,
-                     rand_hermitian, superoperator, x_projected_exprs)
+from helpers import (density_op, digit_reversal, hermitian_op, lift_by_lift,
+                     lifted_map_exprs, map_exprs, monomial, rand_density, rand_hermitian,
+                     superoperator, x_projected_exprs)
 
 
 def test_reduction_on_identity():
@@ -391,7 +390,7 @@ def test_dual_and_full_space_property(expr):
 
 
 # ---------------------------------------------------------------------------
-# lifted transpositions and digit reversals: the view recipes of the grades
+# lifted transpositions and digit reversals: the site steps of the grades
 # ---------------------------------------------------------------------------
 
 VIEW_MAPS = [("phi-t", n, 2) for n in range(3, 9)] + [("phi-t", n, 3) for n in range(3, 7)] \
@@ -405,33 +404,40 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("map_id,n,d", VIEW_MAPS)
 def test_lifted_views_match_blocks_bitwise(map_id, n, d):
     """Every lift of phi-t and phi-tx, and of their duals, lifts a chain, and
-    the strided view `grades.view_recipe` gives for its parties and parities
-    equals the lift's block-by-block output bit for bit."""
+    the chain's site step in the sum's `GradedLifts`, a strided view, equals
+    the chain on one site lifted there alone (`maps._eval_blocks`) bit for
+    bit on every site, as a fresh buffer and added into zeros."""
     m = build_map(map_id, n, d).expr
     x = rand_hermitian(m.dim, np.random.default_rng(n * d))
     t = x.reshape((-1,) + m.graded.dims.dims * 2)
     for expr in (m, dual(m)):
         lifts = expr.children[:-1]
         assert all(isinstance(c, maps.Lift) and c.child.parities is not None for c in lifts)
-        for c in lifts:
-            axes, flip = view_recipe(c.parties, n, c.child.parities)
-            assert _same_bits(maps._eval(c, x), t.transpose(axes)[flip].reshape(x.shape))
+        [(sign, step, first)] = expr.graded.terms
+        assert sign == 1 and step is first
+        assert lifts[0].parties.members == (0,)
+        for i in range(n):
+            want = maps._eval_blocks(Lift(lifts[0].child, PartySubset((i,)), lifts[0].dims), x)
+            assert _same_bits(step(i, t).reshape(x.shape), want)
+            assert _same_bits(step(i, t, np.zeros_like(t)).reshape(x.shape), want)
 
 
-def test_lifted_view_recipe():
+def test_chain_parities():
     """Chains of identities, transpositions and digit reversals have parities,
-    in any order and on qudits, and `view_recipe` turns them into a view of
-    three qutrits; phased monomials, cyclic shifts and other nodes have none."""
+    in any order and on qudits, and their site steps on two of three sites
+    make the chain's lift there; phased monomials, cyclic shifts and other
+    nodes have none."""
     rev = digit_reversal((3, 3))
     t = transpose_map(9)
     chain = compose(rev, t, identity_map(9), rev, t, compose(rev, t))
-    # three of each: A's row and column axes swap, and all four reverse
+    # three of each: A's row and column digits swap, and all four reverse
     assert chain.parities == (True, True)
-    axes, flip = view_recipe((0, 2), 3, chain.parities)
-    assert axes == (0, 4, 2, 6, 1, 5, 3)
-    assert [s.step for s in flip] == [None, -1, None, -1, -1, None, -1]
     assert compose(rev, rev).parities == (False, False)
-    assert view_recipe((0, 2), 3, (False, False)) == (tuple(range(7)), (slice(None),) * 7)
+    dims = SiteDims((3, 2, 3))
+    x = rand_hermitian(dims.total, np.random.default_rng(3))
+    step = grades._chain_step(*chain.parities)
+    got = step(2, step(0, x.reshape((-1,) + dims.dims * 2)))
+    assert _same_bits(got.reshape(x.shape), maps._eval_blocks(lift(chain, (0, 2), dims), x))
     for child in (conjugation_map(monomial(3, 1, 2) @ monomial(3, 0, 2)),  # reversal with phases
                   conjugation_map(monomial(3, 0, 1)),  # the cyclic shift X
                   compose(transpose_map(3), reduction_map(3))):
@@ -462,9 +468,9 @@ def test_graded_sum_makes_no_temporaries():
 @pytest.mark.parametrize("map_id,n,d", VIEW_MAPS)
 def test_graded_lifts_match_one_by_one(map_id, n, d):
     """The grade recurrence sums the lifts of phi-t, phi-tx and their duals
-    as the lifts added one by one, block by block, do, to 1e-13 relative: on a batched complex
-    stack and on a real matrix, with grade buffers held whole (D < 256) and
-    one block of site-0 digits at a time (D >= 256)."""
+    as the lift-by-lift reference does, to 1e-13 relative: on a batched
+    complex stack and on a real matrix, with grade buffers held whole
+    (D < 256) and one block of site-0 digits at a time (D >= 256)."""
     m = build_map(map_id, n, d).expr
     rng = np.random.default_rng(n * d)
     stack = _stack((2,), m.dim, rng)
@@ -473,10 +479,8 @@ def test_graded_lifts_match_one_by_one(map_id, n, d):
         assert expr.graded is not None
         for x in (stack, stack[0].real.copy()):
             got = maps._eval(expr, x)
-            with blocks_reference():
-                want = maps._eval(expr, x)
-            assert got.dtype == want.dtype
-            assert _max_rel(got, want) <= 1e-13
+            assert got.dtype == x.dtype
+            assert _max_rel(got, lift_by_lift(expr, x)) <= 1e-13
 
 
 @pytest.mark.parametrize("map_id,d,sizes", [("phi-t", 2, range(3, 11)), ("phi-t", 3, range(3, 7)),
@@ -601,22 +605,6 @@ def test_catalog_weighted_sums_are_graded(map_id):
                 assert expr.graded.count == len(expr.children) - 1
 
 
-def test_blocks_reference_switches_the_grades_off():
-    """Under `helpers.blocks_reference` no grade recurrence runs, so the tests
-    that compare with it compare the grades with the block route."""
-    def refuse(*args):
-        raise AssertionError("the grade recurrence ran")
-
-    with blocks_reference(), pytest.MonkeyPatch.context() as mp:
-        for name in ("_chain_sum", "_weighted_sum", "_grades"):
-            mp.setattr(grades, name, refuse)
-        for map_id in ("phi-t", "phi-r", "phi-b"):
-            m = build_map(map_id, *SMALLEST[map_id]).expr
-            assert m.graded is not None
-            x = rand_hermitian(m.dim, np.random.default_rng(1))
-            assert _max_rel(maps._eval(m, x), lift_by_lift(m, x)) <= 1e-13
-
-
 def _weighted_cases(n, d):
     """Sums of lifted reduction or Breuer-Hall maps plus a compensation: the
     "exact" cases have the weighted pattern, every other case is one step off
@@ -678,6 +666,38 @@ def test_weighted_grades_stay_chunked():
     finally:
         tracemalloc.stop()
     assert peak <= 134_352_990
+
+
+#: sums whose site-0 blocks move at small D: catalog maps, qutrit chains of
+#: a transposition and a digit reversal (the reversal fixes a middle digit)
+#: and the chain sum with a 4-level site 0
+MOVE_CASES = [("phi-t", n, 2) for n in (3, 4, 5)] + [("phi-t", n, 3) for n in (3, 4)] \
+    + [("phi-tx", n, 2) for n in (3, 4, 5)] + [("phi-r", 3, 2), ("phi-r", 4, 3), ("phi-b", 3, 4)] \
+    + [("qutrit-flips", n, 3) for n in (3, 4)] + [("4-level-site", n, 2) for n in (4, 5)]
+
+
+def _move_case(kind, n, d):
+    if kind == "4-level-site":
+        return map_sum(*_graded_cases(n)["exact-4-level-site"])
+    if kind == "qutrit-flips":
+        dims = SiteDims((d,) * n)
+        flips = [lift(compose(digit_reversal((d,) * len(A)), transpose_map(d ** len(A))), A, dims)
+                 for A in bipartitions(n)]
+        return map_sum(*flips, trace_identity(1, dims.total))
+    return build_map(kind, n, d).expr
+
+
+@pytest.mark.parametrize("kind,n,d", MOVE_CASES)
+def test_site0_moves_at_small_dims(monkeypatch, kind, n, d):
+    """With every D run one block of site-0 digits at a time, the blocks that
+    F_0 moves each one into (`grades._moves`) give the lift-by-lift sum, to
+    1e-13 relative, for the sum and its dual."""
+    monkeypatch.setattr(grades, "_BLOCKS_MIN_DIM", 1)
+    m = _move_case(kind, n, d)
+    x = _stack((2,), m.dim, np.random.default_rng(n * d))
+    for expr in (m, dual(m)):
+        assert expr.graded is not None
+        assert _max_rel(maps._eval(expr, x), lift_by_lift(expr, x)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
