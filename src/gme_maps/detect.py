@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -12,7 +13,7 @@ from .criteria import GmeMap, bipartitions
 # (`maps.apply_blocks`); bound as `apply`, the name perfbench/spans.py times
 from .maps import apply_blocks as apply
 from .operators import (Groups, MpOperator, density_rows, eigvalsh, is_density,
-                        joint_blocks, min_eig, min_eigval, min_eigvals,
+                        joint_blocks, min_eig, min_eigval_above, min_eigvals,
                         partial_transpose)
 from .states import (PptFamilyParams, PureState, check_ppt_dims, check_visibility,
                      maximally_entangled, maximally_mixed, ppt_family_terms,
@@ -332,24 +333,32 @@ def verify_biseparable_positivity(m: GmeMap, samples: int, *, seed: int = 0,
     least the smallest lambda_min over its terms.  A deterministic
     adversarial product state is evaluated as index -1.  Violations below
     -tol are collected, never raised.
+
+    The report keeps the least output eigenvalue (the first of equal ones)
+    and every violation, so only the outputs that can change it take an
+    eigensolve: every output is checked Hermitian, and one whose smallest
+    eigenvalue a Cholesky factorisation proves above max(least so far, -tol)
+    (`min_eigval_above`) is passed over.  The first output is always solved.
+    The report is the one an eigensolve of every output gives.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
     dims = m.dims
-    results = [(i, seed + i,
-                min_eigval(apply(m.expr, random_biseparable(dims, 1, seed + i))))
-               for i in range(samples)]
+    states = ((i, seed + i, random_biseparable(dims, 1, seed + i)) for i in range(samples))
     if include_adversarial and dims.n >= 3 and len(set(dims.dims)) == 1:
-        adv = adversarial_product(dims)
-        results.append((-1, None, min_eigval(apply(m.expr, adv))))
-
-    worst_index, worst_seed, worst = min(results, key=lambda t: t[2])
-    violations = tuple(
-        Violation(i, s, v, "adversarial" if i == -1 else "")
-        for i, s, v in results if _detected(v, tol)
-    )
+        states = itertools.chain(states, [(-1, None, adversarial_product(dims))])
+    worst, worst_index, worst_seed = np.inf, 0, None
+    violations = []
+    for i, s, rho in states:
+        v = min_eigval_above(apply(m.expr, rho), max(worst, -tol))
+        if v is None:
+            continue
+        if v < worst:
+            worst, worst_index, worst_seed = v, i, s
+        if _detected(v, tol):
+            violations.append(Violation(i, s, v, "adversarial" if i == -1 else ""))
     return BisepReport(m.label, samples, seed, tol,
-                       worst, worst_index, worst_seed, violations)
+                       worst, worst_index, worst_seed, tuple(violations))
 
 
 def ppt_check(rho: MpOperator, tol: float = PPT_TOL) -> PptReport:

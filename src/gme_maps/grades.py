@@ -63,11 +63,12 @@ class BipartitionSet:
         return iter(self.representatives)
 
 
+@functools.lru_cache(maxsize=16)
 def bipartitions(n: int) -> BipartitionSet:
     """All 2^(n-1) - 1 bipartition representatives, by size then lexicographic.
 
     The representative is the smaller side; for even splits, the side
-    containing party 0.
+    containing party 0.  The set is frozen, so one is built per n.
     """
     if n < 2:
         raise ValueError("need n >= 2 parties")

@@ -261,9 +261,9 @@ def _symmetrised(groups: Groups) -> tuple[np.ndarray, Groups]:
     return functools.reduce(np.maximum, diffs), tuple(out)
 
 
-def hermitian_rows(groups: Groups) -> tuple[list[bool], Groups]:
-    """Which rows of `joint_blocks` groups are Hermitian, and the groups with
-    every block replaced by (m + m^dag) / 2.
+def hermitian_rows(groups: Groups) -> tuple[list[bool], Groups, list[float]]:
+    """Which rows of `joint_blocks` groups are Hermitian, the groups with
+    every block replaced by (m + m^dag) / 2, and each row's largest entry.
 
     A row is Hermitian when no block of it moves by more than HERM_RTOL times
     its largest entry over all of its groups (at least 1) under m -> m^dag; a
@@ -279,49 +279,70 @@ def hermitian_rows(groups: Groups) -> tuple[list[bool], Groups]:
         with np.errstate(invalid="ignore"):
             diff, out = _symmetrised(groups)
     ok = [p < np.inf and e <= HERM_RTOL * max(1.0, p) for p, e in zip(peaks, diff.tolist())]
-    return ok, out
+    return ok, out, peaks
 
 
-def _hermitian(groups: Groups) -> Groups:
-    """`hermitian_rows`' symmetrised groups; ValueError when a row is not Hermitian."""
-    ok, out = hermitian_rows(groups)
+def _hermitian(groups: Groups) -> tuple[Groups, list[float]]:
+    """`hermitian_rows`' symmetrised groups and peaks; ValueError when a row
+    is not Hermitian."""
+    ok, out, peaks = hermitian_rows(groups)
     if not all(ok):
         raise ValueError("min_eig requires a Hermitian operator")
-    return out
+    return out, peaks
+
+
+def _lowest(herm: Groups) -> np.ndarray:
+    """The smallest eigenvalue of each row of symmetrised groups, from one
+    batched eigenvalue-only solve per group."""
+    return functools.reduce(np.minimum, [np.minimum.reduce(np.linalg.eigvalsh(h), axis=(1, 2))
+                                         for _, h in herm])
 
 
 def min_eigvals(groups: Groups) -> np.ndarray:
     """The smallest eigenvalue of each row of `joint_blocks` groups, from one
     batched eigenvalue-only solve per group; a row that is not Hermitian
     (`hermitian_rows`) raises ValueError."""
-    return functools.reduce(np.minimum, [np.minimum.reduce(np.linalg.eigvalsh(h), axis=(1, 2))
-                                         for _, h in _hermitian(groups)])
+    return _lowest(_hermitian(groups)[0])
+
+
+def _factors(h: np.ndarray) -> bool:
+    """Whether every matrix of the stack has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def rows_above(herm: Groups, bound: float, ok: Sequence[bool] | None = None) -> list[bool]:
+    """Which rows of symmetrised groups have no eigenvalue at or below `bound`:
+    those where every block H - bound I has a Cholesky factor.
+
+    One batched factorisation per group, and one per row of a group only
+    where that fails and the group holds more than one row; rows false in
+    `ok` stay false and are not factorised.
+    """
+    ok = [True] * len(herm[0][1]) if ok is None else list(ok)
+    for _, h in herm:
+        rows = [r for r, o in enumerate(ok) if o]
+        if not rows:
+            break
+        shifted = h.copy() if len(rows) == len(ok) else h[rows]
+        diagonal = np.arange(h.shape[-1])
+        shifted[..., diagonal, diagonal] -= bound
+        if not _factors(shifted):
+            for r, s in zip(rows, shifted):
+                ok[r] = len(rows) > 1 and _factors(s)
+    return ok
 
 
 def density_rows(groups: Groups) -> list[bool]:
     """Which rows of `joint_blocks` groups are density matrices: Hermitian,
-    trace one and no eigenvalue below -DENSITY_EIG_TOL.
-
-    The eigenvalue bound holds exactly when every H + DENSITY_EIG_TOL I has a
-    Cholesky factor: one batched factorisation per group, and one per row of
-    a group only where that fails.
-    """
-    ok, herm = hermitian_rows(groups)
+    trace one and no eigenvalue below -DENSITY_EIG_TOL (`rows_above`)."""
+    ok, herm, _ = hermitian_rows(groups)
     trace = sum(s.diagonal(0, -2, -1).sum(axis=(-2, -1)) for _, s in groups)
-    ok = [o and abs(t - 1.0) <= DENSITY_TRACE_TOL for o, t in zip(ok, trace.tolist())]
-    for _, h in herm:
-        k = h.shape[-1]
-        h[..., np.arange(k), np.arange(k)] += DENSITY_EIG_TOL
-        rows = [r for r, o in enumerate(ok) if o]
-        try:
-            np.linalg.cholesky(h if len(rows) == len(ok) else h[rows])
-        except np.linalg.LinAlgError:
-            for r in rows:
-                try:
-                    np.linalg.cholesky(h[r])
-                except np.linalg.LinAlgError:
-                    ok[r] = False
-    return ok
+    return rows_above(herm, -DENSITY_EIG_TOL,
+                      [o and abs(t - 1.0) <= DENSITY_TRACE_TOL for o, t in zip(ok, trace.tolist())])
 
 
 def is_density(op: MpOperator | BlockOperator) -> bool:
@@ -392,7 +413,7 @@ def min_eig(op: MpOperator | BlockOperator) -> tuple[float, np.ndarray]:
     first lowest block's, embedded in the full space.
     """
     best = None
-    for index, h in _hermitian(joint_blocks((op,))):
+    for index, h in _hermitian(joint_blocks((op,)))[0]:
         w, v = np.linalg.eigh(h[0])
         b = int(np.argmin(w[:, 0]))
         if best is None or w[b, 0] < best[0]:
@@ -407,6 +428,24 @@ def min_eigval(op: MpOperator | BlockOperator) -> float:
     """The smallest eigenvalue of `min_eig`, from eigenvalue-only solves
     (about half the cost where the vector is not read)."""
     return float(min_eigvals(joint_blocks((op,)))[0])
+
+
+def min_eigval_above(op: MpOperator | BlockOperator, floor: float) -> float | None:
+    """`min_eigval` of the operator, or None when its smallest eigenvalue is
+    proven above `floor` (a floor of +inf proves nothing).
+
+    The proof is `rows_above` at floor + HERM_RTOL k max(1, peak), k the
+    largest block side and peak the largest entry: k peak bounds the norm of
+    each block, so the margin stays well above the rounding of either the
+    factorisation or the eigensolve, and an operator passed over has no
+    eigenvalue `min_eigval` would report at or below `floor`.  A non-Hermitian
+    operator raises ValueError as `min_eigval` does.
+    """
+    herm, (peak,) = _hermitian(joint_blocks((op,)))
+    k = max(h.shape[-1] for _, h in herm)
+    if floor < np.inf and rows_above(herm, floor + HERM_RTOL * k * max(1.0, peak))[0]:
+        return None
+    return float(_lowest(herm)[0])
 
 
 def eigvalsh(op: MpOperator) -> np.ndarray:

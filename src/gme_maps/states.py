@@ -8,6 +8,7 @@ pure / product / biseparable states for verification sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -213,16 +214,14 @@ def random_pure(dims: Iterable[int] | SiteDims, seed: int) -> PureState:
 
 def _product_vector(sd: SiteDims, subset: PartySubset,
                     rng: np.random.Generator) -> np.ndarray:
-    n = sd.n
-    keep = list(subset.members)
-    rest = [i for i in range(n) if i not in subset.members]
-    dA = int(np.prod([sd.dims[i] for i in keep]))
-    dB = sd.total // dA
+    """|phi_A> x |phi_Abar>, Haar factors drawn for A first, in the site order."""
+    keep = subset.members
+    order = keep + tuple(i for i in range(sd.n) if i not in keep)
+    dA = prod(sd.dims[i] for i in keep)
     va = _haar_vector(dA, rng)
-    vb = _haar_vector(dB, rng)
-    order = keep + rest
-    v = np.kron(va, vb).reshape([sd.dims[o] for o in order])
-    return v.transpose(np.argsort(order)).reshape(sd.total)
+    vb = _haar_vector(sd.total // dA, rng)
+    v = np.multiply.outer(va, vb).reshape([sd.dims[o] for o in order])
+    return v.transpose(sorted(range(sd.n), key=order.__getitem__)).reshape(sd.total)
 
 
 def random_product_pure(dims: Iterable[int] | SiteDims,

@@ -3,8 +3,10 @@ X-projected ones), superoperator and lift-by-lift oracles, and the text
 `json.dumps` writes for a document with arrays."""
 
 import functools
+import itertools
 import json
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 from hypothesis import strategies as st
@@ -56,17 +58,25 @@ def superoperator(m: MapExpr, evaluate=apply_stack) -> np.ndarray:
 def lift_by_lift(m: MapExpr, x: np.ndarray) -> np.ndarray:
     """m(x) for a stack x, shape (..., D, D), with every `Lift` evaluated on
     its own from the definition and every sum child by child, each node as
-    often as the tree reaches it; leaves go through `maps._eval`.  For each
-    pair (r, s) of basis indices of the sites outside A, a lift's child maps
-    the block x[index[:, r], index[:, s]] into the same entries, where
-    index[a, r] is the full basis index of subsystem index a and rest index r."""
+    often as the tree reaches it; leaves go through `maps._eval`.  A lift's
+    child maps each block of x on the sites of A, one per pair (r, s) of basis
+    indices of the sites R outside A, into the same entries: one axis
+    transpose of x reads it as (..., dR, dR, dA, dA), and one more puts the
+    child's output back."""
     if isinstance(m, Lift):
-        order = m.parties.members + m.parties.complement(m.dims.n).members
-        index = np.arange(m.dim).reshape(m.dims.dims).transpose(order).reshape(m.child.dim, -1)
-        rows, cols = index.T[:, None, :, None], index.T[None, :, None, :]
-        out = np.zeros(x.shape, dtype=complex)
-        out[..., rows, cols] = lift_by_lift(m.child, x[..., rows, cols])
-        return out
+        # the sites as runs of neighbours on one side, one axis per run
+        runs = [(a, prod(m.dims.dims[i] for i in g)) for a, g in itertools.groupby(
+            range(m.dims.n), key=lambda i: i in m.parties.members)]
+        lead, k = x.ndim - 2, len(runs)
+        rest = [lead + j for j, (a, _) in enumerate(runs) if not a]
+        inside = [lead + j for j, (a, _) in enumerate(runs) if a]
+        # (..., runs, runs) read as (..., R, R, A, A)
+        axes = list(range(lead)) + rest + [j + k for j in rest] + inside + [j + k for j in inside]
+        sizes = tuple(size for _, size in runs)
+        dA = m.child.dim
+        blocks = x.reshape(x.shape[:-2] + sizes * 2).transpose(axes)
+        out = lift_by_lift(m.child, blocks.reshape(x.shape[:-2] + (m.dim // dA,) * 2 + (dA, dA)))
+        return out.reshape(blocks.shape).transpose(np.argsort(axes)).reshape(x.shape)
     if isinstance(m, Sum):
         return sum(lift_by_lift(c, x) for c in m.children)
     if isinstance(m, Scale):

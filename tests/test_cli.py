@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -499,6 +500,60 @@ def test_verify_same_seed_same_report(capsys):
     assert set(json.loads(out1)) == {"map_id", "samples", "seed", "tolerance",
                                      "min_over_samples", "worst_index", "worst_seed",
                                      "violations"}
+
+
+def _float_kernels_fingerprint() -> str:
+    """sha256 of the bits of the float kernels a `verify` report rests on:
+    eigenvalue-only solves at the block sides of the smallest catalog maps,
+    real and complex, and the norms of complex vectors."""
+    rng = np.random.default_rng(0)
+    parts = []
+    for k in (2, 3, 8, 27, 64):
+        h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        parts += [np.linalg.eigvalsh(h + h.conj().T), np.linalg.eigvalsh(h.real + h.real.T)]
+    for k in (2, 4, 8, 16, 32, 64):
+        parts.append(np.linalg.norm(rng.standard_normal(k) + 1j * rng.standard_normal(k)))
+    return hashlib.sha256(b"".join(np.asarray(p).tobytes() for p in parts)).hexdigest()
+
+
+# sha256 of `verify` stdout, seed 0 and 40 samples, for each catalog map at
+# its smallest size and for phi-t (3) with the compensation 999/1000 read from
+# a map file, with the exit code.  Recorded before `verify` screened its
+# samples by Cholesky, when every sample took an eigensolve.  The reports
+# print eigenvalues of random outputs, whose last bits depend on the LAPACK
+# and BLAS build, so the pins are compared where those kernels round as on
+# the recording build (`_float_kernels_fingerprint`); the screen's agreement
+# with an eigensolve of every sample is checked on any build by
+# test_detect.py::test_screened_verify_matches_unscreened_property.
+VERIFY_SHA256 = {
+    "phi-t": (0, "5945f338d48167f1df6200f1a06244fda0e0810c39d7f72115108424b3d2c099"),
+    "phi-tx": (0, "f8c077713fe1dd9c8c47a1bc456b5e5d95860ce23c278fc3a3eacb467e12430d"),
+    "eta": (0, "85cc4ded08d7030341ad1e237e3a5515ff417062c4566e293d7dac340f8f7f99"),
+    "phi-r": (0, "943a4cfaaa4cf371c0b053af7c30f2ee13d9ae0afaf73aec55bb2904a69ce354"),
+    "phi-b": (0, "2eb5306366b6637b097f72236721f068cac08352c440e6e0866ec1ba1787c92c"),
+    "mu-choi": (0, "af07e5e19d38b47926c368205cf34a84140afdf5bfdbb53c48e1b80eee27a82a"),
+    "phi-t-undersized": (1, "55c6c265c1d11c58ef1a922d9030879c43d925ea985f6f9e6b8199a71a7ab184"),
+}
+FLOAT_KERNELS_SHA256 = "25e1952f58457545fbb4de85be18b7bf0e0224c324c968c485516a798971947a"
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_SHA256))
+def test_verify_stdout_pinned(tmp_path, capsys, case):
+    if _float_kernels_fingerprint() != FLOAT_KERNELS_SHA256:
+        pytest.skip("the pins were recorded on a LAPACK and BLAS build that rounds otherwise")
+    if case == "phi-t-undersized":
+        dims = (2, 2, 2)
+        lifts = [maps.lift(maps.transpose_map(2 ** len(a)), a, dims)
+                 for a in criteria.bipartitions(3)]
+        path = tmp_path / "m.json"
+        serialize.save_map(str(path), maps.map_sum(*lifts, maps.trace_identity(
+            Fraction(999, 1000), 8)))
+        argv = ("--map-file", str(path), "--n", "3")
+    else:
+        n, d = criteria.SMALLEST[case]
+        argv = ("--map", case, "--n", str(n), "--d", str(d))
+    code, out, _ = run(capsys, "verify", *argv, "--samples", "40", "--seed", "0")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_SHA256[case]
 
 
 def test_witness_roundtrip_sign(tmp_path, capsys):

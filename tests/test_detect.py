@@ -6,11 +6,13 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gme_maps.criteria import (GmeMap, alpha_critical, bipartitions, build_map,
+from gme_maps.criteria import (MAP_IDS, SMALLEST, GmeMap, alpha_critical, bipartitions, build_map,
                                eta_map, mu_map, phi_b, phi_r, phi_t, phi_tx,
                                witness_to_map)
-from gme_maps.detect import (DETECT_TOL, NotDetectedError, _noise_outputs,
+from gme_maps.detect import (DETECT_TOL, BisepReport, NotDetectedError, Violation, _noise_outputs,
                              _pencil_min, _pencil_min_singular, _pencil_min_stack,
                              adversarial_product, detect, lambda_scan,
                              noise_threshold, ppt_check,
@@ -371,6 +373,69 @@ def test_verify_flags_undersized_compensation():
     assert not rep.passed
     adversarial = [v for v in rep.violations if v.label == "adversarial"]
     assert adversarial and adversarial[0].min_eig == pytest.approx(-1e-3, abs=1e-9)
+
+
+def _unscreened(m: GmeMap, samples: int, seed: int, tol: float = DETECT_TOL,
+                include_adversarial: bool = True) -> BisepReport:
+    """The report an eigensolve of every sample's output and of the
+    adversarial state's gives, on the outputs `verify` takes (`apply_blocks`):
+    the least value, the first of equal ones, and every value below -tol."""
+    dims = m.dims
+    results = [(i, seed + i, min_eigval(apply_blocks(m.expr, random_biseparable(dims, 1, seed + i))))
+               for i in range(samples)]
+    if include_adversarial and dims.n >= 3 and len(set(dims.dims)) == 1:
+        results.append((-1, None, min_eigval(apply_blocks(m.expr, adversarial_product(dims)))))
+    worst_index, worst_seed, worst = min(results, key=lambda t: t[2])
+    violations = tuple(Violation(i, s, v, "adversarial" if i == -1 else "")
+                       for i, s, v in results if v < -tol)
+    return BisepReport(m.label, samples, seed, tol, worst, worst_index, worst_seed, violations)
+
+
+def _with_compensation(m: GmeMap, factor: Fraction) -> GmeMap:
+    """phi-t or phi-tx with its compensation c I Tr scaled by factor."""
+    *lifts, comp = m.expr.children
+    assert isinstance(comp, TraceIdentity)
+    return GmeMap(m.label, Sum(tuple(lifts) + (TraceIdentity(comp.c * factor, comp.dim),)),
+                  m.dims)
+
+
+@st.composite
+def _verify_cases(draw):
+    """A catalog map at its smallest size, or phi-t (3) or phi-tx (3) with the
+    compensation scaled by 1 +- 10^-k, k = 1..12; a sample count, a seed, a
+    tolerance and whether the adversarial state is added."""
+    kind = draw(st.sampled_from(MAP_IDS + ("phi-t", "phi-tx")))
+    m = build_map(kind, *SMALLEST[kind])
+    if draw(st.booleans()) and kind in ("phi-t", "phi-tx"):
+        eps = Fraction(draw(st.sampled_from([-1, 1])), 10 ** draw(st.integers(1, 12)))
+        m = _with_compensation(m, 1 + eps)
+    return (m, draw(st.integers(1, 40)), draw(st.integers(0, 2 ** 31)),
+            draw(st.sampled_from([DETECT_TOL, 0.0, 1e-3])), draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_verify_cases())
+def test_screened_verify_matches_unscreened_property(case):
+    """The samples the Cholesky screen passes over never change the report:
+    the least value, its index and seed, and every violation with its value
+    are those of an eigensolve of every output."""
+    m, samples, seed, tol, adversarial = case
+    assert verify_biseparable_positivity(m, samples, seed=seed, tol=tol,
+                                         include_adversarial=adversarial) \
+        == _unscreened(m, samples, seed, tol, adversarial)
+
+
+def test_verify_reports_every_violation():
+    """phi-t (3) with a quarter of its compensation fails on about half the
+    samples; each is reported with the value of its own eigensolve."""
+    m = _with_compensation(phi_t(3), Fraction(1, 4))
+    rep = verify_biseparable_positivity(m, 60, seed=11)
+    assert rep == _unscreened(m, 60, 11)
+    assert len(rep.violations) >= 30
+    for v in rep.violations[:-1]:
+        assert v.seed == 11 + v.index
+        assert v.min_eig == min_eigval(apply_blocks(m.expr, random_biseparable(m.dims, 1, v.seed)))
+    assert rep.violations[-1].label == "adversarial"
 
 
 def test_adversarial_product_is_biseparable_zero_mode():

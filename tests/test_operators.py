@@ -10,9 +10,9 @@ from gme_maps.operators import (DENSE_MAX_DIM, DENSITY_EIG_TOL, DENSITY_TRACE_TO
                                 density_rows, diag_part, eigvalsh,
                                 hermitian_rows, identity, is_density, is_hermitian,
                                 is_hermitian_array, joint_blocks, kron, min_eig,
-                                min_eigval, min_eigvals, od_part, operator,
-                                partial_trace, partial_transpose, real_or_complex,
-                                schur_product)
+                                min_eigval, min_eigval_above, min_eigvals, od_part,
+                                operator, partial_trace, partial_transpose,
+                                real_or_complex, rows_above, schur_product)
 from helpers import hermitian_op, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -216,6 +216,40 @@ def test_min_eigval_matches_min_eig():
             assert abs(min_eigval(op) - val) <= 1e-12
     with pytest.raises(ValueError, match="Hermitian"):
         min_eigval(operator((2,), np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def test_rows_above_is_the_cholesky_rule():
+    """A row passes exactly when each of its blocks has every eigenvalue
+    above the bound (with a gap of 1e-6 either side), one failing block
+    failing only its own row; a row false in `ok` stays false."""
+    rng = np.random.default_rng(18)
+    u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    lows = np.array([[-1.0, 0.3], [0.2, 0.4], [-0.25, -0.3]])  # rows x blocks
+    herm = ((np.arange(10).reshape(2, 5),
+             np.stack([[(u * np.r_[low, 1.0, 1.5, 2.0, 3.0]) @ u.conj().T for low in row]
+                       for row in lows])),)
+    for bound in (-1.1, -0.5, -0.3, 0.1, 0.25, 0.35, 0.5):
+        for delta in (-1e-6, 1e-6):
+            want = [bool(row.min() > bound + delta) for row in lows]
+            assert rows_above(herm, bound + delta) == want
+            assert rows_above(herm, bound + delta, [True, False, True]) == \
+                [want[0], False, want[2]]
+
+
+def test_min_eigval_above_solves_only_what_it_cannot_prove():
+    """None when the smallest eigenvalue lies above the floor by more than the
+    margin, otherwise `min_eigval` itself, bit for bit; a floor of +inf always
+    solves, and a non-Hermitian operator raises as `min_eigval` does."""
+    rng = np.random.default_rng(19)
+    for h in (rand_hermitian(12, rng), rand_hermitian(12, rng).real):
+        op = operator((3, 4), h)
+        low = min_eigval(op)
+        margin = HERM_RTOL * 12 * max(1.0, float(np.abs(h).max()))
+        assert min_eigval_above(op, low - 2 * margin) is None
+        for floor in (low - margin / 2, low, low + 1.0, np.inf):
+            assert min_eigval_above(op, floor) == low
+    with pytest.raises(ValueError, match="Hermitian"):
+        min_eigval_above(operator((2,), np.array([[0.0, 1.0], [0.0, 0.0]])), 0.0)
 
 
 def test_dtype_rule():

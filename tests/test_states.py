@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from gme_maps.operators import SiteDims, eigvalsh, is_density, min_eig, partial_transpose
+from gme_maps.grades import bipartitions
+from gme_maps.operators import (MpOperator, SiteDims, eigvalsh, is_density, min_eig,
+                                partial_transpose)
 from gme_maps.states import (NoiseMixture, PptFamilyParams, PureState, clock_matrix,
                              depolarized, ghz, maximally_entangled,
                              maximally_mixed, ppt_family, random_biseparable,
@@ -176,6 +178,38 @@ def test_random_biseparable_valid_state():
     assert np.array_equal(rho.mat, again.mat)
     with pytest.raises(ValueError):
         random_biseparable((2, 2), 0, 1)
+
+
+def _kron_biseparable(dims, seed):
+    """`random_biseparable(dims, 1, seed)` by its draws: an exponential weight,
+    a cut, then the two Haar factors, joined by `np.kron` and put in site
+    order by `np.argsort`."""
+    sd = SiteDims(dims)
+    rng = np.random.default_rng(seed)
+    reps = bipartitions(sd.n).representatives
+    w = rng.exponential(size=1)
+    w = w / w.sum()
+    keep = list(reps[rng.integers(len(reps))].members)
+    order = keep + [i for i in range(sd.n) if i not in keep]
+    dA = int(np.prod([dims[i] for i in keep]))
+    factors = []
+    for D in (dA, sd.total // dA):
+        v = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+        factors.append(v / np.linalg.norm(v))
+    v = np.kron(*factors).reshape([dims[o] for o in order])
+    v = v.transpose(np.argsort(order)).reshape(sd.total)
+    rho = np.zeros((sd.total, sd.total), dtype=complex)
+    rho += w[0] * np.outer(v, v.conj())
+    return MpOperator(sd, rho)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4), (3, 3, 3)])
+def test_random_biseparable_sample_bits_pinned(dims):
+    """A `verify` sample is, bit for bit, the `np.kron` construction of its
+    draws."""
+    for seed in range(25):
+        got, want = random_biseparable(dims, 1, seed).mat, _kron_biseparable(dims, seed).mat
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_maximally_mixed():
