@@ -1,26 +1,23 @@
 """Reading JSON files in bulk, with the strict rule for [re, im] entries.
 
 A projected map file holds a D x D Schur mask and many repeats of a few
-lifted children; `json.loads` would make a Python list per entry and the
-decoder would decode every repeat.  `BulkDecoder` reads such a text in three
-steps:
+lifted children, and `json.loads` would make a Python list per entry.
+`BulkDecoder` reads such a text as `json.loads` does, with one change: each
+pair list that stands, as `json.dumps` writes it, as the value of "entries",
+"vector" or "matrix" is found with `str.find` and parsed once per distinct
+text, split into `re, im` cells, each distinct cell parsed once by
+`json.loads` under the rules of `unpairs`, and the entries gathered by index
+into a `Pairs` array.  A list whose head repeats few cells, such as a random
+complex matrix, is left in the text for `json.loads`.  The rest of the text,
+with a stand-in string for each such list, is read by `json.loads` once.
 
-- each pair list that stands, as `json.dumps` writes it, as the value of
-  "entries", "vector" or "matrix" is found with `str.find` and parsed once
-  per distinct text: split into `re, im` cells, each distinct cell parsed
-  once by `json.loads` under the rules of `unpairs`, the entries gathered by
-  index (a list whose head repeats few cells, such as a random complex
-  matrix, is left in the text for `json.loads`);
-- the rest of the text, with a stand-in string for each such list, is read by
-  `json.loads`, which interns equal sub-documents to one object, so a decoder
-  that keeps what it decoded by identity decodes each distinct one once;
-- anything else goes the strict route, `json.loads` of the text as it
-  stands: a text without such a list (other whitespace included), a cell
-  that is not one [re, im] pair of numbers, a pair list under another key,
-  or any exception.
-
-The result is a `Bulk` document, which keeps its text so that a decoder can
-fall back to the strict route too.
+A text the bulk route does not take is read by `json.loads` as it stands: a
+text without such a list (other whitespace included), a cell that is not one
+[re, im] pair of numbers or that a float pair would not show as written, a
+pair list under another key, or any exception.  The document is plain JSON
+data apart from its `Pairs`, which decode as the list would and show as it
+would in an error message, so a decoder gives the strict route's result or
+error text from either document.
 """
 
 from __future__ import annotations
@@ -34,11 +31,25 @@ import numpy as np
 from .operators import real_or_complex
 
 
-def unpairs(pairs: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+class Pairs:
+    """A pair list the bulk reader parsed, as its array; its repr is the
+    list's, which `_parse_pairs` checks, so an error that quotes a document
+    holding it reads as the strict route's error."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __repr__(self) -> str:
+        return repr(np.stack((self.array.real, self.array.imag), -1).tolist())
+
+
+def unpairs(pairs: Sequence[Sequence[float]] | Pairs) -> np.ndarray:
     """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`);
-    an array the bulk reader already decoded is returned as it is."""
-    if isinstance(pairs, np.ndarray):
-        return pairs
+    a pair list the bulk reader already parsed gives its array."""
+    if isinstance(pairs, Pairs):
+        return pairs.array
     pairs = list(pairs)
     if set(map(len, pairs)) - {2}:
         raise ValueError("every matrix entry must be an [re, im] pair")
@@ -57,16 +68,6 @@ _PROBE = 1 << 12
 # Characters of a pair list split into cells at a time: this bounds the list
 # of cell strings, which at D = 1024 would hold a million of them (~60 MB).
 _CHUNK = 1 << 16
-# The values a sub-document's intern key holds as they are, next to their
-# type; it holds a float by its bits and any other value by identity (a list
-# by its items' identities, so equal lists of small ints match).
-_BY_VALUE = frozenset((str, int, bool, type(None)))
-
-
-class Bulk(dict):
-    """A document the bulk reader parsed, with the text it was read from."""
-
-    __slots__ = ("text",)
 
 
 class BulkDecoder:
@@ -104,12 +105,14 @@ def _pair_list_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _parse_pairs(payload: str) -> np.ndarray:
-    """The array of a pair list whose cells, joined by "], [", are `payload`.
+def _parse_pairs(payload: str) -> Pairs:
+    """The pair list whose cells, joined by "], [", are `payload`.
 
     The cells are split off `_CHUNK` characters at a time and each distinct
     cell is parsed once, by `json.loads` and `unpairs`; the entries are then
-    gathered by index.
+    gathered by index.  A cell whose float pair does not show as its parsed
+    cell does (an integer or boolean part, or an imaginary -0.0 of a real
+    list) is refused, so the result shows as the list does.
     """
     index, at, start = {}, [], 0
     while start <= len(payload):
@@ -122,17 +125,21 @@ def _parse_pairs(payload: str) -> np.ndarray:
     body = "], [".join(index)
     if body.count("[") != len(index) - 1 or body.count("]") != len(index) - 1:
         raise ValueError("a cell is not one [re, im] pair")
-    return unpairs(json.loads(f"[[{body}]]"))[np.concatenate(at)]
+    parsed = json.loads(f"[[{body}]]")
+    distinct = Pairs(unpairs(parsed))
+    if repr(distinct) != repr(parsed):
+        raise ValueError("a cell is not shown as its float pair")
+    return Pairs(distinct.array[np.concatenate(at)])
 
 
-def _bulk_parse(text: str) -> Bulk | None:
-    """The document of `text`, each pair list of an array key parsed by
-    `_parse_pairs` once per distinct text and equal sub-documents interned, so
-    they are one object; None when the bulk route does not take the text."""
+def _bulk_parse(text: str) -> dict | None:
+    """`json.loads(text)` with each pair list of an array key parsed by
+    `_parse_pairs` once per distinct text; None when the bulk route does not
+    take the text."""
     spans = _pair_list_spans(text)
     if not spans or '\\u0000' in text:  # none, or a string taken for a stand-in
         return None
-    arrays, tokens, pieces, prev = {}, {}, [], 0  # stand-in: array; payload: token
+    arrays, tokens, pieces, prev = {}, {}, [], 0  # stand-in: pair list; payload: token
     for start, end in spans:
         payload = text[start + 2:end - 2]
         if payload not in tokens:
@@ -143,25 +150,14 @@ def _bulk_parse(text: str) -> Bulk | None:
         prev = end
     pieces.append(text[prev:])
     del tokens
-    memo = {}
 
-    def intern(pairs: list[tuple[str, Any]]) -> dict:
-        key = tuple([(k, v.__class__, v if v.__class__ in _BY_VALUE else
-                      v.hex() if v.__class__ is float else
-                      tuple(map(id, v)) if v.__class__ is list else id(v)) for k, v in pairs])
-        doc = memo.get(key)
-        if doc is None:
-            for i, (k, v) in enumerate(pairs):
-                if v.__class__ is str and v[:1] == _STAND_IN:
-                    if k not in _ARRAY_KEYS:  # a key such as "x\"entries"
-                        raise ValueError("pair list under another key")
-                    pairs[i] = k, arrays[v]
-            doc = memo[key] = dict(pairs)
-        return doc
+    def put_arrays(pairs: list[tuple[str, Any]]) -> dict:
+        for i, (k, v) in enumerate(pairs):
+            if v.__class__ is str and v[:1] == _STAND_IN:
+                if k not in _ARRAY_KEYS:  # a key such as "x\"entries"
+                    raise ValueError("pair list under another key")
+                pairs[i] = k, arrays[v]
+        return dict(pairs)
 
-    doc = json.loads("".join(pieces), object_pairs_hook=intern)
-    if type(doc) is not dict:
-        return None
-    doc = Bulk(doc)
-    doc.text = text
-    return doc
+    doc = json.loads("".join(pieces), object_pairs_hook=put_arrays)
+    return doc if type(doc) is dict else None

@@ -108,6 +108,9 @@ def _build_gme_map(args) -> criteria.GmeMap:
         w = serialize.load_state(args.witness_file)
         if isinstance(w, PureState):
             raise ValueError("witness file must hold a matrix, not a pure state")
+        if w.dims.total > criteria.MAX_DIM:
+            raise ValueError(f"witness file dimension {w.dims.total} exceeds the supported "
+                             f"maximum {criteria.MAX_DIM}")
         _check_dims_flags(w.dims, args, "witness file")
         return criteria.witness_to_map(w)
     if getattr(args, "map_file", None):
@@ -117,7 +120,7 @@ def _build_gme_map(args) -> criteria.GmeMap:
             expr = serialize.mapexpr_from_json(doc)
         except RecursionError:
             raise ValueError("map file is nested too deeply") from None
-        del doc  # frees the document and the text a bulk document keeps
+        del doc  # frees the parsed document before the map is checked and run
         if expr.dim > criteria.MAX_DIM:
             raise ValueError(f"map file dimension {expr.dim} exceeds the supported "
                              f"maximum {criteria.MAX_DIM}")

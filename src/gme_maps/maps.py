@@ -70,9 +70,6 @@ class MapExpr:
     #: the closed form on the X support, set on a recognised root `Compose`
     support: SupportForm | None = None
 
-    def __call__(self, op: MpOperator) -> MpOperator:
-        return apply(self, op)
-
     @functools.cached_property
     def parities(self) -> tuple[bool, bool] | None:
         """(odd number of transpositions, odd number of digit reversals) of a

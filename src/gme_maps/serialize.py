@@ -10,13 +10,11 @@ data.  Decoded arrays follow the dtype rule of `operators.real_or_complex`.
 Documents carry an explicit "format" field so files stay self-describing.
 
 Map, state and witness files are read in bulk, by `json.load(fh,
-cls=BulkDecoder)` (module `bulkread`): each distinct pair list is parsed once
-and equal sub-documents are one object, which `mapexpr_from_json` decodes
-once while it counts every repeat's nodes and depth against `MAX_MAP_NODES`
-and `MAX_MAP_DEPTH`.  A text the bulk route cannot take is parsed by
-`json.loads` as it stands, and a bulk document whose decode raises is decoded
-again from `json.loads` of its text: the strict route, unchanged, gives the
-result or the error.
+cls=BulkDecoder)` (module `bulkread`), which parses each distinct pair list
+once and otherwise reads the text as `json.loads` does.  The decoders take
+either document the same way: equal sub-documents decode to one shared node
+by value (`_share_key`), and every occurrence counts against
+`MAX_MAP_NODES` and `MAX_MAP_DEPTH`.
 """
 
 from __future__ import annotations
@@ -26,11 +24,11 @@ import dataclasses
 import io
 import json
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
-from .bulkread import Bulk, BulkDecoder, unpairs
+from .bulkread import BulkDecoder, unpairs
 from .maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Identity,
                    Lift, MapExpr, Reduction, Scale, SchurWith, Sum,
                    TraceIdentity, TraceOuter, Transpose, node_fields)
@@ -113,17 +111,6 @@ def _plain(doc: Any) -> Any:
     return json.loads("".join(_chunks(doc)))
 
 
-def _decoded(decode: Callable[[Any], Any], doc: Any) -> Any:
-    """`decode(doc)`; a bulk document it fails on is decoded again from the
-    document `json.loads` makes of its text, so it fails as that one does."""
-    if isinstance(doc, Bulk):
-        try:
-            return decode(doc)
-        except Exception:  # the strict route gives the result or its own error
-            doc = json.loads(doc.text)
-    return decode(doc)
-
-
 def _state_doc(obj: MpOperator | PureState) -> dict:
     if isinstance(obj, PureState):
         return {"format": STATE_FORMAT, "dims": list(obj.dims.dims), "vector": obj.vec}
@@ -135,10 +122,6 @@ def state_to_json(obj: MpOperator | PureState) -> dict:
 
 
 def state_from_json(doc: Any) -> MpOperator | PureState:
-    return _decoded(_state_from_doc, doc)
-
-
-def _state_from_doc(doc: Any) -> MpOperator | PureState:
     if not isinstance(doc, dict):
         raise ValueError(f"state document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != STATE_FORMAT:
@@ -256,13 +239,13 @@ def _key(name: str) -> str:
     return "d" if name == "dim" else name
 
 
-def _check_size(depth: int, nodes: list[int], size: int = 1) -> None:
-    """Count `size` more nodes in `nodes`, the deepest of them at `depth`, and
-    raise once that depth passes `MAX_MAP_DEPTH` or the count `MAX_MAP_NODES`;
-    called once per node before it is built, and once per subtree met again."""
+def _check_size(depth: int, nodes: list[int]) -> None:
+    """Count one more node in `nodes`, at `depth`, and raise once that depth
+    passes `MAX_MAP_DEPTH` or the count `MAX_MAP_NODES`; called once per node
+    before it is built."""
     if depth > MAX_MAP_DEPTH:
         raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
-    nodes[0] += size
+    nodes[0] += 1
     if nodes[0] > MAX_MAP_NODES:
         raise ValueError(f"map tree has more than {MAX_MAP_NODES} nodes")
 
@@ -302,19 +285,8 @@ def _share_key(value: Any) -> Any:
     return value
 
 
-def _node_from_json(doc: Any, shared: dict, seen: dict | None, nodes: list[int],
-                    depth: int = 1) -> MapExpr:
-    """Decode one node; equal sub-documents decode to the node kept in `shared`.
-
-    In a bulk document equal sub-documents are one object.  `seen` then keeps
-    each one decoded so far by identity, with its node count and height, and
-    one met again is counted against the limits as if decoded again.
-    """
-    if seen is not None and id(doc) in seen:
-        node, size, height = seen[id(doc)]
-        _check_size(depth + height - 1, nodes, size)
-        return node
-    before = nodes[0]
+def _node_from_json(doc: Any, shared: dict, nodes: list[int], depth: int = 1) -> MapExpr:
+    """Decode one node; equal sub-documents decode to the node kept in `shared`."""
     _check_size(depth, nodes)
     if not isinstance(doc, dict):
         raise ValueError(f"map node must be a JSON object, got {type(doc).__name__}")
@@ -322,7 +294,7 @@ def _node_from_json(doc: Any, shared: dict, seen: dict | None, nodes: list[int],
     cls = _NODE_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown map node kind {kind!r}")
-    args, subdocs = {}, []
+    args = {}
     for name, tp, required in node_fields(cls):
         key = _key(name)
         if key not in doc:
@@ -331,14 +303,11 @@ def _node_from_json(doc: Any, shared: dict, seen: dict | None, nodes: list[int],
             continue
         value = doc[key]
         if tp is MapExpr:
-            args[name] = _node_from_json(value, shared, seen, nodes, depth + 1)
-            subdocs.append(value)
+            args[name] = _node_from_json(value, shared, nodes, depth + 1)
         elif tp == _NODE_LIST:
             if not isinstance(value, list):
                 raise ValueError(f"{kind} node: field {key!r} must be a list")
-            args[name] = tuple(_node_from_json(c, shared, seen, nodes, depth + 1)
-                               for c in value)
-            subdocs += value
+            args[name] = tuple(_node_from_json(c, shared, nodes, depth + 1) for c in value)
         else:
             try:
                 args[name] = _CODECS[tp][1](value)
@@ -347,9 +316,6 @@ def _node_from_json(doc: Any, shared: dict, seen: dict | None, nodes: list[int],
     key = (cls,) + tuple((name, _share_key(v)) for name, v in args.items())
     if key not in shared:
         shared[key] = cls(**args)
-    if seen is not None:
-        height = 1 + max((seen[id(c)][2] for c in subdocs), default=0)
-        seen[id(doc)] = shared[key], nodes[0] - before, height
     return shared[key]
 
 
@@ -370,16 +336,11 @@ def save_map(path: str, m: MapExpr) -> None:
 def mapexpr_from_json(doc: Any) -> MapExpr:
     """Decode a mapexpr-v1 document; equal sub-documents decode to one shared
     node, so a subtree the written map shared is shared again."""
-    return _decoded(_map_from_doc, doc)
-
-
-def _map_from_doc(doc: Any) -> MapExpr:
     if not isinstance(doc, dict):
         raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MAP_FORMAT:
         raise ValueError(f"expected format {MAP_FORMAT!r}, got {doc.get('format')!r}")
-    seen = {} if isinstance(doc, Bulk) else None
-    return _node_from_json(doc.get("root"), {}, seen, [0])
+    return _node_from_json(doc.get("root"), {}, [0])
 
 
 def jsonable(obj: Any) -> Any:

@@ -1,10 +1,9 @@
 """The bulk reader (`serialize.BulkDecoder`) against the strict one.
 
-For every input the bulk reader returns what `json.loads` and the strict
-decoder return, a tree that re-exports to the same bytes with the same
-number of distinct nodes, or it raises the same ValueError text.  Where the
-bulk route itself (before any fallback) takes a document, it must return
-that result or fail; it never accepts what the strict route refuses.
+For every input, the document the bulk reader returns decodes as the one
+`json.loads` returns: to a tree that re-exports to the same bytes with the
+same number of distinct nodes, or to the same ValueError text.  Nothing
+reads a text again, so the bulk route alone meets this.
 """
 
 import functools
@@ -29,7 +28,9 @@ from helpers import density_op, lifted_map_exprs, map_exprs, x_projected_exprs
 
 
 def _map_summary(m):
-    return json.dumps(mapexpr_to_json(m)), len(list(maps.nodes(m)))
+    """The map's file text, `json.dumps(mapexpr_to_json(m))` as `save_map`
+    writes it, and its number of distinct nodes."""
+    return "".join(serialize._chunks(serialize._map_doc(m))), len(list(maps.nodes(m)))
 
 
 def _state_summary(s):
@@ -37,31 +38,31 @@ def _state_summary(s):
     return type(s).__name__, s.dims, arr.dtype.str, arr.tobytes()
 
 
-MAP = (serialize._map_from_doc, mapexpr_from_json, _map_summary)
-STATE = (serialize._state_from_doc, state_from_json, _state_summary)
+MAP = (mapexpr_from_json, _map_summary)
+STATE = (state_from_json, _state_summary)
 
 
-def _outcome(read, summary):
+def _outcome(text, cls, decode, summary):
     try:
-        return "ok", summary(read())
-    except ValueError as exc:
+        return "ok", summary(decode(json.loads(text, cls=cls)))
+    except ValueError as exc:  # the text's JSON error or the decoder's
         return "error", repr(exc)
 
 
 def _agree(text, kind=MAP):
-    """Check the bulk reader against the strict one on `text`; return the
-    bulk document (a `Bulk` when the bulk route took the text)."""
-    decode_doc, decode, summary = kind
-    want = _outcome(lambda: decode_doc(json.loads(text)), summary)
-    assert _outcome(lambda: decode(json.loads(text, cls=BulkDecoder)), summary) == want
+    """Check that the bulk reader and the strict one read `text` alike, each
+    parsing it once; return that outcome, ("ok", summary) or ("error", repr)."""
+    want = _outcome(text, None, *kind)
+    assert _outcome(text, BulkDecoder, *kind) == want
+    return want
+
+
+def _in_bulk(text):
+    """Whether the bulk route takes `text` rather than handing it to `json.loads`."""
     try:
-        doc = json.loads(text, cls=BulkDecoder)
-    except ValueError:  # the text is no JSON: the strict reader's error, checked above
-        return None
-    if isinstance(doc, bulkread.Bulk):  # the bulk route alone, no fallback
-        direct = _outcome(lambda: decode_doc(doc), summary)
-        assert direct == want or direct[0] == want[0] == "error"
-    return doc
+        return bulkread._bulk_parse(text) is not None
+    except Exception:  # as `BulkDecoder.decode`: any failure hands the text on
+        return False
 
 
 #: the local dimensions `build_map` takes for each catalog id, up to 6
@@ -74,38 +75,34 @@ EXPORTS_UP_TO_256 = [(map_id, n, d) for map_id in MAP_IDS for d in LOCAL_DIMS[ma
 @pytest.mark.parametrize("map_id,n,d", EXPORTS_UP_TO_256)
 def test_catalog_exports_read_in_bulk(map_id, n, d):
     """Every catalog export with D <= 256 and its dual: the bulk route takes
-    each file with a pair list and returns the strict tree."""
+    each file with a pair list and returns the strict tree, and the same file
+    re-indented, which goes the strict route, reads to that tree too."""
     m = build_map(map_id, n, d).expr
     for expr in (m, dual(m)):
-        text = json.dumps(mapexpr_to_json(expr))
-        doc = _agree(text)
-        assert isinstance(doc, bulkread.Bulk) == ('"entries": [[' in text)
-        assert _map_summary(serialize._map_from_doc(doc)) == _map_summary(expr)
+        doc, want = mapexpr_to_json(expr), _map_summary(expr)
+        text, indented = json.dumps(doc), json.dumps(doc, indent=1)
+        assert _agree(text) == ("ok", want)
+        assert _in_bulk(text) == ('"entries": [[' in text)
+        assert not _in_bulk(indented)
+        assert _map_summary(mapexpr_from_json(json.loads(indented, cls=BulkDecoder))) == want
 
 
 def test_each_distinct_pair_list_and_sub_document_once(monkeypatch):
     """eta at n = 8 writes 255 pair lists, 5 of them distinct, and 1024 node
-    sub-documents for 146 distinct nodes: the bulk reader parses 5 pair lists
-    and decodes 146 sub-documents."""
+    sub-documents for 146 distinct nodes: the bulk reader parses 5 pair lists,
+    and each distinct sub-document decodes to one node."""
     text = json.dumps(mapexpr_to_json(build_map("eta", 8, 2).expr))
     assert text.count('"entries": [[') == 255 and text.count('"kind"') == 1024
-    parsed, decoded = Counter(), Counter()
-    parse, decode = bulkread._parse_pairs, serialize._node_from_json
+    parsed = Counter()
+    parse = bulkread._parse_pairs
 
     def parse_counted(payload):
         parsed[payload] += 1
         return parse(payload)
 
-    def decode_counted(doc, shared, seen, *args):
-        if id(doc) not in seen:
-            decoded[id(doc)] += 1
-        return decode(doc, shared, seen, *args)
-
     monkeypatch.setattr(bulkread, "_parse_pairs", parse_counted)
-    monkeypatch.setattr(serialize, "_node_from_json", decode_counted)
     m = mapexpr_from_json(json.loads(text, cls=BulkDecoder))
     assert len(parsed) == 5 and set(parsed.values()) == {1}
-    assert len(decoded) == 146 and set(decoded.values()) == {1}
     assert len(list(maps.nodes(m))) == 146
 
 
@@ -240,11 +237,30 @@ def test_pair_lists_under_other_keys():
         _agree(text, STATE)
 
 
+@pytest.mark.parametrize("cells,taken", [
+    ("[[1.0, 0.0]]", True), ("[[1.0, 2.0], [1.0, 2.0]]", True), ("[[NaN, 0.0]]", True),
+    ("[[1.0, -0.0], [1.0, -0.0]]", False), ("[[1, 0]]", False), ("[[true, 0.0]]", False)])
+def test_errors_quote_pair_lists_as_parsed(cells, taken):
+    """A pair list inside a value an error quotes (a number, a flag, a kind, a
+    format) is quoted as `json.loads` parsed it; the bulk route refuses a list
+    whose float pairs would show otherwise: an integer or boolean part, or a
+    real list's -0.0 imaginary part."""
+    matrix = f'{{"dim": 1, "entries": {cells}}}'
+    texts = [_doc(f'{{"kind": "transpose", "d": {matrix}}}'),
+             _doc(f'{{"kind": "scale", "r": [{matrix}], "child": {{"kind": "identity", "d": 2}}}}'),
+             _doc(f'{{"kind": "choi", "d": 2, "adjoint": {matrix}}}'),
+             _doc(f'{{"kind": {matrix}}}'),
+             f'{{"format": {matrix}, "root": {{"kind": "identity", "d": 2}}}}']
+    for text in texts:
+        assert _agree(text)[0] == "error" and _agree(text, STATE)[0] == "error"
+        assert _in_bulk(text) == taken
+
+
 @pytest.mark.parametrize("first,second", [
     ("1.0", "1"), ("1", "true"), ("0.0", "-0.0"), ("0", "false"), ("3", "3.0")])
 def test_sub_documents_equal_only_in_value(first, second):
     """Sub-documents whose fields are equal in Python but differ in JSON type
-    or sign are interned apart: a scale factor, a dimension and a flag."""
+    or sign are shared apart: a scale factor, a dimension and a flag."""
     for node in ('{{"kind": "scale", "r": {}, "child": {{"kind": "identity", "d": 3}}}}',
                  '{{"kind": "identity", "d": {}}}',
                  '{{"kind": "choi", "d": 3, "adjoint": {}}}'):
@@ -252,15 +268,15 @@ def test_sub_documents_equal_only_in_value(first, second):
             # the unread "extra" pair list sends the text the bulk route
             text = ('{"format": "mapexpr-v1", "extra": {"dim": 1, "entries": [[1.0, 0.0]]}, '
                     f'"root": {_sum([node.format(v) for v in pair])}}}')
-            assert isinstance(_agree(text), bulkread.Bulk)
+            _agree(text)
+            assert _in_bulk(text)
 
 
 def test_stand_in_only_under_array_keys():
     """A pair list after an escaped-quote key stays a list: the text goes the
     strict route."""
     text = _doc(_schur('[[2.0, 0.0]], "x\\"entries": [[1.0, 0.0]]'))
-    doc = json.loads(text, cls=BulkDecoder)
-    assert not isinstance(doc, bulkread.Bulk) and doc == json.loads(text)
+    assert not _in_bulk(text) and json.loads(text, cls=BulkDecoder) == json.loads(text)
 
 
 def test_list_without_repeats_left_to_json_loads():
@@ -270,26 +286,28 @@ def test_list_without_repeats_left_to_json_loads():
     u = np.linalg.qr(z[0] + 1j * z[1])[0]
     text = json.dumps(mapexpr_to_json(maps.Sum((maps.SchurWith(np.ones((4, 4))),
                                                 maps.Conjugate(u)))))
-    doc = _agree(text)
-    schur, conj = doc["root"]["children"]
-    assert isinstance(doc, bulkread.Bulk) and isinstance(schur["mask"]["entries"], np.ndarray)
+    _agree(text)
+    schur, conj = json.loads(text, cls=BulkDecoder)["root"]["children"]
+    assert isinstance(schur["mask"]["entries"], bulkread.Pairs)
     assert conj["u"]["entries"] == json.loads(text)["root"]["children"][1]["u"]["entries"]
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_repeats_count_against_the_node_limit(extra):
-    """A repeated sub-document of 3 nodes decoded once still counts all its
-    nodes: 1 + 3k nodes load up to `MAX_MAP_NODES` and one more is refused."""
+    """A repeated sub-document of 3 nodes, one shared node, counts all its
+    nodes at each repeat: 1 + 3k nodes load up to `MAX_MAP_NODES` and one more
+    is refused."""
     k = (MAX_MAP_NODES - 1) // 3
     pair = _sum([_schur("[[1.0, 0.0]]")] * 2)
     text = _doc(_sum([pair] * k + [_schur("[[1.0, 0.0]]")] * (MAX_MAP_NODES - 1 - 3 * k + extra)))
-    doc = _agree(text)
-    assert isinstance(doc, bulkread.Bulk)
+    outcome = _agree(text)
+    assert _in_bulk(text)
     if extra:
-        with pytest.raises(ValueError, match=f"more than {MAX_MAP_NODES} nodes"):
-            serialize._map_from_doc(doc)
+        assert outcome[0] == "error" and f"more than {MAX_MAP_NODES} nodes" in outcome[1]
     else:
-        assert len(serialize._map_from_doc(doc).children) == k + MAX_MAP_NODES - 1 - 3 * k
+        assert outcome[0] == "ok"
+        m = mapexpr_from_json(json.loads(text, cls=BulkDecoder))
+        assert len(m.children) == k + MAX_MAP_NODES - 1 - 3 * k
 
 
 def _chain(height):
@@ -309,13 +327,12 @@ def test_repeats_count_against_the_depth_limit(extra):
     for _ in range(MAX_MAP_DEPTH - 42 + extra):
         wrapped = f'{{"kind": "compose", "outer": {{"kind": "identity", "d": 1}}, "inner": {wrapped}}}'
     text = _doc(_sum([shared, wrapped]))
-    doc = _agree(text)
-    assert isinstance(doc, bulkread.Bulk)
+    outcome = _agree(text)
+    assert _in_bulk(text)
     if extra:
-        with pytest.raises(ValueError, match="deeper"):
-            serialize._map_from_doc(doc)
+        assert outcome[0] == "error" and "deeper" in outcome[1]
     else:
-        serialize._map_from_doc(doc)
+        assert outcome[0] == "ok"
 
 
 # The entry lists of test_serialize's `test_entry_decoding_accepts_what_complex_accepts`.
@@ -351,7 +368,8 @@ def test_state_and_witness_files(tmp_path):
         path = tmp_path / "s.json"
         save_state(str(path), obj)
         text = path.read_text(encoding="utf-8")
-        assert isinstance(_agree(text, STATE), bulkread.Bulk) == (i != 2)
+        _agree(text, STATE)
+        assert _in_bulk(text) == (i != 2)
         assert i != 6 or len(text) > 4 * bulkread._CHUNK
         assert _state_summary(serialize.load_state(str(path))) == _state_summary(obj)
         assert text == json.dumps(state_to_json(obj)) + "\n"

@@ -724,6 +724,16 @@ def test_file_sites_must_match_n_and_d(capsys, map_and_witness_files, source, fl
 
 
 @pytest.mark.parametrize("source", ["--map-file", "--witness-file"])
+def test_file_dimension_limit(capsys, monkeypatch, map_and_witness_files, source):
+    """A map or witness file with D above `criteria.MAX_DIM` exits 2 before it is run."""
+    monkeypatch.setattr(criteria, "MAX_DIM", 4)
+    code, out, err = run(capsys, "detect", source, map_and_witness_files[source],
+                         "--n", "3", "--state", "ghz")
+    assert code == 2 and out == ""
+    assert err == f"error: {source[2:].replace('-', ' ')} dimension 8 exceeds the supported maximum 4\n"
+
+
+@pytest.mark.parametrize("source", ["--map-file", "--witness-file"])
 def test_file_sites_matching_or_omitted_flags(capsys, map_and_witness_files, source):
     """Omitted or matching --n/--d give the same report, byte for byte."""
     reports = set()
