@@ -19,7 +19,7 @@ from . import criteria, maps, serialize, states
 from .detect import (DETECT_TOL, detect, lambda_scan, noise_threshold,
                      verify_biseparable_positivity, visibility_scan,
                      white_noise_threshold)
-from .operators import MpOperator, SiteDims, is_hermitian_array
+from .operators import MpOperator, SiteDims, is_hermitian
 from .states import PureState
 
 #: most rows `scan --grid` may ask for; checked before any row is built
@@ -94,7 +94,7 @@ def _check_hermitian_nodes(expr: maps.MapExpr, path: str) -> None:
     weights and outputs are Hermitian."""
     for node in maps.nodes(expr):
         for name in _HERMITIAN_FIELDS.get(type(node), ()):
-            if not is_hermitian_array(getattr(node, name)):
+            if not is_hermitian(getattr(node, name)):
                 raise ValueError(f"map file {path}: {serialize.node_kind(node)} node "
                                  f"has a non-Hermitian {name}")
 

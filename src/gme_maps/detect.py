@@ -12,9 +12,8 @@ from .criteria import GmeMap, bipartitions
 # every application here keeps an X-support output as its blocks
 # (`maps.apply_blocks`); bound as `apply`, the name perfbench/spans.py times
 from .maps import apply_blocks as apply
-from .operators import (Groups, MpOperator, density_rows, eigvalsh, is_density,
-                        joint_blocks, min_eig, min_eigval_above, min_eigvals,
-                        partial_transpose)
+from .operators import (Groups, MpOperator, is_density, joint_blocks, min_eig,
+                        min_eigval_above, min_eigvals, partial_transpose)
 from .states import (PptFamilyParams, PureState, check_ppt_dims, check_visibility,
                      maximally_entangled, maximally_mixed, ppt_family_terms,
                      random_biseparable)
@@ -217,13 +216,18 @@ def white_noise_threshold(m: GmeMap, rho0: MpOperator,
                       "still detected at p=1; no threshold")
 
 
-def _chunks(grid: Sequence[float], *groupings: Groups) -> list[list[float]]:
-    """The grid in runs of rows whose stacked blocks hold at most
-    SCAN_CHUNK_ENTRIES entries, at least one row per run."""
-    per_row = max(sum(s[0].size for _, s in groups) for groups in groupings)
+def _chunks(items: Sequence, per_row: int) -> list[list]:
+    """The items in runs of rows whose stacked blocks hold at most
+    SCAN_CHUNK_ENTRIES entries, `per_row` entries per row and at least one
+    row per run."""
     step = max(1, SCAN_CHUNK_ENTRIES // per_row)
-    grid = list(grid)
-    return [grid[i:i + step] for i in range(0, len(grid), step)]
+    items = list(items)
+    return [items[i:i + step] for i in range(0, len(items), step)]
+
+
+def _row_entries(groups: Groups) -> int:
+    """The entries of one row of `joint_blocks` groups."""
+    return sum(s[0].size for _, s in groups)
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -259,7 +263,7 @@ def lambda_scan(m: GmeMap, grid: Sequence[float], noise: float = 0.0,
         parts.append(maximally_mixed(m.dims))
     groups = joint_blocks([apply(m.expr, x) for x in parts])
     rows = []
-    for chunk in _chunks(grid, groups):
+    for chunk in _chunks(grid, _row_entries(groups)):
         lam = np.array(chunk, dtype=float)
         good = _leading((0 < lam) & (lam < np.inf))  # PptFamilyParams' rule
         lam = lam[:good]
@@ -281,28 +285,22 @@ def visibility_scan(m: GmeMap, psi: PureState, grid: Sequence[float],
     """Detection scan of p |psi><psi| + (1-p) I/D over the visibilities in grid.
 
     m(|psi><psi|) and m(I/D) are each computed once, and the rows combine
-    their blocks.  Each row's state is checked as `detect` checks it, by one
-    batched check on the blocks of (|psi><psi|, I/D) per run of rows
-    (`_chunks`), in grid order: an invalid row raises once the rows before
-    it have been solved.
+    their blocks, one eigenvalue-only solve per group and run of rows
+    (`_chunks`).  For p in [0, 1] a row is a mixture of two states (a
+    `PureState` is normalised when built), so only p is checked, as
+    `depolarized` checks it, in grid order: an invalid row raises once the
+    rows before it have been solved.
     """
     if psi.dims != m.dims:
         raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
-    rho = psi.density()
-    outs = _noise_outputs(m, rho)
-    states = joint_blocks((rho, maximally_mixed(m.dims)))
+    outs = _noise_outputs(m, psi.density())
     rows = []
-    for chunk in _chunks(grid, outs, states):
+    for chunk in _chunks(grid, _row_entries(outs)):
         p = np.array(chunk, dtype=float)
-        in_range = (0 <= p) & (p <= 1)
-        is_state = in_range.copy()
-        if in_range.any():
-            is_state[in_range] = density_rows(_mixed(states, p[in_range]))
-        good = _leading(is_state)
+        good = _leading((0 <= p) & (p <= 1))  # check_visibility's rule
         rows += _scan_rows(chunk[:good], _mixed(outs, p[:good]), tol)
         if good < len(chunk):
-            check_visibility(chunk[good])
-            raise ValueError("input is not a density matrix")
+            check_visibility(chunk[good])  # raises its own error
     return rows
 
 
@@ -362,12 +360,16 @@ def verify_biseparable_positivity(m: GmeMap, samples: int, *, seed: int = 0,
 
 
 def ppt_check(rho: MpOperator, tol: float = PPT_TOL) -> PptReport:
-    """Minimal eigenvalue of every bipartition's partial transpose."""
+    """Minimal eigenvalue of every bipartition's partial transpose.
+
+    The 2^(n-1) - 1 partial transposes are the rows of `min_eigvals`, in runs
+    of rows (`_chunks`) that bound the stacked entries.
+    """
     if not is_density(rho):
         raise ValueError("input is not a density matrix")
     cuts = []
-    for A in bipartitions(rho.dims.n):
-        val = float(eigvalsh(partial_transpose(rho, A))[0])
-        cuts.append(PptCut(A.members, val))
+    for run in _chunks(bipartitions(rho.dims.n), rho.d ** 2):
+        vals = min_eigvals(joint_blocks([partial_transpose(rho, A) for A in run]))
+        cuts += [PptCut(A.members, v) for A, v in zip(run, vals.tolist())]
     all_ppt = not any(_detected(c.min_eig, tol) for c in cuts)
     return PptReport(tuple(cuts), all_ppt, tol)

@@ -70,6 +70,10 @@ class MapExpr:
     #: the closed form on the X support, set on a recognised root `Compose`
     support: SupportForm | None = None
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"map dimension must be >= 1, got {self.dim}")
+
     @functools.cached_property
     def parities(self) -> tuple[bool, bool] | None:
         """(odd number of transpositions, odd number of digit reversals) of a
@@ -126,6 +130,12 @@ class Reduction(MapExpr):
             raise ValueError("reduction map needs d >= 2")
 
 
+def _breuer_hall_dim(d: int) -> int:
+    if d < 4 or d % 2:
+        raise ValueError("Breuer-Hall map needs even d >= 4")
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class BreuerHall(MapExpr):
     """rho -> (Tr(rho) I - rho - V rho^T V^dag) / (d - 2), even d >= 4.
@@ -140,9 +150,7 @@ class BreuerHall(MapExpr):
     phase: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.dim
-        if d < 4 or d % 2:
-            raise ValueError("Breuer-Hall map needs even d >= 4")
+        d = _breuer_hall_dim(self.dim)
         v = real_or_complex(self.v)
         if v.shape != (d, d):
             raise ValueError(f"V must be {d}x{d}")
@@ -193,12 +201,13 @@ class Conjugate(MapExpr):
         u = real_or_complex(self.u)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("U must be square")
+        object.__setattr__(self, "dim", u.shape[0])
+        super().__post_init__()
         if not _is_unitary(u):
             raise ValueError("U must be unitary")
         u = u.copy()
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "dim", u.shape[0])
         perm, phase = _monomial_form(u)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phase", phase)
@@ -219,6 +228,7 @@ class TraceIdentity(MapExpr):
     dim: int
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "c", Fraction(self.c))
 
 
@@ -240,6 +250,7 @@ class TraceOuter(MapExpr):
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "output", o)
         object.__setattr__(self, "dim", w.shape[0])
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +268,7 @@ class SchurWith(MapExpr):
         m.flags.writeable = False
         object.__setattr__(self, "mask", m)
         object.__setattr__(self, "dim", m.shape[0])
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
@@ -751,7 +763,7 @@ def reduction_map(d: int) -> MapExpr:
 
 def default_skew_unitary(d: int) -> np.ndarray:
     """Block form [[0, I], [-I, 0]]."""
-    h = d // 2
+    h = _breuer_hall_dim(d) // 2
     v = np.zeros((d, d))
     v[:h, h:] = np.eye(h)
     v[h:, :h] = -np.eye(h)

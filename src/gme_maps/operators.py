@@ -238,57 +238,53 @@ def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
     return tuple(groups)
 
 
-def is_hermitian_array(m: np.ndarray) -> bool:
-    """Hermiticity of a matrix, or of every matrix of a stack, relative to its largest entry."""
-    peak = float(np.max(np.abs(m))) if m.size else 1.0
-    # a NaN or infinite entry fails, before inf - inf could warn
-    return peak < np.inf and (float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
-                              <= HERM_RTOL * max(1.0, peak))
+def is_hermitian(op: MpOperator | np.ndarray) -> bool:
+    """`hermitian_rows` of an operator, or of a nonempty square array, taken
+    as one block."""
+    mat = op.mat if isinstance(op, MpOperator) else op
+    return hermitian_rows(((_whole(len(mat)), mat[None, None]),))[0][0]
 
 
-def is_hermitian(op: MpOperator) -> bool:
-    return is_hermitian_array(op.mat)
+def _skew_peaks(groups: Groups) -> np.ndarray:
+    """Each row's largest entry of m - m^dag."""
+    return functools.reduce(np.maximum, [
+        np.maximum.reduce(np.abs(s - s.conj().swapaxes(-1, -2)), axis=_BLOCK_AXES)
+        for _, s in groups])
 
 
-def _symmetrised(groups: Groups) -> tuple[np.ndarray, Groups]:
-    """Each row's largest entry of m - m^dag, and the groups with every block
-    replaced by (m + m^dag) / 2."""
-    diffs, out = [], []
-    for index, s in groups:
-        sh = s.conj().swapaxes(-1, -2)
-        diffs.append(np.maximum.reduce(np.abs(s - sh), axis=_BLOCK_AXES))
-        out.append((index, (s + sh) / 2))
-    return functools.reduce(np.maximum, diffs), tuple(out)
+def hermitian_rows(groups: Groups) -> tuple[list[bool], list[float]]:
+    """Which rows of `joint_blocks` groups are Hermitian, and each row's
+    largest entry.
 
-
-def hermitian_rows(groups: Groups) -> tuple[list[bool], Groups, list[float]]:
-    """Which rows of `joint_blocks` groups are Hermitian, the groups with
-    every block replaced by (m + m^dag) / 2, and each row's largest entry.
-
-    A row is Hermitian when no block of it moves by more than HERM_RTOL times
-    its largest entry over all of its groups (at least 1) under m -> m^dag; a
-    NaN or infinite entry fails.
+    The one Hermiticity rule: a row is Hermitian when no block of it moves by
+    more than HERM_RTOL times its largest entry over all of its groups (at
+    least 1) under m -> m^dag; a NaN or infinite entry fails.
     """
     peaks = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(s), axis=_BLOCK_AXES)
                                           for _, s in groups]).tolist()
     # an infinite entry makes its row's peak inf (a NaN only NaN, which stays
     # quiet); inf - inf would warn, and a failing row's result is not read
     if max(peaks) < np.inf:
-        diff, out = _symmetrised(groups)
+        diff = _skew_peaks(groups)
     else:
         with np.errstate(invalid="ignore"):
-            diff, out = _symmetrised(groups)
+            diff = _skew_peaks(groups)
     ok = [p < np.inf and e <= HERM_RTOL * max(1.0, p) for p, e in zip(peaks, diff.tolist())]
-    return ok, out, peaks
+    return ok, peaks
+
+
+def _symmetrised(groups: Groups) -> Groups:
+    """The groups with every block replaced by (m + m^dag) / 2."""
+    return tuple((index, (s + s.conj().swapaxes(-1, -2)) / 2) for index, s in groups)
 
 
 def _hermitian(groups: Groups) -> tuple[Groups, list[float]]:
-    """`hermitian_rows`' symmetrised groups and peaks; ValueError when a row
-    is not Hermitian."""
-    ok, out, peaks = hermitian_rows(groups)
+    """`_symmetrised` groups and `hermitian_rows`' peaks; ValueError when a
+    row is not Hermitian."""
+    ok, peaks = hermitian_rows(groups)
     if not all(ok):
         raise ValueError("min_eig requires a Hermitian operator")
-    return out, peaks
+    return _symmetrised(groups), peaks
 
 
 def _lowest(herm: Groups) -> np.ndarray:
@@ -305,49 +301,30 @@ def min_eigvals(groups: Groups) -> np.ndarray:
     return _lowest(_hermitian(groups)[0])
 
 
-def _factors(h: np.ndarray) -> bool:
-    """Whether every matrix of the stack has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
+def blocks_above(herm: Groups, bound: float) -> bool:
+    """Whether the symmetrised groups of one row have no eigenvalue at or
+    below `bound`: every block H - bound I has a Cholesky factor, from one
+    batched factorisation per group."""
+    for _, h in herm:
+        shifted = h.copy()
+        diagonal = np.arange(h.shape[-1])
+        shifted[..., diagonal, diagonal] -= bound
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 
-def rows_above(herm: Groups, bound: float, ok: Sequence[bool] | None = None) -> list[bool]:
-    """Which rows of symmetrised groups have no eigenvalue at or below `bound`:
-    those where every block H - bound I has a Cholesky factor.
-
-    One batched factorisation per group, and one per row of a group only
-    where that fails and the group holds more than one row; rows false in
-    `ok` stay false and are not factorised.
-    """
-    ok = [True] * len(herm[0][1]) if ok is None else list(ok)
-    for _, h in herm:
-        rows = [r for r, o in enumerate(ok) if o]
-        if not rows:
-            break
-        shifted = h.copy() if len(rows) == len(ok) else h[rows]
-        diagonal = np.arange(h.shape[-1])
-        shifted[..., diagonal, diagonal] -= bound
-        if not _factors(shifted):
-            for r, s in zip(rows, shifted):
-                ok[r] = len(rows) > 1 and _factors(s)
-    return ok
-
-
-def density_rows(groups: Groups) -> list[bool]:
-    """Which rows of `joint_blocks` groups are density matrices: Hermitian,
-    trace one and no eigenvalue below -DENSITY_EIG_TOL (`rows_above`)."""
-    ok, herm, _ = hermitian_rows(groups)
-    trace = sum(s.diagonal(0, -2, -1).sum(axis=(-2, -1)) for _, s in groups)
-    return rows_above(herm, -DENSITY_EIG_TOL,
-                      [o and abs(t - 1.0) <= DENSITY_TRACE_TOL for o, t in zip(ok, trace.tolist())])
-
-
 def is_density(op: MpOperator | BlockOperator) -> bool:
-    """`density_rows` of the operator's blocks (`joint_blocks`)."""
-    return density_rows(joint_blocks((op,)))[0]
+    """Whether the operator is a density matrix: on its blocks (`joint_blocks`)
+    Hermitian (`hermitian_rows`), trace one and no eigenvalue below
+    -DENSITY_EIG_TOL (`blocks_above`)."""
+    groups = joint_blocks((op,))
+    (ok,), _ = hermitian_rows(groups)
+    trace = sum(s.diagonal(0, -2, -1).sum(axis=(-2, -1)) for _, s in groups)[0]
+    return (ok and abs(trace - 1.0) <= DENSITY_TRACE_TOL
+            and blocks_above(_symmetrised(groups), -DENSITY_EIG_TOL))
 
 
 def kron(a: MpOperator, b: MpOperator) -> MpOperator:
@@ -434,21 +411,17 @@ def min_eigval_above(op: MpOperator | BlockOperator, floor: float) -> float | No
     """`min_eigval` of the operator, or None when its smallest eigenvalue is
     proven above `floor` (a floor of +inf proves nothing).
 
-    The proof is `rows_above` at floor + HERM_RTOL k max(1, peak), k the
-    largest block side and peak the largest entry: k peak bounds the norm of
-    each block, so the margin stays well above the rounding of either the
-    factorisation or the eigensolve, and an operator passed over has no
-    eigenvalue `min_eigval` would report at or below `floor`.  A non-Hermitian
-    operator raises ValueError as `min_eigval` does.
+    The proof is `blocks_above`, the Cholesky rule of `is_density`, at
+    floor + HERM_RTOL k max(1, peak), k the largest block side and peak the
+    largest entry: k peak bounds the norm of each block, so the margin stays
+    well above the rounding of either the factorisation or the eigensolve,
+    and an operator passed over has no eigenvalue `min_eigval` would report
+    at or below `floor`.  A non-Hermitian operator raises ValueError as
+    `min_eigval` does.
     """
     herm, (peak,) = _hermitian(joint_blocks((op,)))
     k = max(h.shape[-1] for _, h in herm)
-    if floor < np.inf and rows_above(herm, floor + HERM_RTOL * k * max(1.0, peak))[0]:
+    if floor < np.inf and blocks_above(herm, floor + HERM_RTOL * k * max(1.0, peak)):
         return None
     return float(_lowest(herm)[0])
 
-
-def eigvalsh(op: MpOperator) -> np.ndarray:
-    """All eigenvalues of the symmetrised operator, ascending."""
-    h = (op.mat + op.mat.conj().T) / 2
-    return np.linalg.eigvalsh(h)

@@ -279,7 +279,7 @@ def test_map_file_shared_node_checked_once(tmp_path, capsys, monkeypatch):
         checked.append(a)
         return True
 
-    monkeypatch.setattr(cli, "is_hermitian_array", counting)
+    monkeypatch.setattr(cli, "is_hermitian", counting)
     code, _, _ = run(capsys, "detect", "--map-file", str(path), "--n", "3", "--state", "w")
     assert code == 0 and len(checked) == 1
 
@@ -301,6 +301,19 @@ def test_non_hermitian_map_file_exits_2(tmp_path, capsys, kind, expr, field):
     assert str(path) in err and f"{kind} node" in err and f"non-Hermitian {field}" in err
     # the same node built in memory still evaluates
     assert maps.apply(expr, states.w_state(3).density()).d == 8
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("conjugate", ("u",)), ("schur", ("mask",)), ("trace-outer", ("weight", "output")),
+])
+def test_zero_size_map_file_node_exits_2(tmp_path, capsys, kind, fields):
+    """A 0x0 array is refused when its node is built, not by numpy later."""
+    path = tmp_path / "empty.json"
+    root = {"kind": kind, **{f: {"dim": 0, "entries": []} for f in fields}}
+    write_json(str(path), {"format": "mapexpr-v1", "root": root})
+    code, out, err = run(capsys, "detect", "--map-file", str(path), "--n", "3", "--state", "w")
+    assert code == 2 and out == ""
+    assert err == "error: map dimension must be >= 1, got 0\n"
 
 
 def test_cached_parser_keeps_no_state(capsys):
@@ -797,3 +810,10 @@ def test_mu_rejects_oversized_d(capsys, no_build, primitive, d):
     code, out, err = run(capsys, "mu", "--primitive", primitive, "--d", d)
     assert code == 2 and out == ""
     assert err == f"error: d^2 = {int(d) ** 2} exceeds the supported maximum 1024\n"
+
+
+@pytest.mark.parametrize("d", ["3", "5", "7"])
+def test_mu_breuer_hall_odd_d_exits_2(capsys, no_build, d):
+    code, out, err = run(capsys, "mu", "--primitive", "breuer-hall", "--d", d)
+    assert code == 2 and out == ""
+    assert err == "error: Breuer-Hall map needs even d >= 4\n"

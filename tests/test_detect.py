@@ -21,9 +21,10 @@ from gme_maps.detect import (DETECT_TOL, BisepReport, NotDetectedError, Violatio
 from gme_maps.maps import (Lift, Sum, TraceIdentity, TraceOuter, apply,
                            apply_blocks, transpose_map)
 from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, joint_blocks,
-                                min_eigval, operator)
+                                min_eigval, operator, partial_transpose)
 from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
                              ppt_family, random_biseparable, w_state)
+from helpers import rand_density
 
 
 # the module, which the package's `detect` function shadows as an attribute
@@ -444,6 +445,24 @@ def test_adversarial_product_is_biseparable_zero_mode():
     out = detect(phi_t(3), adv)
     assert not out.detected
     assert out.min_eig == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2), (2, 2, 3, 2, 2)])
+def test_ppt_check_matches_dense(monkeypatch, dims, entries):
+    """Each cut's value is the dense lowest eigenvalue of its partial
+    transpose, within 1e-12, in all runs at once or one cut per run."""
+    if entries is not None:
+        monkeypatch.setattr(detect_module, "SCAN_CHUNK_ENTRIES", entries)
+    rng = np.random.default_rng(len(dims))
+    D = int(np.prod(dims))
+    v = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    for rho in (operator(dims, rand_density(D, rng)), PureState(SiteDims(dims), v).density()):
+        rep = ppt_check(rho)
+        assert [c.parties for c in rep.cuts] == [A.members for A in bipartitions(len(dims))]
+        for c in rep.cuts:
+            want = np.linalg.eigvalsh(partial_transpose(rho, c.parties).mat)[0]
+            assert abs(c.min_eig - want) <= 1e-12
 
 
 def test_ppt_check():

@@ -124,6 +124,25 @@ def test_breuer_hall_validation():
         BreuerHall(4, bad)
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_breuer_hall_odd_d_refused(d):
+    """Every odd d is refused with the Breuer-Hall message, before the
+    default V is built."""
+    for build in (breuer_hall_map, default_skew_unitary):
+        with pytest.raises(ValueError, match=r"^Breuer-Hall map needs even d >= 4$"):
+            build(d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: maps.Identity(0), lambda: Transpose(-3), lambda: DiagAll(0),
+    lambda: trace_identity(1, 0), lambda: conjugation_map(np.zeros((0, 0))),
+    lambda: SchurWith(np.zeros((0, 0))), lambda: TraceOuter(np.zeros((0, 0)), np.zeros((0, 0))),
+], ids=["identity", "transpose", "diag", "trace-identity", "conjugate", "schur", "trace-outer"])
+def test_node_dimension_below_one_refused(build):
+    with pytest.raises(ValueError, match=r"^map dimension must be >= 1, got -?\d+$"):
+        build()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("build, words", [
     (lambda m: conjugation_map(m), "U must be unitary"),

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from gme_maps.operators import (DENSE_MAX_DIM, DENSITY_EIG_TOL, DENSITY_TRACE_TOL, HERM_RTOL,
                                 BlockOperator, MpOperator, PartySubset, SiteDims,
-                                density_rows, diag_part, eigvalsh,
-                                hermitian_rows, identity, is_density, is_hermitian,
-                                is_hermitian_array, joint_blocks, kron, min_eig,
+                                blocks_above, diag_part, hermitian_rows, identity,
+                                is_density, is_hermitian, joint_blocks, kron, min_eig,
                                 min_eigval, min_eigval_above, min_eigvals, od_part,
                                 operator, partial_trace, partial_transpose,
-                                real_or_complex, rows_above, schur_product)
+                                real_or_complex, schur_product)
 from helpers import hermitian_op, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -77,7 +76,7 @@ def test_kron_associative():
 
 def test_partial_transpose_bell_spectrum():
     pt = partial_transpose(bell(), (0,))
-    w = eigvalsh(pt)
+    w = np.linalg.eigvalsh(pt.mat)
     assert np.allclose(sorted(w), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
@@ -174,7 +173,7 @@ def test_min_eig_residual_and_sum():
     val, vec = min_eig(op)
     resid = np.linalg.norm(op.mat @ vec - val * vec)
     assert resid <= 1e-9 * np.linalg.norm(op.mat)
-    assert abs(eigvalsh(op).sum() - 1.0) <= 1e-9
+    assert abs(np.linalg.eigvalsh(op.mat).sum() - 1.0) <= 1e-9
 
 
 def test_min_eig_rejects_non_hermitian():
@@ -194,7 +193,7 @@ def test_block_operator_min_eig_matches_dense():
         mat[np.ix_(index[b], index[b])] = blocks[b]
     dense = MpOperator(dims, mat)
     val, vec = min_eig(op)
-    assert abs(val - eigvalsh(dense)[0]) <= 1e-12
+    assert abs(val - np.linalg.eigvalsh(dense.mat)[0]) <= 1e-12
     assert abs(np.linalg.norm(vec) - 1) <= 1e-12
     assert np.linalg.norm(dense.mat @ vec - val * vec) <= 1e-12
 
@@ -219,21 +218,18 @@ def test_min_eigval_matches_min_eig():
 
 
 def test_rows_above_is_the_cholesky_rule():
-    """A row passes exactly when each of its blocks has every eigenvalue
-    above the bound (with a gap of 1e-6 either side), one failing block
-    failing only its own row; a row false in `ok` stays false."""
+    """`blocks_above` holds exactly when each block of the row has every
+    eigenvalue above the bound (with a gap of 1e-6 either side), so one
+    failing block fails the row."""
     rng = np.random.default_rng(18)
     u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
     lows = np.array([[-1.0, 0.3], [0.2, 0.4], [-0.25, -0.3]])  # rows x blocks
-    herm = ((np.arange(10).reshape(2, 5),
-             np.stack([[(u * np.r_[low, 1.0, 1.5, 2.0, 3.0]) @ u.conj().T for low in row]
-                       for row in lows])),)
-    for bound in (-1.1, -0.5, -0.3, 0.1, 0.25, 0.35, 0.5):
-        for delta in (-1e-6, 1e-6):
-            want = [bool(row.min() > bound + delta) for row in lows]
-            assert rows_above(herm, bound + delta) == want
-            assert rows_above(herm, bound + delta, [True, False, True]) == \
-                [want[0], False, want[2]]
+    for row in lows:
+        herm = ((np.arange(10).reshape(2, 5),
+                 np.stack([[(u * np.r_[low, 1.0, 1.5, 2.0, 3.0]) @ u.conj().T for low in row]])),)
+        for bound in (-1.1, -0.5, -0.3, 0.1, 0.25, 0.35, 0.5):
+            for delta in (-1e-6, 1e-6):
+                assert blocks_above(herm, bound + delta) == bool(row.min() > bound + delta)
 
 
 def test_min_eigval_above_solves_only_what_it_cannot_prove():
@@ -287,7 +283,7 @@ def test_density_accepts_rank_one_ghz():
 def _dense_is_density(mat):
     """`is_density` on the whole matrix: Hermitian, trace one, and a Cholesky
     factor of H + DENSITY_EIG_TOL I."""
-    if not is_hermitian_array(mat) or abs(np.trace(mat) - 1) > DENSITY_TRACE_TOL:
+    if not is_hermitian(mat) or abs(np.trace(mat) - 1) > DENSITY_TRACE_TOL:
         return False
     try:
         np.linalg.cholesky((mat + mat.conj().T) / 2 + DENSITY_EIG_TOL * np.eye(len(mat)))
@@ -368,7 +364,7 @@ def test_block_route_matches_dense_property(op):
     assert not mat[~inside].any()
 
     assert is_density(op) == _dense_is_density(mat)
-    if not is_hermitian_array(mat):
+    if not is_hermitian(mat):
         for solve in (min_eig, min_eigval):
             with pytest.raises(ValueError, match="Hermitian"):
                 solve(op)
@@ -387,9 +383,9 @@ def test_block_route_matches_dense_property(op):
 def test_joint_blocks_rows_match_dense_property(data):
     """Several operators split on the union of their patterns: every block
     holds each operator's entries there and nothing is left outside, and row
-    by row `hermitian_rows`, `density_rows` and `min_eigvals` give each
-    operator's dense verdicts and eigenvalue, the Hermiticity scale being the
-    row's own largest entry."""
+    by row `hermitian_rows` and `min_eigvals` give each operator's dense
+    verdicts and eigenvalue, the Hermiticity scale being the row's own largest
+    entry, and `is_density` of each operator its dense verdict."""
     D = data.draw(st.integers(DENSE_MAX_DIM + 1, 96))
     ops = data.draw(st.lists(planted_blocks(D), min_size=1, max_size=3))
     groups = joint_blocks(ops)
@@ -401,9 +397,9 @@ def test_joint_blocks_rows_match_dense_property(data):
             assert np.array_equal(blocks, op.mat[rows, cols])
     assert not any(op.mat[~inside].any() for op in ops)
 
-    hermitian = [is_hermitian_array(op.mat) for op in ops]
+    hermitian = [is_hermitian(op.mat) for op in ops]
     assert hermitian_rows(groups)[0] == hermitian
-    assert density_rows(groups) == [_dense_is_density(op.mat) for op in ops]
+    assert [is_density(op) for op in ops] == [_dense_is_density(op.mat) for op in ops]
     if not all(hermitian):
         with pytest.raises(ValueError, match="Hermitian"):
             min_eigvals(groups)

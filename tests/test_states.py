@@ -1,11 +1,14 @@
 """State factory: named families, generalized Paulis, random sampling."""
 
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gme_maps.grades import bipartitions
-from gme_maps.operators import (MpOperator, SiteDims, eigvalsh, is_density, min_eig,
-                                partial_transpose)
+from gme_maps.operators import MpOperator, SiteDims, is_density, min_eig, partial_transpose
 from gme_maps.states import (NoiseMixture, PptFamilyParams, PureState, clock_matrix,
                              depolarized, ghz, maximally_entangled,
                              maximally_mixed, ppt_family, random_biseparable,
@@ -113,7 +116,7 @@ def test_ppt_family_unequal_lambda_stays_ppt():
         l1, l2, l3 = rng.uniform(0.05, 3.0, size=3)
         rho = ppt_family(PptFamilyParams(l1, l2, l3))
         for i in range(3):
-            assert eigvalsh(partial_transpose(rho, (i,)))[0] >= -1e-10
+            assert np.linalg.eigvalsh(partial_transpose(rho, (i,)).mat)[0] >= -1e-10
 
 
 def _ppt_family_from_vectors(l1, l2, l3):
@@ -254,3 +257,34 @@ def test_pure_state_normalises_complex_entries_near_the_float_limit():
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         psi = PureState(SiteDims((2,)), np.array([0, 1.27116101e308 * (1 + 1j)]))
     assert np.allclose(psi.vec, [0, (1 + 1j) / np.sqrt(2)], rtol=0, atol=1e-15)
+
+
+@st.composite
+def pure_states(draw):
+    """A `PureState` on sites with D <= 64, real or complex, its entries drawn
+    at a scale of 1e-100, 1 or 1e100, some of them zero."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=6))
+    while prod(dims) > 64:
+        dims.pop()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    D = prod(dims)
+    v = rng.standard_normal(D)
+    if draw(st.booleans()):
+        v = v + 1j * rng.standard_normal(D)
+    v = v * (rng.random(D) < draw(st.sampled_from([0.2, 1.0])))
+    v[rng.integers(D)] = 1.0
+    return PureState(SiteDims(tuple(dims)), v * draw(st.sampled_from([1e-100, 1.0, 1e100])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pure_states(), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_depolarized_pure_state_is_density_property(psi, p):
+    """p |psi><psi| + (1 - p) I/D is a state for every p in [0, 1], so a
+    visibility scan need not check its rows."""
+    assert is_density(depolarized(psi, p))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("psi", [ghz(10, 2), w_state(10)], ids=["ghz", "w"])
+def test_depolarized_ten_qubits_is_density(psi, p):
+    assert is_density(depolarized(psi, p))
