@@ -68,10 +68,9 @@ def _resolve_d(args) -> int:
 
 
 def _dims_of_expr(expr: maps.MapExpr, args) -> SiteDims:
-    dims = maps.lift_dims(expr)
-    if dims is not None:
-        _check_dims_flags(dims, args, "map file")
-        return dims
+    if expr.sites:
+        _check_dims_flags(expr.sites[0], args, "map file")
+        return expr.sites[0]
     dims = SiteDims((_resolve_d(args),) * (3 if args.n is None else args.n))
     if dims.total != expr.dim:
         raise ValueError(
@@ -163,6 +162,7 @@ def _build_state(args, m: criteria.GmeMap) -> MpOperator:
         raise ValueError("--noise applies only to --state ghz, w or ppt")
     if args.state_file:
         obj = serialize.load_state(args.state_file)
+        m.check_state(obj)  # before a pure state's D x D density is built
         return obj.density() if isinstance(obj, PureState) else obj
     if args.state == "mixed":
         return states.maximally_mixed(m.dims)

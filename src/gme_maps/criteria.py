@@ -43,6 +43,11 @@ class GmeMap:
     dims: SiteDims
     claims: tuple[Claim, ...] = ()
 
+    def check_state(self, state: MpOperator | PureState) -> None:
+        """A state the map is applied to must be on its sites."""
+        if state.dims != self.dims:
+            raise ValueError(f"state dims {state.dims.dims} do not match map dims {self.dims.dims}")
+
 
 def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
     out = mats[0]
@@ -247,8 +252,7 @@ def witness_to_map(w: MpOperator) -> GmeMap:
 
 def map_to_witness(m: GmeMap, psi: PureState) -> MpOperator:
     """Witness W with Tr(W rho) = <psi| m[rho] |psi> for all rho."""
-    if psi.dims != m.dims:
-        raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
+    m.check_state(psi)
     return apply(dual(m.expr), psi.density())
 
 

@@ -95,8 +95,7 @@ def _detected(val: float, tol: float) -> bool:
 
 def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
     """Apply the map and flag the state when the output dips below -tol."""
-    if rho.dims != m.dims:
-        raise ValueError(f"state dims {rho.dims.dims} do not match map dims {m.dims.dims}")
+    m.check_state(rho)
     if not is_density(rho):
         raise ValueError("input is not a density matrix")
     val, vec = min_eig(apply(m.expr, rho))
@@ -182,8 +181,7 @@ def _threshold(m: GmeMap, target: MpOperator, tol: float, white_noise: bool,
     (a, b).  `not_detected` and `detected` are the errors for an a that is
     not detected and a b that is.
     """
-    if target.dims != m.dims:
-        raise ValueError(f"state dims {target.dims.dims} do not match map dims {m.dims.dims}")
+    m.check_state(target)
     groups = _noise_outputs(m, target)
     at_a, at_b = min_eigvals(groups)
     if not _detected(at_a, tol):
@@ -291,8 +289,7 @@ def visibility_scan(m: GmeMap, psi: PureState, grid: Sequence[float],
     `depolarized` checks it, in grid order: an invalid row raises once the
     rows before it have been solved.
     """
-    if psi.dims != m.dims:
-        raise ValueError(f"state dims {psi.dims.dims} do not match map dims {m.dims.dims}")
+    m.check_state(psi)
     outs = _noise_outputs(m, psi.density())
     rows = []
     for chunk in _chunks(grid, _row_entries(outs)):

@@ -108,6 +108,23 @@ class MapExpr:
             return "breuer-hall"
         return None
 
+    @functools.cached_property
+    def sites(self) -> tuple[SiteDims, ...]:
+        """The distinct `SiteDims` of the lifts reachable without crossing
+        another lift, in the order a depth-first walk (children in field
+        order) first meets them; empty for a tree without a lift.  Kept on
+        the root, so `apply` checks an operator against them without a walk;
+        a subtree several parents share is walked once."""
+        sites, seen, stack = {}, set(), [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Lift):
+                sites[node.dims] = None  # a dict keeps each key's first place
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack += reversed(children(node))
+        return tuple(sites)
+
 
 @dataclass(frozen=True, eq=False)
 class Identity(MapExpr):
@@ -533,17 +550,6 @@ def _eval_blocks(lift: Lift, x: np.ndarray) -> np.ndarray:
     return t.reshape(x.shape)
 
 
-def _check_lift_dims(m: MapExpr, dims: SiteDims) -> None:
-    """Every lift reachable without crossing another lift must match `dims`."""
-    if isinstance(m, Lift):
-        if m.dims != dims:
-            raise ValueError(
-                f"operator dims {dims.dims} do not match lift dims {m.dims.dims}")
-        return
-    for c in children(m):
-        _check_lift_dims(c, dims)
-
-
 def apply(m: MapExpr, op: MpOperator) -> MpOperator:
     """Evaluate the map on a multipartite operator."""
     _check_operator(m, op)
@@ -552,11 +558,12 @@ def apply(m: MapExpr, op: MpOperator) -> MpOperator:
 
 def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
     """`apply`, keeping the output of a map with a `Compose.support` form as
-    its d x d blocks on the X support (a `BlockOperator` of one group)."""
+    its d x d blocks on the X support (a `BlockOperator` on the form's
+    `index`, the one index object of every output of the map)."""
     _check_operator(m, op)
     if m.support is None:
         return MpOperator(op.dims, _eval(m, op.mat))
-    return BlockOperator(op.dims, ((m.support.index, m.support.blocks(op.mat)),))
+    return BlockOperator(op.dims, m.support.index, m.support.blocks(op.mat))
 
 
 def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
@@ -570,8 +577,9 @@ def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
 def _check_operator(m: MapExpr, op: MpOperator) -> None:
     if m.dim != op.d:
         raise ValueError(f"operator side {op.d} does not match map dimension {m.dim}")
-    if m.support is None or m.support.dims != op.dims:  # else every lift is on op.dims
-        _check_lift_dims(m, op.dims)
+    for dims in m.sites:
+        if dims != op.dims:
+            raise ValueError(f"operator dims {op.dims.dims} do not match lift dims {dims.dims}")
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +647,6 @@ def x_support_blocks(dims: SiteDims) -> np.ndarray:
     block = d ** np.arange(n - 2, -1, -1) @ ((digits[1:] - digits[0]) % d)
     block.flags.writeable = False  # shared by every map on these dims
     return block
-
-
-def lift_dims(m: MapExpr) -> SiteDims | None:
-    """The site dimensions of some `Lift` in the tree, or None without one."""
-    return next((node.dims for node in nodes(m) if isinstance(node, Lift)), None)
 
 
 def _support_form(m: Compose) -> SupportForm | None:

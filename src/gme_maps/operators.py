@@ -132,16 +132,16 @@ def identity(dims: Iterable[int] | SiteDims) -> MpOperator:
 
 
 class BlockOperator(NamedTuple):
-    """A block-diagonal operator, kept as its diagonal blocks in groups of one
-    block size.
-
-    In each group `(index, blocks)`, `blocks[b]` acts on the basis vectors
-    `index[b]`; shapes index (B, k), blocks (B, k, k).  No basis vector is in
-    two blocks, and every entry outside the blocks is zero.
+    """A block-diagonal operator, kept as its diagonal blocks of one size:
+    `blocks[b]` acts on the basis vectors `index[b]`; shapes index (B, k),
+    blocks (B, k, k).  No basis vector is in two blocks, and every entry
+    outside the blocks is zero.  `maps.apply_blocks` makes one for a map
+    with an X-support form, on that form's index.
     """
 
     dims: SiteDims
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    index: np.ndarray
+    blocks: np.ndarray
 
 
 # `joint_blocks` groups: (index (B, k), stack (rows, B, k, k)) per block size,
@@ -178,45 +178,28 @@ def _whole(D: int) -> np.ndarray:
     return index
 
 
-def _dense(op: MpOperator | BlockOperator) -> np.ndarray:
-    """The full matrix of an operator, zero off the blocks of a `BlockOperator`."""
-    if isinstance(op, MpOperator):
-        return op.mat
-    D = op.dims.total
-    mat = np.zeros((D, D), dtype=np.result_type(*(b for _, b in op.groups)))
-    for index, b in op.groups:
-        mat[index[:, :, None], index[:, None, :]] = b
-    return mat
-
-
-def _on_index(op, lead: BlockOperator) -> bool:
-    """Whether `op` is a `BlockOperator` on the indices of `lead`."""
-    return isinstance(op, BlockOperator) and len(op.groups) == len(lead.groups) and all(
-        i is j or np.array_equal(i, j) for (i, _), (j, _) in zip(op.groups, lead.groups))
-
-
 def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
-    """Operators of one side split on the connected components of the union of
-    their exact nonzero patterns, (r, c) and (c, r) joined, grouped by size.
+    """Outputs of one map, as operators of one side split on the connected
+    components of the union of their exact nonzero patterns, (r, c) and
+    (c, r) joined, grouped by size.
 
     In each group `(index, stack)`, `stack[j, b]` is the block of `ops[j]` on
     the basis vectors `index[b]`; shapes index (B, k), stack (len(ops), B, k, k).
     Groups come in ascending size, blocks in the order of their smallest
-    index, each block's indices ascending.  `BlockOperator`s on one set of
-    indices (one X support) pass through on them; other mixes are split as
-    full matrices.  Only exact zeros split blocks, so a tiny entry can merge
-    two blocks but never drop out.  Without a search, one block holds a
-    matrix of side up to `DENSE_MAX_DIM` and a union pattern with more than
-    (D - 1)^2 + 1 nonzero entries, more than any split pattern holds.
+    index, each block's indices ascending.  `BlockOperator`s stack on their
+    one shared index object, unsearched; any other mix raises ValueError.
+    Only exact zeros split blocks, so a tiny entry can merge two blocks but
+    never drop out.  Without a search, one block holds a matrix of side up to
+    `DENSE_MAX_DIM` and a union pattern with more than (D - 1)^2 + 1 nonzero
+    entries, more than any split pattern holds.
     """
     lead = ops[0]
-    if isinstance(lead, BlockOperator):
-        if len(ops) == 1:
-            return tuple([(index, b[None]) for index, b in lead.groups])
-        if all(_on_index(op, lead) for op in ops[1:]):
-            return tuple((index, np.stack([op.groups[g][1] for op in ops]))
-                         for g, (index, _) in enumerate(lead.groups))
-    mats = [_dense(op) for op in ops]
+    if any(isinstance(op, BlockOperator) for op in ops):
+        if not all(isinstance(op, BlockOperator) and op.index is lead.index for op in ops):
+            raise ValueError("joint_blocks stacks BlockOperators only on one shared index")
+        return ((lead.index, lead.blocks[None] if len(ops) == 1
+                 else np.stack([op.blocks for op in ops])),)
+    mats = [op.mat for op in ops]
     D = len(mats[0])
     pattern = None
     if D > DENSE_MAX_DIM:
@@ -245,31 +228,23 @@ def is_hermitian(op: MpOperator | np.ndarray) -> bool:
     return hermitian_rows(((_whole(len(mat)), mat[None, None]),))[0][0]
 
 
-def _skew_peaks(groups: Groups) -> np.ndarray:
-    """Each row's largest entry of m - m^dag."""
-    return functools.reduce(np.maximum, [
-        np.maximum.reduce(np.abs(s - s.conj().swapaxes(-1, -2)), axis=_BLOCK_AXES)
-        for _, s in groups])
-
-
 def hermitian_rows(groups: Groups) -> tuple[list[bool], list[float]]:
     """Which rows of `joint_blocks` groups are Hermitian, and each row's
     largest entry.
 
     The one Hermiticity rule: a row is Hermitian when no block of it moves by
     more than HERM_RTOL times its largest entry over all of its groups (at
-    least 1) under m -> m^dag; a NaN or infinite entry fails.
+    least 1) under m -> m^dag; a NaN or infinite entry fails.  Peaks and
+    differences are taken with overflow and inf - inf quiet: a row they touch
+    has an infinite or NaN peak or difference, and fails the rule anyway.
     """
-    peaks = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(s), axis=_BLOCK_AXES)
-                                          for _, s in groups]).tolist()
-    # an infinite entry makes its row's peak inf (a NaN only NaN, which stays
-    # quiet); inf - inf would warn, and a failing row's result is not read
-    if max(peaks) < np.inf:
-        diff = _skew_peaks(groups)
-    else:
-        with np.errstate(invalid="ignore"):
-            diff = _skew_peaks(groups)
-    ok = [p < np.inf and e <= HERM_RTOL * max(1.0, p) for p, e in zip(peaks, diff.tolist())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(s), axis=_BLOCK_AXES)
+                                              for _, s in groups]).tolist()
+        diff = functools.reduce(np.maximum, [
+            np.maximum.reduce(np.abs(s - s.conj().swapaxes(-1, -2)), axis=_BLOCK_AXES)
+            for _, s in groups]).tolist()
+    ok = [p < np.inf and e <= HERM_RTOL * max(1.0, p) for p, e in zip(peaks, diff)]
     return ok, peaks
 
 

@@ -175,8 +175,10 @@ def _mat_doc(arr: np.ndarray) -> dict:
 
 
 def _mat_undoc(doc: dict) -> np.ndarray:
-    d = _json_int(doc["dim"])
-    return unpairs(doc["entries"]).reshape(d, d)
+    d, entries = _json_int(doc["dim"]), unpairs(doc["entries"])
+    if d < 0 or entries.size != d * d:
+        raise ValueError(f"dim {d} does not match {entries.size} entries")
+    return entries.reshape(d, d)
 
 
 def _json_int(v: Any) -> int:

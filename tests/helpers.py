@@ -86,6 +86,24 @@ def lift_by_lift(m: MapExpr, x: np.ndarray) -> np.ndarray:
     return maps._eval(m, x)
 
 
+def lift_sites(m: MapExpr) -> tuple[SiteDims, ...]:
+    """The distinct sites of the lifts reachable from m without crossing
+    another lift, in the order a depth-first walk in field order first meets
+    them; the walk takes a shared subtree as often as the tree reaches it."""
+    found = []
+
+    def walk(node):
+        if isinstance(node, Lift):
+            if node.dims not in found:
+                found.append(node.dims)
+            return
+        for c in maps.children(node):
+            walk(c)
+
+    walk(m)
+    return tuple(found)
+
+
 def _unitary(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return np.linalg.qr(z)[0]

@@ -316,6 +316,66 @@ def test_zero_size_map_file_node_exits_2(tmp_path, capsys, kind, fields):
     assert err == "error: map dimension must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("dim, words", [(-1, "dim -1 does not match 1 entries"),
+                                         (3, "dim 3 does not match 1 entries")])
+def test_map_file_dim_off_its_entries_exits_2(tmp_path, capsys, dim, words):
+    """A "dim" that does not square to the entry count is refused by name,
+    not by numpy's reshape."""
+    path = tmp_path / "mask.json"
+    root = {"kind": "schur", "mask": {"dim": dim, "entries": [[1.0, 0.0]]}}
+    write_json(str(path), {"format": "mapexpr-v1", "root": root})
+    code, out, err = run(capsys, "detect", "--map-file", str(path), "--n", "3", "--state", "w")
+    assert code == 2 and out == ""
+    assert err == f"error: schur node: bad field 'mask': {words}\n"
+
+
+def test_map_file_lift_of_a_lift_takes_the_outer_sites(tmp_path, capsys):
+    """The sites of a map file are those of its outermost lifts; a lift inside
+    one acts on the subsystem's sites."""
+    inner = maps.lift(maps.transpose_map(2), (0,), (2, 2))
+    expr = maps.map_sum(maps.lift(inner, (0, 1), (2, 2, 2)), maps.trace_identity(1, 8))
+    path = tmp_path / "nested.json"
+    serialize.save_map(str(path), expr)
+    code, out, _ = run(capsys, "detect", "--map-file", str(path), "--state", "ghz")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["n"], config["d"]) == (3, 2)
+    code, _, err = run(capsys, "detect", "--map-file", str(path), "--n", "2", "--state", "ghz")
+    assert code == 2
+    assert err == "error: --n/--d disagree with the sites (2, 2, 2) of the map file\n"
+
+
+@pytest.mark.parametrize("command", ["detect", "witness"])
+def test_state_file_sites_checked_before_density(tmp_path, capsys, monkeypatch, command):
+    """A pure state on other sites than the map's is refused before its
+    D x D density is built (at n = 16 that alone is 32 GB)."""
+    path = tmp_path / "psi.json"
+    save_state(str(path), ghz(11))
+
+    def no_density(self):
+        raise AssertionError("density built before the sites were checked")
+
+    monkeypatch.setattr(PureState, "density", no_density)
+    code, out, err = run(capsys, command, "--map", "eta", "--n", "3", "--state-file", str(path),
+                         "--output", str(tmp_path / "out.json"))
+    assert code == 2 and out == ""
+    assert err == f"error: state dims {(2,) * 11} do not match map dims (2, 2, 2)\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_overflowing_witness_file_exits_2_without_warning(tmp_path, capsys):
+    """Entries of +-1e308 overflow m - m^dag; the verdict comes without a
+    RuntimeWarning, also with warnings as errors."""
+    rng = np.random.default_rng(58)
+    path = tmp_path / "w.json"
+    save_state(str(path), MpOperator(SiteDims((2, 2, 2)), 1e308 * rng.choice([-1.0, 1.0], (8, 8))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "detect", "--witness-file", str(path), "--state", "ghz")
+    assert code == 2 and out == ""
+    assert err == "error: witness must be Hermitian\n"
+
+
 def test_cached_parser_keeps_no_state(capsys):
     """In-process calls that alternate subcommands and flags print what a fresh
     parser prints for each, and no flag value carries over to the next call."""

@@ -197,8 +197,7 @@ def _dense(op):
     if isinstance(op, MpOperator):
         return op.mat
     mat = np.zeros((op.dims.total,) * 2, dtype=complex)
-    for index, b in op.groups:
-        mat[index[:, :, None], index[:, None, :]] = b
+    mat[op.index[:, :, None], op.index[:, None, :]] = op.blocks
     return mat
 
 
@@ -240,7 +239,7 @@ def test_pencil_block_with_zero_noise_output_is_no_constraint():
     index = np.arange(4).reshape(2, 2)
     a_blocks = np.array([[[-1.0, 0.5], [0.5, 2.0]], [[1.0, 0.0], [0.0, 0.0]]])
     b_blocks = np.array([[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]])
-    a, b = BlockOperator(dims, ((index, a_blocks),)), BlockOperator(dims, ((index, b_blocks),))
+    a, b = BlockOperator(dims, index, a_blocks), BlockOperator(dims, index, b_blocks)
     want = float(np.linalg.eigvalsh(a_blocks[0] / 0.5)[0])
     assert _pencil_min_singular(a_blocks[1], b_blocks[1], DETECT_TOL) == np.inf
     assert _pencil_min(joint_blocks((a, b)), DETECT_TOL) == pytest.approx(want, abs=1e-12)
@@ -249,7 +248,7 @@ def test_pencil_block_with_zero_noise_output_is_no_constraint():
     assert dense == pytest.approx(want, abs=1e-12)
     # a negative on the kernel of b still makes every s infeasible
     a_blocks[1, 1, 1] = -1.0
-    assert _pencil_min(joint_blocks((BlockOperator(dims, ((index, a_blocks),)), b)),
+    assert _pencil_min(joint_blocks((BlockOperator(dims, index, a_blocks), b)),
                        DETECT_TOL) == -np.inf
 
 
@@ -320,7 +319,7 @@ def test_visibility_scan_spans_two_chunks():
     rows = visibility_scan(m, psi, grid)
     assert [r.param for r in rows] == grid
     for p, row in zip(grid, rows):
-        want = min_eigval(BlockOperator(m.dims, ((index, p * a + (1 - p) * b),)))
+        want = min_eigval(BlockOperator(m.dims, index, p * a + (1 - p) * b))
         assert abs(row.min_eig - want) <= 1e-12
         assert row.detected == (want < -DETECT_TOL)
 

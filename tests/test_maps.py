@@ -24,7 +24,7 @@ from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims
                                 min_eig, operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
 from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
-from helpers import (density_op, digit_reversal, hermitian_op, lift_by_lift,
+from helpers import (density_op, digit_reversal, hermitian_op, lift_by_lift, lift_sites,
                      lifted_map_exprs, map_exprs, monomial, rand_density, rand_hermitian,
                      superoperator, x_projected_exprs)
 
@@ -208,11 +208,64 @@ def test_dims_mismatch_raises():
     lifted = lift(transpose_map(2), (0,), (2, 4))
     with pytest.raises(ValueError):
         apply(lifted, operator((4, 2), np.eye(8)))
-    # and so it is for a map with a support form, which skips the lift walk
+    # and so it is for a map with a support form
     eta = build_map("eta", 4, 2).expr
     for route in (apply, apply_blocks):
         with pytest.raises(ValueError, match="lift dims"):
             route(eta, operator((4, 4), np.eye(16)))
+
+
+#: site dimensions of D = 8 that `_mixed_site_trees` lifts onto
+_SITES_OF_8 = [SiteDims((2, 2, 2)), SiteDims((4, 2)), SiteDims((2, 4))]
+
+
+@st.composite
+def _mixed_site_trees(draw):
+    """A random tree on D = 8 whose lifts sit on any of `_SITES_OF_8`; a child
+    of side 4 is often itself a lift onto (2, 2).  Sums, scales and
+    compositions take their children from the nodes built so far, so a
+    subtree is often shared by several parents."""
+    def a_lift():
+        dims = draw(st.sampled_from(_SITES_OF_8))
+        parties = draw(st.lists(st.integers(0, dims.n - 1), min_size=1,
+                                max_size=dims.n - 1, unique=True))
+        dA = int(np.prod([dims.dims[p] for p in parties]))
+        nested = dA == 4 and draw(st.booleans())
+        child = draw(lifted_map_exprs(4, 1) if nested else map_exprs(dA, 1))
+        return Lift(child, PartySubset(tuple(parties)), dims)
+
+    pool = [a_lift(), draw(map_exprs(8, 1))]
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["sum", "lift", "compose", "scale", "leaf"]))
+        if kind == "lift":
+            pool.append(a_lift())
+        elif kind == "sum":
+            pool.append(Sum(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))))
+        elif kind == "scale":
+            pool.append(Scale(draw(st.floats(-2, 2)), draw(st.sampled_from(pool))))
+        elif kind == "compose":
+            pool.append(Compose(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+        else:
+            pool.append(draw(map_exprs(8, 1)))
+    return draw(st.sampled_from([pool[-1], Sum(tuple(pool[::-1]))]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_site_trees())
+def test_sites_match_reference_walk_property(m):
+    """`MapExpr.sites` holds the distinct sites of the lifts a depth-first walk
+    meets without crossing a lift, in the order it meets them, and `apply`
+    refuses an operator off any of them with the first one's message."""
+    assert m.sites == lift_sites(m)
+    for dims in _SITES_OF_8:
+        op = operator(dims, np.eye(8) / 8)
+        wrong = next((s for s in m.sites if s != dims), None)
+        if wrong is None:
+            apply(m, op)
+        else:
+            with pytest.raises(ValueError) as err:
+                apply(m, op)
+            assert str(err.value) == f"operator dims {dims.dims} do not match lift dims {wrong.dims}"
 
 
 def test_dual_simple_cases():
@@ -813,8 +866,8 @@ def test_x_support_route_matches_dense(map_id, n, d):
         # the blocks are the output's support, and their eigensolve the dense one's
         out = apply_blocks(expr, op)
         assert isinstance(out, BlockOperator)
-        (index, blocks), = out.groups
-        assert np.array_equal(blocks, full[index[:, :, None], index[:, None, :]])
+        index = out.index
+        assert np.array_equal(out.blocks, full[index[:, :, None], index[:, None, :]])
         val, vec = min_eig(out)
         dense_val = np.linalg.eigvalsh(want)[0]
         assert abs(val - dense_val) <= 1e-12 * max(1.0, abs(dense_val))
@@ -924,8 +977,8 @@ def test_nodes_visit_each_distinct_node_once():
     m = build_map("eta", 4, 2).expr
     phi = m.outer.children[0]
     assert sum(node is phi for node in maps.nodes(m)) == 1
-    assert maps.lift_dims(m) == SiteDims((2,) * 4)
-    assert maps.lift_dims(identity_map(4)) is None
+    assert m.sites == (SiteDims((2,) * 4),)
+    assert identity_map(4).sites == ()
 
 
 #: two sizes of each catalog id, every one with at least two side sizes

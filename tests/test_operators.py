@@ -1,5 +1,7 @@
 """Tensor-core arithmetic: kron, partial operations, eigensolver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,7 +189,7 @@ def test_block_operator_min_eig_matches_dense():
     dims = SiteDims((3, 3))
     index = rng.permutation(9).reshape(3, 3)
     blocks = np.stack([rand_hermitian(3, rng) for _ in range(3)])
-    op = BlockOperator(dims, ((index, blocks),))
+    op = BlockOperator(dims, index, blocks)
     mat = np.zeros((9, 9), dtype=complex)
     for b in range(3):
         mat[np.ix_(index[b], index[b])] = blocks[b]
@@ -199,7 +201,25 @@ def test_block_operator_min_eig_matches_dense():
 
     blocks[1, 0, 2] += 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        min_eig(BlockOperator(dims, ((index, blocks),)))
+        min_eig(BlockOperator(dims, index, blocks))
+
+
+def test_hermitian_rows_quiet_on_overflow():
+    """Entries near the float limit give each row its verdict without a
+    warning: m - m^dag overflowing, or an entry's modulus, fails the row."""
+    rng = np.random.default_rng(58)
+    signs = rng.choice([-1.0, 1.0], (8, 8))
+    huge = 1.7e308 * (1 + 1j)
+    swapped = np.zeros((8, 8), dtype=complex)
+    swapped[0, 1], swapped[1, 0] = huge, np.conj(huge)
+    cases = [(1e308 * signs, False), (1e308 * np.sign(signs + signs.T), True),
+             (swapped, False), (np.full((8, 8), np.inf), False), (np.eye(8), True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, peaks = hermitian_rows(joint_blocks([operator((2, 2, 2), m) for m, _ in cases]))
+        assert [is_hermitian(m) for m, _ in cases] == [want for _, want in cases]
+    assert ok == [want for _, want in cases]
+    assert peaks[1] == 1e308 and peaks[2] == peaks[3] == np.inf and peaks[4] == 1.0
 
 
 def test_min_eigval_matches_min_eig():
@@ -209,7 +229,7 @@ def test_min_eigval_matches_min_eig():
     index = rng.permutation(12).reshape(3, 4)
     for h in (rand_hermitian(12, rng), rand_hermitian(12, rng).real):
         blocks = np.stack([h[:4, :4], h[4:8, 4:8], h[8:, 8:]])
-        for op in (operator((3, 4), h), BlockOperator(SiteDims((3, 4)), ((index, blocks),))):
+        for op in (operator((3, 4), h), BlockOperator(SiteDims((3, 4)), index, blocks)):
             val, vec = min_eig(op)
             assert vec.dtype == complex
             assert abs(min_eigval(op) - val) <= 1e-12
@@ -410,18 +430,19 @@ def test_joint_blocks_rows_match_dense_property(data):
 
 
 def test_joint_blocks_pass_shared_blocks_through():
-    """`BlockOperator`s on one index stack on it, unsearched; with a full
-    matrix among them they are split as full matrices, to the same
-    eigenvalues."""
+    """`BlockOperator`s on one index stack on it, unsearched.  Outputs of one
+    map share that index object: an equal copy of it, or a full matrix among
+    `BlockOperator`s, is refused."""
     rng = np.random.default_rng(17)
     dims = SiteDims((3, 3))
     index = rng.permutation(9).reshape(3, 3)
-    ops = [BlockOperator(dims, ((index, np.stack([rand_hermitian(3, rng) for _ in range(3)])),))
+    ops = [BlockOperator(dims, index, np.stack([rand_hermitian(3, rng) for _ in range(3)]))
            for _ in range(2)]
     (shared, stack), = joint_blocks(ops)
     assert shared is index
-    assert all(np.array_equal(s, op.groups[0][1]) for s, op in zip(stack, ops))
+    assert all(np.array_equal(s, op.blocks) for s, op in zip(stack, ops))
     full = operator(dims, rand_hermitian(9, rng))
-    mixed = joint_blocks(ops + [full])
-    want = [min_eigval(op) for op in ops + [full]]
-    assert np.allclose(min_eigvals(mixed), want, rtol=0, atol=1e-12)
+    copy = BlockOperator(dims, index.copy(), ops[1].blocks)
+    for mix in ((ops[0], copy), (ops[0], full), (full, ops[0])):
+        with pytest.raises(ValueError, match="one shared index"):
+            joint_blocks(mix)
