@@ -2,28 +2,24 @@
 
 A projected map file holds a D x D Schur mask and many repeats of a few
 lifted children, and `json.loads` would make a Python list per entry.
-`BulkDecoder` reads such a text as `json.loads` does, with one change: each
-pair list that stands, as `json.dumps` writes it, as the value of "entries",
-"vector" or "matrix" is found with `str.find` and parsed once per distinct
-text, split into `re, im` cells, each distinct cell parsed once by
-`json.loads` under the rules of `unpairs`, and the entries gathered by index
-into a `Pairs` array.  A list whose head repeats few cells, such as a random
-complex matrix, is left in the text for `json.loads`.  The rest of the text,
-with a stand-in string for each such list, is read by `json.loads` once.
+`BulkDecoder` reads such a text as `json.loads` does, except that each pair
+list written as `json.dumps` writes it under "entries", "vector" or "matrix"
+is, unless its head repeats few cells, read run by run into a `Pairs` array,
+each distinct head probed and each distinct list read once.  The rest of the
+text, with a stand-in string for each such list, is read by `json.loads` once.
 
-A text the bulk route does not take is read by `json.loads` as it stands: a
-text without such a list (other whitespace included), a cell that is not one
-[re, im] pair of numbers or that a float pair would not show as written, a
-pair list under another key, or any exception.  The document is plain JSON
-data apart from its `Pairs`, which decode as the list would and show as it
-would in an error message, so a decoder gives the strict route's result or
-error text from either document.
+Any other text, a cell that is not a float pair shown as written, a pair
+list under another key, or any exception sends the text to `json.loads` as
+it stands.  `Pairs` decode as the list would and show as it would in an
+error message, so a decoder gives the strict route's result or error text
+from either document.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, count
+import re
+from itertools import chain, count, islice
 from typing import Any, Sequence
 
 import numpy as np
@@ -65,9 +61,12 @@ _ARRAY_KEYS = frozenset(("entries", "vector", "matrix"))
 _STAND_IN = "\0"
 # Characters at the head of a pair list probed for repeated cells.
 _PROBE = 1 << 12
-# Characters of a pair list split into cells at a time: this bounds the list
-# of cell strings, which at D = 1024 would hold a million of them (~60 MB).
-_CHUNK = 1 << 16
+# One run of a cell and its repeats, and the separator after it: a cell is
+# the text of one bracket pair with no bracket inside.
+_RUN = re.compile(r"(\[[^][]*\])(?:, \1)*(?:, |\Z)")
+# Runs read at a time: this bounds the match objects held, which for a
+# D = 1024 list of distinct cells would be a million.
+_BATCH = 1 << 12
 
 
 class BulkDecoder:
@@ -82,74 +81,63 @@ class BulkDecoder:
         return json.loads(s) if doc is None else doc
 
 
-def _pair_list_spans(text: str) -> list[tuple[int, int]]:
-    """(start, end) of each `[[` ... `]]` that stands after `"entries": `,
-    `"vector": ` or `"matrix": ` as `json.dumps` writes them and whose head
-    repeats cells, in text order; the list ends at the first `]]`.
+def _repeats(head: str) -> bool:
+    """Whether `head`, the first `_PROBE` characters of a pair list's cells
+    up to its end, repeats a cell per two; a list that does not, such as a
+    random complex matrix, costs more to read by runs than `json.loads` takes."""
+    cells = head.split("], [")
+    return 2 * (len(set(cells)) - 1) < len(cells)
 
-    A list whose head (`_PROBE` characters) repeats fewer than one cell in
-    two after the first, such as a random complex matrix, is left to
-    `json.loads`: splitting and indexing it would cost more than they save.
-    """
-    spans = []
+
+def _parse_pairs(text: str, pos: int, endpos: int) -> Pairs:
+    """The pair list whose cells, joined by ", ", are `text[pos:endpos]`, which
+    the runs `_RUN` finds must tile.  Each distinct cell is parsed once, by
+    `json.loads` and `unpairs`; one whose float pair would show otherwise (an
+    integer or boolean part, or a real list's imaginary -0.0) is refused."""
+    index, at, counts, runs = {}, [], [], _RUN.finditer(text, pos, endpos)
+    while batch := [(m[1], m.end() - m.start()) for m in islice(runs, _BATCH)]:
+        cells, lengths = zip(*batch)
+        index.update(zip(set(cells).difference(index), count(len(index))))
+        at.append(np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)))
+        counts.append((np.array(lengths) + 2) // (np.fromiter(map(len, cells), np.intp) + 2))
+        pos += sum(lengths)  # the runs neither overlap nor leave the span
+    if pos != endpos:
+        raise ValueError("the runs do not tile the list")
+    body = ", ".join(index)
+    del index  # a million cell strings at D = 1024 when no cell repeats
+    parsed = json.loads(f"[{body}]")
+    distinct = Pairs(unpairs(parsed))
+    if repr(distinct) != repr(parsed):
+        raise ValueError("a cell is not shown as its float pair")
+    return Pairs(np.repeat(distinct.array[np.concatenate(at)], np.concatenate(counts)))
+
+
+def _bulk_parse(text: str) -> dict | None:
+    """`json.loads(text)` with each pair list of an array key that `_repeats`
+    read by `_parse_pairs`; each distinct head is probed once and each distinct
+    list read once.  None when the bulk route does not take the text."""
+    arrays, probed, tokens, pieces, prev = {}, {}, {}, [], 0  # stand-in: Pairs; list: token
     at = text.find('": [[')
     while at >= 0:
         start = at + 3
         if text[text.rfind('"', 0, at) + 1:at] in _ARRAY_KEYS:
-            head = text[start + 2:start + 2 + _PROBE].split("]]", 1)[0].split("], [")
-            if 2 * (len(set(head)) - 1) < len(head):  # a repeat per two cells
+            head = text[start + 2:start + 2 + _PROBE].split("]]", 1)[0]
+            if head not in probed:
+                probed[head] = _repeats(head)
+            if probed[head]:  # only then is the list's end looked for
                 end = text.index("]]", start) + 2
-                spans.append((start, end))
-                start = end
+                key = text[start:end]
+                if key not in tokens:
+                    stand_in = f"{_STAND_IN}{len(arrays)}"
+                    arrays[stand_in] = _parse_pairs(text, start + 1, end - 1)
+                    tokens[key] = json.dumps(stand_in)
+                pieces += text[prev:start], tokens[key]
+                prev = start = end
         at = text.find('": [[', start)
-    return spans
-
-
-def _parse_pairs(payload: str) -> Pairs:
-    """The pair list whose cells, joined by "], [", are `payload`.
-
-    The cells are split off `_CHUNK` characters at a time and each distinct
-    cell is parsed once, by `json.loads` and `unpairs`; the entries are then
-    gathered by index.  A cell whose float pair does not show as its parsed
-    cell does (an integer or boolean part, or an imaginary -0.0 of a real
-    list) is refused, so the result shows as the list does.
-    """
-    index, at, start = {}, [], 0
-    while start <= len(payload):
-        stop = payload.find("], [", start + _CHUNK)
-        stop = len(payload) if stop < 0 else stop
-        cells = payload[start:stop].split("], [")
-        index.update(zip(set(cells).difference(index), count(len(index))))
-        at.append(np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)))
-        start = stop + 4
-    body = "], [".join(index)
-    if body.count("[") != len(index) - 1 or body.count("]") != len(index) - 1:
-        raise ValueError("a cell is not one [re, im] pair")
-    parsed = json.loads(f"[[{body}]]")
-    distinct = Pairs(unpairs(parsed))
-    if repr(distinct) != repr(parsed):
-        raise ValueError("a cell is not shown as its float pair")
-    return Pairs(distinct.array[np.concatenate(at)])
-
-
-def _bulk_parse(text: str) -> dict | None:
-    """`json.loads(text)` with each pair list of an array key parsed by
-    `_parse_pairs` once per distinct text; None when the bulk route does not
-    take the text."""
-    spans = _pair_list_spans(text)
-    if not spans or '\\u0000' in text:  # none, or a string taken for a stand-in
+    if not arrays or '\\u0000' in text:  # none, or a string taken for a stand-in
         return None
-    arrays, tokens, pieces, prev = {}, {}, [], 0  # stand-in: pair list; payload: token
-    for start, end in spans:
-        payload = text[start + 2:end - 2]
-        if payload not in tokens:
-            stand_in = f"{_STAND_IN}{len(arrays)}"
-            arrays[stand_in] = _parse_pairs(payload)
-            tokens[payload] = json.dumps(stand_in)
-        pieces += text[prev:start], tokens[payload]
-        prev = end
     pieces.append(text[prev:])
-    del tokens
+    del probed, tokens
 
     def put_arrays(pairs: list[tuple[str, Any]]) -> dict:
         for i, (k, v) in enumerate(pairs):

@@ -80,8 +80,8 @@ def _pairs_text(arr: np.ndarray) -> str:
     return "[" + "".join(text) + "]"
 
 
-# Stands in for an array while json.dumps writes the rest of a document, which
-# holds no other string with a NUL in it.
+# Stands in for an array while json.dumps writes the rest of a document or
+# report: a document holds no other string with a NUL in it.
 _HOLE = "\0"
 
 
@@ -366,9 +366,44 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
+def _report_array(arr: np.ndarray, before: str) -> str:
+    """`jsonable(arr)` as `json.dumps(..., indent=2)` writes it after the text
+    `before`, each distinct bit pattern formatted once by `_tokens`."""
+    flat, line = arr.reshape(-1), before[before.rfind("\n") + 1:]
+    item = "\n" + " " * (len(line) - len(line.lstrip(" "))) + "  "
+    if np.iscomplexobj(flat):
+        pair = f"[{item}  {{}},{item}  {{}}{item}]"
+        cells = map(pair.format, _tokens(flat.real), _tokens(flat.imag))
+    else:
+        cells = _tokens(flat)
+    return f"[{item}{(',' + item).join(cells)}{item[:-2]}]" if flat.size else "[]"
+
+
 def dumps_report(obj: Any) -> str:
-    """Deterministic JSON text for a report object."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for a report object, `json.dumps(jsonable(obj),
+    sort_keys=True, indent=2)` and a newline: each float or complex array is
+    written into a hole by `_report_array`, unless a string of the report
+    holds the hole's escape."""
+    arrays: list[np.ndarray] = []
+
+    def hold(o: Any) -> Any:  # json.dumps' default: a hole, or `jsonable` one level deep
+        if type(o) is np.ndarray and o.dtype.char in "dD":
+            arrays.append(o)
+            return _HOLE
+        if dataclasses.is_dataclass(o) and not isinstance(o, type):
+            return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
+        if (value := jsonable(o)) is o:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        return value
+
+    text = json.dumps(obj, sort_keys=True, indent=2, default=hold)
+    if arrays and text.count("\\u0000") != len(arrays):  # a string holds the escape
+        text = json.dumps(jsonable(obj), sort_keys=True, indent=2)
+    elif arrays:
+        pieces = text.split(json.dumps(_HOLE))
+        text = pieces[0] + "".join(_report_array(arr, before) + tail for arr, before, tail
+                                   in zip(arrays, pieces, pieces[1:]))
+    return text + "\n"
 
 
 def scan_csv(rows) -> str:

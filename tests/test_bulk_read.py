@@ -89,19 +89,26 @@ def test_catalog_exports_read_in_bulk(map_id, n, d):
 
 def test_each_distinct_pair_list_and_sub_document_once(monkeypatch):
     """eta at n = 8 writes 255 pair lists, 5 of them distinct, and 1024 node
-    sub-documents for 146 distinct nodes: the bulk reader parses 5 pair lists,
-    and each distinct sub-document decodes to one node."""
+    sub-documents for 146 distinct nodes: the bulk reader probes the heads of
+    5 pair lists and parses 5, and each distinct sub-document decodes to one
+    node."""
     text = json.dumps(mapexpr_to_json(build_map("eta", 8, 2).expr))
     assert text.count('"entries": [[') == 255 and text.count('"kind"') == 1024
-    parsed = Counter()
-    parse = bulkread._parse_pairs
+    probed, parsed = Counter(), Counter()
+    probe, parse = bulkread._repeats, bulkread._parse_pairs
 
-    def parse_counted(payload):
-        parsed[payload] += 1
-        return parse(payload)
+    def probe_counted(head):
+        probed[head] += 1
+        return probe(head)
 
+    def parse_counted(s, pos, endpos):
+        parsed[s[pos:endpos]] += 1
+        return parse(s, pos, endpos)
+
+    monkeypatch.setattr(bulkread, "_repeats", probe_counted)
     monkeypatch.setattr(bulkread, "_parse_pairs", parse_counted)
     m = mapexpr_from_json(json.loads(text, cls=BulkDecoder))
+    assert len(probed) == 5 and set(probed.values()) == {1}
     assert len(parsed) == 5 and set(parsed.values()) == {1}
     assert len(list(maps.nodes(m))) == 146
 
@@ -279,6 +286,53 @@ def test_stand_in_only_under_array_keys():
     assert not _in_bulk(text) and json.loads(text, cls=BulkDecoder) == json.loads(text)
 
 
+def _vector_text(cells):
+    """A state document whose "vector" is the pair list text `cells`."""
+    return f'{{"format": "mpop-v1", "dims": [{cells.count("[") - 1}], "vector": {cells}}}'
+
+
+@pytest.mark.parametrize("values", [
+    [0.5],  # a run of one cell, the whole list
+    [0.5] * 7,  # one run, the whole list
+    [0.5] * 3 + [0.25] + [0.5] * 3,  # a run of one cell between runs
+    [1.0, 0.0] * 4,  # alternating cells, every run of one
+    [1.0, 1.0 + 0.05j, 1.0 + 0.05j, 1.0],  # "[1.0, 0.0]" then "[1.0, 0.05]"
+    [0.0, 0.0, -0.0, -0.0, -0.0, 0.0],  # adjacent 0.0 and -0.0 runs
+    [0.5j, 0.5j, complex(0.0, -0.0), complex(0.0, -0.0)],  # an imaginary -0.0 run
+], ids=["one-cell", "whole-list", "single-between", "alternating", "prefix", "signed-zeros",
+        "imag-zero"])
+def test_runs_decode_entry_by_entry(values):
+    """A pair list read run by run gives every entry's bits, as the strict
+    route does."""
+    arr = np.array(values)
+    text = json.dumps({"format": "mpop-v1", "dims": [len(arr)], "vector": serialize._pairs(arr)})
+    _agree(text, STATE)  # the vector is not normalised: both routes refuse it alike
+    assert _in_bulk(text)
+    got = bulkread._bulk_parse(text)["vector"].array
+    want = bulkread.unpairs(json.loads(text)["vector"])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tail", [
+    "],  [1.0, 0.0]]",  # two spaces
+    "],[1.0, 0.0]]",  # no space
+    "] , [1.0, 0.0]]",  # a space before the comma
+    "],\n[1.0, 0.0]]",  # a newline
+    "]; [1.0, 0.0]]",  # another separator
+    "], x[1.0, 0.0]]",  # a gap
+    "], [1.0, 0.0], ]",  # a trailing separator
+    "], [1.0, [0.0]]]",  # a bracket inside a cell
+])
+def test_runs_off_the_separator_take_the_strict_route(tail):
+    """Runs that do not tile the list with ", " hand the text to `json.loads`;
+    the list's head repeats, so only the run decoder can refuse it."""
+    cells = "[" + "[1.0, 0.0], " * 6 + "[1.0, 0.0" + tail
+    text = _vector_text(cells)
+    assert bulkread._repeats(cells[2:].split("]]", 1)[0])
+    _agree(text, STATE)
+    assert not _in_bulk(text)
+
+
 def test_list_without_repeats_left_to_json_loads():
     """In one document the bulk route takes a mask that repeats its cells and
     leaves a random unitary, whose cells do not repeat, to `json.loads`."""
@@ -355,14 +409,14 @@ def test_state_entry_lists(entries):
 def test_state_and_witness_files(tmp_path):
     """State and witness files as `save_state` writes them, read by
     `load_state`; a random density matrix, whose entries do not repeat, goes
-    the strict route and every other file the bulk route, the diagonal one
-    with a pair list longer than one split."""
+    the strict route and every other file the bulk route, the D = 256
+    diagonal one with a pair list of 65 536 cells in 511 runs."""
     rng = np.random.default_rng(3)
     objs = [ghz(3, 3), w_state(4), density_op((2, 2, 2), rng),
             MpOperator(SiteDims((2, 2)), np.diag([0.5, -0.0, 0.25, 0.25])),
             map_to_witness(build_map("phi-tx", 4, 2), ghz(4, 2)),
             map_to_witness(build_map("mu-choi", 3, 3), ghz(3, 3)),
-            # new entries in every split of the pair list, past the first
+            # a distinct cell at every diagonal entry, far past the probed head
             MpOperator(SiteDims((2,) * 8), np.diag(np.arange(1, 257) / 32896))]
     for i, obj in enumerate(objs):
         path = tmp_path / "s.json"
@@ -370,7 +424,7 @@ def test_state_and_witness_files(tmp_path):
         text = path.read_text(encoding="utf-8")
         _agree(text, STATE)
         assert _in_bulk(text) == (i != 2)
-        assert i != 6 or len(text) > 4 * bulkread._CHUNK
+        assert i != 6 or len(text) > 1 << 18
         assert _state_summary(serialize.load_state(str(path))) == _state_summary(obj)
         assert text == json.dumps(state_to_json(obj)) + "\n"
 
@@ -425,9 +479,28 @@ def _mutate(data, text):
     return text
 
 
+# Cells whose texts start alike: "[1.0, 0.0]", "[1.0, 0.05]", "[-0.0, 0.0]", ...
+RUN_CELLS = [0.0, -0.0, 1.0, 0.5, 1.0 + 0.05j, complex(1.0, -0.0), complex(-0.0, 1.0)]
+
+
+@st.composite
+def run_heavy_exprs(draw):
+    """A Schur node whose d x d mask is a few cells in runs of any length,
+    alone or summed with a copy of itself, so that its list repeats too."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    pool = draw(st.lists(st.sampled_from(RUN_CELLS), min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, d * d)),
+                         min_size=1, max_size=8))
+    flat = [value for value, k in runs for _ in range(k)]
+    flat = (flat * (d * d // len(flat) + 1))[:d * d]
+    schur = maps.SchurWith(np.array(flat).reshape(d, d))
+    return maps.Sum((schur, maps.SchurWith(schur.mask))) if draw(st.booleans()) else schur
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from([2, 3, 4]).flatmap(map_exprs),
-                 st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs), x_projected_exprs()),
+                 st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs), x_projected_exprs(),
+                 run_heavy_exprs()),
        st.data())
 def test_bulk_read_property(expr, data):
     """A map document, as written or edited, reads as the strict reader reads it."""

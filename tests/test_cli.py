@@ -711,6 +711,32 @@ def test_scaled_files_are_json_dumps(tmp_path, capsys, map_id, n, d):
     assert text == reference_text(serialize._state_doc(w))
 
 
+# sha256 of `detect --state ghz` stdout at the detect-scaled sizes, the
+# eigenvector of 128 to 256 entries included, with its length in characters.
+# Recorded before report arrays were printed into holes; the eigenvector's
+# last bits depend on the LAPACK build, so the pins are compared where the
+# float kernels round as on the recording build.
+DETECT_SHA256 = {
+    ("eta", 7): ("3cacb1563270c43cb1f93418bc1fdb2df508c71fb5b2dacbeae1d13460877f78", 4651),
+    ("eta", 8): ("eca05814349b7c955c44d2194c72c55141e9e9f939a0d409266015509defc1c4", 9003),
+    ("phi-tx", 8): ("198261bcda9e3534d16b99cd4503195020a4fa14464aa88e0e12315b75555f7a", 8991),
+    ("phi-t", 8): ("68ccf8954e383eec0b1d6327b16dd486d3495e53943502e5bf0a10474fbc6292", 9005),
+    ("phi-r", 5): ("07ba1a441337aaa2668076292fe6a8f8cd26292fcec5037efd402c4b424f472c", 8579),
+    ("phi-b", 4): ("315da90421f9879d7d4f7b811ac14f7be6620e2979d854cde4ef2e407a5b976e", 9005),
+    ("mu-choi", 5): ("f1c85801a2e8ae80453b1b34c8c10c3be61b6a167a16424fa060afaa1d270a84", 8579),
+}
+
+
+@pytest.mark.parametrize("map_id, n, d", SCALED)
+def test_scaled_detect_stdout_pinned(capsys, map_id, n, d):
+    if _float_kernels_fingerprint() != FLOAT_KERNELS_SHA256:
+        pytest.skip("the pins were recorded on a LAPACK and BLAS build that rounds otherwise")
+    code, out, _ = run(capsys, "detect", "--map", map_id, "--n", str(n), "--d", str(d),
+                       "--state", "ghz")
+    assert code == 0 and len(json.loads(out)["eigvec"]) == d ** n
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == DETECT_SHA256[map_id, n]
+
+
 def test_witness_write_makes_no_pair_lists(tmp_path):
     """Saving a 256 x 256 real witness peaks at 2.6 * 16 D^2 bytes of Python
     allocations; a list of [re, im] floats per entry before `json.dumps`

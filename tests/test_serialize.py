@@ -1,7 +1,9 @@
 """JSON round trips for states and map expressions; CSV formatting."""
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from gme_maps import maps, serialize
 from gme_maps.criteria import SMALLEST, build_map, eta_map, mu_map, phi_b
 from gme_maps.detect import ScanRow
 from gme_maps.maps import Choi, apply, apply_stack, compose, identity_map
-from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report,
+from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report, jsonable,
                                 mapexpr_from_json, mapexpr_to_json, save_map, save_state,
                                 scan_csv, state_from_json, state_to_json, write_json)
 from gme_maps.cli import main
@@ -251,6 +253,64 @@ def test_dumps_report_deterministic():
     rep = {"b": 1.5, "a": np.float64(0.25), "v": np.array([1 + 2j])}
     assert dumps_report(rep) == dumps_report(rep)
     assert json.loads(dumps_report(rep))["v"] == [[1.0, 2.0]]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    value: object
+    label: str = "x"
+
+
+# Floats whose tokens a report must keep apart: signed zeros, non-finite values
+# and the float neighbours of 0.1.
+REPORT_FLOATS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1,
+                                 np.nextafter(0.1, 1), 1e16, -2.5])
+REPORT_STRINGS = st.text(alphabet=st.sampled_from(["a", "\0", "\\", '"', "u", "0", "\n"]),
+                         max_size=6)
+
+
+@st.composite
+def _report_arrays(draw):
+    """A float64 or complex128 array whose parts are drawn bit for bit."""
+    shape = draw(st.sampled_from([(0,), (1,), (5,), (2, 3), ()]))
+    parts = draw(st.sampled_from([1, 2]))  # real, or [re, im]
+    n = parts * int(np.prod(shape))
+    floats = np.array(draw(st.lists(REPORT_FLOATS, min_size=n, max_size=n)), dtype=float)
+    return floats.view(complex if parts == 2 else float).reshape(shape)
+
+
+REPORT_LEAVES = st.one_of(
+    REPORT_FLOATS, st.integers(-3, 3), st.booleans(), st.none(), REPORT_STRINGS,
+    _report_arrays(), st.builds(np.float64, REPORT_FLOATS), st.builds(np.int64, st.integers(-3, 3)),
+    st.builds(complex, REPORT_FLOATS, REPORT_FLOATS),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+REPORTS = st.recursive(REPORT_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.tuples(inner, inner),
+    st.dictionaries(REPORT_STRINGS, inner, max_size=3),
+    st.builds(_Report, inner, REPORT_STRINGS)), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+@example({"eigvec": np.array([0.5 + 0.0j, -0.0 - 0.0j]), "min_eig": -0.5, "note": "\0"})
+@example({"a": [np.array([1.0, np.nan]), np.array([], dtype=complex)], "b": np.zeros((2, 2))})
+@example(_Report(np.array([-0.0, 0.0]), "\0"))
+def test_dumps_report_matches_json_dumps_property(report):
+    """`dumps_report` prints what `json.dumps` prints of `jsonable(report)`:
+    arrays real and complex, empty, non-finite and signed zeros, in nested
+    dicts, lists and dataclasses, beside strings that hold NUL characters."""
+    assert dumps_report(report) == json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_report_refuses_what_json_refuses():
+    """A value `jsonable` leaves as it is and `json.dumps` refuses is refused
+    with `json.dumps`' error."""
+    report = {"v": np.array([1.0]), "flag": np.bool_(True)}
+    with pytest.raises(TypeError) as want:
+        json.dumps(jsonable(report), sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps_report(report)
+    assert str(got.value) == str(want.value)
 
 
 def test_mapexpr_decode_shares_equal_subtrees():
