@@ -28,9 +28,9 @@ MAX_GRID_ROWS = 10_000
 
 def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> None:
     p.add_argument("--map", choices=criteria.MAP_IDS, help="cataloged map id")
-    p.add_argument("--map-file", help="map expression JSON (mapexpr-v1); used instead of --map")
+    p.add_argument("--map-file", help="map expression JSON (mapexpr-v2 or v1); used instead of --map")
     if with_witness:
-        p.add_argument("--witness-file", help="witness JSON (mpop-v1); used instead of --map")
+        p.add_argument("--witness-file", help="witness JSON (mpop-v2 or v1); used instead of --map")
     p.add_argument("--n", type=int, default=None, help="number of parties (default 3)")
     p.add_argument("--d", type=int, default=None,
                    help="local dimension (default 2, or 3 for mu-choi)")
@@ -39,7 +39,7 @@ def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> Non
 def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", choices=("ghz", "w", "ppt", "mixed"),
                    help="named state family")
-    p.add_argument("--state-file", help="state JSON (mpop-v1)")
+    p.add_argument("--state-file", help="state JSON (mpop-v2 or v1)")
     p.add_argument("--noise", type=float, default=None,
                    help="visibility p for ghz/w, white-noise fraction for ppt")
     _add_lam_arg(p)
@@ -114,12 +114,10 @@ def _build_gme_map(args) -> criteria.GmeMap:
         return criteria.witness_to_map(w)
     if getattr(args, "map_file", None):
         try:
-            with open(args.map_file, encoding="utf-8") as fh:
-                doc = json.load(fh, cls=serialize.BulkDecoder)
-            expr = serialize.mapexpr_from_json(doc)
+            with serialize.gc_paused(), open(args.map_file, encoding="utf-8") as fh:
+                expr = serialize.mapexpr_from_json(json.load(fh))
         except RecursionError:
             raise ValueError("map file is nested too deeply") from None
-        del doc  # frees the parsed document before the map is checked and run
         if expr.dim > criteria.MAX_DIM:
             raise ValueError(f"map file dimension {expr.dim} exceeds the supported "
                              f"maximum {criteria.MAX_DIM}")
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p)
     p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--export-map", help="also write the map expression (mapexpr-v1) here")
+    p.add_argument("--export-map", help="also write the map expression (mapexpr-v2) here")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("threshold", help="exact noise threshold of a state family")

@@ -39,6 +39,7 @@ from .grades import (GradedLifts, bipartition_gather_sum, bipartition_sum,
                      covers_bipartitions, graded_form)
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
                         party_subset, real_or_complex, site_dims)
+from .states import haar_vector
 
 UNITARY_TOL = 1e-12
 
@@ -872,6 +873,5 @@ def mu_sample_values(m: MapExpr, d: int, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     for i in range(samples):
-        v = rng.standard_normal(d * nc) + 1j * rng.standard_normal(d * nc)
-        vals[i] = _neg_min_eig(lifted, v / np.linalg.norm(v))
+        vals[i] = _neg_min_eig(lifted, haar_vector(d * nc, rng))
     return vals

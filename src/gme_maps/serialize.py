@@ -1,42 +1,48 @@
-"""JSON formats for states (mpop-v1), map expressions (mapexpr-v1) and CSV reports.
+"""JSON formats for states (mpop-v2), map expressions (mapexpr-v2) and CSV reports.
 
-Complex scalars are encoded as [re, im] pairs, a real entry as [re, 0.0];
-matrices as row-major flat lists of pairs.  Files are written with each
-array's pair list built as text in bulk, byte for byte what `json.dumps` gives:
-by runs of equal bit patterns, each run's head formatted once and the run
-written as one repeat, and each distinct array object once per document.
-`state_to_json` and `mapexpr_to_json` return the same documents as plain JSON
-data.  Decoded arrays follow the dtype rule of `operators.real_or_complex`.
-Documents carry an explicit "format" field so files stay self-describing.
+Complex scalars are encoded as [re, im] pairs, a real entry as [re, 0.0].  An
+array is the row-major flat list of its runs of equal bit patterns, one pair
+per run, and, when some run is longer than one, a "runs" member beside it
+holding the run lengths.  Files are written with each array's text built in
+bulk, byte for byte what `json.dumps` gives of the documents `state_to_json`
+and `mapexpr_to_json` return, and each distinct array object turned into text
+once per document.  Decoded arrays follow the dtype rule of
+`operators.real_or_complex`.  Documents carry an explicit "format" field so
+files stay self-describing.
 
-Map, state and witness files are read in bulk, by `json.load(fh,
-cls=BulkDecoder)` (module `bulkread`), which parses each distinct pair list
-once and otherwise reads the text as `json.loads` does.  The decoders take
-either document the same way: equal sub-documents decode to one shared node
-by value (`_share_key`), and every occurrence counts against
-`MAX_MAP_NODES` and `MAX_MAP_DEPTH`.
+Files are read by `json.load`.  A v1 document (mpop-v1, mapexpr-v1) spells
+every entry out and has no "runs", and the same decoders read it.  A "runs"
+list is checked before it is expanded: one integer >= 1 per pair, summing to
+the size the document declares, which is at most `MAX_RUN_ENTRIES`.  Equal
+sub-documents decode to one shared node by value (`_share_key`), and every
+occurrence counts against `MAX_MAP_NODES` and `MAX_MAP_DEPTH`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Iterator
 
 import numpy as np
 
-from .bulkread import BulkDecoder, unpairs
+from .criteria import MAX_DIM
 from .maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Identity,
                    Lift, MapExpr, Reduction, Scale, SchurWith, Sum,
                    TraceIdentity, TraceOuter, Transpose, node_fields)
-from .operators import MpOperator, PartySubset, SiteDims
+from .operators import MpOperator, PartySubset, SiteDims, real_or_complex
 from .states import PureState
 
-STATE_FORMAT = "mpop-v1"
-MAP_FORMAT = "mapexpr-v1"
+STATE_FORMAT, STATE_FORMAT_V1 = "mpop-v2", "mpop-v1"
+MAP_FORMAT, MAP_FORMAT_V1 = "mapexpr-v2", "mapexpr-v1"
+# The most entries a "runs" list may stand for: a MAX_DIM x MAX_DIM matrix.
+MAX_RUN_ENTRIES = MAX_DIM ** 2
 
 
 def _pairs(arr: np.ndarray) -> list[list[float]]:
@@ -55,29 +61,50 @@ def _tokens(part: np.ndarray) -> list[str]:
     return np.array(tokens, dtype=object)[at.reshape(-1)].tolist()
 
 
-def _pairs_text(arr: np.ndarray) -> str:
-    """`json.dumps(_pairs(arr))`, written by runs: entries with the bit
-    patterns of the entry before them repeat its cell, and only the head of
-    each run is formatted."""
+def _pairs_text(arr: np.ndarray) -> tuple[str, str]:
+    """The text of an array's entries: the [re, im] pair list of its runs of
+    equal bit patterns, one pair per run, and the text of a "runs" member
+    with the run lengths when some run is longer than one, else ""."""
     flat = np.asarray(arr).reshape(-1)
-    if not flat.size:
-        return "[]"
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat.real,)
     head = np.zeros(flat.size, dtype=bool)
-    head[0] = True
-    for part in parts:
+    head[:1] = True
+    for part in (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat.real,):
         bits = np.ascontiguousarray(part, np.float64).view(np.uint64)
         head[1:] |= bits[1:] != bits[:-1]
     starts = np.flatnonzero(head)
-    runs = np.diff(starts, append=flat.size).tolist()
-    if len(parts) == 1:
-        cells = [f"[{re}, 0.0], " for re in _tokens(flat.real[starts])]
-    else:
-        cells = [f"[{re}, {im}], " for re, im in zip(_tokens(flat.real[starts]),
-                                                     _tokens(flat.imag[starts]))]
-    text = [cell * run for cell, run in zip(cells, runs)]
-    text[-1] = text[-1][:-2]  # the last cell's ", "
-    return "[" + "".join(text) + "]"
+    ims = _tokens(flat.imag[starts]) if np.iscomplexobj(flat) else ["0.0"] * len(starts)
+    text = "[" + ", ".join(map("[{}, {}]".format, _tokens(flat.real[starts]), ims)) + "]"
+    if len(starts) == flat.size:
+        return text, ""
+    return text, ', "runs": ' + json.dumps(np.diff(starts, append=flat.size).tolist())
+
+
+def unpairs(pairs: Any, runs: Any = None, size: int = 0) -> np.ndarray:
+    """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`).
+    With `runs`, the i-th pair stands for runs[i] equal entries, `size` in
+    all; the counts are checked before any entry is repeated."""
+    if runs is not None and size > MAX_RUN_ENTRIES:
+        raise ValueError(f"{size} entries exceed the supported maximum {MAX_RUN_ENTRIES}")
+    pairs = list(pairs)
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("every matrix entry must be an [re, im] pair")
+    flat = list(chain.from_iterable(pairs))
+    sum(flat)  # raises TypeError unless every part is a number
+    values = real_or_complex(np.array(flat, dtype=float).view(complex))
+    if runs is None:
+        return values
+    if not isinstance(runs, list):
+        raise ValueError(f"runs must be a list, got {type(runs).__name__}")
+    if set(map(type, runs)) - {int}:  # booleans are refused
+        bad = next(k for k in runs if type(k) is not int)
+        raise ValueError(f"run counts must be integers, got {bad!r}")
+    if len(runs) != values.size:
+        raise ValueError(f"{len(runs)} run counts for {values.size} pairs")
+    if runs and min(runs) < 1:
+        raise ValueError(f"run counts must be >= 1, got {min(runs)}")
+    if sum(runs) != size:
+        raise ValueError(f"run counts sum to {sum(runs)}, not {size}")
+    return np.repeat(values, runs)
 
 
 # Stands in for an array while json.dumps writes the rest of a document or
@@ -86,8 +113,8 @@ _HOLE = "\0"
 
 
 def _chunks(doc: Any) -> Iterator[str]:
-    """The text of `json.dumps(doc)` in pieces, each array in `doc` written as
-    the flat list of its [re, im] pairs by `_pairs_text`."""
+    """The text of `json.dumps(doc)` in pieces, each array in `doc`, the value
+    of an object member, written by runs by `_pairs_text`."""
     arrays, texts = [], {}
 
     def hold(obj: Any) -> str:
@@ -96,18 +123,22 @@ def _chunks(doc: Any) -> Iterator[str]:
         arrays.append(obj)
         return _HOLE
 
-    head, *tails = json.dumps(doc, default=hold).split(json.dumps(_HOLE))
-    yield head
-    for arr, tail in zip(arrays, tails, strict=True):
+    pieces = json.dumps(doc, default=hold).split(json.dumps(_HOLE))
+    yield pieces[0]
+    for arr, before, tail in zip(arrays, pieces[:-1], pieces[1:], strict=True):
         if id(arr) not in texts:  # `arrays` keeps every array, so ids stay unique
             texts[id(arr)] = _pairs_text(arr)
-        yield texts[id(arr)]
+        entries, runs = texts[id(arr)]
+        if runs and not before.endswith('": '):
+            raise ValueError("an array with runs must be the value of an object member")
+        yield entries
+        yield runs
         yield tail
 
 
 def _plain(doc: Any) -> Any:
-    """`doc` as plain JSON data, arrays as [re, im] pair lists: the parsed text
-    `write_json` writes for it."""
+    """`doc` as plain JSON data, arrays as their runs' [re, im] pair lists and
+    "runs" members: the parsed text `write_json` writes for it."""
     return json.loads("".join(_chunks(doc)))
 
 
@@ -124,43 +155,58 @@ def state_to_json(obj: MpOperator | PureState) -> dict:
 def state_from_json(doc: Any) -> MpOperator | PureState:
     if not isinstance(doc, dict):
         raise ValueError(f"state document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != STATE_FORMAT:
-        raise ValueError(f"expected format {STATE_FORMAT!r}, got {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if fmt not in (STATE_FORMAT, STATE_FORMAT_V1):
+        raise ValueError(f"expected format {STATE_FORMAT!r} or {STATE_FORMAT_V1!r}, got {fmt!r}")
     if "dims" not in doc:
-        raise ValueError(f"{STATE_FORMAT} document: missing field 'dims'")
+        raise ValueError(f"{fmt} document: missing field 'dims'")
     try:
         dims = SiteDims(_json_ints(doc["dims"]))
     except ValueError as exc:
-        raise ValueError(f"{STATE_FORMAT} document: bad field 'dims': {exc}") from None
+        raise ValueError(f"{fmt} document: bad field 'dims': {exc}") from None
     try:
         D = dims.total
         if "vector" in doc:
-            vec = unpairs(doc["vector"])
+            vec = unpairs(doc["vector"], doc.get("runs"), D)
             if vec.shape != (D,):
                 raise ValueError("vector length does not match dims")
             return PureState(dims, vec)
         if "matrix" in doc:
-            mat = unpairs(doc["matrix"])
+            mat = unpairs(doc["matrix"], doc.get("runs"), D * D)
             if mat.size != D * D:
                 raise ValueError("matrix size does not match dims")
             return MpOperator(dims, mat.reshape(D, D))
     except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed {STATE_FORMAT} document: {exc}") from None
+        raise ValueError(f"malformed {fmt} document: {exc}") from None
     raise ValueError("state document needs a 'vector' or 'matrix' field")
+
+
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a file is parsed and decoded.
+    Every list the parse makes stays live until the document is freed whole,
+    so a collection then frees nothing and only promotes the document, whose
+    lists later full collections walk (~8 ms each after eta n = 8 files)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_state(path: str) -> MpOperator | PureState:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, cls=BulkDecoder)
-        return state_from_json(doc)
+        with gc_paused(), open(path, encoding="utf-8") as fh:
+            return state_from_json(json.load(fh))
     except RecursionError:
         raise ValueError("state file is nested too deeply") from None
 
 
 def write_json(path: str, doc: Any) -> None:
-    """Write `json.dumps(doc)` and a newline, each array in `doc` as the flat
-    list of its [re, im] pairs, written in bulk."""
+    """Write `json.dumps(doc)` and a newline, each array in `doc`, the value
+    of an object member, written by runs in bulk."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_chunks(doc))
         fh.write("\n")
@@ -175,7 +221,8 @@ def _mat_doc(arr: np.ndarray) -> dict:
 
 
 def _mat_undoc(doc: dict) -> np.ndarray:
-    d, entries = _json_int(doc["dim"]), unpairs(doc["entries"])
+    d = _json_int(doc["dim"])
+    entries = unpairs(doc["entries"], doc.get("runs"), d * d)
     if d < 0 or entries.size != d * d:
         raise ValueError(f"dim {d} does not match {entries.size} entries")
     return entries.reshape(d, d)
@@ -205,7 +252,7 @@ def _json_ints(v: Any) -> tuple[int, ...]:
     return tuple(_json_int(x) for x in v)
 
 
-# mapexpr-v1 names each node kind; every other key is a constructor field of
+# mapexpr names each node kind; every other key is a constructor field of
 # the node's class, with `dim` written as "d", encoded by its declared type.
 _KINDS = {Identity: "identity", Transpose: "transpose", Reduction: "reduction",
          BreuerHall: "breuer-hall", Choi: "choi", Conjugate: "conjugate",
@@ -233,7 +280,7 @@ MAX_MAP_NODES = 1 << 15
 
 
 def node_kind(m: MapExpr) -> str:
-    """The mapexpr-v1 kind name of a node."""
+    """The mapexpr kind name of a node."""
     return _KINDS[type(m)]
 
 
@@ -330,18 +377,19 @@ def mapexpr_to_json(m: MapExpr) -> dict:
 
 
 def save_map(path: str, m: MapExpr) -> None:
-    """Write the mapexpr-v1 file of a map: `json.dumps(mapexpr_to_json(m))`
+    """Write the mapexpr-v2 file of a map: `json.dumps(mapexpr_to_json(m))`
     and a newline."""
     write_json(path, _map_doc(m))
 
 
 def mapexpr_from_json(doc: Any) -> MapExpr:
-    """Decode a mapexpr-v1 document; equal sub-documents decode to one shared
-    node, so a subtree the written map shared is shared again."""
+    """Decode a mapexpr-v2 or mapexpr-v1 document; equal sub-documents decode
+    to one shared node, so a subtree the written map shared is shared again."""
     if not isinstance(doc, dict):
         raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != MAP_FORMAT:
-        raise ValueError(f"expected format {MAP_FORMAT!r}, got {doc.get('format')!r}")
+    if doc.get("format") not in (MAP_FORMAT, MAP_FORMAT_V1):
+        raise ValueError(f"expected format {MAP_FORMAT!r} or {MAP_FORMAT_V1!r}, "
+                         f"got {doc.get('format')!r}")
     return _node_from_json(doc.get("root"), {}, [0])
 
 

@@ -200,7 +200,9 @@ def ppt_family(params: PptFamilyParams | tuple[float, float, float]) -> MpOperat
     return MpOperator(SiteDims((3, 3, 3)), E / np.trace(E))
 
 
-def _haar_vector(D: int, rng: np.random.Generator) -> np.ndarray:
+def haar_vector(D: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random unit vector of length D: a complex Gaussian, real parts
+    drawn before imaginary parts, normalised."""
     v = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     return v / np.linalg.norm(v)
 
@@ -209,7 +211,7 @@ def random_pure(dims: Iterable[int] | SiteDims, seed: int) -> PureState:
     """Haar-random pure state (normalised complex Gaussian vector)."""
     sd = site_dims(dims)
     rng = np.random.default_rng(seed)
-    return PureState(sd, _haar_vector(sd.total, rng))
+    return PureState(sd, haar_vector(sd.total, rng))
 
 
 def _product_vector(sd: SiteDims, subset: PartySubset,
@@ -218,8 +220,8 @@ def _product_vector(sd: SiteDims, subset: PartySubset,
     keep = subset.members
     order = keep + tuple(i for i in range(sd.n) if i not in keep)
     dA = prod(sd.dims[i] for i in keep)
-    va = _haar_vector(dA, rng)
-    vb = _haar_vector(sd.total // dA, rng)
+    va = haar_vector(dA, rng)
+    vb = haar_vector(sd.total // dA, rng)
     v = np.multiply.outer(va, vb).reshape([sd.dims[o] for o in order])
     return v.transpose(sorted(range(sd.n), key=order.__getitem__)).reshape(sd.total)
 

@@ -1,6 +1,7 @@
 """Shared test utilities: random operators, random map expressions (also
-X-projected ones), superoperator and lift-by-lift oracles, and the text
-`json.dumps` writes for a document with arrays."""
+X-projected ones), superoperator and lift-by-lift oracles, the text
+`json.dumps` writes for a document with arrays written by runs, and the v1
+form of such a text."""
 
 import functools
 import itertools
@@ -18,6 +19,7 @@ from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll,
                            Sum, TraceIdentity, TraceOuter, Transpose, apply_stack,
                            default_skew_unitary)
 from gme_maps.operators import MpOperator, PartySubset, SiteDims
+from gme_maps.serialize import MAX_RUN_ENTRIES
 from gme_maps.states import clock_matrix, shift_matrix
 
 
@@ -109,14 +111,103 @@ def _unitary(d, rng):
     return np.linalg.qr(z)[0]
 
 
+def _pair_list(arr):
+    flat = np.asarray(arr).reshape(-1)
+    return np.stack((flat.real, flat.imag), -1).tolist()
+
+
+def _runs(arr):
+    """The [re, im] pairs of an array's runs of equal bit patterns, one pair
+    per run, and the run lengths, found entry by entry."""
+    pairs = _pair_list(arr)
+    bits = np.array(pairs, dtype=float).reshape(-1, 2).view(np.uint64).tolist()
+    groups = [list(g) for _, g in itertools.groupby(range(len(pairs)), key=lambda i: bits[i])]
+    return [pairs[g[0]] for g in groups], [len(g) for g in groups]
+
+
 def reference_text(doc) -> str:
     """The file text of `doc` as `json.dumps` writes it when every array in
-    `doc` is first made a list of [re, im] pairs by `tolist`."""
-    def pairs(arr):
-        flat = np.asarray(arr).reshape(-1)
-        return np.stack((flat.real, flat.imag), -1).tolist()
+    `doc` is first made the [re, im] pairs of its runs, each found entry by
+    entry, with a "runs" member beside it when some run is longer than one."""
+    def plain(obj):
+        if isinstance(obj, dict):
+            out = {}
+            for key, value in obj.items():
+                if isinstance(value, np.ndarray):
+                    out[key], runs = _runs(value)
+                    if len(runs) < value.size:
+                        out["runs"] = runs
+                else:
+                    out[key] = plain(value)
+            return out
+        if isinstance(obj, (list, tuple)):
+            return [_pair_list(v) if isinstance(v, np.ndarray) else plain(v) for v in obj]
+        return obj
 
-    return json.dumps(doc, default=pairs) + "\n"
+    return json.dumps(plain(doc)) + "\n"
+
+
+#: the format of each v2 document and of its v1 form
+V1_FORMATS = {"mapexpr-v2": "mapexpr-v1", "mpop-v2": "mpop-v1"}
+
+
+def _declared(doc: dict):
+    """The key of the pair list a decoder reads from `doc` with its "runs"
+    and the entry count `doc` declares for it, or None."""
+    if "entries" in doc and type(doc.get("dim")) is int:
+        return "entries", doc["dim"] ** 2
+    dims = doc.get("dims")
+    if isinstance(dims, list) and all(type(k) is int for k in dims):
+        key = "vector" if "vector" in doc else "matrix"
+        return key, prod(dims) ** (1 if key == "vector" else 2)
+    return None
+
+
+def spelled_out(doc):
+    """Parsed JSON data with each pair list whose "runs" member is well formed
+    (one integer >= 1 per pair, summing to the entry count the object declares,
+    at most `MAX_RUN_ENTRIES`) spelled out entry by entry and the member
+    dropped; anything else is kept as it is."""
+    if isinstance(doc, list):
+        return [spelled_out(v) for v in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {k: spelled_out(v) for k, v in doc.items()}
+    runs, declared = doc.get("runs"), _declared(doc)
+    if isinstance(runs, list) and declared:
+        key, size = declared
+        cells = doc.get(key)
+        if (isinstance(cells, list) and len(cells) == len(runs) and size <= MAX_RUN_ENTRIES
+                and all(type(k) is int and k >= 1 for k in runs) and sum(runs) == size):
+            out[key] = [spelled_out(c) for c, k in zip(cells, runs) for _ in range(k)]
+            del out["runs"]
+    return out
+
+
+def v1_text(text: str) -> str:
+    """The v1 file text of a written v2 file text: every run spelled out and
+    the v1 format, the bytes the v1 writer wrote."""
+    doc = spelled_out(json.loads(text))
+    doc["format"] = V1_FORMATS[doc["format"]]
+    return json.dumps(doc) + "\n" * text.endswith("\n")
+
+
+# Cells whose texts start alike: "[1.0, 0.0]", "[1.0, 0.05]", "[-0.0, 0.0]", ...
+RUN_CELLS = [0.0, -0.0, 1.0, 0.5, 1.0 + 0.05j, complex(1.0, -0.0), complex(-0.0, 1.0)]
+
+
+@st.composite
+def run_heavy_exprs(draw):
+    """A Schur node whose d x d mask is a few cells in runs of any length,
+    alone or summed with a copy of itself, so that its array repeats too."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    pool = draw(st.lists(st.sampled_from(RUN_CELLS), min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, d * d)),
+                         min_size=1, max_size=8))
+    flat = [value for value, k in runs for _ in range(k)]
+    flat = (flat * (d * d // len(flat) + 1))[:d * d]
+    schur = SchurWith(np.array(flat).reshape(d, d))
+    return Sum((schur, SchurWith(schur.mask))) if draw(st.booleans()) else schur
 
 
 @st.composite

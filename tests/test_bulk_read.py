@@ -1,9 +1,10 @@
-"""The bulk reader (`serialize.BulkDecoder`) against the strict one.
+"""Arrays read by runs against the same documents with every run spelled out.
 
-For every input, the document the bulk reader returns decodes as the one
-`json.loads` returns: to a tree that re-exports to the same bytes with the
-same number of distinct nodes, or to the same ValueError text.  Nothing
-reads a text again, so the bulk route alone meets this.
+A file is read by `json.load` and one decoder.  For every input, as written
+(mapexpr-v2, mpop-v2) or edited, the document reads as its spelled-out form
+(`helpers.spelled_out`, each pair list entry by entry as mapexpr-v1 and
+mpop-v1 wrote it) reads: to a tree that re-exports to the same bytes with the
+same number of distinct nodes, or to the same ValueError text.
 """
 
 import functools
@@ -15,16 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gme_maps import bulkread, maps, serialize
+from gme_maps import maps, serialize
 from gme_maps.cli import main
 from gme_maps.criteria import MAP_IDS, build_map, map_to_witness
 from gme_maps.maps import dual
 from gme_maps.operators import MpOperator, SiteDims
-from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, BulkDecoder,
+from gme_maps.serialize import (MAP_FORMAT, MAX_MAP_DEPTH, MAX_MAP_NODES, STATE_FORMAT,
                                 mapexpr_from_json, mapexpr_to_json, save_state,
-                                state_from_json, state_to_json)
+                                state_from_json, state_to_json, unpairs)
 from gme_maps.states import PureState, ghz, w_state
-from helpers import density_op, lifted_map_exprs, map_exprs, x_projected_exprs
+from helpers import (density_op, lifted_map_exprs, map_exprs, run_heavy_exprs, spelled_out,
+                     v1_text, x_projected_exprs)
 
 
 def _map_summary(m):
@@ -42,27 +44,26 @@ MAP = (mapexpr_from_json, _map_summary)
 STATE = (state_from_json, _state_summary)
 
 
-def _outcome(text, cls, decode, summary):
+def _outcome(parse, decode, summary):
     try:
-        return "ok", summary(decode(json.loads(text, cls=cls)))
+        return "ok", summary(decode(parse()))
     except ValueError as exc:  # the text's JSON error or the decoder's
         return "error", repr(exc)
 
 
 def _agree(text, kind=MAP):
-    """Check that the bulk reader and the strict one read `text` alike, each
-    parsing it once; return that outcome, ("ok", summary) or ("error", repr)."""
-    want = _outcome(text, None, *kind)
-    assert _outcome(text, BulkDecoder, *kind) == want
+    """Check that `text` and its runs spelled out read alike; return that
+    outcome, ("ok", summary) or ("error", repr)."""
+    want = _outcome(lambda: json.loads(text), *kind)
+    if want[0] == "error" and want[1].startswith("JSONDecodeError"):
+        return want
+    assert _outcome(lambda: spelled_out(json.loads(text)), *kind) == want
     return want
 
 
-def _in_bulk(text):
-    """Whether the bulk route takes `text` rather than handing it to `json.loads`."""
-    try:
-        return bulkread._bulk_parse(text) is not None
-    except Exception:  # as `BulkDecoder.decode`: any failure hands the text on
-        return False
+def _written(doc):
+    """The text `write_json` writes for `doc`, without its newline."""
+    return "".join(serialize._chunks(doc))
 
 
 #: the local dimensions `build_map` takes for each catalog id, up to 6
@@ -74,43 +75,28 @@ EXPORTS_UP_TO_256 = [(map_id, n, d) for map_id in MAP_IDS for d in LOCAL_DIMS[ma
 
 @pytest.mark.parametrize("map_id,n,d", EXPORTS_UP_TO_256)
 def test_catalog_exports_read_in_bulk(map_id, n, d):
-    """Every catalog export with D <= 256 and its dual: the bulk route takes
-    each file with a pair list and returns the strict tree, and the same file
-    re-indented, which goes the strict route, reads to that tree too."""
+    """Every catalog export with D <= 256 and its dual reads to its tree as
+    written, re-indented and in its v1 form."""
     m = build_map(map_id, n, d).expr
     for expr in (m, dual(m)):
         doc, want = mapexpr_to_json(expr), _map_summary(expr)
-        text, indented = json.dumps(doc), json.dumps(doc, indent=1)
+        text = json.dumps(doc)
         assert _agree(text) == ("ok", want)
-        assert _in_bulk(text) == ('"entries": [[' in text)
-        assert not _in_bulk(indented)
-        assert _map_summary(mapexpr_from_json(json.loads(indented, cls=BulkDecoder))) == want
+        for other in (json.dumps(doc, indent=1), v1_text(text)):
+            assert _outcome(lambda: json.loads(other), *MAP) == ("ok", want)
 
 
 def test_each_distinct_pair_list_and_sub_document_once(monkeypatch):
-    """eta at n = 8 writes 255 pair lists, 5 of them distinct, and 1024 node
-    sub-documents for 146 distinct nodes: the bulk reader probes the heads of
-    5 pair lists and parses 5, and each distinct sub-document decodes to one
-    node."""
-    text = json.dumps(mapexpr_to_json(build_map("eta", 8, 2).expr))
+    """eta at n = 8 writes 255 pair lists of 5 distinct array objects and
+    1024 node sub-documents for 146 distinct nodes: each array is turned into
+    text once, and each distinct sub-document decodes to one node."""
+    written, write = Counter(), serialize._pairs_text
+    monkeypatch.setattr(serialize, "_pairs_text", lambda arr: written.update([id(arr)]) or write(arr))
+    expr = build_map("eta", 8, 2).expr
+    text = json.dumps(mapexpr_to_json(expr))
     assert text.count('"entries": [[') == 255 and text.count('"kind"') == 1024
-    probed, parsed = Counter(), Counter()
-    probe, parse = bulkread._repeats, bulkread._parse_pairs
-
-    def probe_counted(head):
-        probed[head] += 1
-        return probe(head)
-
-    def parse_counted(s, pos, endpos):
-        parsed[s[pos:endpos]] += 1
-        return parse(s, pos, endpos)
-
-    monkeypatch.setattr(bulkread, "_repeats", probe_counted)
-    monkeypatch.setattr(bulkread, "_parse_pairs", parse_counted)
-    m = mapexpr_from_json(json.loads(text, cls=BulkDecoder))
-    assert len(probed) == 5 and set(probed.values()) == {1}
-    assert len(parsed) == 5 and set(parsed.values()) == {1}
-    assert len(list(maps.nodes(m))) == 146
+    assert len(written) == 5 and set(written.values()) == {1}
+    assert len(list(maps.nodes(mapexpr_from_json(json.loads(text))))) == 146
 
 
 def test_lift_parities_once_per_child(monkeypatch):
@@ -160,7 +146,9 @@ TOKENS = ["1, 0", "true, false", "false, 1", "NaN, 0.0", "Infinity, 0.0",
 @pytest.mark.parametrize("text", [BASE, CONJ], ids=["mask", "conjugate"])
 def test_entry_tokens(text, cell):
     """int, bool, NaN, +-Infinity, -0.0, 1e400 and 10**400 tokens, and cells
-    that are no [re, im] pair, in a mask and in a repeated conjugation."""
+    that are no [re, im] pair, at the head of a run of a mask and of a
+    repeated conjugation."""
+    assert '"runs": [' in text
     _agree(_with_first_cell(text, cell))
 
 
@@ -178,8 +166,9 @@ def _whitespace_variants(text):
 
 @pytest.mark.parametrize("variant", sorted(_whitespace_variants(CONJ)))
 def test_other_whitespace(variant):
+    """Whitespace does not change what a file reads to."""
     for text in (BASE, CONJ):
-        _agree(_whitespace_variants(text)[variant])
+        assert _agree(_whitespace_variants(text)[variant]) == _agree(text)
 
 
 def test_malformed_lists():
@@ -188,7 +177,7 @@ def test_malformed_lists():
     cases = [
         BASE[:start + 20],
         BASE[:len(BASE) // 2],
-        BASE[:start] + "[1.0, 0.0]" + BASE[end:],  # a nested pair makes ]] early
+        BASE[:start] + "[1.0, 0.0]" + BASE[end:],  # a nested pair
         BASE[:start] + "1.0, 0.0]], [[0.0, 0.0" + BASE[end:],
         BASE.replace("]]", "]", 1),
         BASE.replace("]]", "] ]", 1),
@@ -196,7 +185,7 @@ def test_malformed_lists():
         CONJ.replace("]]}", "]]]}", 1),
         '{"entries": [[1.0, 0.0]',
         '[{"entries": [[1.0, 0.0]]}]',
-        '{"format": "mapexpr-v1", "root": {"entries": [[1.0, 0.0]]}}',
+        '{"format": "mapexpr-v2", "root": {"entries": [[1.0, 0.0]]}}',
         '{"entries": [[1.0, 0.0]]} {"x": 1}',
     ]
     for text in cases:
@@ -208,7 +197,7 @@ def _schur(entries):
 
 
 def _doc(root):
-    return f'{{"format": "mapexpr-v1", "root": {root}}}'
+    return f'{{"format": "{MAP_FORMAT}", "root": {root}}}'
 
 
 def _sum(children):
@@ -218,7 +207,7 @@ def _sum(children):
 def test_pair_lists_under_other_keys():
     """A pair list under an unknown key, under "parties", after an
     escaped-quote key, inside a string, where an integer belongs (its error
-    quotes the list), and duplicate keys."""
+    quotes the list), duplicate keys, and runs beside them."""
     lift = ('{"kind": "lift", "child": {"kind": "identity", "d": 2}, '
             '"parties": PARTIES, "dims": [2, 2]}')
     cases = [
@@ -237,7 +226,12 @@ def test_pair_lists_under_other_keys():
         _doc(_schur('"\\u00000"')),
         _doc(_sum([_schur("[[1.0, 0.0]]"), _schur('"\\u00000"')])),
         _doc(_schur('[[2.0, 0.0]]')).replace('"root"', '"root": 1, "root"'),
-        '{"format": "mpop-v1", "dims": [1], "vector": [[1.0, 0.0]], "matrix": [[1.0, 0.0]]}',
+        _doc(_schur('[[2.0, 0.0]], "runs": [1]')),
+        _doc(_schur('[[2.0, 0.0]], "runs": [1], "runs": [2]')),
+        _doc(_schur('[[2.0, 0.0]], "x\\"runs": [2]')),
+        '{"format": "mpop-v2", "dims": [1], "vector": [[1.0, 0.0]], "matrix": [[1.0, 0.0]]}',
+        '{"format": "mpop-v2", "dims": [2], "vector": [[1.0, 0.0]], "runs": [2], '
+        '"matrix": [[1.0, 0.0]]}',
     ]
     for text in cases:
         _agree(text)
@@ -249,9 +243,11 @@ def test_pair_lists_under_other_keys():
     ("[[1.0, -0.0], [1.0, -0.0]]", False), ("[[1, 0]]", False), ("[[true, 0.0]]", False)])
 def test_errors_quote_pair_lists_as_parsed(cells, taken):
     """A pair list inside a value an error quotes (a number, a flag, a kind, a
-    format) is quoted as `json.loads` parsed it; the bulk route refuses a list
-    whose float pairs would show otherwise: an integer or boolean part, or a
-    real list's -0.0 imaginary part."""
+    format) is quoted as `json.loads` parsed it.  `taken`: the list is the
+    [re, im] pairs of the array it decodes to, as a writer gives them; an
+    integer or boolean part, or a real list's -0.0 imaginary part, is not."""
+    parsed = json.loads(cells)
+    assert (json.dumps(serialize._pairs(unpairs(parsed))) == cells) == taken
     matrix = f'{{"dim": 1, "entries": {cells}}}'
     texts = [_doc(f'{{"kind": "transpose", "d": {matrix}}}'),
              _doc(f'{{"kind": "scale", "r": [{matrix}], "child": {{"kind": "identity", "d": 2}}}}'),
@@ -259,8 +255,9 @@ def test_errors_quote_pair_lists_as_parsed(cells, taken):
              _doc(f'{{"kind": {matrix}}}'),
              f'{{"format": {matrix}, "root": {{"kind": "identity", "d": 2}}}}']
     for text in texts:
-        assert _agree(text)[0] == "error" and _agree(text, STATE)[0] == "error"
-        assert _in_bulk(text) == taken
+        outcome = _agree(text)
+        assert outcome[0] == "error" and repr(parsed) in outcome[1]
+        assert _agree(text, STATE)[0] == "error"
 
 
 @pytest.mark.parametrize("first,second", [
@@ -272,23 +269,22 @@ def test_sub_documents_equal_only_in_value(first, second):
                  '{{"kind": "identity", "d": {}}}',
                  '{{"kind": "choi", "d": 3, "adjoint": {}}}'):
         for pair in ((first, second), (second, first)):
-            # the unread "extra" pair list sends the text the bulk route
-            text = ('{"format": "mapexpr-v1", "extra": {"dim": 1, "entries": [[1.0, 0.0]]}, '
-                    f'"root": {_sum([node.format(v) for v in pair])}}}')
-            _agree(text)
-            assert _in_bulk(text)
+            _agree(_doc(_sum([node.format(v) for v in pair])))
 
 
 def test_stand_in_only_under_array_keys():
-    """A pair list after an escaped-quote key stays a list: the text goes the
-    strict route."""
-    text = _doc(_schur('[[2.0, 0.0]], "x\\"entries": [[1.0, 0.0]]'))
-    assert not _in_bulk(text) and json.loads(text, cls=BulkDecoder) == json.loads(text)
+    """A "runs" member is read only beside the pair list of an array: one on
+    a node or on the document is left alone, and the text reads as it does
+    without it."""
+    plain = _doc(_schur("[[2.0, 0.0]]"))
+    for text in (plain.replace('"kind"', '"runs": [3], "kind"'),
+                 plain.replace('"root"', '"runs": [3], "root"')):
+        assert _agree(text) == _agree(plain) and _agree(plain)[0] == "ok"
 
 
 def _vector_text(cells):
     """A state document whose "vector" is the pair list text `cells`."""
-    return f'{{"format": "mpop-v1", "dims": [{cells.count("[") - 1}], "vector": {cells}}}'
+    return f'{{"format": "{STATE_FORMAT}", "dims": [{cells.count("[") - 1}], "vector": {cells}}}'
 
 
 @pytest.mark.parametrize("values", [
@@ -302,15 +298,17 @@ def _vector_text(cells):
 ], ids=["one-cell", "whole-list", "single-between", "alternating", "prefix", "signed-zeros",
         "imag-zero"])
 def test_runs_decode_entry_by_entry(values):
-    """A pair list read run by run gives every entry's bits, as the strict
-    route does."""
+    """A pair list read run by run gives every entry's bits, as the same list
+    spelled out does."""
     arr = np.array(values)
-    text = json.dumps({"format": "mpop-v1", "dims": [len(arr)], "vector": serialize._pairs(arr)})
-    _agree(text, STATE)  # the vector is not normalised: both routes refuse it alike
-    assert _in_bulk(text)
-    got = bulkread._bulk_parse(text)["vector"].array
-    want = bulkread.unpairs(json.loads(text)["vector"])
+    text = _written({"format": STATE_FORMAT, "dims": [len(arr)], "vector": arr})
+    _agree(text, STATE)  # the vector is not normalised: both forms refuse it alike
+    doc = json.loads(text)
+    assert ("runs" in doc) == (len(doc["vector"]) < len(values))
+    got = unpairs(doc["vector"], doc.get("runs"), len(values))
+    want = unpairs(json.loads(json.dumps(serialize._pairs(arr))))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert want.tobytes() == unpairs(spelled_out(doc)["vector"]).tobytes()
 
 
 @pytest.mark.parametrize("tail", [
@@ -324,26 +322,31 @@ def test_runs_decode_entry_by_entry(values):
     "], [1.0, [0.0]]]",  # a bracket inside a cell
 ])
 def test_runs_off_the_separator_take_the_strict_route(tail):
-    """Runs that do not tile the list with ", " hand the text to `json.loads`;
-    the list's head repeats, so only the run decoder can refuse it."""
-    cells = "[" + "[1.0, 0.0], " * 6 + "[1.0, 0.0" + tail
-    text = _vector_text(cells)
-    assert bulkread._repeats(cells[2:].split("]]", 1)[0])
-    _agree(text, STATE)
-    assert not _in_bulk(text)
+    """Cells that repeat, separated otherwise than by ", ", read as
+    `json.loads` reads them: a text it parses reads as its canonical
+    `json.dumps` form, any other fails with json's error."""
+    text = _vector_text("[" + "[1.0, 0.0], " * 6 + "[1.0, 0.0" + tail)
+    outcome = _agree(text, STATE)
+    try:
+        canonical = json.dumps(json.loads(text))
+    except ValueError:
+        assert outcome[1].startswith("JSONDecodeError")
+    else:
+        assert outcome == _agree(canonical, STATE)
 
 
 def test_list_without_repeats_left_to_json_loads():
-    """In one document the bulk route takes a mask that repeats its cells and
-    leaves a random unitary, whose cells do not repeat, to `json.loads`."""
+    """In one document a mask that repeats one cell is written as that cell
+    and its run, and a random unitary, whose cells do not repeat, as its full
+    pair list without runs."""
     z = np.random.default_rng(1).standard_normal((2, 4, 4))
     u = np.linalg.qr(z[0] + 1j * z[1])[0]
     text = json.dumps(mapexpr_to_json(maps.Sum((maps.SchurWith(np.ones((4, 4))),
                                                 maps.Conjugate(u)))))
     _agree(text)
-    schur, conj = json.loads(text, cls=BulkDecoder)["root"]["children"]
-    assert isinstance(schur["mask"]["entries"], bulkread.Pairs)
-    assert conj["u"]["entries"] == json.loads(text)["root"]["children"][1]["u"]["entries"]
+    schur, conj = json.loads(text)["root"]["children"]
+    assert schur["mask"] == {"dim": 4, "entries": [[1.0, 0.0]], "runs": [16]}
+    assert set(conj["u"]) == {"dim", "entries"} and conj["u"]["entries"] == serialize._pairs(u)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -355,12 +358,11 @@ def test_repeats_count_against_the_node_limit(extra):
     pair = _sum([_schur("[[1.0, 0.0]]")] * 2)
     text = _doc(_sum([pair] * k + [_schur("[[1.0, 0.0]]")] * (MAX_MAP_NODES - 1 - 3 * k + extra)))
     outcome = _agree(text)
-    assert _in_bulk(text)
     if extra:
         assert outcome[0] == "error" and f"more than {MAX_MAP_NODES} nodes" in outcome[1]
     else:
         assert outcome[0] == "ok"
-        m = mapexpr_from_json(json.loads(text, cls=BulkDecoder))
+        m = mapexpr_from_json(json.loads(text))
         assert len(m.children) == k + MAX_MAP_NODES - 1 - 3 * k
 
 
@@ -380,9 +382,7 @@ def test_repeats_count_against_the_depth_limit(extra):
     wrapped = shared
     for _ in range(MAX_MAP_DEPTH - 42 + extra):
         wrapped = f'{{"kind": "compose", "outer": {{"kind": "identity", "d": 1}}, "inner": {wrapped}}}'
-    text = _doc(_sum([shared, wrapped]))
-    outcome = _agree(text)
-    assert _in_bulk(text)
+    outcome = _agree(_doc(_sum([shared, wrapped])))
     if extra:
         assert outcome[0] == "error" and "deeper" in outcome[1]
     else:
@@ -400,48 +400,56 @@ ENTRY_LISTS = [
 
 @pytest.mark.parametrize("entries", ENTRY_LISTS, ids=range(len(ENTRY_LISTS)))
 def test_state_entry_lists(entries):
-    """The entry lists as a 2-vector and, twice over, as a 2 x 2 matrix."""
-    _agree(json.dumps({"format": "mpop-v1", "dims": [2], "vector": entries}), STATE)
-    matrix = entries * 2 if isinstance(entries, list) else entries
-    _agree(json.dumps({"format": "mpop-v1", "dims": [2], "matrix": matrix}), STATE)
+    """The entry lists as a 2-vector and, twice over, as a 2 x 2 matrix, each
+    also with a run of one per pair, which reads as no runs."""
+    for key, cells in (("vector", entries),
+                       ("matrix", entries * 2 if isinstance(entries, list) else entries)):
+        doc = {"format": STATE_FORMAT, "dims": [2], key: cells}
+        outcome = _agree(json.dumps(doc), STATE)
+        if isinstance(cells, list):
+            assert _agree(json.dumps({**doc, "runs": [1] * len(cells)}), STATE) == outcome
 
 
 def test_state_and_witness_files(tmp_path):
     """State and witness files as `save_state` writes them, read by
-    `load_state`; a random density matrix, whose entries do not repeat, goes
-    the strict route and every other file the bulk route, the D = 256
-    diagonal one with a pair list of 65 536 cells in 511 runs."""
+    `load_state`, also in their v1 form; a random density matrix, whose
+    entries do not repeat, is written without runs and every other file with
+    them, the D = 256 diagonal one with 65 536 entries in 511 runs."""
     rng = np.random.default_rng(3)
     objs = [ghz(3, 3), w_state(4), density_op((2, 2, 2), rng),
             MpOperator(SiteDims((2, 2)), np.diag([0.5, -0.0, 0.25, 0.25])),
             map_to_witness(build_map("phi-tx", 4, 2), ghz(4, 2)),
             map_to_witness(build_map("mu-choi", 3, 3), ghz(3, 3)),
-            # a distinct cell at every diagonal entry, far past the probed head
+            # a distinct cell at every diagonal entry
             MpOperator(SiteDims((2,) * 8), np.diag(np.arange(1, 257) / 32896))]
     for i, obj in enumerate(objs):
         path = tmp_path / "s.json"
         save_state(str(path), obj)
         text = path.read_text(encoding="utf-8")
         _agree(text, STATE)
-        assert _in_bulk(text) == (i != 2)
-        assert i != 6 or len(text) > 1 << 18
+        assert ('"runs": [' in text) == (i != 2)
+        assert i != 6 or len(json.loads(text)["runs"]) == 511
         assert _state_summary(serialize.load_state(str(path))) == _state_summary(obj)
         assert text == json.dumps(state_to_json(obj)) + "\n"
+        path.write_text(v1_text(text), encoding="utf-8")
+        assert _state_summary(serialize.load_state(str(path))) == _state_summary(obj)
 
 
 def test_map_file_reindented_reads_through_the_cli(tmp_path, capsys):
-    """`detect --map-file` gives the same report on a map file and on the
-    same document re-indented, which the bulk route hands to json.loads."""
-    path, indented = tmp_path / "m.json", tmp_path / "i.json"
-    reports = []
+    """`detect --map-file` gives the same report on a map file, on the same
+    document re-indented and on its v1 form."""
+    path = tmp_path / "m.json"
     assert main(["detect", "--map", "mu-choi", "--n", "3", "--d", "3", "--state", "ghz",
                  "--export-map", str(path)]) == 0
     capsys.readouterr()
-    indented.write_text(json.dumps(json.loads(path.read_text()), indent=1))
-    for p in (path, indented):
-        assert main(["detect", "--map-file", str(p), "--state", "ghz"]) == 0
+    text = path.read_text()
+    (tmp_path / "i.json").write_text(json.dumps(json.loads(text), indent=1))
+    (tmp_path / "v1.json").write_text(v1_text(text))
+    reports = []
+    for name in ("m.json", "i.json", "v1.json"):
+        assert main(["detect", "--map-file", str(tmp_path / name), "--state", "ghz"]) == 0
         reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 # Edits that a text may suffer: each keeps the rest of the text as it is.
@@ -479,47 +487,29 @@ def _mutate(data, text):
     return text
 
 
-# Cells whose texts start alike: "[1.0, 0.0]", "[1.0, 0.05]", "[-0.0, 0.0]", ...
-RUN_CELLS = [0.0, -0.0, 1.0, 0.5, 1.0 + 0.05j, complex(1.0, -0.0), complex(-0.0, 1.0)]
-
-
-@st.composite
-def run_heavy_exprs(draw):
-    """A Schur node whose d x d mask is a few cells in runs of any length,
-    alone or summed with a copy of itself, so that its list repeats too."""
-    d = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
-    pool = draw(st.lists(st.sampled_from(RUN_CELLS), min_size=1, max_size=3))
-    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, d * d)),
-                         min_size=1, max_size=8))
-    flat = [value for value, k in runs for _ in range(k)]
-    flat = (flat * (d * d // len(flat) + 1))[:d * d]
-    schur = maps.SchurWith(np.array(flat).reshape(d, d))
-    return maps.Sum((schur, maps.SchurWith(schur.mask))) if draw(st.booleans()) else schur
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from([2, 3, 4]).flatmap(map_exprs),
                  st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs), x_projected_exprs(),
                  run_heavy_exprs()),
        st.data())
 def test_bulk_read_property(expr, data):
-    """A map document, as written or edited, reads as the strict reader reads it."""
+    """A map document, as written or edited, reads as its runs spelled out."""
     text = json.dumps(mapexpr_to_json(expr))
-    _agree(text)
+    outcome = _agree(text)
+    assert outcome[0] == "ok" and outcome[1][0] == text
     _agree(_mutate(data, text))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1), st.data())
 def test_bulk_state_read_property(k, matrix, seed, data):
-    """A state or witness document, as written or edited, reads as the strict
-    reader reads it."""
+    """A state or witness document, as written or edited, reads as its runs
+    spelled out."""
     rng = np.random.default_rng(seed)
     pool = [0.0, -0.0, 1.0, 0.5, np.nan, np.inf, -np.inf, 5e-324] + rng.standard_normal(2).tolist()
     shape = (k, k) if matrix else (k,)
     with np.errstate(invalid="ignore"):  # 1j * inf
         arr = rng.choice(pool, shape) + (1j * rng.choice(pool, shape) if rng.random() < 0.5 else 0)
-    text = json.dumps({"format": "mpop-v1", "dims": [k],
-                       "matrix" if matrix else "vector": serialize._pairs(arr)})
+    text = _written({"format": STATE_FORMAT, "dims": [k], "matrix" if matrix else "vector": arr})
     _agree(text, STATE)
     _agree(_mutate(data, text), STATE)

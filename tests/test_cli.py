@@ -1,5 +1,6 @@
 """Command line behaviour: reports, exit codes, reproducibility, round trips."""
 
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -16,7 +17,7 @@ from gme_maps.maps import SchurWith, TraceOuter, compose, identity_map
 from gme_maps.operators import MpOperator, SiteDims
 from gme_maps.serialize import mapexpr_to_json, save_state, state_to_json, write_json
 from gme_maps.states import PureState, ghz, maximally_mixed
-from helpers import hermitian_op, rand_density, reference_text
+from helpers import hermitian_op, rand_density, reference_text, v1_text
 
 
 def run(capsys, *argv):
@@ -329,6 +330,44 @@ def test_map_file_dim_off_its_entries_exits_2(tmp_path, capsys, dim, words):
     assert err == f"error: schur node: bad field 'mask': {words}\n"
 
 
+@pytest.mark.parametrize("dim, runs, words", [
+    (2, "[2.0, 2]", "run counts must be integers, got 2.0"),
+    (2, "[true, 3]", "run counts must be integers, got True"),
+    (2, "[0, 4]", "run counts must be >= 1, got 0"),
+    (2, "[-1, 5]", "run counts must be >= 1, got -1"),
+    (2, "[4]", "1 run counts for 2 pairs"),
+    (2, "[1, 2]", "run counts sum to 3, not 4"),
+    (2, '"4"', "runs must be a list, got str"),
+    (40000, "[1, 1599999999]", "1600000000 entries exceed the supported maximum 1048576"),
+], ids=["float", "bool", "zero", "negative", "length", "sum", "string", "huge"])
+def test_map_file_hostile_runs_exit_2(tmp_path, capsys, dim, runs, words):
+    """A "runs" list is checked before any entry is repeated: a huge run is
+    refused by the size bound at once, without allocating it."""
+    path = tmp_path / "runs.json"
+    path.write_text('{"format": "mapexpr-v2", "root": {"kind": "schur", "mask": {"dim": %d, '
+                    '"entries": [[1.0, 0.0], [0.0, 0.0]], "runs": %s}}}' % (dim, runs))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "detect", "--map-file", str(path), "--n", "1",
+                             "--d", "2", "--state", "mixed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: schur node: bad field 'mask': {words}\n")
+    assert peak < 1 << 20
+
+
+def test_state_file_hostile_runs_exit_2(tmp_path, capsys):
+    """A state file's runs are bounded by the size its dims declare: a
+    2^30-entry vector of one run is refused before it is built."""
+    path = tmp_path / "runs.json"
+    path.write_text('{"format": "mpop-v2", "dims": [%s], "vector": [[1.0, 0.0]], '
+                    '"runs": [1073741824]}' % ", ".join(["2"] * 30))
+    code, out, err = run(capsys, "detect", "--map", "eta", "--state-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 1073741824 entries exceed the supported maximum 1048576\n"
+
+
 def test_map_file_lift_of_a_lift_takes_the_outer_sites(tmp_path, capsys):
     """The sites of a map file are those of its outermost lifts; a lift inside
     one acts on the subsystem's sites."""
@@ -343,6 +382,36 @@ def test_map_file_lift_of_a_lift_takes_the_outer_sites(tmp_path, capsys):
     code, _, err = run(capsys, "detect", "--map-file", str(path), "--n", "2", "--state", "ghz")
     assert code == 2
     assert err == "error: --n/--d disagree with the sites (2, 2, 2) of the map file\n"
+
+
+def test_files_decode_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    """Map, state and witness files are parsed and decoded with the cyclic
+    garbage collector paused, and its state is restored after, also when the
+    read fails or the collector was off before."""
+    seen = []
+    for name in ("mapexpr_from_json", "state_from_json"):
+        decode = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name,
+                            lambda doc, f=decode: seen.append(gc.isenabled()) or f(doc))
+    mpath, wpath = tmp_path / "m.json", tmp_path / "w.json"
+    assert run(capsys, "detect", "--map", "eta", "--n", "3", "--state", "ghz",
+               "--export-map", str(mpath))[0] == 0
+    assert run(capsys, "witness", "--map", "eta", "--n", "3", "--state", "ghz",
+               "--output", str(wpath))[0] == 0
+    save_state(str(tmp_path / "s.json"), ghz(3))
+    assert run(capsys, "detect", "--map-file", str(mpath), "--state-file",
+               str(tmp_path / "s.json"))[0] == 0
+    assert run(capsys, "detect", "--witness-file", str(wpath), "--state", "ghz")[0] == 0
+    assert seen == [False, False, False] and gc.isenabled()
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert run(capsys, "detect", "--map-file", str(tmp_path / "deep.json"), "--state", "ghz")[0] == 2
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, "detect", "--witness-file", str(wpath), "--state", "ghz")[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("command", ["detect", "witness"])
@@ -656,15 +725,27 @@ def test_witness_roundtrip_sign(tmp_path, capsys):
 # of 3 * <000|rho|000> = 1.00000000000000028, 1.0000000000000002, where summing
 # the tree's terms one by one gave 1.0000000000000004.  The zero off-diagonal
 # support entries are written as 0.0, not as the -0.0 that -3 * 0.0 gives.
-EXPORT_SHA256 = {
+# The v1 pins are of the files the v1 writer wrote, every entry spelled out
+# (`helpers.v1_text` of the v2 file), which still read to the same outputs.
+EXPORT_SHA256_V1 = {
     "phi-tx": "c7fa55220fc52490286a9448d24c2b5fa61aa1c53c19a563d4b8b5ed14920e50",
     "eta": "615fdd863a5f478592bfcb7a18bb62f59daee96bdcada8135a6f3c5d4912e216",
     "mu-choi": "fd86d64ebe86dd1b90a462d76a291cdad98f15f0969cedf01026d3d917af3750",
 }
-WITNESS_SHA256 = {
+WITNESS_SHA256_V1 = {
     "phi-tx": "c6db874cded02766a379d1f1067f126760c0a7581b7d131bd2c1315a01dcdbf0",
     "eta": "284a4e3f9b2729a9697634c6d2d377c30ad64a531f07d7732432a7005756cdaf",
     "mu-choi": "3bcec56c989b5c50cc938b591787d863c32afb00fb7b3747d38dfd59ed1758b2",
+}
+EXPORT_SHA256 = {
+    "phi-tx": "38dea5c8ebce6cddb6accef2ddad1a4335989bcafe5d5aebec63a620f6b3645d",
+    "eta": "e84e09614967c57ae3291c539a169cdfaf40f025f933d53ec79b8d86ba5f6dc2",
+    "mu-choi": "22f180463a30d7c89dd2807405016fd18e5f58b6bb7492500b975420f8a71082",
+}
+WITNESS_SHA256 = {
+    "phi-tx": "e6f66b0efdb729e73941dc9e72eda29daf21e502179dba29c4ac00020dd61eb0",
+    "eta": "7fbddca3540c4194e19338a723ec29824023b2ccd906aa23a676d0aea0f956cd",
+    "mu-choi": "aff23e3cff09e3d2e396c415c62ab5f6bb829d8c427748483f017e52960d095c",
 }
 
 
@@ -674,16 +755,31 @@ def _sha256(path):
 
 @pytest.mark.parametrize("map_id", sorted(EXPORT_SHA256))
 def test_written_files_pinned(tmp_path, capsys, map_id):
+    """The map and witness files are pinned as written and in their v1 form;
+    the v1 files read to the same map and witness, bit for bit."""
     n, d = criteria.SMALLEST[map_id]
-    mpath = tmp_path / "m.json"
+    mpath, old_mpath = tmp_path / "m.json", tmp_path / "m1.json"
     code, _, _ = run(capsys, "detect", "--map", map_id, "--n", str(n), "--d", str(d),
                      "--state", "ghz", "--export-map", str(mpath))
     assert code == 0
-    assert _sha256(mpath) == EXPORT_SHA256[map_id]
-    wpath = tmp_path / "w.json"
-    save_state(str(wpath), criteria.map_to_witness(criteria.build_map(map_id, n, d),
-                                                   ghz(n, d)))
-    assert _sha256(wpath) == WITNESS_SHA256[map_id]
+    old_mpath.write_text(v1_text(mpath.read_text()))
+    assert (_sha256(mpath), _sha256(old_mpath)) == (EXPORT_SHA256[map_id],
+                                                    EXPORT_SHA256_V1[map_id])
+    reports = [run(capsys, "detect", "--map-file", str(p), "--state", "ghz")
+               for p in (mpath, old_mpath)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    wpath, old_wpath = tmp_path / "w.json", tmp_path / "w1.json"
+    w = criteria.map_to_witness(criteria.build_map(map_id, n, d), ghz(n, d))
+    save_state(str(wpath), w)
+    old_wpath.write_text(v1_text(wpath.read_text()))
+    assert (_sha256(wpath), _sha256(old_wpath)) == (WITNESS_SHA256[map_id],
+                                                    WITNESS_SHA256_V1[map_id])
+    for p in (wpath, old_wpath):
+        back = serialize.load_state(str(p))
+        assert back.mat.dtype == w.mat.dtype and back.mat.tobytes() == w.mat.tobytes()
+    reports = [run(capsys, "detect", "--witness-file", str(p), "--state", "ghz")
+               for p in (wpath, old_wpath)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 # Every catalog map at the sizes of the detect-scaled benchmark, D = 128..256.

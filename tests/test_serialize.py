@@ -21,13 +21,13 @@ from gme_maps.cli import main
 from gme_maps.operators import MpOperator, SiteDims
 from gme_maps.states import PureState, ghz, ppt_family
 from helpers import (hermitian_op, lifted_map_exprs, map_exprs, reference_text,
-                     x_projected_exprs)
+                     run_heavy_exprs, v1_text, x_projected_exprs)
 
 
 def test_pure_state_roundtrip():
     psi = ghz(3, 3)
     doc = state_to_json(psi)
-    assert doc["format"] == "mpop-v1"
+    assert doc["format"] == "mpop-v2"
     assert doc["dims"] == [3, 3, 3]
     back = state_from_json(json.loads(json.dumps(doc)))
     assert isinstance(back, PureState)
@@ -51,15 +51,15 @@ def test_state_format_errors():
 
 
 @pytest.mark.parametrize("dims, message", [
-    (None, "mpop-v1 document: missing field 'dims'"),
-    ([2.9, 2.2, 2.5], "mpop-v1 document: bad field 'dims': expected an integer, got 2.9"),
+    (None, "mpop-v2 document: missing field 'dims'"),
+    ([2.9, 2.2, 2.5], "mpop-v2 document: bad field 'dims': expected an integer, got 2.9"),
     ([2, True, 2], "bad field 'dims': expected an integer, got True"),
     (8, "bad field 'dims': expected a list of integers, got 8"),
     ([2, 1, 4], "bad field 'dims': every local dimension must be >= 2"),
 ], ids=["missing", "floats", "bool", "int", "one"])
 def test_state_dims_are_integers(tmp_path, dims, message):
-    """A state file's dims decode as a map file's do; the bulk reader
-    (`load_state`) and the strict one fail with the same text."""
+    """A state file's dims decode as a map file's do; the file reader
+    (`load_state`) and the decoder fail with the same text."""
     doc = json.loads(json.dumps(state_to_json(ghz(3, 2))))
     doc.pop("dims")
     if dims is not None:
@@ -82,7 +82,7 @@ def test_state_dims_are_integers(tmp_path, dims, message):
 def test_mapexpr_roundtrip(factory):
     expr = factory()
     doc = mapexpr_to_json(expr)
-    assert doc["format"] == "mapexpr-v1"
+    assert doc["format"] == "mapexpr-v2"
     back = mapexpr_from_json(json.loads(json.dumps(doc)))
     rng = np.random.default_rng(1)
     dims = (2, 2, 2) if expr.dim == 8 else ((3, 3, 3) if expr.dim == 27 else (4, 4, 4))
@@ -93,8 +93,9 @@ def test_mapexpr_roundtrip(factory):
 
 
 # sha256 of json.dumps(mapexpr_to_json(...)), the text `detect --export-map`
-# writes before its newline, for each catalog map at its smallest size.
-CATALOG_SHA256 = {
+# writes before its newline, for each catalog map at its smallest size: as
+# mapexpr-v1 wrote it, every entry spelled out, and as mapexpr-v2 writes it.
+CATALOG_SHA256_V1 = {
     "phi-t": "59591ff08fd5df383e898856f1552b9304b433493ecc04b5854952d4cf5e826b",
     "phi-tx": "ad64e64556aeb30b8569cf1062406f085c6c1e38fed3eebb3b8b7c0f743f13c8",
     "eta": "4f4f1f49ab6624643d7e4a50a122b13d074bb84de9e7ee4af6817cd7621686fa",
@@ -102,16 +103,34 @@ CATALOG_SHA256 = {
     "phi-b": "d9a035f7875ccba6dee136077b20ae65d0c531a32298524b09fe09be9d21e3ad",
     "mu-choi": "9ac64209d802e5b1f6321b9f479e1f8a3273b9fb2841d1f4263dd78a13a9f4be",
 }
+CATALOG_SHA256 = {
+    "phi-t": "5edb3b8977a6461b5ccb4a21145cab80a049c7524d45003a3d59fdb210c0d57c",
+    "phi-tx": "0ad0087285e6dc0b7623438c3898a41ddb801510a4820690bd41202d95d27d21",
+    "eta": "82c5066215210cfa13948dca000bb319b03cded0b1a6963ba30bdd02c7c06284",
+    "phi-r": "c063ed6b43242193528a8367bc86ef182b32497a4150bdf9e6d55b36cb3ba32c",
+    "phi-b": "a1cbb72ac07ca00810bb1985614976ab517fdeb9f182fd3ad86acc8fd43451bb",
+    "mu-choi": "3c772b2fbffdd835c11726ac25ba3d5d6672d23858860475d39f0b49bc73feec",
+}
 
 
 @pytest.mark.parametrize("map_id", sorted(CATALOG_SHA256))
 def test_mapexpr_bytes_pinned(map_id):
-    text = json.dumps(mapexpr_to_json(build_map(map_id, *SMALLEST[map_id]).expr))
+    """The v2 text is pinned, its v1 form hashes to the v1 pin, and the v1
+    text reads to the catalog tree: the same v2 text, the same outputs."""
+    expr = build_map(map_id, *SMALLEST[map_id]).expr
+    text = json.dumps(mapexpr_to_json(expr))
+    old = v1_text(text)
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[map_id]
+    assert hashlib.sha256(old.encode()).hexdigest() == CATALOG_SHA256_V1[map_id]
+    back = mapexpr_from_json(json.loads(old))
+    assert json.dumps(mapexpr_to_json(back)) == text
+    stack = np.random.default_rng(5).standard_normal((2, expr.dim, expr.dim)) + 0j
+    assert apply_stack(back, stack).tobytes() == apply_stack(expr, stack).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs), st.integers(0, 2 ** 32 - 1))
+@given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs), run_heavy_exprs()),
+       st.integers(0, 2 ** 32 - 1))
 def test_mapexpr_roundtrip_property(expr, seed):
     text = json.dumps(mapexpr_to_json(expr))
     back = mapexpr_from_json(json.loads(text))
@@ -127,7 +146,7 @@ def test_mapexpr_unknown_kind():
 
 
 def _root(node):
-    return {"format": "mapexpr-v1", "root": node}
+    return {"format": serialize.MAP_FORMAT, "root": node}
 
 
 IDENTITY8 = {"kind": "identity", "d": 8}
@@ -334,10 +353,11 @@ def test_mapexpr_decode_shares_equal_subtrees():
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.sampled_from([2, 3, 4, 8]).flatmap(map_exprs),
-                 st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs), x_projected_exprs()))
+                 st.sampled_from([4, 8, 9]).flatmap(lifted_map_exprs), x_projected_exprs(),
+                 run_heavy_exprs()))
 def test_map_file_is_json_dumps_property(tmp_path_factory, expr):
     """`save_map` writes `json.dumps(mapexpr_to_json(m))` and a newline, the
-    bytes of the pair lists `tolist` makes."""
+    bytes of the runs' pair lists `tolist` makes."""
     path = tmp_path_factory.mktemp("maps") / "m.json"
     save_map(str(path), expr)
     text = path.read_text(encoding="utf-8")
@@ -380,10 +400,14 @@ def entry_arrays(draw):
 ], ids=["signed-zeros", "nan", "infinities", "single", "single-complex", "shared-real",
         "complex-specials", "one-run"])
 def test_array_text_by_runs(arr):
-    """The run-wise text of an array is `json.dumps` of its pair list: runs of
-    equal bit patterns, never of equal values, so -0.0 and 0.0 and the two
-    imaginary parts under one real part stay apart."""
-    assert serialize._pairs_text(arr) == json.dumps(serialize._pairs(arr))
+    """The run-wise text of an array is `json.dumps` of its runs' pair list
+    and run lengths: runs of equal bit patterns, never of equal values, so
+    -0.0 and 0.0 and the two imaginary parts under one real part stay apart."""
+    text = '{"entries": ' + "".join(serialize._pairs_text(arr)) + "}\n"
+    assert text == reference_text({"entries": arr})
+    doc, pairs = json.loads(text), json.loads(json.dumps(serialize._pairs(arr)))
+    got, want = serialize.unpairs(doc["entries"], doc.get("runs"), arr.size), serialize.unpairs(pairs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_repeated_array_object_written_once(tmp_path, monkeypatch):
@@ -399,13 +423,26 @@ def test_repeated_array_object_written_once(tmp_path, monkeypatch):
     assert (tmp_path / "d.json").read_text(encoding="utf-8") == reference_text(doc)
 
 
+def test_array_with_runs_only_as_a_member_value(tmp_path):
+    """An array with runs is written as the value of an object member, where
+    its "runs" member can stand beside it; in a list it is refused, not
+    written as text that is no JSON."""
+    path = tmp_path / "d.json"
+    write_json(str(path), {"x": [np.arange(3.0)], "y": np.zeros(3)})
+    assert json.loads(path.read_text()) == {"x": [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]],
+                                            "y": [[0.0, 0.0]], "runs": [3]}
+    for doc in ([np.zeros(3)], {"x": [1, np.zeros(3)]}, {"x": {"y": [np.zeros(3)]}}):
+        with pytest.raises(ValueError, match="object member"):
+            write_json(str(path), doc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(entry_arrays())
 @example(np.zeros(0))
 @example(np.zeros((0, 0), complex))
 def test_array_text_is_json_dumps_property(tmp_path_factory, arr):
     """`write_json` and `save_state` write an array with the bytes of its
-    `tolist` pair list through `json.dumps`."""
+    runs' `tolist` pair list and run lengths through `json.dumps`."""
     path = tmp_path_factory.mktemp("arrays") / "a.json"
     write_json(str(path), {"dim": len(arr), "entries": arr})
     assert path.read_text(encoding="utf-8") == reference_text({"dim": len(arr), "entries": arr})
