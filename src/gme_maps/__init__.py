@@ -12,10 +12,10 @@ from .maps import (MapExpr, apply, breuer_hall_map, choi_map, compose,
                    conjugation_map, diag_map, dual, estimate_mu, identity_map,
                    lift, map_sum, mu_constant, reduction_map, scale,
                    trace_identity, transpose_map)
-from .criteria import (BipartitionSet, Claim, GmeMap, alpha_critical,
-                       bipartitions, build_map, eta_map, map_to_witness,
-                       mu_map, phi_b, phi_r, phi_t, phi_tx, witness_to_map,
-                       x_projector, x_projector_mixture, MAP_IDS)
+from .criteria import (Claim, GmeMap, alpha_critical, bipartitions, build_map,
+                       eta_map, map_to_witness, mu_map, phi_b, phi_r, phi_t,
+                       phi_tx, witness_to_map, x_projector, x_projector_mixture,
+                       MAP_IDS)
 from .detect import (BisepReport, NotDetectedError, PptReport, ScanRow,
                      ThresholdResult, Verdict, detect, lambda_scan,
                      noise_threshold, ppt_check, verify_biseparable_positivity,

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,9 @@ from .states import PureState
 
 #: most rows `scan --grid` may ask for; checked before any row is built
 MAX_GRID_ROWS = 10_000
+#: the primitives `mu` estimates: name -> (constructor of d, default d)
+_PRIMITIVES = {"transpose": (maps.transpose_map, 2), "reduction": (maps.reduction_map, 2),
+               "breuer-hall": (maps.breuer_hall_map, 4)}
 
 
 def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> None:
@@ -33,7 +35,7 @@ def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> Non
         p.add_argument("--witness-file", help="witness JSON (mpop-v2 or v1); used instead of --map")
     p.add_argument("--n", type=int, default=None, help="number of parties (default 3)")
     p.add_argument("--d", type=int, default=None,
-                   help="local dimension (default 2, or 3 for mu-choi)")
+                   help="local dimension (default: smallest for --map, else 2)")
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
@@ -64,7 +66,8 @@ def _parse_lam(text: str | None) -> tuple[float, float, float]:
 def _resolve_d(args) -> int:
     if args.d is not None:
         return args.d
-    return 3 if getattr(args, "map", None) == "mu-choi" else 2
+    map_id = getattr(args, "map", None)
+    return criteria.SMALLEST[map_id][1] if map_id else 2
 
 
 def _dims_of_expr(expr: maps.MapExpr, args) -> SiteDims:
@@ -183,22 +186,10 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    map_id: str
-    n: int
-    d: int
-    state: str
-    tolerance: float
-    seed: int | None = None
-    samples: int | None = None
-
-
-def _config(args, command: str, m: criteria.GmeMap, state_desc: str) -> RunConfig:
-    return RunConfig(command, m.label, m.dims.n, m.dims.dims[0], state_desc,
-                     args.tol, getattr(args, "seed", None),
-                     getattr(args, "samples", None))
+def _config(args, command: str, m: criteria.GmeMap, state_desc: str) -> dict:
+    return {"command": command, "map_id": m.label, "n": m.dims.n, "d": m.dims.dims[0],
+            "state": state_desc, "tolerance": args.tol, "seed": getattr(args, "seed", None),
+            "samples": getattr(args, "samples", None)}
 
 
 def _cmd_detect(args) -> int:
@@ -270,16 +261,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    d = args.d if args.d is not None else {"transpose": 2, "reduction": 2,
-                                           "breuer-hall": 4}[args.primitive]
+    build, d = _PRIMITIVES[args.primitive]
+    d = d if args.d is None else args.d
     if d * d > criteria.MAX_DIM:
         raise ValueError(f"d^2 = {d * d} exceeds the supported maximum {criteria.MAX_DIM}")
-    if args.primitive == "transpose":
-        prim = maps.transpose_map(d)
-    elif args.primitive == "reduction":
-        prim = maps.reduction_map(d)
-    else:
-        prim = maps.breuer_hall_map(d)
+    prim = build(d)
     estimate = maps.estimate_mu(prim, d, args.samples, args.seed)
     constant = maps.mu_constant(prim)
     report = {
@@ -361,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("mu", help="estimate a primitive's minimal output eigenvalue")
-    p.add_argument("--primitive", choices=("transpose", "reduction", "breuer-hall"),
-                   required=True)
+    p.add_argument("--primitive", choices=_PRIMITIVES, required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

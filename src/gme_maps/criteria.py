@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import sqrt
 
 import numpy as np
 
-from .grades import BipartitionSet, bipartitions  # noqa: F401  re-exported
+from .grades import bipartitions
 from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
                    Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
                    apply, breuer_hall_map, dual, mu_constant, reduction_map,
@@ -47,13 +48,6 @@ class GmeMap:
         """A state the map is applied to must be on its sites."""
         if state.dims != self.dims:
             raise ValueError(f"state dims {state.dims.dims} do not match map dims {self.dims.dims}")
-
-
-def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def _compensation(n: int, mu: Fraction, dim: int) -> MapExpr:
@@ -116,8 +110,8 @@ def x_projector_mixture(n: int, d: int) -> MapExpr:
         terms = []
         for k in range(d):
             z = clock_matrix(d, k).mat
-            u = _kron_all([z if i == 0 else (z.conj().T if i == j else eye)
-                           for i in range(n)])
+            u = reduce(np.kron, [z if i == 0 else (z.conj().T if i == j else eye)
+                                 for i in range(n)])
             terms.append(Scale(1.0 / d, Conjugate(u)))
         stages.append(Sum(tuple(terms)))
     expr = stages[0]
@@ -136,7 +130,7 @@ def _side_lifts(dims: SiteDims, child_for) -> tuple[Lift, ...]:
 def _phi_tx_sum(n: int) -> Sum:
     """sigma_x T lifted onto every bipartition side, one chain per side size."""
     return Sum(_side_lifts(SiteDims((2,) * n), lambda k: Compose(
-        Conjugate(_kron_all([shift_matrix(2).mat] * k)), transpose_map(2 ** k))))
+        Conjugate(reduce(np.kron, [shift_matrix(2).mat] * k)), transpose_map(2 ** k))))
 
 
 def eta_map(n: int) -> GmeMap:
@@ -164,20 +158,24 @@ def _single_lift_criterion(label: str, n: int, d: int, child_for,
     return GmeMap(label, expr, dims, claims)
 
 
+def _ghz3_claims(n: int, d: int) -> tuple[Claim, ...]:
+    """The closed forms phi-r and phi-b share on three parties, none otherwise."""
+    if n != 3:
+        return ()
+    return (
+        Claim("min-eig:ghz", -1.0 / d, "closed-form"),
+        Claim("threshold:noisy-ghz", 1 - d * d / (3 * (d * d + 1)), "closed-form"),
+    )
+
+
 def phi_r(d: int, n: int = 3) -> GmeMap:
     """Lifted reduction-map criterion; compensation (2^(n-1)-2)/d."""
     if n < 3:
         raise ValueError("phi-r needs n >= 3")
     if d < 2:
         raise ValueError("phi-r needs d >= 2")
-    claims = ()
-    if n == 3:
-        claims = (
-            Claim("min-eig:ghz", -1.0 / d, "closed-form"),
-            Claim("threshold:noisy-ghz", 1 - d * d / (3 * (d * d + 1)), "closed-form"),
-        )
     return _single_lift_criterion("phi-r", n, d,
-                                  lambda m: reduction_map(d ** m), claims)
+                                  lambda m: reduction_map(d ** m), _ghz3_claims(n, d))
 
 
 def phi_b(d: int, n: int = 3) -> GmeMap:
@@ -186,13 +184,8 @@ def phi_b(d: int, n: int = 3) -> GmeMap:
         raise ValueError("phi-b needs n >= 3")
     if d < 4 or d % 2:
         raise ValueError("phi-b needs even d >= 4")
-    claims = ()
-    if n == 3:
-        claims = (
-            Claim("min-eig:ghz", -1.0 / d, "closed-form"),
-            Claim("threshold:noisy-ghz", 1 - d * d / (3 * (d * d + 1)), "closed-form"),
-        )
-    return _single_lift_criterion("phi-b", n, d, lambda m: breuer_hall_map(d ** m), claims)
+    return _single_lift_criterion("phi-b", n, d, lambda m: breuer_hall_map(d ** m),
+                                  _ghz3_claims(n, d))
 
 
 def _choi_on_subset(size: int, d: int) -> MapExpr:
@@ -210,7 +203,7 @@ def _choi_on_subset(size: int, d: int) -> MapExpr:
     terms: list[MapExpr] = [Scale(2.0, diag)]
     for j in range(1, d - 1):
         xj = np.linalg.matrix_power(x, j)
-        terms.append(Compose(Conjugate(_kron_all([xj] * size)), diag))
+        terms.append(Compose(Conjugate(reduce(np.kron, [xj] * size)), diag))
     terms.append(Scale(-1.0, Identity(dA)))
     return Sum(tuple(terms))
 
@@ -260,17 +253,19 @@ def map_to_witness(m: GmeMap, psi: PureState) -> MpOperator:
 # catalog
 # ---------------------------------------------------------------------------
 
-MAP_IDS = ("phi-t", "phi-tx", "eta", "phi-r", "phi-b", "mu-choi")
-
-#: smallest valid (n, d) per catalog id
-SMALLEST = {
-    "phi-t": (3, 2),
-    "phi-tx": (3, 2),
-    "eta": (3, 2),
-    "phi-r": (3, 2),
-    "phi-b": (3, 4),
-    "mu-choi": (3, 3),
+#: one row per catalog id, in catalog order: the builder (n, d) -> GmeMap,
+#: the smallest valid (n, d), and whether the id is a qubit criterion
+CATALOG = {
+    "phi-t": (phi_t, (3, 2), False),
+    "phi-tx": (lambda n, d: phi_tx(n), (3, 2), True),
+    "eta": (lambda n, d: eta_map(n), (3, 2), True),
+    "phi-r": (lambda n, d: phi_r(d, n), (3, 2), False),
+    "phi-b": (lambda n, d: phi_b(d, n), (3, 4), False),
+    "mu-choi": (mu_map, (3, 3), False),
 }
+MAP_IDS = tuple(CATALOG)
+#: smallest valid (n, d) per catalog id
+SMALLEST = {map_id: smallest for map_id, (_, smallest, _) in CATALOG.items()}
 
 
 #: largest total dimension D = d^n that `build_map` constructs; dense D x D
@@ -289,20 +284,9 @@ def build_map(map_id: str, n: int, d: int) -> GmeMap:
     # d >= 2, so more than log2(MAX_DIM) parties is too large without computing d^n
     if n > MAX_DIM.bit_length() or d ** n > MAX_DIM:
         raise ValueError(f"D = d^n = {d}^{n} exceeds the supported maximum {MAX_DIM}")
-    if map_id == "phi-t":
-        return phi_t(n, d)
-    if map_id == "phi-tx":
-        if d != 2:
-            raise ValueError("phi-tx is a qubit criterion (d = 2)")
-        return phi_tx(n)
-    if map_id == "eta":
-        if d != 2:
-            raise ValueError("eta is a qubit criterion (d = 2)")
-        return eta_map(n)
-    if map_id == "phi-r":
-        return phi_r(d, n)
-    if map_id == "phi-b":
-        return phi_b(d, n)
-    if map_id == "mu-choi":
-        return mu_map(n, d)
-    raise ValueError(f"unknown map id {map_id!r}; choose from {', '.join(MAP_IDS)}")
+    if map_id not in CATALOG:
+        raise ValueError(f"unknown map id {map_id!r}; choose from {', '.join(MAP_IDS)}")
+    builder, _, qubit_only = CATALOG[map_id]
+    if qubit_only and d != 2:
+        raise ValueError(f"{map_id} is a qubit criterion (d = 2)")
+    return builder(n, d)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import prod
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
@@ -49,26 +48,13 @@ Terms = tuple[tuple[int, Step, Step], ...]
 _BLOCKS_MIN_DIM = 256
 
 
-@dataclass(frozen=True)
-class BipartitionSet:
-    """One representative subset per unordered bipartition A|Abar."""
-
-    n: int
-    representatives: tuple[PartySubset, ...]
-
-    def __len__(self):
-        return len(self.representatives)
-
-    def __iter__(self):
-        return iter(self.representatives)
-
-
 @functools.lru_cache(maxsize=16)
-def bipartitions(n: int) -> BipartitionSet:
-    """All 2^(n-1) - 1 bipartition representatives, by size then lexicographic.
+def bipartitions(n: int) -> tuple[PartySubset, ...]:
+    """All 2^(n-1) - 1 bipartition representatives, by size then lexicographic,
+    one per unordered bipartition A|Abar.
 
     The representative is the smaller side; for even splits, the side
-    containing party 0.  The set is frozen, so one is built per n.
+    containing party 0.  The tuple is immutable, so one is built per n.
     """
     if n < 2:
         raise ValueError("need n >= 2 parties")
@@ -79,7 +65,7 @@ def bipartitions(n: int) -> BipartitionSet:
                 continue
             reps.append(PartySubset(combo))
     assert len(reps) == 2 ** (n - 1) - 1
-    return BipartitionSet(n, tuple(reps))
+    return tuple(reps)
 
 
 @functools.lru_cache(maxsize=16)

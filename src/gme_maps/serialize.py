@@ -79,12 +79,17 @@ def _pairs_text(arr: np.ndarray) -> tuple[str, str]:
     return text, ', "runs": ' + json.dumps(np.diff(starts, append=flat.size).tolist())
 
 
+def _check_entries(size: int) -> None:
+    if size > MAX_RUN_ENTRIES:
+        raise ValueError(f"{size} entries exceed the supported maximum {MAX_RUN_ENTRIES}")
+
+
 def unpairs(pairs: Any, runs: Any = None, size: int = 0) -> np.ndarray:
     """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`).
     With `runs`, the i-th pair stands for runs[i] equal entries, `size` in
     all; the counts are checked before any entry is repeated."""
-    if runs is not None and size > MAX_RUN_ENTRIES:
-        raise ValueError(f"{size} entries exceed the supported maximum {MAX_RUN_ENTRIES}")
+    if runs is not None:
+        _check_entries(size)
     pairs = list(pairs)
     if set(map(len, pairs)) - {2}:
         raise ValueError("every matrix entry must be an [re, im] pair")
@@ -143,6 +148,9 @@ def _plain(doc: Any) -> Any:
 
 
 def _state_doc(obj: MpOperator | PureState) -> dict:
+    """The document of a state; one with more entries than `load_state`
+    reads back (`MAX_RUN_ENTRIES`) is refused."""
+    _check_entries((obj.vec if isinstance(obj, PureState) else obj.mat).size)
     if isinstance(obj, PureState):
         return {"format": STATE_FORMAT, "dims": list(obj.dims.dims), "vector": obj.vec}
     return {"format": STATE_FORMAT, "dims": list(obj.dims.dims), "matrix": obj.mat}

@@ -248,7 +248,7 @@ def random_biseparable(dims: Iterable[int] | SiteDims, k: int, seed: int) -> MpO
     sd = site_dims(dims)
     n = sd.n
     rng = np.random.default_rng(seed)
-    reps = bipartitions(n).representatives
+    reps = bipartitions(n)
     w = rng.exponential(size=k)
     w = w / w.sum()
     rho = np.zeros((sd.total, sd.total), dtype=complex)

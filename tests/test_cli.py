@@ -534,6 +534,14 @@ def test_threshold_defaults_to_ghz(capsys):
     assert json.loads(out)["config"]["state"] == "ghz"
 
 
+def test_d_defaults_to_the_smallest_the_map_allows(capsys):
+    code, out, _ = run(capsys, "detect", "--map", "phi-b", "--n", "3", "--state", "ghz")
+    assert code == 0
+    assert out == run(capsys, "detect", "--map", "phi-b", "--n", "3", "--d", "4",
+                      "--state", "ghz")[1]
+    assert json.loads(out)["config"]["d"] == 4
+
+
 def test_mu_reduction(capsys):
     code, out, _ = run(capsys, "mu", "--primitive", "reduction", "--d", "4",
                        "--samples", "200", "--seed", "7")

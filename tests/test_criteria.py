@@ -156,16 +156,26 @@ def test_map_to_witness_dims_check():
 
 
 def test_build_map_dispatch_and_errors():
-    assert build_map("phi-t", 3, 2).label == "phi-t"
+    assert criteria.MAP_IDS == tuple(criteria.SMALLEST)
+    for map_id in criteria.MAP_IDS:
+        n, d = criteria.SMALLEST[map_id]
+        m = build_map(map_id, n, d)
+        assert m.label == map_id
+        assert m.dims == SiteDims((d,) * n)
     assert build_map("mu-choi", 3, 3).dims == SiteDims((3, 3, 3))
+    for map_id in ("phi-tx", "eta"):
+        with pytest.raises(ValueError, match=rf"^{map_id} is a qubit criterion \(d = 2\)$"):
+            build_map(map_id, 3, 3)
     with pytest.raises(ValueError):
         build_map("mu-choi", 3, 2)
     with pytest.raises(ValueError):
         build_map("phi-b", 3, 5)
     with pytest.raises(ValueError):
         build_map("phi-tx", 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         build_map("nope", 3, 2)
+    assert str(err.value) == ("unknown map id 'nope'; choose from "
+                              "phi-t, phi-tx, eta, phi-r, phi-b, mu-choi")
 
 
 def test_build_map_size_limit(monkeypatch):

@@ -15,11 +15,12 @@ from gme_maps.criteria import SMALLEST, build_map, eta_map, mu_map, phi_b
 from gme_maps.detect import ScanRow
 from gme_maps.maps import Choi, apply, apply_stack, compose, identity_map
 from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report, jsonable,
-                                mapexpr_from_json, mapexpr_to_json, save_map, save_state,
-                                scan_csv, state_from_json, state_to_json, write_json)
+                                load_state, mapexpr_from_json, mapexpr_to_json, save_map,
+                                save_state, scan_csv, state_from_json, state_to_json,
+                                write_json)
 from gme_maps.cli import main
 from gme_maps.operators import MpOperator, SiteDims
-from gme_maps.states import PureState, ghz, ppt_family
+from gme_maps.states import PureState, ghz, maximally_mixed, ppt_family
 from helpers import (hermitian_op, lifted_map_exprs, map_exprs, reference_text,
                      run_heavy_exprs, v1_text, x_projected_exprs)
 
@@ -39,6 +40,27 @@ def test_density_roundtrip():
     back = state_from_json(json.loads(json.dumps(state_to_json(rho))))
     assert np.array_equal(back.mat, rho.mat)
     assert back.dims == rho.dims
+
+
+@pytest.mark.parametrize("make, size", [(lambda: maximally_mixed((2,) * 11), 4 ** 11),
+                                        (lambda: ghz(21), 2 ** 21)], ids=["mixed-11", "ghz-21"])
+def test_state_writer_refuses_what_the_reader_refuses(tmp_path, make, size):
+    """More entries than `load_state` reads back are refused before the file
+    is opened, with the reader's message."""
+    obj, path = make(), tmp_path / "s.json"
+    message = f"^{size} entries exceed the supported maximum 1048576$"
+    with pytest.raises(ValueError, match=message):
+        save_state(str(path), obj)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=message):
+        state_to_json(obj)
+
+
+def test_largest_state_vector_round_trips(tmp_path):
+    psi, path = ghz(20), str(tmp_path / "s.json")
+    save_state(path, psi)
+    # the file holds psi's bits; reading it builds a PureState, which normalises again
+    assert np.array_equal(load_state(path).vec, PureState(psi.dims, psi.vec).vec)
 
 
 def test_state_format_errors():

@@ -189,7 +189,7 @@ def _kron_biseparable(dims, seed):
     order by `np.argsort`."""
     sd = SiteDims(dims)
     rng = np.random.default_rng(seed)
-    reps = bipartitions(sd.n).representatives
+    reps = bipartitions(sd.n)
     w = rng.exponential(size=1)
     w = w / w.sum()
     keep = list(reps[rng.integers(len(reps))].members)
