@@ -116,11 +116,8 @@ def _build_gme_map(args) -> criteria.GmeMap:
         _check_dims_flags(w.dims, args, "witness file")
         return criteria.witness_to_map(w)
     if getattr(args, "map_file", None):
-        try:
-            with serialize.gc_paused(), open(args.map_file, encoding="utf-8") as fh:
-                expr = serialize.mapexpr_from_json(json.load(fh))
-        except RecursionError:
-            raise ValueError("map file is nested too deeply") from None
+        with serialize.reading(args.map_file, "map file") as fh:
+            expr = serialize.mapexpr_from_json(json.load(fh))
         if expr.dim > criteria.MAX_DIM:
             raise ValueError(f"map file dimension {expr.dim} exceeds the supported "
                              f"maximum {criteria.MAX_DIM}")
@@ -263,6 +260,7 @@ def _cmd_scan(args) -> int:
 def _cmd_mu(args) -> int:
     build, d = _PRIMITIVES[args.primitive]
     d = d if args.d is None else args.d
+    criteria.check_local_dim(d)
     if d * d > criteria.MAX_DIM:
         raise ValueError(f"d^2 = {d * d} exceeds the supported maximum {criteria.MAX_DIM}")
     prim = build(d)

@@ -273,14 +273,19 @@ SMALLEST = {map_id: smallest for map_id, (_, smallest, _) in CATALOG.items()}
 MAX_DIM = 1024
 
 
+def check_local_dim(d: int) -> None:
+    """Refuse a local dimension d below 2, for `build_map` and `mu`."""
+    if d < 2:
+        raise ValueError(f"local dimension d must be >= 2, got {d}")
+
+
 def build_map(map_id: str, n: int, d: int) -> GmeMap:
     """Construct a cataloged map by id; raises ValueError for bad combos.
 
     D = d^n is checked against `MAX_DIM` before anything is built, because
     the 2^(n-1) - 1 bipartitions are enumerated eagerly.
     """
-    if d < 2:
-        raise ValueError(f"local dimension d must be >= 2, got {d}")
+    check_local_dim(d)
     # d >= 2, so more than log2(MAX_DIM) parties is too large without computing d^n
     if n > MAX_DIM.bit_length() or d ** n > MAX_DIM:
         raise ValueError(f"D = d^n = {d}^{n} exceeds the supported maximum {MAX_DIM}")

@@ -38,7 +38,7 @@ import numpy as np
 from .grades import (GradedLifts, bipartition_gather_sum, bipartition_sum,
                      covers_bipartitions, graded_form)
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
-                        party_subset, real_or_complex, site_dims)
+                        frozen_copy, party_subset, real_or_complex, site_dims)
 from .states import haar_vector
 
 UNITARY_TOL = 1e-12
@@ -51,17 +51,19 @@ def _is_unitary(u: np.ndarray) -> bool:
         return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= UNITARY_TOL)
 
 
-def _monomial_form(u: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(perm, phase) of a monomial U[i, perm[i]] = phase[i], both read-only;
-    `phase` is None when every phase is 1, and both are None for a U that is
-    not monomial."""
-    if not np.all(np.count_nonzero(u, axis=1) == 1):
-        return None, None
-    perm = np.argmax(u != 0, axis=1)
-    phase = u[np.arange(u.shape[0]), perm]
-    perm.flags.writeable = False
-    phase.flags.writeable = False
-    return perm, None if np.all(phase == 1) else phase
+def _keep_unitary(node: MapExpr, name: str, u: np.ndarray) -> None:
+    """Keep a read-only copy of the checked unitary `u` as the field `name` of
+    `node`, and its `perm` and `phase`: U[i, perm[i]] = phase[i] for a
+    monomial U, `phase` None when every phase is 1; both None otherwise."""
+    u = frozen_copy(u)
+    perm = phase = None
+    if np.all(np.count_nonzero(u, axis=1) == 1):
+        perm = frozen_copy(np.argmax(u != 0, axis=1))
+        phase = u[np.arange(len(u)), perm]
+        phase = None if np.all(phase == 1) else frozen_copy(phase)
+    object.__setattr__(node, name, u)
+    object.__setattr__(node, "perm", perm)
+    object.__setattr__(node, "phase", phase)
 
 
 class MapExpr:
@@ -176,12 +178,7 @@ class BreuerHall(MapExpr):
             raise ValueError("V must be unitary")
         if np.max(np.abs(v.T + v)) > UNITARY_TOL:
             raise ValueError("V must be skew-symmetric (V^T = -V)")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
-        perm, phase = _monomial_form(v)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phase", phase)
+        _keep_unitary(self, "v", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,12 +220,7 @@ class Conjugate(MapExpr):
         super().__post_init__()
         if not _is_unitary(u):
             raise ValueError("U must be unitary")
-        u = u.copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        perm, phase = _monomial_form(u)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phase", phase)
+        _keep_unitary(self, "u", u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,11 +254,8 @@ class TraceOuter(MapExpr):
         w, o = real_or_complex(self.weight), real_or_complex(self.output)
         if w.shape != o.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight and output must be square matrices of equal size")
-        w, o = w.copy(), o.copy()
-        w.flags.writeable = False
-        o.flags.writeable = False
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "output", o)
+        object.__setattr__(self, "weight", frozen_copy(w))
+        object.__setattr__(self, "output", frozen_copy(o))
         object.__setattr__(self, "dim", w.shape[0])
         super().__post_init__()
 
@@ -282,9 +271,7 @@ class SchurWith(MapExpr):
         m = real_or_complex(self.mask)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("mask must be square")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "mask", m)
+        object.__setattr__(self, "mask", frozen_copy(m))
         object.__setattr__(self, "dim", m.shape[0])
         super().__post_init__()
 

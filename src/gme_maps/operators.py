@@ -64,6 +64,13 @@ def real_or_complex(a) -> np.ndarray:
     return a.real.astype(float, copy=False)
 
 
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of the array, as the operators and map nodes keep."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def site_dims(dims: Iterable[int] | SiteDims) -> SiteDims:
     return dims if isinstance(dims, SiteDims) else SiteDims(tuple(dims))
 
@@ -110,9 +117,7 @@ class MpOperator:
         D = self.dims.total
         if mat.shape != (D, D):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims.dims} (D={D})")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", frozen_copy(mat))
 
     @property
     def d(self) -> int:
@@ -170,14 +175,6 @@ def _component_labels(pattern: np.ndarray) -> np.ndarray:
         labels = new
 
 
-@functools.lru_cache(maxsize=None)
-def _whole(D: int) -> np.ndarray:
-    """The index (1, D) of a matrix of side D taken as one block."""
-    index = np.arange(D)[None]
-    index.flags.writeable = False
-    return index
-
-
 def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
     """Outputs of one map, as operators of one side split on the connected
     components of the union of their exact nonzero patterns, (r, c) and
@@ -207,7 +204,7 @@ def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
         for mat in mats[1:]:
             pattern |= mat != 0
     if pattern is None or np.count_nonzero(pattern) > (D - 1) ** 2 + 1:
-        return ((_whole(D), (mats[0][None] if len(mats) == 1 else np.stack(mats))[:, None]),)
+        return ((np.arange(D)[None], (mats[0][None] if len(mats) == 1 else np.stack(mats))[:, None]),)
     labels = _component_labels(pattern)
     counts = np.bincount(labels, minlength=D)
     sizes = counts[counts > 0]  # per component, in the order of its smallest index
@@ -225,7 +222,7 @@ def is_hermitian(op: MpOperator | np.ndarray) -> bool:
     """`hermitian_rows` of an operator, or of a nonempty square array, taken
     as one block."""
     mat = op.mat if isinstance(op, MpOperator) else op
-    return hermitian_rows(((_whole(len(mat)), mat[None, None]),))[0][0]
+    return hermitian_rows(((np.arange(len(mat))[None], mat[None, None]),))[0][0]
 
 
 def hermitian_rows(groups: Groups) -> tuple[list[bool], list[float]]:

@@ -10,12 +10,14 @@ once per document.  Decoded arrays follow the dtype rule of
 `operators.real_or_complex`.  Documents carry an explicit "format" field so
 files stay self-describing.
 
-Files are read by `json.load`.  A v1 document (mpop-v1, mapexpr-v1) spells
-every entry out and has no "runs", and the same decoders read it.  A "runs"
-list is checked before it is expanded: one integer >= 1 per pair, summing to
-the size the document declares, which is at most `MAX_RUN_ENTRIES`.  Equal
-sub-documents decode to one shared node by value (`_share_key`), and every
-occurrence counts against `MAX_MAP_NODES` and `MAX_MAP_DEPTH`.
+Files are opened by `reading` and read by `json.load`.  A v1 document
+(mpop-v1, mapexpr-v1) spells every entry out and has no "runs", and the same
+decoders read it.  An array read or written holds at most `MAX_RUN_ENTRIES`
+entries, the size a document declares checked before any entry is copied,
+and a "runs" list before it is expanded: one integer >= 1 per pair, summing
+to that size.  Equal sub-documents decode to one shared node by value
+(`_share_key`), and every occurrence counts against `MAX_MAP_NODES` and
+`MAX_MAP_DEPTH`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Iterator
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
@@ -85,11 +87,11 @@ def _check_entries(size: int) -> None:
 
 
 def unpairs(pairs: Any, runs: Any = None, size: int = 0) -> np.ndarray:
-    """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`).
-    With `runs`, the i-th pair stands for runs[i] equal entries, `size` in
-    all; the counts are checked before any entry is repeated."""
-    if runs is not None:
-        _check_entries(size)
+    """Decode [re, im] pairs of JSON numbers (booleans count, as in `complex`)
+    of an array of `size` entries, checked first.  With `runs`, the i-th pair
+    stands for runs[i] equal entries; the counts are checked before any entry
+    is repeated."""
+    _check_entries(size)
     pairs = list(pairs)
     if set(map(len, pairs)) - {2}:
         raise ValueError("every matrix entry must be an [re, im] pair")
@@ -119,12 +121,14 @@ _HOLE = "\0"
 
 def _chunks(doc: Any) -> Iterator[str]:
     """The text of `json.dumps(doc)` in pieces, each array in `doc`, the value
-    of an object member, written by runs by `_pairs_text`."""
+    of an object member, written by runs by `_pairs_text`.  Every array is
+    checked against `MAX_RUN_ENTRIES` before the first piece is yielded."""
     arrays, texts = [], {}
 
     def hold(obj: Any) -> str:
         if not isinstance(obj, np.ndarray):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        _check_entries(obj.size)
         arrays.append(obj)
         return _HOLE
 
@@ -148,9 +152,6 @@ def _plain(doc: Any) -> Any:
 
 
 def _state_doc(obj: MpOperator | PureState) -> dict:
-    """The document of a state; one with more entries than `load_state`
-    reads back (`MAX_RUN_ENTRIES`) is refused."""
-    _check_entries((obj.vec if isinstance(obj, PureState) else obj.mat).size)
     if isinstance(obj, PureState):
         return {"format": STATE_FORMAT, "dims": list(obj.dims.dims), "vector": obj.vec}
     return {"format": STATE_FORMAT, "dims": list(obj.dims.dims), "matrix": obj.mat}
@@ -190,34 +191,38 @@ def state_from_json(doc: Any) -> MpOperator | PureState:
 
 
 @contextlib.contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while a file is parsed and decoded.
-    Every list the parse makes stays live until the document is freed whole,
-    so a collection then frees nothing and only promotes the document, whose
-    lists later full collections walk (~8 ms each after eta n = 8 files)."""
+def reading(path: str, what: str) -> Iterator[TextIO]:
+    """The file at `path`, opened as UTF-8 and parsed and decoded in the block,
+    which raises a RecursionError as "<what> is nested too deeply".  The cyclic
+    garbage collector is paused meanwhile: every list the parse makes stays
+    live until the document is freed whole, so a collection then frees nothing
+    and only promotes the document, whose lists later full collections walk
+    (~8 ms each after eta n = 8 files)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
     finally:
         if enabled:
             gc.enable()
 
 
 def load_state(path: str) -> MpOperator | PureState:
-    try:
-        with gc_paused(), open(path, encoding="utf-8") as fh:
-            return state_from_json(json.load(fh))
-    except RecursionError:
-        raise ValueError("state file is nested too deeply") from None
+    with reading(path, "state file") as fh:
+        return state_from_json(json.load(fh))
 
 
 def write_json(path: str, doc: Any) -> None:
     """Write `json.dumps(doc)` and a newline, each array in `doc`, the value
-    of an object member, written by runs in bulk."""
+    of an object member, written by runs in bulk; an array over
+    `MAX_RUN_ENTRIES` is refused before the file is opened."""
+    chunks = _chunks(doc)
+    first = next(chunks)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_chunks(doc))
-        fh.write("\n")
+        fh.writelines(chain([first], chunks, ["\n"]))
 
 
 def save_state(path: str, obj: MpOperator | PureState) -> None:

@@ -318,7 +318,9 @@ def test_zero_size_map_file_node_exits_2(tmp_path, capsys, kind, fields):
 
 
 @pytest.mark.parametrize("dim, words", [(-1, "dim -1 does not match 1 entries"),
-                                         (3, "dim 3 does not match 1 entries")])
+                                         (3, "dim 3 does not match 1 entries"),
+                                         (1025, "1050625 entries exceed the supported "
+                                                "maximum 1048576")])
 def test_map_file_dim_off_its_entries_exits_2(tmp_path, capsys, dim, words):
     """A "dim" that does not square to the entry count is refused by name,
     not by numpy's reshape."""
@@ -366,6 +368,17 @@ def test_state_file_hostile_runs_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "detect", "--map", "eta", "--state-file", str(path))
     assert (code, out) == (2, "")
     assert err == "error: 1073741824 entries exceed the supported maximum 1048576\n"
+
+
+def test_state_file_runs_less_vector_over_the_bound_exits_2(tmp_path, capsys):
+    """The size bound holds without "runs" too: a 21-qubit vector of one pair
+    is refused by the size its dims declare, not by its length."""
+    path = tmp_path / "vec.json"
+    path.write_text('{"format": "mpop-v2", "dims": [%s], "vector": [[1.0, 0.0]]}'
+                    % ", ".join(["2"] * 21))
+    code, out, err = run(capsys, "detect", "--map", "eta", "--state-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 2097152 entries exceed the supported maximum 1048576\n"
 
 
 def test_map_file_lift_of_a_lift_takes_the_outer_sites(tmp_path, capsys):
@@ -1000,6 +1013,15 @@ def test_mu_rejects_oversized_d(capsys, no_build, primitive, d):
     code, out, err = run(capsys, "mu", "--primitive", primitive, "--d", d)
     assert code == 2 and out == ""
     assert err == f"error: d^2 = {int(d) ** 2} exceeds the supported maximum 1024\n"
+
+
+@pytest.mark.parametrize("primitive", sorted(cli._PRIMITIVES))
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_mu_rejects_d_below_2(capsys, no_build, primitive, d):
+    """`mu` refuses a local dimension below 2 as `build_map` does."""
+    code, out, err = run(capsys, "mu", "--primitive", primitive, "--d", d)
+    assert code == 2 and out == ""
+    assert err == f"error: local dimension d must be >= 2, got {d}\n"
 
 
 @pytest.mark.parametrize("d", ["3", "5", "7"])

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from gme_maps import grades, maps
 from gme_maps.criteria import (MAP_IDS, MAX_DIM, SMALLEST, bipartitions, build_map,
                                witness_to_map, x_projector)
-from gme_maps.maps import (BreuerHall, Choi, Compose, DiagAll, Lift, Scale, SchurWith, Sum,
-                           TraceOuter, Transpose, apply, apply_blocks,
+from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Lift, Scale, SchurWith,
+                           Sum, TraceOuter, Transpose, apply, apply_blocks,
                            apply_stack, breuer_hall_map, choi_map, compose,
                            conjugation_map, default_skew_unitary, diag_map,
                            dual, estimate_mu, identity_map, lift, map_sum,
@@ -23,7 +23,8 @@ from gme_maps.maps import (BreuerHall, Choi, Compose, DiagAll, Lift, Scale, Schu
 from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, is_hermitian,
                                 min_eig, operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
-from gme_maps.states import clock_matrix, ghz, maximally_entangled, shift_matrix
+from gme_maps.states import (PureState, clock_matrix, ghz, maximally_entangled,
+                             shift_matrix)
 from helpers import (density_op, digit_reversal, hermitian_op, lift_by_lift, lift_sites,
                      lifted_map_exprs, map_exprs, monomial, rand_density, rand_hermitian,
                      superoperator, x_projected_exprs)
@@ -386,6 +387,55 @@ def test_conjugate_records_monomial_form():
         rho = _stack((2,), 3, rng)
         ref = m.u @ rho @ m.u.conj().T
         assert np.max(np.abs(apply_stack(m, rho) - ref)) <= 1e-12
+
+
+def _skew_unitary(a):
+    """A real skew-symmetric orthogonal 4 x 4 V that is not monomial."""
+    q = np.linalg.qr(a)[0]
+    v = q @ default_skew_unitary(4) @ q.T
+    return (v - v.T) / 2
+
+
+# name -> (the arrays a caller hands in, made of two random 4 x 4 matrices;
+# the operator, state or map node built on them; how many arrays it keeps)
+FROZEN_CASES = {
+    "mp-operator": (lambda a, b: [a], lambda m: MpOperator(SiteDims((2, 2)), m), 1),
+    "pure-state": (lambda a, b: [a[0] + 1j * b[0]], lambda v: PureState(SiteDims((2, 2)), v), 1),
+    "schur": (lambda a, b: [a], SchurWith, 1),
+    "trace-outer": (lambda a, b: [a, b], TraceOuter, 2),
+    "conjugate-phased": (lambda a, b: [shift_matrix(3).mat @ np.diag([1j, -1.0, np.exp(0.3j)])],
+                         Conjugate, 3),
+    "conjugate-dense": (lambda a, b: [np.linalg.qr(a + 1j * b)[0]], Conjugate, 1),
+    "breuer-hall-default": (lambda a, b: [default_skew_unitary(4)],
+                            functools.partial(BreuerHall, 4), 3),
+    "breuer-hall-skew": (lambda a, b: [_skew_unitary(a)], functools.partial(BreuerHall, 4), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_kept_arrays_are_frozen_copies(case):
+    """Every array an operator, state or map node keeps, a monomial U's perm
+    and phase too, is a read-only copy: writing to the caller's arrays
+    afterwards changes neither what it keeps nor what it gives."""
+    make, build, count = FROZEN_CASES[case]
+    given = make(*np.random.default_rng(12).standard_normal((2, 4, 4)))
+    obj = build(*given)
+    names = ("mat", "vec", "mask", "weight", "output", "u", "v", "perm", "phase")
+    kept = [getattr(obj, name) for name in names if getattr(obj, name, None) is not None]
+
+    def gives():
+        if isinstance(obj, PureState):
+            return obj.density().mat
+        if isinstance(obj, MpOperator):
+            return obj.mat
+        return apply(obj, hermitian_op((obj.dim,), np.random.default_rng(0))).mat
+
+    before, out = [k.copy() for k in kept], gives()
+    assert len(kept) == count and not any(k.flags.writeable for k in kept)
+    for a in given:
+        a[...] = 7
+    assert all(np.array_equal(k, b) for k, b in zip(kept, before, strict=True))
+    assert np.array_equal(gives(), out)
 
 
 def _kron(*mats):

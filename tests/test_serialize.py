@@ -56,6 +56,18 @@ def test_state_writer_refuses_what_the_reader_refuses(tmp_path, make, size):
         state_to_json(obj)
 
 
+def test_map_writer_refuses_what_the_reader_refuses(tmp_path):
+    """A map with an array of more entries than `mapexpr_from_json` reads back
+    is refused before the file is opened, with the reader's message."""
+    expr, path = maps.SchurWith(np.ones((1025, 1025))), tmp_path / "m.json"
+    message = "^1050625 entries exceed the supported maximum 1048576$"
+    with pytest.raises(ValueError, match=message):
+        save_map(str(path), expr)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=message):
+        mapexpr_to_json(expr)
+
+
 def test_largest_state_vector_round_trips(tmp_path):
     psi, path = ghz(20), str(tmp_path / "s.json")
     save_state(path, psi)
