@@ -1,4 +1,4 @@
-"""JSON formats for states (mpop-v2), map expressions (mapexpr-v2) and CSV reports.
+"""JSON formats for states (mpop-v2), map expressions (mapexpr-v3) and CSV reports.
 
 Complex scalars are encoded as [re, im] pairs, a real entry as [re, 0.0].  An
 array is the row-major flat list of its runs of equal bit patterns, one pair
@@ -10,14 +10,19 @@ once per document.  Decoded arrays follow the dtype rule of
 `operators.real_or_complex`.  Documents carry an explicit "format" field so
 files stay self-describing.
 
+A mapexpr-v3 document is a table of the map's distinct nodes, children
+before parents and the root last, in which a child field holds the index of
+an earlier entry.  A mapexpr-v2 document nests each child's node object in
+its parent, so a shared subtree is spelled out at every occurrence.
+
 Files are opened by `reading` and read by `json.load`.  A v1 document
 (mpop-v1, mapexpr-v1) spells every entry out and has no "runs", and the same
 decoders read it.  An array read or written holds at most `MAX_RUN_ENTRIES`
 entries, the size a document declares checked before any entry is copied,
 and a "runs" list before it is expanded: one integer >= 1 per pair, summing
-to that size.  Equal sub-documents decode to one shared node by value
-(`_share_key`), and every occurrence counts against `MAX_MAP_NODES` and
-`MAX_MAP_DEPTH`.
+to that size.  Equal nodes decode to one shared node by value (`_share_key`).
+`MAX_MAP_NODES` and `MAX_MAP_DEPTH` bound the expanded tree, the one map
+evaluation walks, so a shared subtree counts once per occurrence.
 """
 
 from __future__ import annotations
@@ -30,19 +35,19 @@ import io
 import json
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
 from .criteria import MAX_DIM
 from .maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Identity,
                    Lift, MapExpr, Reduction, Scale, SchurWith, Sum,
-                   TraceIdentity, TraceOuter, Transpose, node_fields)
+                   TraceIdentity, TraceOuter, Transpose, node_fields, nodes)
 from .operators import MpOperator, PartySubset, SiteDims, real_or_complex
 from .states import PureState
 
 STATE_FORMAT, STATE_FORMAT_V1 = "mpop-v2", "mpop-v1"
-MAP_FORMAT, MAP_FORMAT_V1 = "mapexpr-v2", "mapexpr-v1"
+MAP_FORMAT, MAP_FORMAT_V2, MAP_FORMAT_V1 = "mapexpr-v3", "mapexpr-v2", "mapexpr-v1"
 # The most entries a "runs" list may stand for: a MAX_DIM x MAX_DIM matrix.
 MAX_RUN_ENTRIES = MAX_DIM ** 2
 
@@ -119,10 +124,11 @@ def unpairs(pairs: Any, runs: Any = None, size: int = 0) -> np.ndarray:
 _HOLE = "\0"
 
 
-def _chunks(doc: Any) -> Iterator[str]:
+def _chunks(doc: Any) -> list[str]:
     """The text of `json.dumps(doc)` in pieces, each array in `doc`, the value
-    of an object member, written by runs by `_pairs_text`.  Every array is
-    checked against `MAX_RUN_ENTRIES` before the first piece is yielded."""
+    of an object member, written by runs by `_pairs_text`; an array over
+    `MAX_RUN_ENTRIES`, or with runs but not a member value, raises before any
+    piece is returned."""
     arrays, texts = [], {}
 
     def hold(obj: Any) -> str:
@@ -133,16 +139,15 @@ def _chunks(doc: Any) -> Iterator[str]:
         return _HOLE
 
     pieces = json.dumps(doc, default=hold).split(json.dumps(_HOLE))
-    yield pieces[0]
+    out = [pieces[0]]
     for arr, before, tail in zip(arrays, pieces[:-1], pieces[1:], strict=True):
         if id(arr) not in texts:  # `arrays` keeps every array, so ids stay unique
             texts[id(arr)] = _pairs_text(arr)
         entries, runs = texts[id(arr)]
         if runs and not before.endswith('": '):
             raise ValueError("an array with runs must be the value of an object member")
-        yield entries
-        yield runs
-        yield tail
+        out += [entries, runs, tail]
+    return out
 
 
 def _plain(doc: Any) -> Any:
@@ -217,12 +222,11 @@ def load_state(path: str) -> MpOperator | PureState:
 
 def write_json(path: str, doc: Any) -> None:
     """Write `json.dumps(doc)` and a newline, each array in `doc`, the value
-    of an object member, written by runs in bulk; an array over
-    `MAX_RUN_ENTRIES` is refused before the file is opened."""
+    of an object member, written by runs in bulk; a document `_chunks` refuses
+    is refused before the file is opened."""
     chunks = _chunks(doc)
-    first = next(chunks)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chain([first], chunks, ["\n"]))
+        fh.writelines(chunks + ["\n"])
 
 
 def save_state(path: str, obj: MpOperator | PureState) -> None:
@@ -287,8 +291,8 @@ _CODECS = {
 }
 # Deeper than any catalog tree (at most 9 levels) by a wide margin.
 MAX_MAP_DEPTH = 64
-# More nodes than any catalog file (eta at n = 10 writes 4096) by a wide margin;
-# a shared subtree counts once per occurrence in the document.
+# More nodes than any catalog tree (eta at n = 10 has 4096) by a wide margin; a
+# shared subtree counts once per occurrence, as evaluation walks it.
 MAX_MAP_NODES = 1 << 15
 
 
@@ -301,40 +305,31 @@ def _key(name: str) -> str:
     return "d" if name == "dim" else name
 
 
-def _check_size(depth: int, nodes: list[int]) -> None:
-    """Count one more node in `nodes`, at `depth`, and raise once that depth
-    passes `MAX_MAP_DEPTH` or the count `MAX_MAP_NODES`; called once per node
-    before it is built."""
+def _check_size(depth: int, count: int) -> None:
+    """Raise once a tree's depth passes `MAX_MAP_DEPTH` or its count of nodes
+    `MAX_MAP_NODES`."""
     if depth > MAX_MAP_DEPTH:
         raise ValueError(f"map tree is deeper than {MAX_MAP_DEPTH} levels")
-    nodes[0] += 1
-    if nodes[0] > MAX_MAP_NODES:
+    if count > MAX_MAP_NODES:
         raise ValueError(f"map tree has more than {MAX_MAP_NODES} nodes")
 
 
-def _node_to_json(m: MapExpr, nodes: list[int], depth: int = 1) -> dict:
-    _check_size(depth, nodes)
-    kind = _KINDS.get(type(m))
-    if kind is None:
-        raise TypeError(f"cannot serialize map node {type(m).__name__}")
-    doc = {"kind": kind}
-    for name, tp, _ in node_fields(type(m)):
-        value = getattr(m, name)
-        if tp is MapExpr:
-            doc[_key(name)] = _node_to_json(value, nodes, depth + 1)
-        elif tp == _NODE_LIST:
-            doc[_key(name)] = [_node_to_json(c, nodes, depth + 1) for c in value]
-        else:
-            doc[_key(name)] = _CODECS[tp][0](value)
-    return doc
+def _tree_size(sizes: list[tuple[int, int]], kids: list[int]) -> tuple[int, int]:
+    """(depth, count) of the expanded tree of a node whose children are the
+    entries `kids` of a table whose entries have `sizes`, a child counted at
+    each occurrence; checked against the bounds."""
+    depth = 1 + max((sizes[k][0] for k in kids), default=0)
+    count = 1 + sum(sizes[k][1] for k in kids)
+    _check_size(depth, count)
+    return depth, count
 
 
 def _share_key(value: Any) -> Any:
     """A hashable stand-in for a decoded field value.
 
-    Nodes count by identity, because equal sub-documents already decode to
-    one node; arrays by shape and bytes; floats by their bits, so 0.0 and
-    -0.0 stay apart and re-encode as written.
+    Nodes count by identity, because equal nodes already decode to one node;
+    arrays by shape and bytes; floats by their bits, so 0.0 and -0.0 stay
+    apart and re-encode as written.
     """
     if isinstance(value, MapExpr):
         return id(value)
@@ -347,9 +342,39 @@ def _share_key(value: Any) -> Any:
     return value
 
 
-def _node_from_json(doc: Any, shared: dict, nodes: list[int], depth: int = 1) -> MapExpr:
-    """Decode one node; equal sub-documents decode to the node kept in `shared`."""
-    _check_size(depth, nodes)
+def _map_doc(m: MapExpr) -> dict:
+    """The mapexpr-v3 document of a map: each distinct node (`maps.nodes`) once,
+    children first, and nodes equal as the reader shares them (`_share_key`,
+    a child by its entry) as one entry.  The expanded tree is checked against
+    the bounds entry by entry."""
+    entries, at, index, sizes = [], {}, {}, []
+    for node in reversed(list(nodes(m))):
+        kind = _KINDS.get(type(node))
+        if kind is None:
+            raise TypeError(f"cannot serialize map node {type(node).__name__}")
+        entry, kids, key = {"kind": kind}, [], [type(node)]
+        for name, tp, _ in node_fields(type(node)):
+            value = getattr(node, name)
+            if tp is MapExpr or tp == _NODE_LIST:
+                value = [index[id(c)] for c in (value if tp == _NODE_LIST else (value,))]
+                kids += value
+                key.append(tuple(value))
+                entry[_key(name)] = value if tp == _NODE_LIST else value[0]
+            else:
+                key.append(_share_key(value))
+                entry[_key(name)] = _CODECS[tp][0](value)
+        key = tuple(key)
+        if key not in at:
+            at[key] = len(entries)
+            sizes.append(_tree_size(sizes, kids))
+            entries.append(entry)
+        index[id(node)] = at[key]
+    return {"format": MAP_FORMAT, "nodes": entries}
+
+
+def _node_from_json(doc: Any, shared: dict, child: Callable[[Any], MapExpr]) -> MapExpr:
+    """Decode one node object, the value of each child field resolved by
+    `child`; equal nodes decode to the node kept in `shared`."""
     if not isinstance(doc, dict):
         raise ValueError(f"map node must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
@@ -365,11 +390,11 @@ def _node_from_json(doc: Any, shared: dict, nodes: list[int], depth: int = 1) ->
             continue
         value = doc[key]
         if tp is MapExpr:
-            args[name] = _node_from_json(value, shared, nodes, depth + 1)
+            args[name] = child(value)
         elif tp == _NODE_LIST:
             if not isinstance(value, list):
                 raise ValueError(f"{kind} node: field {key!r} must be a list")
-            args[name] = tuple(_node_from_json(c, shared, nodes, depth + 1) for c in value)
+            args[name] = tuple(map(child, value))
         else:
             try:
                 args[name] = _CODECS[tp][1](value)
@@ -381,8 +406,39 @@ def _node_from_json(doc: Any, shared: dict, nodes: list[int], depth: int = 1) ->
     return shared[key]
 
 
-def _map_doc(m: MapExpr) -> dict:
-    return {"format": MAP_FORMAT, "root": _node_to_json(m, [0])}
+def _tree_from_json(doc: Any, shared: dict, count: list[int], depth: int = 1) -> MapExpr:
+    """Decode a mapexpr-v2 or v1 node object and the sub-documents nested in
+    it; each occurrence is counted in `count` and checked before it is decoded."""
+    count[0] += 1
+    _check_size(depth, count[0])
+    return _node_from_json(doc, shared, lambda c: _tree_from_json(c, shared, count, depth + 1))
+
+
+def _table_from_json(table: Any) -> MapExpr:
+    """Decode the node table of a mapexpr-v3 document, each entry once, in
+    order, and return its last entry.  A child is the index of an earlier
+    entry, and the expanded tree of each entry is checked once it is built."""
+    if not isinstance(table, list):
+        raise ValueError(f"{MAP_FORMAT} document: 'nodes' must be a list, "
+                         f"got {type(table).__name__}")
+    if not table:
+        raise ValueError(f"{MAP_FORMAT} document: 'nodes' is empty")
+    _check_size(1, len(table))
+    built, sizes, shared, kids = [], [], {}, []
+
+    def child(i: Any) -> MapExpr:
+        if type(i) is not int:  # booleans are refused
+            raise ValueError(f"map node {len(built)}: a child must be an entry index, got {i!r}")
+        if not 0 <= i < len(built):
+            raise ValueError(f"map node {len(built)}: child {i} is not an earlier entry")
+        kids.append(i)
+        return built[i]
+
+    for doc in table:
+        kids.clear()
+        built.append(_node_from_json(doc, shared, child))
+        sizes.append(_tree_size(sizes, kids))
+    return built[-1]
 
 
 def mapexpr_to_json(m: MapExpr) -> dict:
@@ -390,20 +446,23 @@ def mapexpr_to_json(m: MapExpr) -> dict:
 
 
 def save_map(path: str, m: MapExpr) -> None:
-    """Write the mapexpr-v2 file of a map: `json.dumps(mapexpr_to_json(m))`
-    and a newline."""
+    """Write the mapexpr-v3 file of a map: `json.dumps(mapexpr_to_json(m))`
+    and a newline; a map past the bounds is refused before the file is opened."""
     write_json(path, _map_doc(m))
 
 
 def mapexpr_from_json(doc: Any) -> MapExpr:
-    """Decode a mapexpr-v2 or mapexpr-v1 document; equal sub-documents decode
-    to one shared node, so a subtree the written map shared is shared again."""
+    """Decode a mapexpr-v3, v2 or v1 document; equal nodes decode to one
+    shared node, so a subtree the written map shared is shared again."""
     if not isinstance(doc, dict):
         raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") not in (MAP_FORMAT, MAP_FORMAT_V1):
-        raise ValueError(f"expected format {MAP_FORMAT!r} or {MAP_FORMAT_V1!r}, "
-                         f"got {doc.get('format')!r}")
-    return _node_from_json(doc.get("root"), {}, [0])
+    fmt = doc.get("format")
+    if fmt == MAP_FORMAT:
+        return _table_from_json(doc.get("nodes"))
+    if fmt in (MAP_FORMAT_V2, MAP_FORMAT_V1):
+        return _tree_from_json(doc.get("root"), {}, [0])
+    raise ValueError(f"expected format {MAP_FORMAT!r}, {MAP_FORMAT_V2!r} or "
+                     f"{MAP_FORMAT_V1!r}, got {fmt!r}")
 
 
 def jsonable(obj: Any) -> Any:

@@ -1,7 +1,7 @@
 """Shared test utilities: random operators, random map expressions (also
 X-projected ones), superoperator and lift-by-lift oracles, the text
-`json.dumps` writes for a document with arrays written by runs, and the v1
-form of such a text."""
+`json.dumps` writes for a document with arrays written by runs, and the v2
+and v1 forms of such a text."""
 
 import functools
 import itertools
@@ -19,7 +19,7 @@ from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll,
                            Sum, TraceIdentity, TraceOuter, Transpose, apply_stack,
                            default_skew_unitary)
 from gme_maps.operators import MpOperator, PartySubset, SiteDims
-from gme_maps.serialize import MAX_RUN_ENTRIES
+from gme_maps.serialize import MAP_FORMAT, MAP_FORMAT_V2, MAX_RUN_ENTRIES, _NODE_CLASSES, _key
 from gme_maps.states import clock_matrix, shift_matrix
 
 
@@ -151,6 +151,31 @@ def reference_text(doc) -> str:
 V1_FORMATS = {"mapexpr-v2": "mapexpr-v1", "mpop-v2": "mpop-v1"}
 
 
+def inlined(doc: dict) -> dict:
+    """The mapexpr-v2 document of a mapexpr-v3 one: each child index replaced
+    by the node object of the entry it names, spelled out at every
+    occurrence, and the last entry the root."""
+    done = []
+    for entry in doc["nodes"]:
+        fields = maps.node_fields(_NODE_CLASSES[entry["kind"]])
+        types = {_key(name): tp for name, tp, _ in fields}
+        node = {}
+        for key, value in entry.items():
+            if types.get(key) is MapExpr:
+                value = done[value]
+            elif types.get(key) == tuple[MapExpr, ...]:
+                value = [done[i] for i in value]
+            node[key] = value
+        done.append(node)
+    return {"format": MAP_FORMAT_V2, "root": done[-1]}
+
+
+def v2_text(text: str) -> str:
+    """The v2 file text of a written v3 map file text: every node nested in
+    its parent, the bytes the v2 writer wrote."""
+    return json.dumps(inlined(json.loads(text))) + "\n" * text.endswith("\n")
+
+
 def _declared(doc: dict):
     """The key of the pair list a decoder reads from `doc` with its "runs"
     and the entry count `doc` declares for it, or None."""
@@ -185,9 +210,11 @@ def spelled_out(doc):
 
 
 def v1_text(text: str) -> str:
-    """The v1 file text of a written v2 file text: every run spelled out and
-    the v1 format, the bytes the v1 writer wrote."""
-    doc = spelled_out(json.loads(text))
+    """The v1 file text of a written v3 map, v2 map or v2 state file text:
+    every node nested in its parent, every run spelled out and the v1
+    format, the bytes the v1 writer wrote."""
+    doc = json.loads(text)
+    doc = spelled_out(inlined(doc) if doc["format"] == MAP_FORMAT else doc)
     doc["format"] = V1_FORMATS[doc["format"]]
     return json.dumps(doc) + "\n" * text.endswith("\n")
 

@@ -1,10 +1,11 @@
 """Arrays read by runs against the same documents with every run spelled out.
 
 A file is read by `json.load` and one decoder.  For every input, as written
-(mapexpr-v2, mpop-v2) or edited, the document reads as its spelled-out form
-(`helpers.spelled_out`, each pair list entry by entry as mapexpr-v1 and
-mpop-v1 wrote it) reads: to a tree that re-exports to the same bytes with the
-same number of distinct nodes, or to the same ValueError text.
+(mapexpr-v3, mpop-v2), hand-written as a mapexpr-v2 tree, or edited, the
+document reads as its spelled-out form (`helpers.spelled_out`, each pair list
+entry by entry as mapexpr-v1 and mpop-v1 wrote it) reads: to a tree that
+re-exports to the same bytes with the same number of distinct nodes, or to
+the same ValueError text.
 """
 
 import functools
@@ -21,12 +22,12 @@ from gme_maps.cli import main
 from gme_maps.criteria import MAP_IDS, build_map, map_to_witness
 from gme_maps.maps import dual
 from gme_maps.operators import MpOperator, SiteDims
-from gme_maps.serialize import (MAP_FORMAT, MAX_MAP_DEPTH, MAX_MAP_NODES, STATE_FORMAT,
+from gme_maps.serialize import (MAP_FORMAT_V2, MAX_MAP_DEPTH, MAX_MAP_NODES, STATE_FORMAT,
                                 mapexpr_from_json, mapexpr_to_json, save_state,
                                 state_from_json, state_to_json, unpairs)
 from gme_maps.states import PureState, ghz, w_state
 from helpers import (density_op, lifted_map_exprs, map_exprs, run_heavy_exprs, spelled_out,
-                     v1_text, x_projected_exprs)
+                     v1_text, v2_text, x_projected_exprs)
 
 
 def _map_summary(m):
@@ -76,27 +77,37 @@ EXPORTS_UP_TO_256 = [(map_id, n, d) for map_id in MAP_IDS for d in LOCAL_DIMS[ma
 @pytest.mark.parametrize("map_id,n,d", EXPORTS_UP_TO_256)
 def test_catalog_exports_read_in_bulk(map_id, n, d):
     """Every catalog export with D <= 256 and its dual reads to its tree as
-    written, re-indented and in its v1 form."""
+    written, re-indented and in its v2 and v1 forms."""
     m = build_map(map_id, n, d).expr
     for expr in (m, dual(m)):
         doc, want = mapexpr_to_json(expr), _map_summary(expr)
         text = json.dumps(doc)
         assert _agree(text) == ("ok", want)
-        for other in (json.dumps(doc, indent=1), v1_text(text)):
+        for other in (json.dumps(doc, indent=1), v2_text(text), v1_text(text)):
             assert _outcome(lambda: json.loads(other), *MAP) == ("ok", want)
 
 
 def test_each_distinct_pair_list_and_sub_document_once(monkeypatch):
-    """eta at n = 8 writes 255 pair lists of 5 distinct array objects and
-    1024 node sub-documents for 146 distinct nodes: each array is turned into
-    text once, and each distinct sub-document decodes to one node."""
+    """eta at n = 8 has 1024 node occurrences, 255 of them holding an array,
+    for 146 distinct nodes and 5 distinct array objects.  Its table writes
+    each node once and each array object as text once, and reading it
+    decodes 146 entries, where its v2 form decodes 1024 sub-documents."""
     written, write = Counter(), serialize._pairs_text
     monkeypatch.setattr(serialize, "_pairs_text", lambda arr: written.update([id(arr)]) or write(arr))
     expr = build_map("eta", 8, 2).expr
     text = json.dumps(mapexpr_to_json(expr))
-    assert text.count('"entries": [[') == 255 and text.count('"kind"') == 1024
+    assert text.count('"kind"') == 146 and text.count('"entries": [[') == 5
+    assert len(text) <= 35_000
     assert len(written) == 5 and set(written.values()) == {1}
-    assert len(list(maps.nodes(mapexpr_from_json(json.loads(text))))) == 146
+    old = v2_text(text)
+    assert old.count('"entries": [[') == 255 and old.count('"kind"') == 1024
+    decoded, decode = Counter(), serialize._node_from_json
+    monkeypatch.setattr(serialize, "_node_from_json",
+                        lambda doc, *rest: decoded.update([id(doc)]) or decode(doc, *rest))
+    for source, count in ((text, 146), (old, 1024)):
+        decoded.clear()
+        assert len(list(maps.nodes(mapexpr_from_json(json.loads(source))))) == 146
+        assert sum(decoded.values()) == count
 
 
 def test_lift_parities_once_per_child(monkeypatch):
@@ -197,7 +208,8 @@ def _schur(entries):
 
 
 def _doc(root):
-    return f'{{"format": "{MAP_FORMAT}", "root": {root}}}'
+    """A hand-written mapexpr-v2 text: a tree of nested node objects."""
+    return f'{{"format": "{MAP_FORMAT_V2}", "root": {root}}}'
 
 
 def _sum(children):
@@ -344,7 +356,8 @@ def test_list_without_repeats_left_to_json_loads():
     text = json.dumps(mapexpr_to_json(maps.Sum((maps.SchurWith(np.ones((4, 4))),
                                                 maps.Conjugate(u)))))
     _agree(text)
-    schur, conj = json.loads(text)["root"]["children"]
+    entries = {e["kind"]: e for e in json.loads(text)["nodes"]}
+    schur, conj = entries["schur"], entries["conjugate"]
     assert schur["mask"] == {"dim": 4, "entries": [[1.0, 0.0]], "runs": [16]}
     assert set(conj["u"]) == {"dim", "entries"} and conj["u"]["entries"] == serialize._pairs(u)
 
@@ -437,19 +450,20 @@ def test_state_and_witness_files(tmp_path):
 
 def test_map_file_reindented_reads_through_the_cli(tmp_path, capsys):
     """`detect --map-file` gives the same report on a map file, on the same
-    document re-indented and on its v1 form."""
+    document re-indented and on its v2 and v1 forms."""
     path = tmp_path / "m.json"
     assert main(["detect", "--map", "mu-choi", "--n", "3", "--d", "3", "--state", "ghz",
                  "--export-map", str(path)]) == 0
     capsys.readouterr()
     text = path.read_text()
     (tmp_path / "i.json").write_text(json.dumps(json.loads(text), indent=1))
+    (tmp_path / "v2.json").write_text(v2_text(text))
     (tmp_path / "v1.json").write_text(v1_text(text))
     reports = []
-    for name in ("m.json", "i.json", "v1.json"):
+    for name in ("m.json", "i.json", "v2.json", "v1.json"):
         assert main(["detect", "--map-file", str(tmp_path / name), "--state", "ghz"]) == 0
         reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
 # Edits that a text may suffer: each keeps the rest of the text as it is.

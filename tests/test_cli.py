@@ -17,7 +17,7 @@ from gme_maps.maps import SchurWith, TraceOuter, compose, identity_map
 from gme_maps.operators import MpOperator, SiteDims
 from gme_maps.serialize import mapexpr_to_json, save_state, state_to_json, write_json
 from gme_maps.states import PureState, ghz, maximally_mixed
-from helpers import hermitian_op, rand_density, reference_text, v1_text
+from helpers import hermitian_op, rand_density, reference_text, v1_text, v2_text
 
 
 def run(capsys, *argv):
@@ -747,7 +747,9 @@ def test_witness_roundtrip_sign(tmp_path, capsys):
 # the tree's terms one by one gave 1.0000000000000004.  The zero off-diagonal
 # support entries are written as 0.0, not as the -0.0 that -3 * 0.0 gives.
 # The v1 pins are of the files the v1 writer wrote, every entry spelled out
-# (`helpers.v1_text` of the v2 file), which still read to the same outputs.
+# (`helpers.v1_text` of the written file), and the map file v2 pins of the
+# files the v2 writer wrote, every node nested in its parent (`helpers.v2_text`
+# of the v3 file); both still read to the same outputs.
 EXPORT_SHA256_V1 = {
     "phi-tx": "c7fa55220fc52490286a9448d24c2b5fa61aa1c53c19a563d4b8b5ed14920e50",
     "eta": "615fdd863a5f478592bfcb7a18bb62f59daee96bdcada8135a6f3c5d4912e216",
@@ -758,10 +760,15 @@ WITNESS_SHA256_V1 = {
     "eta": "284a4e3f9b2729a9697634c6d2d377c30ad64a531f07d7732432a7005756cdaf",
     "mu-choi": "3bcec56c989b5c50cc938b591787d863c32afb00fb7b3747d38dfd59ed1758b2",
 }
-EXPORT_SHA256 = {
+EXPORT_SHA256_V2 = {
     "phi-tx": "38dea5c8ebce6cddb6accef2ddad1a4335989bcafe5d5aebec63a620f6b3645d",
     "eta": "e84e09614967c57ae3291c539a169cdfaf40f025f933d53ec79b8d86ba5f6dc2",
     "mu-choi": "22f180463a30d7c89dd2807405016fd18e5f58b6bb7492500b975420f8a71082",
+}
+EXPORT_SHA256 = {
+    "phi-tx": "f32f9547533c6e008adcaf38476102affb85e67d5adad8ff9e156c0f0033e2b9",
+    "eta": "921d5a46ffb7f8b60bdc56ed72b4513e060750eb6f3356a000069af4e7a83ac7",
+    "mu-choi": "1dfd83940e526321ab98a725f422aa55a5f4b0a1473d82e458877206cb4764d9",
 }
 WITNESS_SHA256 = {
     "phi-tx": "e6f66b0efdb729e73941dc9e72eda29daf21e502179dba29c4ac00020dd61eb0",
@@ -776,19 +783,20 @@ def _sha256(path):
 
 @pytest.mark.parametrize("map_id", sorted(EXPORT_SHA256))
 def test_written_files_pinned(tmp_path, capsys, map_id):
-    """The map and witness files are pinned as written and in their v1 form;
-    the v1 files read to the same map and witness, bit for bit."""
+    """The map and witness files are pinned as written and in their older
+    forms; those read to the same map and witness, bit for bit."""
     n, d = criteria.SMALLEST[map_id]
-    mpath, old_mpath = tmp_path / "m.json", tmp_path / "m1.json"
+    mpath, v2_mpath, old_mpath = tmp_path / "m.json", tmp_path / "m2.json", tmp_path / "m1.json"
     code, _, _ = run(capsys, "detect", "--map", map_id, "--n", str(n), "--d", str(d),
                      "--state", "ghz", "--export-map", str(mpath))
     assert code == 0
+    v2_mpath.write_text(v2_text(mpath.read_text()))
     old_mpath.write_text(v1_text(mpath.read_text()))
-    assert (_sha256(mpath), _sha256(old_mpath)) == (EXPORT_SHA256[map_id],
-                                                    EXPORT_SHA256_V1[map_id])
+    assert (_sha256(mpath), _sha256(v2_mpath), _sha256(old_mpath)) == (
+        EXPORT_SHA256[map_id], EXPORT_SHA256_V2[map_id], EXPORT_SHA256_V1[map_id])
     reports = [run(capsys, "detect", "--map-file", str(p), "--state", "ghz")
-               for p in (mpath, old_mpath)]
-    assert reports[0] == reports[1] and reports[0][0] == 0
+               for p in (mpath, v2_mpath, old_mpath)]
+    assert reports[0] == reports[1] == reports[2] and reports[0][0] == 0
     wpath, old_wpath = tmp_path / "w.json", tmp_path / "w1.json"
     w = criteria.map_to_witness(criteria.build_map(map_id, n, d), ghz(n, d))
     save_state(str(wpath), w)
@@ -806,6 +814,86 @@ def test_written_files_pinned(tmp_path, capsys, map_id):
 # Every catalog map at the sizes of the detect-scaled benchmark, D = 128..256.
 SCALED = (("eta", 7, 2), ("eta", 8, 2), ("phi-tx", 8, 2), ("phi-t", 8, 2),
           ("phi-r", 5, 3), ("phi-b", 4, 4), ("mu-choi", 5, 3))
+
+
+@pytest.mark.parametrize("map_id, n, d", sorted((k, n, d) for k, (n, d) in
+                                                 criteria.SMALLEST.items()) + list(SCALED))
+def test_catalog_tables_round_trip(tmp_path, capsys, map_id, n, d):
+    """Every catalog map at its smallest size and at the detect-scaled sizes
+    reads back from its exported table with the same distinct nodes (146
+    for eta at n = 8), one table entry each, and bit-identical outputs."""
+    path = tmp_path / "m.json"
+    assert run(capsys, "detect", "--map", map_id, "--n", str(n), "--d", str(d),
+               "--state", "ghz", "--export-map", str(path))[0] == 0
+    m = criteria.build_map(map_id, n, d).expr
+    back = serialize.mapexpr_from_json(json.loads(path.read_text()))
+    count = len(list(maps.nodes(m)))
+    assert len(list(maps.nodes(back))) == len(json.loads(path.read_text())["nodes"]) == count
+    assert (map_id, n) != ("eta", 8) or count == 146
+    stack = np.random.default_rng(29).standard_normal((2, m.dim, m.dim))
+    stack = stack + 1j * np.random.default_rng(30).standard_normal(stack.shape)
+    for x in (stack, stack.real.copy()):
+        assert maps.apply_stack(back, x).tobytes() == maps.apply_stack(m, x).tobytes()
+
+
+def _table(*entries):
+    return json.dumps({"format": "mapexpr-v3", "nodes": list(entries)})
+
+
+IDENTITY2 = {"kind": "identity", "d": 2}
+
+
+@pytest.mark.parametrize("text, message", [
+    (_table(IDENTITY2, {"kind": "sum", "children": [0, 2]}, IDENTITY2),
+     "map node 1: child 2 is not an earlier entry"),
+    (_table({"kind": "scale", "r": 1.0, "child": 0}),
+     "map node 0: child 0 is not an earlier entry"),
+    (_table(IDENTITY2, {"kind": "scale", "r": 1.0, "child": -1}),
+     "map node 1: child -1 is not an earlier entry"),
+    (_table(IDENTITY2, {"kind": "scale", "r": 1.0, "child": True}),
+     "map node 1: a child must be an entry index, got True"),
+    (_table(IDENTITY2, {"kind": "sum", "children": [0, 1.0]}),
+     "map node 1: a child must be an entry index, got 1.0"),
+    (_table(IDENTITY2, {"kind": "compose", "outer": 0, "inner": IDENTITY2}),
+     "map node 1: a child must be an entry index, got {'kind': 'identity', 'd': 2}"),
+    (_table(IDENTITY2, {"kind": "sum", "children": 0}), "sum node: field 'children' must be a list"),
+    ('{"format": "mapexpr-v3", "nodes": {"0": {"kind": "identity", "d": 2}}}',
+     "mapexpr-v3 document: 'nodes' must be a list, got dict"),
+    ('{"format": "mapexpr-v3", "root": {"kind": "identity", "d": 2}}',
+     "mapexpr-v3 document: 'nodes' must be a list, got NoneType"),
+    ('{"format": "mapexpr-v3", "nodes": []}', "mapexpr-v3 document: 'nodes' is empty"),
+    (_table(IDENTITY2, 5), "map node must be a JSON object, got int"),
+    (_table(IDENTITY2, *[{"kind": "sum", "children": [k, k]} for k in range(40)]),
+     "map tree has more than 32768 nodes"),
+    (_table(IDENTITY2, *[{"kind": "compose", "outer": 0, "inner": k} for k in range(64)]),
+     "map tree is deeper than 64 levels"),
+    (_table(*[IDENTITY2] * 32769), "map tree has more than 32768 nodes"),
+], ids=["forward", "self", "negative", "true-index", "float-index", "nested-node",
+        "int-children", "dict-nodes", "no-nodes", "empty-nodes", "int-entry", "doubling-40",
+        "compose-65", "long-table"])
+def test_hostile_node_table_exits_2(tmp_path, capsys, monkeypatch, text, message):
+    """A mapexpr-v3 table with a child that is not an earlier entry, no entry
+    list, or an expanded tree past a bound (a shared subtree counted at each
+    occurrence, as evaluation walks it) exits 2 with its own message, and no
+    map is evaluated."""
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    monkeypatch.setattr(maps, "_eval", lambda *_: pytest.fail("a map was evaluated"))
+    code, out, err = run(capsys, "detect", "--map-file", str(path), "--n", "1", "--d", "2",
+                         "--state", "mixed")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_table_bounds_count_the_expanded_tree():
+    """A doubling chain of 14 sums, 32767 nodes in 15 entries, and a chain of
+    63 composes, 64 levels deep, are read; one more level of either is not."""
+    sums = [IDENTITY2] + [{"kind": "sum", "children": [k, k]} for k in range(15)]
+    composes = [IDENTITY2] + [{"kind": "compose", "outer": 0, "inner": k} for k in range(64)]
+    for table, fits, message in ((sums, 15, "more than 32768 nodes"), (composes, 64, "deeper")):
+        m = serialize.mapexpr_from_json(json.loads(_table(*table[:fits])))
+        assert len(list(maps.nodes(m))) == fits
+        with pytest.raises(ValueError, match=message):
+            serialize.mapexpr_from_json(json.loads(_table(*table[:fits + 1])))
 
 
 @pytest.mark.parametrize("map_id, n, d", SCALED)

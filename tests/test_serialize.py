@@ -21,8 +21,8 @@ from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report, json
 from gme_maps.cli import main
 from gme_maps.operators import MpOperator, SiteDims
 from gme_maps.states import PureState, ghz, maximally_mixed, ppt_family
-from helpers import (hermitian_op, lifted_map_exprs, map_exprs, reference_text,
-                     run_heavy_exprs, v1_text, x_projected_exprs)
+from helpers import (hermitian_op, inlined, lifted_map_exprs, map_exprs, reference_text,
+                     run_heavy_exprs, v1_text, v2_text, x_projected_exprs)
 
 
 def test_pure_state_roundtrip():
@@ -116,7 +116,7 @@ def test_state_dims_are_integers(tmp_path, dims, message):
 def test_mapexpr_roundtrip(factory):
     expr = factory()
     doc = mapexpr_to_json(expr)
-    assert doc["format"] == "mapexpr-v2"
+    assert doc["format"] == "mapexpr-v3"
     back = mapexpr_from_json(json.loads(json.dumps(doc)))
     rng = np.random.default_rng(1)
     dims = (2, 2, 2) if expr.dim == 8 else ((3, 3, 3) if expr.dim == 27 else (4, 4, 4))
@@ -128,7 +128,8 @@ def test_mapexpr_roundtrip(factory):
 
 # sha256 of json.dumps(mapexpr_to_json(...)), the text `detect --export-map`
 # writes before its newline, for each catalog map at its smallest size: as
-# mapexpr-v1 wrote it, every entry spelled out, and as mapexpr-v2 writes it.
+# mapexpr-v1 wrote it, every entry spelled out, as mapexpr-v2 wrote it, every
+# node nested in its parent, and as mapexpr-v3 writes it.
 CATALOG_SHA256_V1 = {
     "phi-t": "59591ff08fd5df383e898856f1552b9304b433493ecc04b5854952d4cf5e826b",
     "phi-tx": "ad64e64556aeb30b8569cf1062406f085c6c1e38fed3eebb3b8b7c0f743f13c8",
@@ -137,7 +138,7 @@ CATALOG_SHA256_V1 = {
     "phi-b": "d9a035f7875ccba6dee136077b20ae65d0c531a32298524b09fe09be9d21e3ad",
     "mu-choi": "9ac64209d802e5b1f6321b9f479e1f8a3273b9fb2841d1f4263dd78a13a9f4be",
 }
-CATALOG_SHA256 = {
+CATALOG_SHA256_V2 = {
     "phi-t": "5edb3b8977a6461b5ccb4a21145cab80a049c7524d45003a3d59fdb210c0d57c",
     "phi-tx": "0ad0087285e6dc0b7623438c3898a41ddb801510a4820690bd41202d95d27d21",
     "eta": "82c5066215210cfa13948dca000bb319b03cded0b1a6963ba30bdd02c7c06284",
@@ -145,21 +146,32 @@ CATALOG_SHA256 = {
     "phi-b": "a1cbb72ac07ca00810bb1985614976ab517fdeb9f182fd3ad86acc8fd43451bb",
     "mu-choi": "3c772b2fbffdd835c11726ac25ba3d5d6672d23858860475d39f0b49bc73feec",
 }
+CATALOG_SHA256 = {
+    "phi-t": "49b5d52c8d965418a04fc52405d1821d0b87d5d992e9807c74d1d3afde4076ba",
+    "phi-tx": "b4e215d2a73efb06512c17d65cb61a6dfec6433886e3b556f3bca02e94583f21",
+    "eta": "b4f8e2c67eded891050476aabb9a656bb39dc9777a134eae22a983391bd06a63",
+    "phi-r": "6657fc17cccc5f1314591985cbfc205c60d2b5bd21158b5b81203b502e40ad30",
+    "phi-b": "e32e769bc72fbf9c47ab37f63b38f48d1f9529ab83354beeb6edfcc0e68d3fc1",
+    "mu-choi": "223a3d50f607d99b88b1958018707b08012bb448ce4761cfcbd61c1297e35a1c",
+}
 
 
 @pytest.mark.parametrize("map_id", sorted(CATALOG_SHA256))
 def test_mapexpr_bytes_pinned(map_id):
-    """The v2 text is pinned, its v1 form hashes to the v1 pin, and the v1
-    text reads to the catalog tree: the same v2 text, the same outputs."""
+    """The v3 text is pinned; its table inlined into the v2 tree hashes to the
+    v2 pin, so the table carries the v2 file's node data, and its v1 form to
+    the v1 pin.  The v2 and v1 texts read to the catalog tree: the same v3
+    text, the same outputs."""
     expr = build_map(map_id, *SMALLEST[map_id]).expr
     text = json.dumps(mapexpr_to_json(expr))
-    old = v1_text(text)
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[map_id]
-    assert hashlib.sha256(old.encode()).hexdigest() == CATALOG_SHA256_V1[map_id]
-    back = mapexpr_from_json(json.loads(old))
-    assert json.dumps(mapexpr_to_json(back)) == text
+    assert hashlib.sha256(v2_text(text).encode()).hexdigest() == CATALOG_SHA256_V2[map_id]
+    assert hashlib.sha256(v1_text(text).encode()).hexdigest() == CATALOG_SHA256_V1[map_id]
     stack = np.random.default_rng(5).standard_normal((2, expr.dim, expr.dim)) + 0j
-    assert apply_stack(back, stack).tobytes() == apply_stack(expr, stack).tobytes()
+    for old in (v2_text(text), v1_text(text)):
+        back = mapexpr_from_json(json.loads(old))
+        assert json.dumps(mapexpr_to_json(back)) == text
+        assert apply_stack(back, stack).tobytes() == apply_stack(expr, stack).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +192,9 @@ def test_mapexpr_unknown_kind():
 
 
 def _root(node):
-    return {"format": serialize.MAP_FORMAT, "root": node}
+    """A mapexpr-v2 document: the decoder reads the fields of its nested node
+    objects as it reads a v3 table's entries."""
+    return {"format": serialize.MAP_FORMAT_V2, "root": node}
 
 
 IDENTITY8 = {"kind": "identity", "d": 8}
@@ -382,7 +396,46 @@ def test_mapexpr_decode_shares_equal_subtrees():
     assert terms[0] is terms[1] and terms[3] is not terms[0] and terms[5] is terms[4]
     assert terms[2] is not terms[0] and terms[6] is not terms[4]
     assert len({id(t.child) for t in terms[:4]}) == 1
-    assert json.dumps(mapexpr_to_json(mapexpr_from_json(_root(doc)))) == json.dumps(_root(doc))
+    back = mapexpr_to_json(mapexpr_from_json(_root(doc)))
+    assert json.dumps(inlined(back)) == json.dumps(_root(doc))
+
+
+def test_equal_table_entries_become_one_node():
+    """Equal entries of a mapexpr-v3 table decode to one node, as equal v2
+    sub-documents do, and the writer writes a node once however many parents
+    share it: the table re-exports with the duplicate entry dropped."""
+    ident = {"kind": "identity", "d": 2}
+    table = [ident, dict(ident), {"kind": "sum", "children": [0, 1, 1]}]
+    m = mapexpr_from_json({"format": "mapexpr-v3", "nodes": table})
+    assert m.children[0] is m.children[1] is m.children[2]
+    assert mapexpr_to_json(m)["nodes"] == [ident, {"kind": "sum", "children": [0, 0, 0]}]
+    # equal nodes that are distinct objects are one entry
+    twins = maps.Sum((maps.SchurWith(np.ones((2, 2))), maps.SchurWith(np.ones((2, 2)))))
+    assert [e["kind"] for e in mapexpr_to_json(twins)["nodes"]] == ["schur", "sum"]
+
+
+def _doubling(levels):
+    """A sum of two copies of a sum of two copies ..., `levels` deep over an
+    identity: 2 ** (levels + 1) - 1 nodes in `levels` + 1 distinct ones."""
+    m = identity_map(2)
+    for _ in range(levels):
+        m = maps.Sum((m, m))
+    return m
+
+
+def test_writer_bounds_the_expanded_tree(tmp_path):
+    """The writer counts a shared subtree once per occurrence, as `_eval`
+    walks it, and refuses a tree past a bound before the file is opened."""
+    text = json.dumps(mapexpr_to_json(_doubling(14)))  # 32767 nodes in 15 entries
+    assert len(json.loads(text)["nodes"]) == 15
+    assert json.dumps(mapexpr_to_json(mapexpr_from_json(json.loads(text)))) == text
+    path = tmp_path / "m.json"
+    for m, message in ((_doubling(15), f"more than {MAX_MAP_NODES} nodes"),
+                       (_doubling(40), f"more than {MAX_MAP_NODES} nodes"),
+                       (compose(*[identity_map(2)] * (MAX_MAP_DEPTH + 1)), "deeper")):
+        with pytest.raises(ValueError, match=message):
+            save_map(str(path), m)
+        assert not path.exists()
 
 
 @settings(max_examples=60, deadline=None)
@@ -460,14 +513,17 @@ def test_repeated_array_object_written_once(tmp_path, monkeypatch):
 def test_array_with_runs_only_as_a_member_value(tmp_path):
     """An array with runs is written as the value of an object member, where
     its "runs" member can stand beside it; in a list it is refused, not
-    written as text that is no JSON."""
+    written as text that is no JSON, before the file is opened."""
     path = tmp_path / "d.json"
     write_json(str(path), {"x": [np.arange(3.0)], "y": np.zeros(3)})
     assert json.loads(path.read_text()) == {"x": [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]],
                                             "y": [[0.0, 0.0]], "runs": [3]}
-    for doc in ([np.zeros(3)], {"x": [1, np.zeros(3)]}, {"x": {"y": [np.zeros(3)]}}):
+    for doc in ([np.zeros(3)], {"x": [1, np.zeros(3)]}, {"x": {"y": [np.zeros(3)]}},
+                {"a": [np.zeros(3)]}, {"a": np.arange(3.0), "b": [np.zeros(3)]}):
+        new = tmp_path / "new.json"
         with pytest.raises(ValueError, match="object member"):
-            write_json(str(path), doc)
+            write_json(str(new), doc)
+        assert not new.exists()
 
 
 @settings(max_examples=200, deadline=None)
