@@ -20,7 +20,7 @@ from .grades import bipartitions
 from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
                    Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
                    apply, breuer_hall_map, dual, mu_constant, reduction_map,
-                   transpose_map, x_support_blocks)
+                   transpose_map, x_support_index)
 from .operators import MpOperator, PartySubset, SiteDims, is_hermitian
 from .states import PureState, clock_matrix, shift_matrix
 
@@ -96,8 +96,10 @@ def x_projector(n: int, d: int) -> MapExpr:
     """
     if n < 2 or d < 2:
         raise ValueError("x_projector needs n >= 2 and d >= 2")
-    block = x_support_blocks(SiteDims((d,) * n))
-    return SchurWith((block[:, None] == block[None, :]).astype(float))
+    index = x_support_index(SiteDims((d,) * n))
+    mask = np.zeros((d ** n, d ** n))
+    mask[index[:, :, None], index[:, None, :]] = 1.0
+    return SchurWith(mask)
 
 
 def x_projector_mixture(n: int, d: int) -> MapExpr:

@@ -18,8 +18,9 @@ F_{min A} prod_{i in A, i > min A} L_i of commuting per-site maps:
 
 `bipartition_sum` adds all 2^(n-1) - 1 lifts by one recurrence over grades,
 the sizes of the sides, in about n^2 / 2 site steps per product;
-`bipartition_gather_sum` does so on D-vectors, for L_i an index gather.
-Every other lift is evaluated block by block in `maps`.
+`bipartition_gather_sum` does so on D-vectors, for L_i an index gather, and
+`bipartition_diagonal_sum` for the reductions on a diagonal input.  Every
+other lift is evaluated block by block in `maps`.
 """
 
 from __future__ import annotations
@@ -192,6 +193,22 @@ def _trace_step(i: int, y: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
+def _digit_sum_step(i: int, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """P_i on the diagonal of a diagonal input, y shaped as p.reshape((-1,) +
+    dims): the sum over site i's digit, added at each digit, in the order
+    `_trace_step` adds the diagonal blocks."""
+    t = y.reshape(prod(y.shape[:1 + i]), y.shape[1 + i], -1)
+    if out is None:
+        out = np.zeros(y.shape, y.dtype)
+    o = out.reshape(t.shape)
+    tr = t[:, 0] + t[:, 1]
+    for j in range(2, t.shape[1]):
+        tr += t[:, j]
+    for j in range(t.shape[1]):
+        o[:, j] += tr
+    return out
+
+
 #: the signs of v y v^T on one site, v = `maps.default_skew_unitary(d)`, for
 #: its rows and columns in halves of d / 2 digits: - where the halves differ
 _SKEW_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(1, 2, 1, 1, 2, 1, 1)
@@ -289,3 +306,13 @@ def bipartition_gather_sum(p: np.ndarray, sites: np.ndarray) -> np.ndarray:
 
     n = len(sites)
     return _whole(p, np.zeros(p.shape, p.dtype), n, ((1, gather, gather),), (1.0,) * (n // 2 + 1))
+
+
+def bipartition_diagonal_sum(p: np.ndarray, graded: GradedLifts) -> np.ndarray:
+    """The diagonal of `bipartition_sum` of reduction lifts on an input whose
+    only nonzero entries are its diagonal p, shape (..., D): the P_i keep such
+    an input diagonal, so the recurrence runs on p (`_digit_sum_step`) from
+    own p, as `bipartition_sum` runs it whole from own x."""
+    t = np.ascontiguousarray(p).reshape((-1,) + graded.dims.dims)
+    terms = ((1, _digit_sum_step, _digit_sum_step),)
+    return _whole(t, graded.own * t, graded.dims.n, terms, graded.weights).reshape(p.shape)

@@ -17,13 +17,17 @@ lift, as `estimate_mu` makes, or a sum of another shape) applies its child
 block by block, on tables made at its first such evaluation.  The catalog
 lifts one child node onto every side of a size, so a tree costs about its
 distinct nodes to build; `dual` and `nodes` take each distinct node once.
-A bipartition sum of lifted sigma_x T or Choi maps projected onto the cyclic
-GHZ support (eta, mu-choi, their duals and their map files, the catalog
-trees that share a subtree) is recognised when its root is built
-(`Compose.support`), and `apply` evaluates it in closed form on the D d
-entries of that support instead of walking the tree; else the walker runs.
-"""
 
+Some roots have a closed form on the cyclic GHZ ("X") support
+(`MapExpr.support`), worked out at their first application: a bipartition
+sum of lifted sigma_x T or Choi maps projected onto that support (eta,
+mu-choi), which holds for every input, and graded qubit chains or
+reductions followed only by a compensation (phi-t and phi-tx on qubits,
+phi-r), which holds for an input whose nonzero entries all lie on the
+support.  Their duals and map files take it too.  `apply` evaluates such a
+form on the D d entries of the support, for the latter only above
+`DENSE_MAX_DIM`; else the walker runs.
+"""
 from __future__ import annotations
 
 import functools
@@ -35,9 +39,9 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .grades import (GradedLifts, bipartition_gather_sum, bipartition_sum,
-                     covers_bipartitions, graded_form)
-from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims,
+from .grades import (GradedLifts, bipartition_diagonal_sum, bipartition_gather_sum,
+                     bipartition_sum, covers_bipartitions, graded_form)
+from .operators import (DENSE_MAX_DIM, BlockOperator, MpOperator, PartySubset, SiteDims,
                         frozen_copy, party_subset, real_or_complex, site_dims)
 from .states import haar_vector
 
@@ -70,12 +74,23 @@ class MapExpr:
     """Base node; every node knows the side length of matrices it accepts."""
 
     dim: int
-    #: the closed form on the X support, set on a recognised root `Compose`
-    support: SupportForm | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"map dimension must be >= 1, got {self.dim}")
+
+    @functools.cached_property
+    def support(self) -> SupportForm | None:
+        """The closed form of this map on the X support, which `apply` uses on
+        a root: a `Compose` of the masked shape (`_support_form`), or a `Sum`
+        of graded qubit chains or reductions and compensations
+        (`_graded_support_form`); None for any other tree.  Kept on the node,
+        so it is worked out once."""
+        if isinstance(self, Compose):
+            return _support_form(self)
+        if isinstance(self, Sum):
+            return _graded_support_form(self)
+        return None
 
     @functools.cached_property
     def parities(self) -> tuple[bool, bool] | None:
@@ -320,7 +335,8 @@ class Sum(MapExpr):
     (chains with equal parities, reductions or default Breuer-Hall maps)
     onto every bipartition representative (`grades.bipartitions`).
     `_eval_sum` then sums those lifts by `grades.bipartition_sum`, one
-    recurrence for every kind.
+    recurrence for every kind.  Qubit chains and reductions followed only by
+    compensations also have a closed form on the X support (`support`).
     """
 
     children: tuple[MapExpr, ...]
@@ -352,19 +368,17 @@ class Scale(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class Compose(MapExpr):
-    """outer after inner; `support` is set on a bipartition sum projected onto
-    the X support (eta, mu-choi, their duals), which `apply` evaluates on it."""
+    """outer after inner; `support` is a bipartition sum projected onto the X
+    support (eta, mu-choi, their duals), which `apply` evaluates on it."""
 
     outer: MapExpr
     inner: MapExpr
     dim: int = field(init=False)
-    support: SupportForm | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.outer.dim != self.inner.dim:
             raise ValueError("composed maps disagree on dimension")
         object.__setattr__(self, "dim", self.inner.dim)
-        object.__setattr__(self, "support", _support_form(self))
 
 
 # ---------------------------------------------------------------------------
@@ -538,20 +552,31 @@ def _eval_blocks(lift: Lift, x: np.ndarray) -> np.ndarray:
     return t.reshape(x.shape)
 
 
+def _routed(m: MapExpr, x: np.ndarray) -> np.ndarray:
+    """The map on a stack x, by its support form where that holds for x
+    (`SupportForm.holds`), else by the walker."""
+    form = m.support
+    return form.dense(x) if form is not None and form.holds(x) else _eval(m, x)
+
+
 def apply(m: MapExpr, op: MpOperator) -> MpOperator:
     """Evaluate the map on a multipartite operator."""
     _check_operator(m, op)
-    return MpOperator(op.dims, _eval(m, op.mat) if m.support is None else m.support.dense(op.mat))
+    return MpOperator(op.dims, _routed(m, op.mat))
 
 
 def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
-    """`apply`, keeping the output of a map with a `Compose.support` form as
-    its d x d blocks on the X support (a `BlockOperator` on the form's
-    `index`, the one index object of every output of the map)."""
+    """`apply`, keeping the output of a map whose support form holds for
+    every input (`SupportForm.every`) as its d x d blocks on the X support
+    (a `BlockOperator` on the form's `index`, the one index object of every
+    output on those sites).  A form that holds on the support alone gives
+    the whole output, so an input on the support and one off it, as the two
+    of a threshold pencil can be, come out alike."""
+    form = m.support
+    if form is None or not form.every:
+        return apply(m, op)
     _check_operator(m, op)
-    if m.support is None:
-        return MpOperator(op.dims, _eval(m, op.mat))
-    return BlockOperator(op.dims, m.support.index, m.support.blocks(op.mat))
+    return BlockOperator(op.dims, form.index, form.blocks(op.mat))
 
 
 def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
@@ -559,7 +584,7 @@ def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
     stack = real_or_complex(stack)
     if stack.shape[-1] != m.dim or stack.shape[-2] != m.dim:
         raise ValueError("stack side does not match map dimension")
-    return _eval(m, stack) if m.support is None else m.support.dense(stack)
+    return _routed(m, stack)
 
 
 def _check_operator(m: MapExpr, op: MpOperator) -> None:
@@ -576,36 +601,92 @@ def _check_operator(m: MapExpr, op: MpOperator) -> None:
 #
 # The cyclic GHZ ("X") support S of n sites of dimension d holds the entries
 # (u, v) whose digits differ by the same c on every site, mod d: D/d blocks of
-# d x d, block b on the basis vectors u, u + (1, ..., 1), ....  eta and mu-choi
-# are Compose(m, P) or Compose(P, m), P the 0/1 mask of S, m = phi + c1 Diag phi
-# + c2 Diag and phi one lift per bipartition side A of sigma_x T (qubits) or of
-# the Choi map with local shifts.  With k lifts and p(u) = x(u, u), m sends the
-# off-diagonal entries of S to beta k times themselves (beta = 1 for sigma_x T,
-# -1 for Choi), the diagonal to (1 + c1) phi(p) + c2 p, all else to zero, with
+# d x d, block b on the basis vectors u, u + (1, ..., 1), ....  Let p(u) =
+# x(u, u) and k be the number of lifts, one per bipartition side A.
+#
+# eta and mu-choi are Compose(m, P) or Compose(P, m), P the 0/1 mask of S,
+# m = phi + c1 Diag phi + c2 Diag and phi one lift per side A of sigma_x T
+# (qubits) or of the Choi map with local shifts.  m sends the off-diagonal
+# entries of S to beta k times themselves (beta = 1 for sigma_x T, -1 for
+# Choi), the diagonal to (1 + c1) phi(p) + c2 p, all else to zero, with
 # phi(p) = G_1(p) for sigma_x T and k p + G_1(p) + ... + G_{d-2}(p) for Choi,
-# G_t(p)(u) = sum_A p(u + s t e_A) and s = -1 for the adjoint shifts.
+# G_t(p)(u) = sum_A p(u + s t e_A) and s = -1 for the adjoint shifts.  P
+# makes that the output on every input.
+#
+# phi-t and phi-tx on qubits, and phi-r, are graded lifts followed by c Tr I,
+# and they keep S: on an input supported on S they are D-vector work.  A
+# qubit chain with parities (t, r) maps |u><v| to |u'><v'|, where u' and v'
+# swap u's and v's digits on A when t is odd and flip both there when r is.
+# So with q(u) = x(u, u + (1, ..., 1)), the other entry of u's block, and
+# G = G_1, the diagonal goes to (r ? G(p) : k p) + c Tr(x) and q to
+# (t != r ? G(q) : k q).  A reduction
+# lift is w_|A| (I_A (x) Tr_A - 1), and I_A (x) Tr_A, the product of the
+# P_i(y) = I_i (x) Tr_i y over A, sends an off-diagonal entry of S to zero
+# and the diagonal to a diagonal; so the diagonal goes to
+# sum_A w_|A| prod_{i in A} P_i(p) + own p + c Tr(x), own = -sum_A w_|A|,
+# and the other entries of S to own times themselves.  A qudit transposition
+# or a Breuer-Hall lift moves entries off S, so those keep the walker.
 
 
 class SupportForm(NamedTuple):
-    """A map recognised on the X support (`Compose.support`): the output
-    diagonal is `graded` G(p) + `own` p, with one table of per-site digit
-    shifts (`bipartition_gather_sum`) per addend of G, and every other entry
-    of a block is `off` times the input's; `index[b, a]` is the basis index of
-    row a of block b of the X support of `dims`."""
+    """A map in closed form on the X support (`MapExpr.support`).
+
+    The output diagonal is `graded` G(p) + `own` p, G the sum over `shifts`
+    of `bipartition_gather_sum` on each table of per-site digit shifts, or,
+    for reductions, the graded sum of `lifts` on the diagonal
+    (`bipartition_diagonal_sum`, own p included); then c Tr(x) for each c
+    of `traces`.  Every other entry of a block is `off` times the input's,
+    or, when `off` is None (qubits), q(u) = x(u, u + (1, ..., 1)) goes to
+    G(q).  Every
+    entry off the support is zero.  `index[b, a]` is the basis index of row
+    a of block b of the X support of `dims` (`x_support_index`).  `every`
+    is True when the form holds for every input (a masked root), False when
+    it holds only for an input whose nonzero entries all lie on the
+    support (`holds`)."""
 
     dims: SiteDims
     index: np.ndarray
-    off: float
+    off: float | None
     own: float
     graded: float
     shifts: tuple[np.ndarray, ...]
+    traces: tuple[float, ...] = ()
+    lifts: GradedLifts | None = None
+    every: bool = True
+
+    def holds(self, x: np.ndarray) -> bool:
+        """Whether the form gives the map's output on a stack x: always for a
+        form that holds for every input, else when every exact nonzero entry
+        of x lies on the support."""
+        if self.every:
+            return True
+        idx = self.index
+        return np.count_nonzero(x) == np.count_nonzero(x[..., idx[:, :, None], idx[:, None, :]])
+
+    def _spread(self, p: np.ndarray) -> np.ndarray:
+        """G(p) of a stack of D-vectors."""
+        return sum(bipartition_gather_sum(p, t) for t in self.shifts)
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         """The output blocks, shape (..., D/d, d, d), of a stack (..., D, D)."""
         idx, p = self.index, _diag_vec(x)
-        diag = sum(bipartition_gather_sum(p, t) for t in self.shifts) * self.graded + self.own * p
-        out = x[..., idx[:, :, None], idx[:, None, :]] * self.off
+        if self.lifts is not None:
+            diag = bipartition_diagonal_sum(p, self.lifts)
+        elif self.graded:
+            diag = self._spread(p) * self.graded + self.own * p
+        else:
+            diag = self.own * p
+        if self.traces:
+            tr = _trace(x)[..., None]
+            for c in self.traces:
+                diag = diag + c * tr
+        out = x[..., idx[:, :, None], idx[:, None, :]]
         a = np.arange(idx.shape[1])
+        if self.off is None:
+            u = np.arange(p.shape[-1])
+            out[..., a, a[::-1]] = self._spread(x[..., u, u[::-1]])[..., idx]
+        else:
+            out *= self.off
         out[..., a, a] = diag[..., idx]
         out += 0.0  # -k times a zero entry is -0.0, which a file would write as such
         return out
@@ -626,19 +707,24 @@ def _shift_steps(d: int, n: int, t: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def x_support_blocks(dims: SiteDims) -> np.ndarray:
-    """The X-support block of each basis index of `dims`, all sites of one
-    dimension d: its digits' offsets from site 0, mod d, read in base d.
-    Entry (u, v) lies on the support exactly when u and v share a block."""
+def x_support_index(dims: SiteDims) -> np.ndarray:
+    """(D/d, d): the basis indices of each block of the X support of `dims`,
+    all sites of one dimension d, each block's indices ascending.  A basis
+    index's block is labelled by its digits' offsets from site 0, mod d,
+    read in base d, and the blocks come in label order; entry (u, v) lies
+    on the support exactly when u and v share a block.  Read-only and shared
+    by every support form on these dims, so their outputs' `BlockOperator`s
+    stack together (`operators.joint_blocks`)."""
     d, n = dims.dims[0], dims.n
     digits = np.arange(d ** n) // d ** np.arange(n - 1, -1, -1)[:, None] % d
     block = d ** np.arange(n - 2, -1, -1) @ ((digits[1:] - digits[0]) % d)
-    block.flags.writeable = False  # shared by every map on these dims
-    return block
+    index = np.argsort(block, kind="stable").reshape(-1, d)
+    index.flags.writeable = False
+    return index
 
 
 def _support_form(m: Compose) -> SupportForm | None:
-    """The `SupportForm` of a root Compose of the shape above, else None."""
+    """The `SupportForm` of a root Compose of the masked shape above, else None."""
     mask, body = (m.inner, m.outer) if isinstance(m.inner, SchurWith) else (m.outer, m.inner)
     if not (isinstance(mask, SchurWith) and isinstance(body, Sum)):
         return None
@@ -663,12 +749,33 @@ def _support_form(m: Compose) -> SupportForm | None:
             return None
         s = signs.pop()
         off, own, shifts = -k, (1 + c1) * k + c2, range(s, s * (d - 1), s)
-    index = np.argsort(x_support_blocks(dims), kind="stable").reshape(-1, d)
+    index = x_support_index(dims)
     on_s = mask.mask[index[:, :, None], index[:, None, :]]
     if np.count_nonzero(mask.mask) != on_s.size or not np.all(on_s == 1):
         return None
     tables = tuple(np.arange(dims.total) + _shift_steps(d, dims.n, t) for t in shifts)
     return SupportForm(dims, index, float(off), float(own), 1 + c1, tables)
+
+
+def _graded_support_form(m: Sum) -> SupportForm | None:
+    """The `SupportForm` of a sum of graded qubit chains or reductions
+    (`Sum.graded`) followed only by compensations (`TraceIdentity`), on a
+    side above `DENSE_MAX_DIM`, the one rule for whole matrices against
+    blocks, so smaller maps keep the walker; None otherwise.  It holds for
+    inputs on the X support only."""
+    g = m.graded
+    if g is None or m.dim <= DENSE_MAX_DIM or not all(
+            isinstance(c, TraceIdentity) for c in m.children[g.count:]):
+        return None
+    dims, k = g.dims, float(g.count)
+    traces = tuple(float(c.c) for c in m.children[g.count:])
+    if g.kind == "reduction":
+        return SupportForm(dims, x_support_index(dims), g.own, g.own, 0.0, (), traces, g, False)
+    if g.kind != "chain" or set(dims.dims) != {2}:
+        return None
+    (t, r), flips = g.parities, (np.arange(m.dim) + _shift_steps(2, dims.n, 1),)
+    return SupportForm(dims, x_support_index(dims), None if t != r else k, 0.0 if r else k,
+                       float(r), flips, traces, every=False)
 
 
 def _choi_sign(node: MapExpr, m: int, d: int) -> int | None:

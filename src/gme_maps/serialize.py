@@ -317,11 +317,16 @@ def _check_size(depth: int, count: int) -> None:
 def _tree_size(sizes: list[tuple[int, int]], kids: list[int]) -> tuple[int, int]:
     """(depth, count) of the expanded tree of a node whose children are the
     entries `kids` of a table whose entries have `sizes`, a child counted at
-    each occurrence; checked against the bounds."""
-    depth = 1 + max((sizes[k][0] for k in kids), default=0)
-    count = 1 + sum(sizes[k][1] for k in kids)
-    _check_size(depth, count)
-    return depth, count
+    each occurrence; checked against the bounds.  One plain loop: the writer
+    and the reader run it once per entry."""
+    depth, count = 0, 1
+    for k in kids:
+        below, size = sizes[k]
+        if below > depth:
+            depth = below
+        count += size
+    _check_size(depth + 1, count)
+    return depth + 1, count
 
 
 def _share_key(value: Any) -> Any:

@@ -741,7 +741,7 @@ def test_witness_roundtrip_sign(tmp_path, capsys):
 # The CLI's own witness comes from an eigensolver's eigenvector, whose last
 # bits depend on the LAPACK build, so the witness is pinned on the exact vector.
 # The eta and mu-choi witnesses go through the closed form on the X support
-# (`maps.Compose.support`), which folds the tree's scalars before it touches
+# (`maps.MapExpr.support`), which folds the tree's scalars before it touches
 # the data: each of mu-choi's twelve nonzero diagonal entries is one rounding
 # of 3 * <000|rho|000> = 1.00000000000000028, 1.0000000000000002, where summing
 # the tree's terms one by one gave 1.0000000000000004.  The zero off-diagonal

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gme_maps import maps
 from gme_maps.criteria import (MAP_IDS, SMALLEST, GmeMap, alpha_critical, bipartitions, build_map,
                                eta_map, mu_map, phi_b, phi_r, phi_t, phi_tx,
                                witness_to_map)
@@ -223,6 +224,25 @@ def test_block_pencil_matches_dense_on_catalog(map_id, n, d):
     m = build_map(map_id, n, d)
     target = w_state(n) if map_id == "phi-t" else ghz(n, d)
     _assert_block_pencil_matches_dense(m, target.density())
+
+
+@pytest.mark.parametrize("map_id, n", [("phi-t", 7), ("phi-t", 8), ("phi-tx", 8)])
+def test_pencil_of_inputs_on_and_off_the_support(map_id, n):
+    """I/D lies on the X support, so phi-t and phi-tx take their support form
+    for it, and W does not: both outputs are whole matrices, so the pencil is
+    split on their joint pattern as the walker's outputs are, to the same
+    blocks, and W is not detected at p = 1, as by the walker."""
+    m = build_map(map_id, n, 2)
+    target, mixed = w_state(n).density(), maximally_mixed(m.dims)
+    assert m.expr.support.holds(mixed.mat) and not m.expr.support.holds(target.mat)
+    walker = joint_blocks([MpOperator(m.dims, maps._eval(m.expr, x.mat)) for x in (target, mixed)])
+    groups = _noise_outputs(m, target)
+    assert [index.tolist() for index, _ in groups] == [index.tolist() for index, _ in walker]
+    assert all(np.max(np.abs(s - t)) <= 1e-12 for (_, s), (_, t) in zip(groups, walker))
+    assert _pencil_min(groups, DETECT_TOL) == pytest.approx(_pencil_min(walker, DETECT_TOL),
+                                                            abs=1e-12)
+    with pytest.raises(NotDetectedError, match="not detected at p=1"):
+        noise_threshold(m, w_state(n))
 
 
 @pytest.mark.parametrize("case", range(4))

@@ -23,8 +23,8 @@ from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Lift, 
 from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, is_hermitian,
                                 min_eig, operator)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
-from gme_maps.states import (PureState, clock_matrix, ghz, maximally_entangled,
-                             shift_matrix)
+from gme_maps.states import (PureState, clock_matrix, depolarized, ghz, maximally_entangled,
+                             maximally_mixed, shift_matrix, w_state)
 from helpers import (density_op, digit_reversal, hermitian_op, lift_by_lift, lift_sites,
                      lifted_map_exprs, map_exprs, monomial, rand_density, rand_hermitian,
                      superoperator, x_projected_exprs)
@@ -834,8 +834,7 @@ def _is_real_tree(m):
 
 def _complex_route(m, x):
     """The map on x cast to complex128, by the route `apply_stack` takes."""
-    x = x.astype(complex)
-    return maps._eval(m, x) if m.support is None else m.support.dense(x)
+    return maps._routed(m, x.astype(complex))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1134,6 +1133,77 @@ def test_x_support_route_property(case, c1, c2, dual_, reload, batch, real, seed
     if real:
         want = _complex_route(m, x)
         assert got.dtype == float and not want.imag.any() and np.array_equal(got, want.real)
+
+
+#: graded sums with a form on the X support for inputs on it, D = 128..256
+GRADED_ROUTED = [("phi-t", 7, 2), ("phi-t", 8, 2), ("phi-tx", 7, 2), ("phi-tx", 8, 2),
+                 ("phi-r", 5, 3), ("phi-r", 4, 4), ("phi-r", 7, 2)]
+
+
+@functools.cache
+def _graded_routed(map_id, n, d):
+    """The map, its dual, and both after a map-file round trip."""
+    return tuple(_x_routed_exprs(map_id, n, d))
+
+
+def _on_support_input(kind, n, d, real, rng):
+    """A random Hermitian matrix whose nonzero entries lie on the X support,
+    or GHZ, noisy GHZ or I/D."""
+    dims = SiteDims((d,) * n)
+    if kind == "ghz":
+        return ghz(n, d).density().mat
+    if kind == "noisy-ghz":
+        return depolarized(ghz(n, d), 0.7).mat
+    if kind == "mixed":
+        return maximally_mixed(dims).mat
+    index = maps.x_support_index(dims)
+    blocks = rng.standard_normal(index.shape + (d,))
+    if not real:
+        blocks = blocks + 1j * rng.standard_normal(blocks.shape)
+    x = np.zeros((dims.total,) * 2, dtype=blocks.dtype)
+    x[index[:, :, None], index[:, None, :]] = blocks + blocks.conj().swapaxes(-1, -2)
+    return x
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(GRADED_ROUTED), st.integers(0, 3),
+       st.sampled_from(["random", "ghz", "noisy-ghz", "mixed"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(("phi-t", 8, 2), 0, "random", True, 1)
+@example(("phi-tx", 8, 2), 3, "random", False, 2)
+@example(("phi-r", 4, 4), 1, "noisy-ghz", True, 3)
+@example(("phi-r", 5, 3), 2, "random", True, 4)
+@example(("phi-t", 7, 2), 1, "mixed", True, 5)
+def test_graded_support_route_property(case, variant, kind, real, seed):
+    """phi-t, phi-tx and phi-r, as built, as dual and reloaded, take the form
+    on the X support for an input on it: it equals the walker to 1e-12
+    relative in the walker's dtype, and a real input's output is the complex
+    route's real part bit for bit.  The same input with one entry moved off
+    the support, and the W state, take the walker, bit for bit."""
+    n, d = case[1:]
+    m = _graded_routed(*case)[variant]
+    form = m.support
+    assert form is not None and not form.every
+    rng = np.random.default_rng(seed)
+    x = _on_support_input(kind, n, d, real, rng)
+    assert form.holds(x)
+    got, want = apply_stack(m, x), maps._eval(m, x)
+    assert got.dtype == want.dtype and _max_rel(got, want) <= 1e-12
+    op = MpOperator(SiteDims((d,) * n), x)
+    out = apply_blocks(m, op)
+    assert isinstance(out, MpOperator) and np.array_equal(out.mat, got)
+    if not np.iscomplexobj(x):
+        want = _complex_route(m, x)
+        assert got.dtype == float and not want.imag.any() and np.array_equal(got, want.real)
+    moved, index = x.copy(), maps.x_support_index(op.dims)
+    u, v = np.argwhere(x != 0)[rng.integers(np.count_nonzero(x))]
+    w = rng.choice(np.setdiff1d(np.arange(m.dim), index[np.any(index == u, axis=1)]))
+    moved[u, w], moved[u, v] = x[u, v], 0
+    offs = [moved] + ([w_state(n).density().mat] if d == 2 else [])
+    for y in offs:
+        assert not form.holds(y)
+        got, want = apply_stack(m, y), maps._eval(m, y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_shared_subtree_runs_once_per_input():
