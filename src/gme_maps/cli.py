@@ -383,6 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 0 <= getattr(args, "tol", 0) < np.inf:  # also false for NaN
             raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
                    Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
                    apply, breuer_hall_map, dual, mu_constant, reduction_map,
                    transpose_map, x_support_index)
-from .operators import MpOperator, PartySubset, SiteDims, is_hermitian
+from .operators import MpOperator, PartySubset, SiteDims, is_hermitian, scatter_blocks
 from .states import PureState, clock_matrix, shift_matrix
 
 
@@ -97,9 +97,7 @@ def x_projector(n: int, d: int) -> MapExpr:
     if n < 2 or d < 2:
         raise ValueError("x_projector needs n >= 2 and d >= 2")
     index = x_support_index(SiteDims((d,) * n))
-    mask = np.zeros((d ** n, d ** n))
-    mask[index[:, :, None], index[:, None, :]] = 1.0
-    return SchurWith(mask)
+    return SchurWith(scatter_blocks(index, np.ones(index.shape + (d,)), d ** n))
 
 
 def x_projector_mixture(n: int, d: int) -> MapExpr:

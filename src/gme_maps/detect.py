@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import GmeMap, bipartitions
-# every application here keeps an X-support output as its blocks
+# every application here keeps an output on the X support as its blocks
 # (`maps.apply_blocks`); bound as `apply`, the name perfbench/spans.py times
 from .maps import apply_blocks as apply
 from .operators import (Groups, MpOperator, is_density, joint_blocks, min_eig,

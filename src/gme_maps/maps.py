@@ -24,9 +24,9 @@ sum of lifted sigma_x T or Choi maps projected onto that support (eta,
 mu-choi), which holds for every input, and graded qubit chains or
 reductions followed only by a compensation (phi-t and phi-tx on qubits,
 phi-r), which holds for an input whose nonzero entries all lie on the
-support.  Their duals and map files take it too.  `apply` evaluates such a
-form on the D d entries of the support, for the latter only above
-`DENSE_MAX_DIM`; else the walker runs.
+support.  Their duals and map files take it too.  Where a form holds (for
+the latter only above `DENSE_MAX_DIM`), `apply_blocks` hands on the output's
+blocks on the D d entries of the support; else the walker runs.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import numpy as np
 from .grades import (GradedLifts, bipartition_diagonal_sum, bipartition_gather_sum,
                      bipartition_sum, covers_bipartitions, graded_form)
 from .operators import (DENSE_MAX_DIM, BlockOperator, MpOperator, PartySubset, SiteDims,
-                        frozen_copy, party_subset, real_or_complex, site_dims)
+                        frozen_copy, party_subset, real_or_complex, scatter_blocks, site_dims)
 from .states import haar_vector
 
 UNITARY_TOL = 1e-12
@@ -552,30 +552,29 @@ def _eval_blocks(lift: Lift, x: np.ndarray) -> np.ndarray:
     return t.reshape(x.shape)
 
 
-def _routed(m: MapExpr, x: np.ndarray) -> np.ndarray:
-    """The map on a stack x, by its support form where that holds for x
-    (`SupportForm.holds`), else by the walker."""
+def _routed(m: MapExpr, x: np.ndarray) -> SupportForm | None:
+    """The one route rule: the map's support form where that holds for a
+    stack x (`SupportForm.holds`), else None, and the walker runs."""
     form = m.support
-    return form.dense(x) if form is not None and form.holds(x) else _eval(m, x)
+    return form if form is not None and form.holds(x) else None
 
 
 def apply(m: MapExpr, op: MpOperator) -> MpOperator:
     """Evaluate the map on a multipartite operator."""
     _check_operator(m, op)
-    return MpOperator(op.dims, _routed(m, op.mat))
+    return MpOperator(op.dims, apply_stack(m, op.mat))
 
 
 def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
-    """`apply`, keeping the output of a map whose support form holds for
-    every input (`SupportForm.every`) as its d x d blocks on the X support
-    (a `BlockOperator` on the form's `index`, the one index object of every
-    output on those sites).  A form that holds on the support alone gives
-    the whole output, so an input on the support and one off it, as the two
-    of a threshold pencil can be, come out alike."""
-    form = m.support
-    if form is None or not form.every:
-        return apply(m, op)
+    """Evaluate the map on a multipartite operator.  Where a support form
+    holds for it (`_routed`), masked or graded alike, the output is its d x d
+    blocks on the X support: a `BlockOperator` on the form's `index`, the
+    one index object of every output on those sites.  Else it is the
+    walker's whole matrix."""
     _check_operator(m, op)
+    form = _routed(m, op.mat)
+    if form is None:
+        return MpOperator(op.dims, _eval(m, op.mat))
     return BlockOperator(op.dims, form.index, form.blocks(op.mat))
 
 
@@ -584,7 +583,10 @@ def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
     stack = real_or_complex(stack)
     if stack.shape[-1] != m.dim or stack.shape[-2] != m.dim:
         raise ValueError("stack side does not match map dimension")
-    return _routed(m, stack)
+    form = _routed(m, stack)
+    if form is None:
+        return _eval(m, stack)
+    return scatter_blocks(form.index, form.blocks(stack), m.dim)
 
 
 def _check_operator(m: MapExpr, op: MpOperator) -> None:
@@ -689,13 +691,6 @@ class SupportForm(NamedTuple):
             out *= self.off
         out[..., a, a] = diag[..., idx]
         out += 0.0  # -k times a zero entry is -0.0, which a file would write as such
-        return out
-
-    def dense(self, x: np.ndarray) -> np.ndarray:
-        """The full output, shape (..., D, D), zero off the support."""
-        blocks = self.blocks(x)
-        out = np.zeros(x.shape, dtype=blocks.dtype)
-        out[..., self.index[:, :, None], self.index[:, None, :]] = blocks
         return out
 
 

@@ -140,13 +140,21 @@ class BlockOperator(NamedTuple):
     """A block-diagonal operator, kept as its diagonal blocks of one size:
     `blocks[b]` acts on the basis vectors `index[b]`; shapes index (B, k),
     blocks (B, k, k).  No basis vector is in two blocks, and every entry
-    outside the blocks is zero.  `maps.apply_blocks` makes one for a map
-    with an X-support form, on that form's index.
+    outside the blocks is zero.  `maps.apply_blocks` makes one whenever a
+    map's X-support form holds for its input, on that form's index.
     """
 
     dims: SiteDims
     index: np.ndarray
     blocks: np.ndarray
+
+
+def scatter_blocks(index: np.ndarray, blocks: np.ndarray, D: int) -> np.ndarray:
+    """The whole matrices, shape (..., D, D), of blocks (..., B, k, k) on the
+    basis vectors `index` (B, k), as in `BlockOperator`: zero off the blocks."""
+    out = np.zeros(blocks.shape[:-3] + (D, D), dtype=blocks.dtype)
+    out[..., index[:, :, None], index[:, None, :]] = blocks
+    return out
 
 
 # `joint_blocks` groups: (index (B, k), stack (rows, B, k, k)) per block size,
@@ -184,19 +192,18 @@ def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
     the basis vectors `index[b]`; shapes index (B, k), stack (len(ops), B, k, k).
     Groups come in ascending size, blocks in the order of their smallest
     index, each block's indices ascending.  `BlockOperator`s stack on their
-    one shared index object, unsearched; any other mix raises ValueError.
+    one shared index object, unsearched; any other mix is searched whole.
     Only exact zeros split blocks, so a tiny entry can merge two blocks but
     never drop out.  Without a search, one block holds a matrix of side up to
     `DENSE_MAX_DIM` and a union pattern with more than (D - 1)^2 + 1 nonzero
     entries, more than any split pattern holds.
     """
     lead = ops[0]
-    if any(isinstance(op, BlockOperator) for op in ops):
-        if not all(isinstance(op, BlockOperator) and op.index is lead.index for op in ops):
-            raise ValueError("joint_blocks stacks BlockOperators only on one shared index")
+    if all(isinstance(op, BlockOperator) and op.index is lead.index for op in ops):
         return ((lead.index, lead.blocks[None] if len(ops) == 1
                  else np.stack([op.blocks for op in ops])),)
-    mats = [op.mat for op in ops]
+    mats = [op.mat if isinstance(op, MpOperator)
+            else scatter_blocks(op.index, op.blocks, op.dims.total) for op in ops]
     D = len(mats[0])
     pattern = None
     if D > DENSE_MAX_DIM:

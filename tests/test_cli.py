@@ -1079,6 +1079,16 @@ def test_tol_must_be_finite_and_non_negative(capsys, no_build, argv, tol):
     assert err.startswith("error: --tol must be finite and >= 0")
 
 
+@pytest.mark.parametrize("argv", [["verify", "--map", "eta", "--n", "3", "--samples", "3"],
+                                  ["mu", "--primitive", "transpose", "--samples", "3"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_seed_must_be_non_negative(capsys, no_build, argv, seed):
+    code, out, err = run(capsys, *argv, f"--seed={seed}")
+    assert code == 2 and out == ""
+    assert err == f"error: --seed must be >= 0, got {seed}\n"
+
+
 def test_tol_zero_is_valid(capsys):
     code, out, _ = run(capsys, "verify", "--map", "eta", "--n", "3", "--samples", "3",
                        "--tol", "0")

@@ -22,7 +22,7 @@ from gme_maps.detect import (DETECT_TOL, BisepReport, NotDetectedError, Violatio
 from gme_maps.maps import (Lift, Sum, TraceIdentity, TraceOuter, apply,
                            apply_blocks, transpose_map)
 from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, joint_blocks,
-                                min_eigval, operator, partial_transpose)
+                                min_eigval, operator, partial_transpose, scatter_blocks)
 from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
                              ppt_family, random_biseparable, w_state)
 from helpers import rand_density
@@ -197,9 +197,7 @@ def _singular_noise_maps():
 def _dense(op):
     if isinstance(op, MpOperator):
         return op.mat
-    mat = np.zeros((op.dims.total,) * 2, dtype=complex)
-    mat[op.index[:, :, None], op.index[:, None, :]] = op.blocks
-    return mat
+    return scatter_blocks(op.index, op.blocks, op.dims.total)
 
 
 def _assert_block_pencil_matches_dense(m, target):
@@ -229,12 +227,14 @@ def test_block_pencil_matches_dense_on_catalog(map_id, n, d):
 @pytest.mark.parametrize("map_id, n", [("phi-t", 7), ("phi-t", 8), ("phi-tx", 8)])
 def test_pencil_of_inputs_on_and_off_the_support(map_id, n):
     """I/D lies on the X support, so phi-t and phi-tx take their support form
-    for it, and W does not: both outputs are whole matrices, so the pencil is
-    split on their joint pattern as the walker's outputs are, to the same
-    blocks, and W is not detected at p = 1, as by the walker."""
+    for it, and W does not: the one output comes as blocks, the other whole,
+    so the pencil is split on their joint pattern as the walker's outputs
+    are, to the same blocks, and W is not detected at p = 1, as by the
+    walker."""
     m = build_map(map_id, n, 2)
     target, mixed = w_state(n).density(), maximally_mixed(m.dims)
-    assert m.expr.support.holds(mixed.mat) and not m.expr.support.holds(target.mat)
+    assert isinstance(apply_blocks(m.expr, target), MpOperator)
+    assert isinstance(apply_blocks(m.expr, mixed), BlockOperator)
     walker = joint_blocks([MpOperator(m.dims, maps._eval(m.expr, x.mat)) for x in (target, mixed)])
     groups = _noise_outputs(m, target)
     assert [index.tolist() for index, _ in groups] == [index.tolist() for index, _ in walker]

@@ -21,7 +21,7 @@ from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Lift, 
                            mu_constant, mu_sample_values, reduction_map,
                            scale, trace_identity, transpose_map)
 from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, is_hermitian,
-                                min_eig, operator)
+                                min_eig, operator, scatter_blocks)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
 from gme_maps.states import (PureState, clock_matrix, depolarized, ghz, maximally_entangled,
                              maximally_mixed, shift_matrix, w_state)
@@ -833,8 +833,9 @@ def _is_real_tree(m):
 
 
 def _complex_route(m, x):
-    """The map on x cast to complex128, by the route `apply_stack` takes."""
-    return maps._routed(m, x.astype(complex))
+    """The map on x in complex128, by `apply_stack`: i x stacked beside x
+    keeps the stack complex and on the route x takes."""
+    return apply_stack(m, np.stack([x, 1j * x]))[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1160,9 +1161,7 @@ def _on_support_input(kind, n, d, real, rng):
     blocks = rng.standard_normal(index.shape + (d,))
     if not real:
         blocks = blocks + 1j * rng.standard_normal(blocks.shape)
-    x = np.zeros((dims.total,) * 2, dtype=blocks.dtype)
-    x[index[:, :, None], index[:, None, :]] = blocks + blocks.conj().swapaxes(-1, -2)
-    return x
+    return scatter_blocks(index, blocks + blocks.conj().swapaxes(-1, -2), dims.total)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1178,8 +1177,11 @@ def test_graded_support_route_property(case, variant, kind, real, seed):
     """phi-t, phi-tx and phi-r, as built, as dual and reloaded, take the form
     on the X support for an input on it: it equals the walker to 1e-12
     relative in the walker's dtype, and a real input's output is the complex
-    route's real part bit for bit.  The same input with one entry moved off
-    the support, and the W state, take the walker, bit for bit."""
+    route's real part bit for bit.  `apply_blocks` hands on the support
+    entries of that output as blocks on `x_support_index`, and `min_eig` of
+    the blocks is the whole matrix's, value and vector bit for bit.  The same
+    input with one entry moved off the support, and the W state, take the
+    walker, bit for bit."""
     n, d = case[1:]
     m = _graded_routed(*case)[variant]
     form = m.support
@@ -1190,12 +1192,15 @@ def test_graded_support_route_property(case, variant, kind, real, seed):
     got, want = apply_stack(m, x), maps._eval(m, x)
     assert got.dtype == want.dtype and _max_rel(got, want) <= 1e-12
     op = MpOperator(SiteDims((d,) * n), x)
-    out = apply_blocks(m, op)
-    assert isinstance(out, MpOperator) and np.array_equal(out.mat, got)
+    out, index = apply_blocks(m, op), maps.x_support_index(op.dims)
+    assert isinstance(out, BlockOperator) and out.index is index
+    assert np.array_equal(out.blocks, got[..., index[:, :, None], index[:, None, :]])
+    (val, vec), (whole_val, whole_vec) = min_eig(out), min_eig(MpOperator(op.dims, got))
+    assert val == whole_val and vec.tobytes() == whole_vec.tobytes()
     if not np.iscomplexobj(x):
         want = _complex_route(m, x)
         assert got.dtype == float and not want.imag.any() and np.array_equal(got, want.real)
-    moved, index = x.copy(), maps.x_support_index(op.dims)
+    moved = x.copy()
     u, v = np.argwhere(x != 0)[rng.integers(np.count_nonzero(x))]
     w = rng.choice(np.setdiff1d(np.arange(m.dim), index[np.any(index == u, axis=1)]))
     moved[u, w], moved[u, v] = x[u, v], 0

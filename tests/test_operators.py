@@ -13,7 +13,7 @@ from gme_maps.operators import (DENSE_MAX_DIM, DENSITY_EIG_TOL, DENSITY_TRACE_TO
                                 is_density, is_hermitian, joint_blocks, kron, min_eig,
                                 min_eigval, min_eigval_above, min_eigvals, od_part,
                                 operator, partial_trace, partial_transpose,
-                                real_or_complex, schur_product)
+                                real_or_complex, scatter_blocks, schur_product)
 from helpers import hermitian_op, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -430,9 +430,9 @@ def test_joint_blocks_rows_match_dense_property(data):
 
 
 def test_joint_blocks_pass_shared_blocks_through():
-    """`BlockOperator`s on one index stack on it, unsearched.  Outputs of one
-    map share that index object: an equal copy of it, or a full matrix among
-    `BlockOperator`s, is refused."""
+    """`BlockOperator`s on one index stack on it, unsearched.  Any other mix
+    (an equal copy of the index, or a full matrix among `BlockOperator`s) is
+    split as the scattered whole matrices are, bit for bit."""
     rng = np.random.default_rng(17)
     dims = SiteDims((3, 3))
     index = rng.permutation(9).reshape(3, 3)
@@ -444,5 +444,9 @@ def test_joint_blocks_pass_shared_blocks_through():
     full = operator(dims, rand_hermitian(9, rng))
     copy = BlockOperator(dims, index.copy(), ops[1].blocks)
     for mix in ((ops[0], copy), (ops[0], full), (full, ops[0])):
-        with pytest.raises(ValueError, match="one shared index"):
-            joint_blocks(mix)
+        whole = [op if isinstance(op, MpOperator)
+                 else operator(dims, scatter_blocks(op.index, op.blocks, 9)) for op in mix]
+        got, want = joint_blocks(mix), joint_blocks(whole)
+        assert len(got) == len(want)
+        for (i, s), (j, t) in zip(got, want):
+            assert np.array_equal(i, j) and s.dtype == t.dtype and s.tobytes() == t.tobytes()
