@@ -18,7 +18,7 @@ from . import criteria, maps, serialize, states
 from .detect import (DETECT_TOL, detect, lambda_scan, noise_threshold,
                      verify_biseparable_positivity, visibility_scan,
                      white_noise_threshold)
-from .operators import MpOperator, SiteDims, is_hermitian
+from .operators import BlockOperator, MpOperator, SiteDims, is_hermitian, whole_matrix
 from .states import PureState
 
 #: most rows `scan --grid` may ask for; checked before any row is built
@@ -136,12 +136,12 @@ def _check_lam(args) -> None:
 
 
 def _named_state(name: str, m: criteria.GmeMap,
-                 lam: str | None = None) -> PureState | MpOperator:
-    """The named target state on the sites of the map: GHZ or W as a pure
-    state, the ppt family at --lam as a matrix.  Sites the state is not
-    defined on are an error."""
+                 lam: str | None = None) -> PureState | MpOperator | BlockOperator:
+    """The named target state on the sites of the map: GHZ as its X-support
+    blocks (`states.noisy_ghz`), W as a pure state, the ppt family at --lam
+    as a matrix.  Sites the state is not defined on are an error."""
     if name == "ghz":
-        return states.ghz(m.dims.n, m.dims.dims[0])
+        return states.noisy_ghz(m.dims.n, m.dims.dims[0], 1.0)
     if name == "w":
         if set(m.dims.dims) != {2}:
             raise ValueError("the w state is defined for qubits")
@@ -150,8 +150,9 @@ def _named_state(name: str, m: criteria.GmeMap,
     return states.ppt_family(_parse_lam(lam))
 
 
-def _build_state(args, m: criteria.GmeMap) -> MpOperator:
-    """The state of --state or --state-file; a flag the state would not read
+def _build_state(args, m: criteria.GmeMap) -> MpOperator | BlockOperator:
+    """The state of --state or --state-file: GHZ, noisy GHZ and I/D as their
+    X-support blocks, any other as a matrix; a flag the state would not read
     is an error."""
     if not args.state and not args.state_file:
         raise ValueError("either --state or --state-file is required")
@@ -164,12 +165,15 @@ def _build_state(args, m: criteria.GmeMap) -> MpOperator:
         m.check_state(obj)  # before a pure state's D x D density is built
         return obj.density() if isinstance(obj, PureState) else obj
     if args.state == "mixed":
-        return states.maximally_mixed(m.dims)
+        return states.white_noise(m.dims)
     if args.state == "ppt" and args.noise is not None and not 0.0 <= args.noise <= 1.0:
         raise ValueError(f"white-noise fraction must lie in [0, 1], got {args.noise}")
+    p = 1.0 if args.noise is None else args.noise
+    if args.state == "ghz":
+        return states.noisy_ghz(m.dims.n, m.dims.dims[0], p)
     target = _named_state(args.state, m, args.lam)
     if isinstance(target, PureState):
-        return states.depolarized(target, 1.0 if args.noise is None else args.noise)
+        return states.depolarized(target, p)
     if args.noise:
         mm = states.maximally_mixed(target.dims).mat
         target = MpOperator(target.dims, args.noise * mm + (1 - args.noise) * target.mat)
@@ -287,9 +291,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def witness_expectation(w: MpOperator, rho: MpOperator) -> float:
-    """Re Tr(W rho), contracted entry by entry in O(D^2)."""
-    return float(np.einsum("ij,ji->", w.mat, rho.mat).real)
+def witness_expectation(w: MpOperator, rho: MpOperator | BlockOperator) -> float:
+    """Re Tr(W rho), contracted entry by entry in O(D^2) over the whole
+    matrices (a state given as blocks is scattered), in one order for
+    both."""
+    return float(np.einsum("ij,ji->", w.mat, whole_matrix(rho)).real)
 
 
 def _cmd_witness(args) -> int:

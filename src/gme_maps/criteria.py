@@ -20,8 +20,9 @@ from .grades import bipartitions
 from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
                    Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
                    apply, breuer_hall_map, dual, mu_constant, reduction_map,
-                   transpose_map, x_support_index)
-from .operators import MpOperator, PartySubset, SiteDims, is_hermitian, scatter_blocks
+                   transpose_map)
+from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims, is_hermitian,
+                        scatter_blocks, x_support_index)
 from .states import PureState, clock_matrix, shift_matrix
 
 
@@ -44,7 +45,7 @@ class GmeMap:
     dims: SiteDims
     claims: tuple[Claim, ...] = ()
 
-    def check_state(self, state: MpOperator | PureState) -> None:
+    def check_state(self, state: MpOperator | BlockOperator | PureState) -> None:
         """A state the map is applied to must be on its sites."""
         if state.dims != self.dims:
             raise ValueError(f"state dims {state.dims.dims} do not match map dims {self.dims.dims}")

@@ -12,11 +12,11 @@ from .criteria import GmeMap, bipartitions
 # every application here keeps an output on the X support as its blocks
 # (`maps.apply_blocks`); bound as `apply`, the name perfbench/spans.py times
 from .maps import apply_blocks as apply
-from .operators import (Groups, MpOperator, is_density, joint_blocks, min_eig,
+from .operators import (BlockOperator, Groups, MpOperator, is_density, joint_blocks, min_eig,
                         min_eigval_above, min_eigvals, partial_transpose)
 from .states import (PptFamilyParams, PureState, check_ppt_dims, check_visibility,
                      maximally_entangled, maximally_mixed, ppt_family_terms,
-                     random_biseparable)
+                     random_biseparable, white_noise)
 from .states import depolarized, ppt_family  # noqa: F401  perfbench/spans.py wraps both
 
 DETECT_TOL = 1e-9
@@ -93,8 +93,10 @@ def _detected(val: float, tol: float) -> bool:
     return val < -tol
 
 
-def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
-    """Apply the map and flag the state when the output dips below -tol."""
+def detect(m: GmeMap, rho: MpOperator | BlockOperator, tol: float = DETECT_TOL) -> Verdict:
+    """Apply the map and flag the state when the output dips below -tol.  The
+    state is a matrix, or blocks (GHZ, noisy GHZ or I/D from
+    `states.noisy_ghz`), checked and applied as blocks."""
     m.check_state(rho)
     if not is_density(rho):
         raise ValueError("input is not a density matrix")
@@ -102,11 +104,16 @@ def detect(m: GmeMap, rho: MpOperator, tol: float = DETECT_TOL) -> Verdict:
     return Verdict(val, vec, _detected(val, tol), m.label, tol)
 
 
-def _noise_outputs(m: GmeMap, target: MpOperator) -> Groups:
-    """The blocks of A = m(target) and B = m(I/D) (`joint_blocks`); by
+def _noise_outputs(m: GmeMap, target: MpOperator | BlockOperator) -> Groups:
+    """The blocks of A = m(target) and B = m(I/D) (`joint_blocks`), I/D as
+    its X-support blocks where the sites have them (`white_noise`); by
     linearity a noisy state's output combines them."""
-    return joint_blocks((apply(m.expr, target),
-                         apply(m.expr, maximally_mixed(m.dims))))
+    return joint_blocks((apply(m.expr, target), apply(m.expr, white_noise(m.dims))))
+
+
+def _density(psi: PureState | BlockOperator) -> MpOperator | BlockOperator:
+    """A pure state's density matrix; a state given as blocks as it is."""
+    return psi.density() if isinstance(psi, PureState) else psi
 
 
 def _mixed(groups: Groups, p: np.ndarray) -> Groups:
@@ -171,7 +178,7 @@ def _pencil_min_singular(a: np.ndarray, b: np.ndarray, tol: float) -> float:
     return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
 
 
-def _threshold(m: GmeMap, target: MpOperator, tol: float, white_noise: bool,
+def _threshold(m: GmeMap, target: MpOperator | BlockOperator, tol: float, white_noise: bool,
                not_detected: str, detected: str) -> ThresholdResult:
     """p* from the pencil of a = m(target) and b = m(I/D).
 
@@ -193,14 +200,16 @@ def _threshold(m: GmeMap, target: MpOperator, tol: float, white_noise: bool,
     return ThresholdResult(1 - q if white_noise else q, residual)
 
 
-def noise_threshold(m: GmeMap, psi: PureState, tol: float = DETECT_TOL) -> ThresholdResult:
+def noise_threshold(m: GmeMap, psi: PureState | BlockOperator,
+                    tol: float = DETECT_TOL) -> ThresholdResult:
     """Critical visibility of p |psi><psi| + (1-p) I/D under the map.
 
     The output is p A + (1-p) B with A = m(|psi><psi|) and B = m(I/D), so the
     map is applied twice and p* is the exact crossing of that pencil; the
-    state is detected (output eigenvalue below -tol) for p above it.
+    state is detected (output eigenvalue below -tol) for p above it.  psi is
+    a pure state, or its density as blocks (GHZ from `states.noisy_ghz`).
     """
-    return _threshold(m, psi.density(), tol, False, "not detected at p=1",
+    return _threshold(m, _density(psi), tol, False, "not detected at p=1",
                       "already detected at p=0; no threshold")
 
 
@@ -278,19 +287,20 @@ def lambda_scan(m: GmeMap, grid: Sequence[float], noise: float = 0.0,
     return rows
 
 
-def visibility_scan(m: GmeMap, psi: PureState, grid: Sequence[float],
+def visibility_scan(m: GmeMap, psi: PureState | BlockOperator, grid: Sequence[float],
                     tol: float = DETECT_TOL) -> list[ScanRow]:
     """Detection scan of p |psi><psi| + (1-p) I/D over the visibilities in grid.
 
-    m(|psi><psi|) and m(I/D) are each computed once, and the rows combine
-    their blocks, one eigenvalue-only solve per group and run of rows
-    (`_chunks`).  For p in [0, 1] a row is a mixture of two states (a
-    `PureState` is normalised when built), so only p is checked, as
-    `depolarized` checks it, in grid order: an invalid row raises once the
-    rows before it have been solved.
+    psi is a pure state, or its density as blocks (GHZ from
+    `states.noisy_ghz`).  m(|psi><psi|) and m(I/D) are each computed once,
+    and the rows combine their blocks, one eigenvalue-only solve per group
+    and run of rows (`_chunks`).  For p in [0, 1] a row is a mixture of two
+    states (a `PureState` is normalised when built), so only p is checked,
+    as `depolarized` checks it, in grid order: an invalid row raises once
+    the rows before it have been solved.
     """
     m.check_state(psi)
-    outs = _noise_outputs(m, psi.density())
+    outs = _noise_outputs(m, _density(psi))
     rows = []
     for chunk in _chunks(grid, _row_entries(outs)):
         p = np.array(chunk, dtype=float)

@@ -26,7 +26,11 @@ reductions followed only by a compensation (phi-t and phi-tx on qubits,
 phi-r), which holds for an input whose nonzero entries all lie on the
 support.  Their duals and map files take it too.  Where a form holds (for
 the latter only above `DENSE_MAX_DIM`), `apply_blocks` hands on the output's
-blocks on the D d entries of the support; else the walker runs.
+blocks on the D d entries of the support; else the walker runs.  GHZ-type
+inputs (GHZ, noisy GHZ, I/D) enter as blocks on the support too
+(`operators.BlockOperator`, `states.noisy_ghz`): a form reads p, q and the
+trace from them with no D x D array, and only a map without a form scatters
+them, once, for the walker.
 """
 from __future__ import annotations
 
@@ -42,7 +46,8 @@ import numpy as np
 from .grades import (GradedLifts, bipartition_diagonal_sum, bipartition_gather_sum,
                      bipartition_sum, covers_bipartitions, graded_form)
 from .operators import (DENSE_MAX_DIM, BlockOperator, MpOperator, PartySubset, SiteDims,
-                        frozen_copy, party_subset, real_or_complex, scatter_blocks, site_dims)
+                        frozen_copy, gather_blocks, party_subset, real_or_complex,
+                        scatter_blocks, site_dims, x_support_index)
 from .states import haar_vector
 
 UNITARY_TOL = 1e-12
@@ -553,8 +558,9 @@ def _eval_blocks(lift: Lift, x: np.ndarray) -> np.ndarray:
 
 
 def _routed(m: MapExpr, x: np.ndarray) -> SupportForm | None:
-    """The one route rule: the map's support form where that holds for a
-    stack x (`SupportForm.holds`), else None, and the walker runs."""
+    """The one route rule for whole matrices: the map's support form where
+    that holds for a stack x (`SupportForm.holds`), else None, and the walker
+    runs."""
     form = m.support
     return form if form is not None and form.holds(x) else None
 
@@ -565,17 +571,30 @@ def apply(m: MapExpr, op: MpOperator) -> MpOperator:
     return MpOperator(op.dims, apply_stack(m, op.mat))
 
 
-def apply_blocks(m: MapExpr, op: MpOperator) -> MpOperator | BlockOperator:
-    """Evaluate the map on a multipartite operator.  Where a support form
-    holds for it (`_routed`), masked or graded alike, the output is its d x d
-    blocks on the X support: a `BlockOperator` on the form's `index`, the
-    one index object of every output on those sites.  Else it is the
-    walker's whole matrix."""
+def apply_blocks(m: MapExpr, op: MpOperator | BlockOperator) -> MpOperator | BlockOperator:
+    """Evaluate the map on a multipartite operator, a whole matrix or blocks.
+
+    Blocks on the X support of the map's sites (GHZ, noisy GHZ and I/D from
+    `states.noisy_ghz`) go straight to the map's support form, masked or
+    graded alike; other blocks, or a map without a form, take one
+    `scatter_blocks` and the whole-matrix route, where a form is used if it
+    holds (`_routed`).  A form's output is its d x d blocks, a
+    `BlockOperator` on the form's `index`, the one index object of every
+    output on those sites; else the output is the walker's whole matrix.
+    Blocks give the bits their scattered matrix gives (`real_or_complex`
+    applies to both)."""
     _check_operator(m, op)
-    form = _routed(m, op.mat)
+    if isinstance(op, MpOperator):
+        x = op.mat
+    else:
+        blocks, form = real_or_complex(op.blocks), m.support
+        if form is not None and (op.index is form.index or np.array_equal(op.index, form.index)):
+            return BlockOperator(op.dims, form.index, form.blocks(blocks))
+        x = scatter_blocks(op.index, blocks, op.dims.total)
+    form = _routed(m, x)
     if form is None:
-        return MpOperator(op.dims, _eval(m, op.mat))
-    return BlockOperator(op.dims, form.index, form.blocks(op.mat))
+        return MpOperator(op.dims, _eval(m, x))
+    return BlockOperator(op.dims, form.index, form.blocks(gather_blocks(x, form.index)))
 
 
 def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
@@ -586,12 +605,12 @@ def apply_stack(m: MapExpr, stack: np.ndarray) -> np.ndarray:
     form = _routed(m, stack)
     if form is None:
         return _eval(m, stack)
-    return scatter_blocks(form.index, form.blocks(stack), m.dim)
+    return scatter_blocks(form.index, form.blocks(gather_blocks(stack, form.index)), m.dim)
 
 
-def _check_operator(m: MapExpr, op: MpOperator) -> None:
-    if m.dim != op.d:
-        raise ValueError(f"operator side {op.d} does not match map dimension {m.dim}")
+def _check_operator(m: MapExpr, op: MpOperator | BlockOperator) -> None:
+    if m.dim != op.dims.total:
+        raise ValueError(f"operator side {op.dims.total} does not match map dimension {m.dim}")
     for dims in m.sites:
         if dims != op.dims:
             raise ValueError(f"operator dims {op.dims.dims} do not match lift dims {dims.dims}")
@@ -631,7 +650,9 @@ def _check_operator(m: MapExpr, op: MpOperator) -> None:
 
 
 class SupportForm(NamedTuple):
-    """A map in closed form on the X support (`MapExpr.support`).
+    """A map in closed form on the X support (`MapExpr.support`), applied to
+    the input's blocks on the support (`blocks`), as `apply_blocks` hands
+    them on from a `BlockOperator` input or gathers them from a matrix.
 
     The output diagonal is `graded` G(p) + `own` p, G the sum over `shifts`
     of `bipartition_gather_sum` on each table of per-site digit shifts, or,
@@ -644,7 +665,8 @@ class SupportForm(NamedTuple):
     a of block b of the X support of `dims` (`x_support_index`).  `every`
     is True when the form holds for every input (a masked root), False when
     it holds only for an input whose nonzero entries all lie on the
-    support (`holds`)."""
+    support: an input given as blocks on the support, or a matrix that
+    `holds` finds so."""
 
     dims: SiteDims
     index: np.ndarray
@@ -657,21 +679,27 @@ class SupportForm(NamedTuple):
     every: bool = True
 
     def holds(self, x: np.ndarray) -> bool:
-        """Whether the form gives the map's output on a stack x: always for a
-        form that holds for every input, else when every exact nonzero entry
-        of x lies on the support."""
+        """Whether the form gives the map's output on a stack x of whole
+        matrices: always for a form that holds for every input, else when
+        every exact nonzero entry of x lies on the support.  Inputs given as
+        blocks on the support need no such count."""
         if self.every:
             return True
-        idx = self.index
-        return np.count_nonzero(x) == np.count_nonzero(x[..., idx[:, :, None], idx[:, None, :]])
+        return np.count_nonzero(x) == np.count_nonzero(gather_blocks(x, self.index))
 
     def _spread(self, p: np.ndarray) -> np.ndarray:
         """G(p) of a stack of D-vectors."""
         return sum(bipartition_gather_sum(p, t) for t in self.shifts)
 
-    def blocks(self, x: np.ndarray) -> np.ndarray:
-        """The output blocks, shape (..., D/d, d, d), of a stack (..., D, D)."""
-        idx, p = self.index, _diag_vec(x)
+    def blocks(self, xb: np.ndarray) -> np.ndarray:
+        """The output blocks, shape (..., D/d, d, d), of a stack of inputs
+        given by their blocks on the support, (..., D/d, d, d) on `index`
+        (`gather_blocks` of a whole matrix).  p, q and Tr(x) are read from
+        them, as D-vectors summed in basis order as the whole matrix's
+        diagonal is, so both give the same bits."""
+        idx = self.index
+        a = np.arange(idx.shape[1])
+        p = _basis_vector(xb[..., a, a], idx)
         if self.lifts is not None:
             diag = bipartition_diagonal_sum(p, self.lifts)
         elif self.graded:
@@ -679,19 +707,24 @@ class SupportForm(NamedTuple):
         else:
             diag = self.own * p
         if self.traces:
-            tr = _trace(x)[..., None]
+            tr = _sum_parts(lambda v: v.sum(axis=-1), p)[..., None]
             for c in self.traces:
                 diag = diag + c * tr
-        out = x[..., idx[:, :, None], idx[:, None, :]]
-        a = np.arange(idx.shape[1])
-        if self.off is None:
-            u = np.arange(p.shape[-1])
-            out[..., a, a[::-1]] = self._spread(x[..., u, u[::-1]])[..., idx]
+        if self.off is None:  # qubits: q and the diagonal fill each 2 x 2 block
+            out = np.empty_like(xb)
+            out[..., a, a[::-1]] = self._spread(_basis_vector(xb[..., a, a[::-1]], idx))[..., idx]
         else:
-            out *= self.off
+            out = xb * self.off
         out[..., a, a] = diag[..., idx]
         out += 0.0  # -k times a zero entry is -0.0, which a file would write as such
         return out
+
+
+def _basis_vector(entries: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The D-vectors (..., D) whose entry index[b, a] is entries[..., b, a]."""
+    out = np.empty(entries.shape[:-2] + (index.size,), dtype=entries.dtype)
+    out[..., index] = entries
+    return out
 
 
 def _shift_steps(d: int, n: int, t: int) -> np.ndarray:
@@ -699,23 +732,6 @@ def _shift_steps(d: int, n: int, t: int) -> np.ndarray:
     by t, mod d."""
     digits = np.arange(d ** n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
     return ((digits + t) % d - digits).T * d ** np.arange(n - 1, -1, -1)[:, None]
-
-
-@functools.lru_cache(maxsize=8)
-def x_support_index(dims: SiteDims) -> np.ndarray:
-    """(D/d, d): the basis indices of each block of the X support of `dims`,
-    all sites of one dimension d, each block's indices ascending.  A basis
-    index's block is labelled by its digits' offsets from site 0, mod d,
-    read in base d, and the blocks come in label order; entry (u, v) lies
-    on the support exactly when u and v share a block.  Read-only and shared
-    by every support form on these dims, so their outputs' `BlockOperator`s
-    stack together (`operators.joint_blocks`)."""
-    d, n = dims.dims[0], dims.n
-    digits = np.arange(d ** n) // d ** np.arange(n - 1, -1, -1)[:, None] % d
-    block = d ** np.arange(n - 2, -1, -1) @ ((digits[1:] - digits[0]) % d)
-    index = np.argsort(block, kind="stable").reshape(-1, d)
-    index.flags.writeable = False
-    return index
 
 
 def _support_form(m: Compose) -> SupportForm | None:
@@ -745,7 +761,7 @@ def _support_form(m: Compose) -> SupportForm | None:
         s = signs.pop()
         off, own, shifts = -k, (1 + c1) * k + c2, range(s, s * (d - 1), s)
     index = x_support_index(dims)
-    on_s = mask.mask[index[:, :, None], index[:, None, :]]
+    on_s = gather_blocks(mask.mask, index)
     if np.count_nonzero(mask.mask) != on_s.size or not np.all(on_s == 1):
         return None
     tables = tuple(np.arange(dims.total) + _shift_steps(d, dims.n, t) for t in shifts)

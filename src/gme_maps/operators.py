@@ -140,13 +140,35 @@ class BlockOperator(NamedTuple):
     """A block-diagonal operator, kept as its diagonal blocks of one size:
     `blocks[b]` acts on the basis vectors `index[b]`; shapes index (B, k),
     blocks (B, k, k).  No basis vector is in two blocks, and every entry
-    outside the blocks is zero.  `maps.apply_blocks` makes one whenever a
-    map's X-support form holds for its input, on that form's index.
+    outside the blocks is zero.
+
+    On the X support (`x_support_index`) it is an input type as well as an
+    output type: `states.noisy_ghz` builds GHZ, noisy GHZ and I/D as one,
+    with no D x D array, and `maps.apply_blocks` takes it to a support
+    form's output blocks, which it hands on as one on that form's index.
     """
 
     dims: SiteDims
     index: np.ndarray
     blocks: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def x_support_index(dims: SiteDims) -> np.ndarray:
+    """(D/d, d): the basis indices of each block of the X support of `dims`,
+    all sites of one dimension d, each block's indices ascending.  A basis
+    index's block is labelled by its digits' offsets from site 0, mod d,
+    read in base d, and the blocks come in label order, so block 0 holds the
+    GHZ vectors |i...i>; entry (u, v) lies on the support exactly when u and
+    v share a block.  Read-only and shared by every support form and
+    X-support state on these dims, so their `BlockOperator`s stack together
+    (`joint_blocks`)."""
+    d, n = dims.dims[0], dims.n
+    digits = np.arange(d ** n) // d ** np.arange(n - 1, -1, -1)[:, None] % d
+    block = d ** np.arange(n - 2, -1, -1) @ ((digits[1:] - digits[0]) % d)
+    index = np.argsort(block, kind="stable").reshape(-1, d)
+    index.flags.writeable = False
+    return index
 
 
 def scatter_blocks(index: np.ndarray, blocks: np.ndarray, D: int) -> np.ndarray:
@@ -155,6 +177,20 @@ def scatter_blocks(index: np.ndarray, blocks: np.ndarray, D: int) -> np.ndarray:
     out = np.zeros(blocks.shape[:-3] + (D, D), dtype=blocks.dtype)
     out[..., index[:, :, None], index[:, None, :]] = blocks
     return out
+
+
+def gather_blocks(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The blocks (..., B, k, k) of matrices x (..., D, D) on the basis
+    vectors `index` (B, k), a fresh array; `scatter_blocks` undoes it where x
+    is zero off the blocks."""
+    return x[..., index[:, :, None], index[:, None, :]]
+
+
+def whole_matrix(op: MpOperator | BlockOperator) -> np.ndarray:
+    """The operator's D x D matrix: its own, or its blocks scattered."""
+    if isinstance(op, MpOperator):
+        return op.mat
+    return scatter_blocks(op.index, op.blocks, op.dims.total)
 
 
 # `joint_blocks` groups: (index (B, k), stack (rows, B, k, k)) per block size,
@@ -202,8 +238,7 @@ def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
     if all(isinstance(op, BlockOperator) and op.index is lead.index for op in ops):
         return ((lead.index, lead.blocks[None] if len(ops) == 1
                  else np.stack([op.blocks for op in ops])),)
-    mats = [op.mat if isinstance(op, MpOperator)
-            else scatter_blocks(op.index, op.blocks, op.dims.total) for op in ops]
+    mats = [whole_matrix(op) for op in ops]
     D = len(mats[0])
     pattern = None
     if D > DENSE_MAX_DIM:
@@ -220,8 +255,7 @@ def joint_blocks(ops: Sequence[MpOperator | BlockOperator]) -> Groups:
     groups = []
     for k in sorted(set(sizes.tolist())):
         index = order[first[sizes == k][:, None] + np.arange(k)]
-        rows, cols = index[:, :, None], index[:, None, :]
-        groups.append((index, np.stack([mat[rows, cols] for mat in mats])))
+        groups.append((index, np.stack([gather_blocks(mat, index) for mat in mats])))
     return tuple(groups)
 
 

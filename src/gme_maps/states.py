@@ -2,20 +2,22 @@
 
 Includes GHZ and W states, depolarised states, generalized Pauli
 shift/clock matrices, the PPT-invariant 3-qutrit family, and seeded random
-pure / product / biseparable states for verification sampling.
+pure / product / biseparable states for verification sampling.  GHZ, noisy
+GHZ and I/D also come as their blocks on the X support (`noisy_ghz`), with
+no D x D array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import prod, sqrt
 from typing import Iterable
 
 import numpy as np
 
 from .grades import bipartitions
-from .operators import (MpOperator, PartySubset, SiteDims, party_subset,
-                        real_or_complex, site_dims)
+from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims, party_subset,
+                        real_or_complex, site_dims, x_support_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +89,14 @@ def pure(dims: Iterable[int] | SiteDims, vec: np.ndarray) -> PureState:
     return PureState(site_dims(dims), vec)
 
 
-def ghz(n: int, d: int = 2) -> PureState:
-    """|GHZ_n^d> = (1/sqrt(d)) sum_i |i>^n."""
+def _check_ghz(n: int, d: int) -> None:
     if n < 2 or d < 2:
         raise ValueError("ghz needs n >= 2 and d >= 2")
+
+
+def ghz(n: int, d: int = 2) -> PureState:
+    """|GHZ_n^d> = (1/sqrt(d)) sum_i |i>^n."""
+    _check_ghz(n, d)
     v = np.zeros(d ** n)
     for i in range(d):
         v[sum(i * d ** k for k in range(n))] = 1
@@ -133,6 +139,38 @@ def depolarized(psi: PureState, p: float) -> MpOperator:
     D = psi.d
     rho = p * np.outer(psi.vec, psi.vec.conj()) + (1 - p) * np.eye(D) / D
     return MpOperator(psi.dims, rho)
+
+
+def noisy_ghz(n: int, d: int, p: float) -> BlockOperator:
+    """p |GHZ_n^d><GHZ_n^d| + (1 - p) I/D as its d x d blocks on the X support
+    (`x_support_index`), built with no D x D array: GHZ at p = 1, I/D at
+    p = 0.  GHZ's vectors |i...i> are block 0.  Every entry is the one
+    `depolarized(ghz(n, d), p)` computes (at p = 0, `maximally_mixed`), by
+    the same floating-point operations, so bit for bit; the blocks are
+    read-only."""
+    _check_ghz(n, d)
+    check_visibility(p)
+    dims = SiteDims((d,) * n)
+    index = x_support_index(dims)
+    amp = 1 / sqrt(d)  # each amplitude of `ghz(n, d)`, as its normalisation rounds it
+    blocks = np.zeros(index.shape + (d,))
+    diagonal = np.arange(d)
+    # p |GHZ><GHZ| + (1 - p) I/D entry by entry, as `depolarized` rounds it:
+    # adding the exact zeros of either term changes no bit
+    blocks[:, diagonal, diagonal] = (1 - p) / dims.total
+    blocks[0] += p * (amp * amp)
+    blocks.flags.writeable = False
+    return BlockOperator(dims, index, blocks)
+
+
+def white_noise(dims: Iterable[int] | SiteDims) -> MpOperator | BlockOperator:
+    """I/D: its X-support blocks (`noisy_ghz` at p = 0) on n >= 2 sites of one
+    dimension, else the whole matrix (`maximally_mixed`), the same entries."""
+    sd = site_dims(dims)
+    d = sd.dims[0]
+    if sd.n >= 2 and sd.dims == (d,) * sd.n:
+        return noisy_ghz(sd.n, d, 0.0)
+    return maximally_mixed(sd)
 
 
 def shift_matrix(d: int) -> MpOperator:

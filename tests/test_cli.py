@@ -14,7 +14,7 @@ from gme_maps import cli, criteria, maps, serialize, states
 from gme_maps.cli import main
 from gme_maps.detect import detect
 from gme_maps.maps import SchurWith, TraceOuter, compose, identity_map
-from gme_maps.operators import MpOperator, SiteDims
+from gme_maps.operators import MpOperator, SiteDims, scatter_blocks
 from gme_maps.serialize import mapexpr_to_json, save_state, state_to_json, write_json
 from gme_maps.states import PureState, ghz, maximally_mixed
 from helpers import hermitian_op, rand_density, reference_text, v1_text, v2_text
@@ -499,6 +499,48 @@ def test_witness_expectation_matches_trace_of_product():
         rho = MpOperator(SiteDims(dims), rand_density(w.d, rng))
         want = np.trace(w.mat @ rho.mat).real
         assert abs(cli.witness_expectation(w, rho) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("map_id, n, d", [("eta", 8, 2), ("mu-choi", 5, 3), ("phi-tx", 8, 2),
+                                          ("phi-r", 5, 3), ("phi-b", 4, 4)])
+def test_witness_expectation_of_blocks_is_its_matrix(map_id, n, d):
+    """Tr(W rho) of a state given as X-support blocks is the one of its
+    scattered matrix, bit for bit, so the `witness` report does not depend on
+    the form the state comes in."""
+    m = criteria.build_map(map_id, n, d)
+    rho = states.noisy_ghz(n, d, 0.7)
+    w = criteria.map_to_witness(m, PureState(m.dims, detect(m, rho).eigvec))
+    matrix = MpOperator(rho.dims, scatter_blocks(rho.index, rho.blocks, rho.dims.total))
+    got, want = cli.witness_expectation(w, rho), cli.witness_expectation(w, matrix)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("noise", [None, "0.9"])
+def test_ghz_at_1024_levels_builds_no_dense_state(capsys, monkeypatch, noise):
+    """GHZ and noisy GHZ enter phi-tx (10) as X-support blocks: no D x D
+    density is built, no count of the input's nonzero entries runs
+    (`SupportForm.holds`), and the run's traced peak stays below one real
+    1024 x 1024 array.  min_eig is -1/2 on GHZ, and at p = 0.9 the dense
+    state's value, bit for bit."""
+    m = criteria.build_map("phi-tx", 10, 2)
+    want = -0.5 if noise is None else detect(m, states.depolarized(ghz(10), float(noise))).min_eig
+
+    def dense_work(*_):
+        raise AssertionError("dense work on a GHZ-type input")
+
+    monkeypatch.setattr(maps.SupportForm, "holds", dense_work)
+    monkeypatch.setattr(PureState, "density", dense_work)
+    argv = ["detect", "--map", "phi-tx", "--n", "10", "--state", "ghz"]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, *([] if noise is None else ["--noise", noise]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    got = json.loads(out)["min_eig"]
+    assert abs(got - want) <= 1e-12 if noise is None else got == want
+    assert peak < 8 * 1024 ** 2
 
 
 def test_invalid_map_combo_exits_2(capsys):

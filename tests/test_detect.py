@@ -23,7 +23,7 @@ from gme_maps.maps import (Lift, Sum, TraceIdentity, TraceOuter, apply,
                            apply_blocks, transpose_map)
 from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, joint_blocks,
                                 min_eigval, operator, partial_transpose, scatter_blocks)
-from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed,
+from gme_maps.states import (PureState, depolarized, ghz, maximally_mixed, noisy_ghz,
                              ppt_family, random_biseparable, w_state)
 from helpers import rand_density
 
@@ -327,6 +327,24 @@ def test_visibility_scan_matches_per_row_detect_at_d128(m, psi):
         v = detect(m, depolarized(psi, row.param))
         assert abs(row.min_eig - v.min_eig) <= 1e-12
         assert row.detected == v.detected
+
+
+@pytest.mark.parametrize("map_id, n, d", [("eta", 3, 2), ("phi-tx", 4, 2), ("phi-tx", 10, 2),
+                                          ("phi-r", 3, 5), ("phi-b", 3, 4), ("mu-choi", 4, 3)])
+def test_ghz_target_as_blocks_is_its_pure_state(map_id, n, d):
+    """GHZ given as its X-support blocks (`noisy_ghz` at p = 1) and as a pure
+    state give the same pencil parts (`_noise_outputs`), threshold and scan
+    rows, bit for bit, with or without a support form."""
+    m = build_map(map_id, n, d)
+    blocks, psi = noisy_ghz(n, d, 1.0), ghz(n, d)
+    groups, dense_groups = _noise_outputs(m, blocks), _noise_outputs(m, psi.density())
+    assert len(groups) == len(dense_groups)
+    for (index, parts), (dense_index, dense_parts) in zip(groups, dense_groups):
+        assert np.array_equal(index, dense_index) and parts.tobytes() == dense_parts.tobytes()
+    got, want = noise_threshold(m, blocks), noise_threshold(m, psi)
+    assert (got.p_star.hex(), got.residual.hex()) == (want.p_star.hex(), want.residual.hex())
+    grid = [0.05 * i for i in range(21)]
+    assert visibility_scan(m, blocks, grid) == visibility_scan(m, psi, grid)
 
 
 def test_visibility_scan_spans_two_chunks():

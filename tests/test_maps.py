@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gme_maps import grades, maps
-from gme_maps.criteria import (MAP_IDS, MAX_DIM, SMALLEST, bipartitions, build_map,
-                               witness_to_map, x_projector)
+from gme_maps.criteria import (CATALOG, MAP_IDS, MAX_DIM, SMALLEST, GmeMap, bipartitions,
+                               build_map, witness_to_map, x_projector)
 from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Lift, Scale, SchurWith,
                            Sum, TraceOuter, Transpose, apply, apply_blocks,
                            apply_stack, breuer_hall_map, choi_map, compose,
@@ -20,11 +20,12 @@ from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Lift, 
                            dual, estimate_mu, identity_map, lift, map_sum,
                            mu_constant, mu_sample_values, reduction_map,
                            scale, trace_identity, transpose_map)
-from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, is_hermitian,
-                                min_eig, operator, scatter_blocks)
+from gme_maps.operators import (BlockOperator, MpOperator, PartySubset, SiteDims, gather_blocks,
+                                is_hermitian, min_eig, operator, scatter_blocks)
 from gme_maps.serialize import mapexpr_from_json, mapexpr_to_json
+from gme_maps.detect import detect
 from gme_maps.states import (PureState, clock_matrix, depolarized, ghz, maximally_entangled,
-                             maximally_mixed, shift_matrix, w_state)
+                             maximally_mixed, noisy_ghz, shift_matrix, w_state, white_noise)
 from helpers import (density_op, digit_reversal, hermitian_op, lift_by_lift, lift_sites,
                      lifted_map_exprs, map_exprs, monomial, rand_density, rand_hermitian,
                      superoperator, x_projected_exprs)
@@ -1245,3 +1246,164 @@ def test_linearity_property(expr, a, b):
     size = max(1.0, abs(a), abs(b)) * max(1.0, *(float(np.max(np.abs(apply_stack(expr, z))))
                                                 for z in (x, y)))
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-12 * size
+
+
+def test_operator_side_mismatch_same_for_blocks_and_matrices():
+    """A `BlockOperator` of another side than the map's is refused with the
+    message a matrix of that side gets, and so is one on other sites."""
+    m = build_map("phi-tx", 3, 2).expr
+    for state in (noisy_ghz(4, 2, 1.0), noisy_ghz(2, 2, 0.5)):
+        matrix = MpOperator(state.dims, scatter_blocks(state.index, state.blocks,
+                                                        state.dims.total))
+        messages = []
+        for op in (state, matrix):
+            with pytest.raises(ValueError) as err:
+                apply_blocks(m, op)
+            messages.append(str(err.value))
+        side = state.dims.total
+        assert messages == [f"operator side {side} does not match map dimension 8"] * 2
+    qutrits = noisy_ghz(3, 3, 1.0)
+    with pytest.raises(ValueError, match=r"operator side 27 does not match map dimension 8"):
+        apply_blocks(m, qutrits)
+    on_other_sites = build_map("phi-t", 3, 3).expr  # D = 27 on three qutrits, not (3, 9)
+    wrong = BlockOperator(SiteDims((3, 9)), qutrits.index, qutrits.blocks)
+    with pytest.raises(ValueError, match=r"operator dims \(3, 9\) do not match lift dims"):
+        apply_blocks(on_other_sites, wrong)
+
+
+def _catalog_sizes(limit):
+    """Every valid (map id, n, d) of the catalog with D = d^n <= limit."""
+    sizes = []
+    for map_id, (_, (n0, d0), qubit_only) in CATALOG.items():
+        for d in ([2] if qubit_only else range(d0, limit + 1)):
+            for n in range(n0, limit.bit_length()):
+                if d ** n > limit:
+                    break
+                try:
+                    build_map(map_id, n, d)
+                except ValueError:  # phi-b at odd d
+                    break
+                sizes.append((map_id, n, d))
+    return sizes
+
+
+#: every catalog size up to MAX_DIM
+CATALOG_SIZES = _catalog_sizes(MAX_DIM)
+
+
+@functools.cache
+def _catalog_variant(map_id, n, d, variant):
+    """The catalog map as built, its dual, or its map file read back."""
+    m = build_map(map_id, n, d).expr
+    return {"built": m, "dual": dual(m), "file": _reload(m)}[variant]
+
+
+def _x_state(kind, n, d, p, seed):
+    """GHZ, noisy GHZ at visibility p and I/D (`noisy_ghz`), a random X state
+    (a density matrix as blocks, real or complex), or random real or complex
+    X blocks that are no state (complex p(u) too)."""
+    if kind == "ghz":
+        return noisy_ghz(n, d, 1.0)
+    if kind == "noisy-ghz":
+        return noisy_ghz(n, d, p)
+    if kind == "mixed":
+        return white_noise(SiteDims((d,) * n))
+    dims = SiteDims((d,) * n)
+    index = maps.x_support_index(dims)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(index.shape + (d,))
+    if kind.endswith("complex"):
+        g = g + 1j * rng.standard_normal(g.shape)
+    if kind.startswith("blocks"):
+        return BlockOperator(dims, index, g)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return BlockOperator(dims, index, rho / np.einsum("bii->", rho).real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG_SIZES), st.sampled_from(["built", "dual", "file"]),
+       st.sampled_from(["ghz", "noisy-ghz", "mixed", "state-real", "state-complex",
+                        "blocks-real", "blocks-complex"]),
+       st.floats(0, 1), st.integers(0, 2 ** 32 - 1))
+@example(("phi-tx", 10, 2), "built", "ghz", 1.0, 0)
+@example(("phi-tx", 10, 2), "file", "noisy-ghz", 0.9, 0)
+@example(("phi-t", 10, 2), "dual", "state-complex", 0.0, 1)
+@example(("phi-r", 10, 2), "built", "mixed", 0.0, 2)
+@example(("eta", 10, 2), "built", "noisy-ghz", 511 / 1023 + 0.02, 3)
+@example(("eta", 9, 2), "dual", "blocks-complex", 0.0, 4)
+@example(("mu-choi", 6, 3), "built", "state-real", 0.0, 5)
+@example(("phi-r", 4, 4), "file", "noisy-ghz", 0.3, 6)
+@example(("phi-tx", 6, 2), "built", "ghz", 1.0, 7)
+@example(("phi-b", 3, 4), "built", "noisy-ghz", 0.5, 8)
+@example(("phi-t", 3, 3), "dual", "state-complex", 0.0, 9)
+def test_x_state_blocks_match_their_matrix_property(case, variant, kind, p, seed):
+    """An X state given as blocks (`noisy_ghz`, `white_noise` or random
+    blocks on `x_support_index`) gives, bit for bit and signs of zeros
+    included, the output its scattered matrix gives: the same blocks for a
+    map with a support form (eta and mu-choi always; phi-t, phi-tx and
+    phi-r above side 64), the walker's matrix on the scattered matrix for a
+    map without one (phi-b, qudit phi-t, and phi-t, phi-tx and phi-r at
+    side 64 and below).  `detect` on a state gives the same verdict,
+    eigenvalue and eigenvector."""
+    map_id, n, d = case
+    m = _catalog_variant(map_id, n, d, variant)
+    state = _x_state(kind, n, d, p, seed)
+    matrix = MpOperator(state.dims, scatter_blocks(state.index, state.blocks, m.dim))
+    got, want = apply_blocks(m, state), apply_blocks(m, matrix)
+    assert type(got) is type(want)
+    if isinstance(got, BlockOperator):
+        assert got.index is want.index and got.blocks.dtype == want.blocks.dtype
+        assert got.blocks.tobytes() == want.blocks.tobytes()
+    else:
+        assert m.support is None
+        walker = maps._eval(m, matrix.mat)
+        assert got.mat.dtype == walker.dtype and got.mat.tobytes() == walker.tobytes()
+    if not kind.startswith("blocks"):
+        gm = GmeMap(map_id, m, state.dims)
+        v, w = detect(gm, state), detect(gm, matrix)
+        assert (v.detected, v.min_eig) == (w.detected, w.min_eig)
+        assert v.eigvec.tobytes() == w.eigvec.tobytes()
+
+
+@pytest.mark.parametrize("map_id", MAP_IDS)
+def test_x_states_take_the_form_at_every_catalog_size(map_id):
+    """At every catalog size up to D = 1024, each map with a support form,
+    as built, dual and re-read, hands GHZ, noisy GHZ and I/D given as blocks
+    to that form, with the blocks their scattered matrix gives, bit for bit;
+    phi-t, phi-tx and phi-r have a form exactly above side 64 (qubit chains
+    and reductions), eta and mu-choi at every size, phi-b at none."""
+    for _, n, d in (c for c in CATALOG_SIZES if c[0] == map_id):
+        for variant in ("built", "dual", "file"):
+            m = _catalog_variant(map_id, n, d, variant)
+            if map_id in ("eta", "mu-choi"):
+                assert m.support is not None
+            else:
+                has_form = m.dim > 64 and (map_id == "phi-r" or d == 2)
+                assert (m.support is not None) == (map_id != "phi-b" and has_form)
+            if m.support is None:
+                continue
+            for state in (noisy_ghz(n, d, 1.0), noisy_ghz(n, d, 0.3), white_noise((d,) * n)):
+                whole = MpOperator(state.dims, scatter_blocks(state.index, state.blocks, m.dim))
+                got, want = apply_blocks(m, state), apply_blocks(m, whole)
+                assert got.index is want.index is m.support.index
+                assert got.blocks.tobytes() == want.blocks.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("n, d", [(3, 2), (7, 2), (10, 2), (5, 3), (4, 4)])
+def test_support_form_reads_the_trace_of_the_whole_matrix(n, d, real, batch):
+    """A form reads Tr(x) from the input's blocks in the order the whole
+    matrix's diagonal is summed (`np.trace`), bit for bit, so blocks and
+    their scattered matrix give the same compensation c Tr(x)."""
+    dims = SiteDims((d,) * n)
+    index = maps.x_support_index(dims)
+    only_trace = maps.SupportForm(dims, index, 0.0, 0.0, 0.0, (), (1.0,), every=False)
+    rng = np.random.default_rng(n * d)
+    x = rng.standard_normal(batch + (dims.total,) * 2) * 10.0 ** rng.integers(-8, 8, dims.total)
+    if not real:
+        x = x + 1j * rng.standard_normal(x.shape)
+    out = only_trace.blocks(gather_blocks(x, index))
+    a = np.arange(d)
+    want = np.broadcast_to(maps._trace(x)[..., None, None], out[..., a, a].shape)
+    assert out[..., a, a].tobytes() == np.ascontiguousarray(want).tobytes()

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gme_maps.grades import bipartitions
-from gme_maps.operators import MpOperator, SiteDims, is_density, min_eig, partial_transpose
+from gme_maps.operators import (BlockOperator, MpOperator, SiteDims, is_density, min_eig,
+                                partial_transpose, scatter_blocks, x_support_index)
 from gme_maps.states import (NoiseMixture, PptFamilyParams, PureState, clock_matrix,
                              depolarized, ghz, maximally_entangled,
-                             maximally_mixed, ppt_family, random_biseparable,
+                             maximally_mixed, noisy_ghz, ppt_family, random_biseparable,
                              random_product_pure, random_pure, shift_matrix,
-                             w_state)
+                             w_state, white_noise)
 
 
 def test_ghz_qubits():
@@ -288,3 +289,47 @@ def test_depolarized_pure_state_is_density_property(psi, p):
 @pytest.mark.parametrize("psi", [ghz(10, 2), w_state(10)], ids=["ghz", "w"])
 def test_depolarized_ten_qubits_is_density(psi, p):
     assert is_density(depolarized(psi, p))
+
+
+#: (n, d) of every GHZ on at most 1024 levels
+GHZ_SIZES = [(n, d) for d in range(2, 11) for n in range(2, 11) if d ** n <= 1024]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GHZ_SIZES), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_noisy_ghz_blocks_are_the_dense_state_property(size, p):
+    """`noisy_ghz` holds the entries of `depolarized(ghz(n, d), p)` on the X
+    support, bit for bit, and that matrix is zero off it; at p = 0 they are
+    `maximally_mixed`'s.  The blocks are read-only, on the shared index."""
+    n, d = size
+    state = noisy_ghz(n, d, p)
+    dims = SiteDims((d,) * n)
+    assert isinstance(state, BlockOperator) and state.dims == dims
+    assert state.index is x_support_index(dims) and not state.blocks.flags.writeable
+    whole = scatter_blocks(state.index, state.blocks, dims.total)
+    want = depolarized(ghz(n, d), p).mat
+    assert whole.dtype == want.dtype and whole.tobytes() == want.tobytes()
+    if p == 0.0:
+        assert whole.tobytes() == maximally_mixed(dims).mat.tobytes()
+    assert is_density(state)
+
+
+def test_white_noise_blocks_where_the_sites_have_an_x_support():
+    """I/D comes as `noisy_ghz` blocks on n >= 2 sites of one dimension, and as
+    `maximally_mixed`'s matrix elsewhere; the entries are the same."""
+    for dims in ((2, 2, 2), (3, 3, 3, 3), (2, 2)):
+        noise = white_noise(dims)
+        assert isinstance(noise, BlockOperator)
+        whole = scatter_blocks(noise.index, noise.blocks, noise.dims.total)
+        assert whole.tobytes() == maximally_mixed(dims).mat.tobytes()
+    for dims in ((2, 3), (4,)):
+        noise = white_noise(dims)
+        assert isinstance(noise, MpOperator)
+        assert noise.mat.tobytes() == maximally_mixed(dims).mat.tobytes()
+
+
+def test_noisy_ghz_refuses_what_ghz_and_depolarized_refuse():
+    with pytest.raises(ValueError, match="ghz needs n >= 2 and d >= 2"):
+        noisy_ghz(1, 2, 0.5)
+    with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\], got 1.5"):
+        noisy_ghz(3, 2, 1.5)
