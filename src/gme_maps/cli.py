@@ -30,7 +30,7 @@ _PRIMITIVES = {"transpose": (maps.transpose_map, 2), "reduction": (maps.reductio
 
 def _add_map_args(p: argparse.ArgumentParser, with_witness: bool = False) -> None:
     p.add_argument("--map", choices=criteria.MAP_IDS, help="cataloged map id")
-    p.add_argument("--map-file", help="map expression JSON (mapexpr-v3, or v2 or v1 as older "
+    p.add_argument("--map-file", help="map expression JSON (mapexpr-v4, or v3, v2 or v1 as older "
                                       "releases wrote it); used instead of --map")
     if with_witness:
         p.add_argument("--witness-file", help="witness JSON (mpop-v2 or v1); used instead of --map")
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p)
     p.add_argument("--tol", type=float, default=DETECT_TOL)
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--export-map", help="also write the map expression here, as a mapexpr-v3 "
+    p.add_argument("--export-map", help="also write the map expression here, as a mapexpr-v4 "
                                         "table of its distinct nodes")
     p.set_defaults(func=_cmd_detect)
 

@@ -2,9 +2,11 @@
 
 Each criterion sums a positive map applied to one side of every bipartition
 and adds a compensation term sized by the primitive's minimal output
-eigenvalue.  The Choi-based and qubit-optimised variants are composed with
-a projection onto the cyclic GHZ subspace, realised either as a Schur mask
-or as a mixture of clock-unitary conjugations.
+eigenvalue.  The lifts are one `maps.SideLifts` node, one child per side
+size, so a tree has O(n) distinct nodes.  The Choi-based and
+qubit-optimised variants are composed with a projection onto the cyclic GHZ
+subspace, realised either as a Schur mask or as a mixture of clock-unitary
+conjugations.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from math import sqrt
 import numpy as np
 
 from .grades import bipartitions
-from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, Lift, MapExpr,
-                   Scale, SchurWith, Sum, TraceIdentity, TraceOuter,
+from .maps import (Choi, Compose, Conjugate, DiagAll, Identity, MapExpr,
+                   Scale, SchurWith, SideLifts, Sum, TraceIdentity, TraceOuter,
                    apply, breuer_hall_map, dual, mu_constant, reduction_map,
                    transpose_map)
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims, is_hermitian,
@@ -121,17 +123,16 @@ def x_projector_mixture(n: int, d: int) -> MapExpr:
     return expr
 
 
-def _side_lifts(dims: SiteDims, child_for) -> tuple[Lift, ...]:
-    """`child_for(k)` lifted onto the side of k parties of every bipartition;
-    the lifts onto sides of one size share one child node."""
-    kids = {k: child_for(k) for k in range(1, dims.n // 2 + 1)}
-    return tuple(Lift(kids[len(A)], A, dims) for A in bipartitions(dims.n))
+def _side_lifts(dims: SiteDims, child_for) -> SideLifts:
+    """`child_for(k)` lifted onto the side of k parties of every bipartition,
+    one child node per side size."""
+    return SideLifts(tuple(child_for(k) for k in range(1, dims.n // 2 + 1)), dims)
 
 
 def _phi_tx_sum(n: int) -> Sum:
     """sigma_x T lifted onto every bipartition side, one chain per side size."""
-    return Sum(_side_lifts(SiteDims((2,) * n), lambda k: Compose(
-        Conjugate(reduce(np.kron, [shift_matrix(2).mat] * k)), transpose_map(2 ** k))))
+    return Sum((_side_lifts(SiteDims((2,) * n), lambda k: Compose(
+        Conjugate(reduce(np.kron, [shift_matrix(2).mat] * k)), transpose_map(2 ** k))),))
 
 
 def eta_map(n: int) -> GmeMap:
@@ -154,8 +155,8 @@ def _single_lift_criterion(label: str, n: int, d: int, child_for,
     """`child_for(k)` lifted onto every bipartition side of k parties, one child
     per side size, plus the compensation sized by `mu_constant` of `child_for(1)`."""
     dims = SiteDims((d,) * n)
-    lifts = _side_lifts(dims, child_for)
-    expr = Sum(lifts + (_compensation(n, mu_constant(lifts[0].child), dims.total),))
+    side = _side_lifts(dims, child_for)
+    expr = Sum((side, _compensation(n, mu_constant(side.children[0]), dims.total)))
     return GmeMap(label, expr, dims, claims)
 
 
@@ -224,7 +225,7 @@ def mu_map(n: int, d: int) -> GmeMap:
         raise ValueError("mu-choi needs d >= 3")
     dims = SiteDims((d,) * n)
     diag = DiagAll(dims.total)
-    phi = Sum(_side_lifts(dims, lambda size: _choi_on_subset(size, d)))
+    phi = Sum((_side_lifts(dims, lambda size: _choi_on_subset(size, d)),))
     k = 2 ** (n - 1) - 1
     mu = Sum((phi,
               Scale(float(k - 1), Compose(diag, phi)),
@@ -283,8 +284,8 @@ def check_local_dim(d: int) -> None:
 def build_map(map_id: str, n: int, d: int) -> GmeMap:
     """Construct a cataloged map by id; raises ValueError for bad combos.
 
-    D = d^n is checked against `MAX_DIM` before anything is built, because
-    the 2^(n-1) - 1 bipartitions are enumerated eagerly.
+    D = d^n is checked against `MAX_DIM` before anything is built, so no
+    D x D array (eta's mask, a whole input or output) is made past it.
     """
     check_local_dim(d)
     # d >= 2, so more than log2(MAX_DIM) parties is too large without computing d^n

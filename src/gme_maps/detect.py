@@ -105,10 +105,14 @@ def detect(m: GmeMap, rho: MpOperator | BlockOperator, tol: float = DETECT_TOL) 
 
 
 def _noise_outputs(m: GmeMap, target: MpOperator | BlockOperator) -> Groups:
-    """The blocks of A = m(target) and B = m(I/D) (`joint_blocks`), I/D as
-    its X-support blocks where the sites have them (`white_noise`); by
-    linearity a noisy state's output combines them."""
-    return joint_blocks((apply(m.expr, target), apply(m.expr, white_noise(m.dims))))
+    """The blocks of A = m(target) and B = m(I/D) (`joint_blocks`); by
+    linearity a noisy state's output combines them.  I/D goes in as its
+    X-support blocks (`white_noise`) to a map with a support form, which
+    reads them with no D x D array, and as its matrix (`maximally_mixed`),
+    the same entries, to the walker of any other map, which would scatter
+    the blocks first."""
+    noise = white_noise(m.dims) if m.expr.support is not None else maximally_mixed(m.dims)
+    return joint_blocks((apply(m.expr, target), apply(m.expr, noise)))
 
 
 def _density(psi: PureState | BlockOperator) -> MpOperator | BlockOperator:

@@ -2,10 +2,11 @@
 
 The criteria add one lift of a positive map for one side of every
 bipartition, its representative (`bipartitions`), and the recurrence below
-depends on that choice of side.  `maps.Sum` records the lifts as
-`GradedLifts` when the lift onto parties A is, up to a weight w_|A| per side
-size and a multiple of the identity, a signed sum of products
-F_{min A} prod_{i in A, i > min A} L_i of commuting per-site maps:
+depends on that choice of side.  `maps.SideLifts` holds one child per side
+size and works out its `GradedLifts` from them (`graded_form`) when the lift
+onto parties A is, up to a weight w_|A| per side size and a multiple of the
+identity, a signed sum of products F_{min A} prod_{i in A, i > min A} L_i of
+commuting per-site maps:
 
 - a chain of transpositions and digit reversals (sigma_x on qubits), weight
   1: L_i = F_i, the chain on site i alone, a strided view;
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import prod
+from math import comb, prod
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .operators import PartySubset, SiteDims
 
 if TYPE_CHECKING:
-    from .maps import Lift
+    from .maps import MapExpr
 
 #: step(i, y, out=None) adds L_i(y) into out and returns out, or returns a
 #: fresh L_i(y) when out is None; y and out are C-contiguous and shaped as
@@ -69,21 +70,20 @@ def bipartitions(n: int) -> tuple[PartySubset, ...]:
     return tuple(reps)
 
 
-@functools.lru_cache(maxsize=16)
-def _sides(n: int) -> frozenset[tuple[int, ...]]:
-    """The members of every representative of `bipartitions(n)`."""
-    return frozenset(a.members for a in bipartitions(n))
+def side_counts(n: int) -> tuple[int, ...]:
+    """The number of representatives of `bipartitions(n)` of each size
+    k = 1..n // 2, counted without listing them: C(n, k), halved at k = n / 2."""
+    return tuple(comb(n, k) // (2 if 2 * k == n else 1) for k in range(1, n // 2 + 1))
 
 
 class GradedLifts(NamedTuple):
-    """The leading `count` children of a sum: one lift per bipartition
-    representative of `dims`, all of one `kind` of child
+    """One lift per bipartition representative of `dims`, of the child of its
+    side size (`maps.SideLifts`), all of one `kind` of child
     (`maps.MapExpr.graded_kind`), chains with `parities`.  The lift onto a
     side A of k parties is `weights[k]` times the sum over `terms`
     (sign, L, F) of sign F_{min A} prod_{i in A, i > min A} L_i, plus a
     multiple of x; `own` is the coefficient of x in the sum of all the lifts."""
 
-    count: int
     dims: SiteDims
     kind: str
     parities: tuple[bool, bool] | None
@@ -92,38 +92,25 @@ class GradedLifts(NamedTuple):
     own: float = 0.0
 
 
-def covers_bipartitions(lifts: Sequence[Lift]) -> bool:
-    """True when `lifts` are one lift per bipartition representative
-    (`bipartitions`) of n >= 3 sites, all on the same dims."""
-    n = lifts[0].dims.n if lifts else 0
-    return n >= 3 and len(lifts) == 2 ** (n - 1) - 1 and {
-        c.parties.members for c in lifts if c.dims == lifts[0].dims} == _sides(n)
-
-
-def graded_form(lifts: list[Lift]) -> GradedLifts | None:
-    """The `GradedLifts` of a sum's leading lifts whose children have a
-    `graded_kind`, when they cover the bipartitions (`covers_bipartitions`)
-    with one kind (and, for chains, the same parities), and the weighted
-    kinds sit on sites of one dimension; None otherwise."""
-    if not covers_bipartitions(lifts) or len({(c.child.graded_kind, c.child.parities)
-                                              for c in lifts}) > 1:
-        return None
-    dims, child = lifts[0].dims, lifts[0].child
+def graded_form(children: Sequence[MapExpr], dims: SiteDims) -> GradedLifts | None:
+    """The `GradedLifts` of `children[k - 1]` lifted onto every side of k
+    parties of the sites `dims`, all of one dimension, when the children have
+    one `graded_kind` (and, for chains, the same parities); None otherwise."""
+    child = children[0]
     n, kind = dims.n, child.graded_kind
+    if kind is None or len({(c.graded_kind, c.parities) for c in children}) > 1:
+        return None
     if kind == "chain":
         step = _chain_step(*child.parities)
-        return GradedLifts(len(lifts), dims, kind, child.parities, ((1, step, step),),
-                           (1.0,) * (n // 2 + 1))
-    if len(set(dims.dims)) > 1:
-        return None
+        return GradedLifts(dims, kind, child.parities, ((1, step, step),), (1.0,) * (n // 2 + 1))
     # the child on k sites divides by d^k - 1 (reduction) or d^k - 2 (Breuer-Hall)
     shift, d = (1 if kind == "reduction" else 2), dims.dims[0]
     weights = (0.0,) + tuple(1 / (d ** k - shift) for k in range(1, n // 2 + 1))
-    own = -sum(weights[len(c.parties)] for c in lifts)
+    own = -sum(weights[len(A)] for A in bipartitions(n))
     terms = ((1, _trace_step, _trace_step),)
     if kind == "breuer-hall":
         terms += ((-1, _chain_step(True, False), _skew_step),)
-    return GradedLifts(len(lifts), dims, kind, None, terms, weights, own)
+    return GradedLifts(dims, kind, None, terms, weights, own)
 
 
 def _grades(x: np.ndarray, n: int, top: int, step: Step, first: Step | None = None

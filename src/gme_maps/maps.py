@@ -4,19 +4,24 @@ Primitive positive maps (transposition, reduction, Breuer-Hall, Choi,
 unitary conjugation, Diag, trace-times-identity) are combined with
 lift-to-subsystem, sum, scale and composition nodes.  One stateless walker,
 `_eval`, evaluates a tree on a stack of matrices, a subtree that several
-parents share once per use.  A lift is evaluated one of two ways.  A sum
-whose leading children lift one kind of map onto a side of every
-bipartition (`Sum.graded`, `MapExpr.graded_kind`) adds those lifts by one
-recurrence over grades, the sizes of the sides: about n^2 / 2 site steps
-instead of 2^(n-1) - 1 lifts.  The kinds are a chain of transpositions and
-digit reversals (phi-t, phi-tx), the reduction map (phi-r) and the
-Breuer-Hall map with `default_skew_unitary` (phi-b); each is a signed sum
-of products of per-site maps with a weight per side size, so the recurrence
-and its site-0 rule do not depend on the kind.  Every other lift (a lone
-lift, as `estimate_mu` makes, or a sum of another shape) applies its child
-block by block, on tables made at its first such evaluation.  The catalog
-lifts one child node onto every side of a size, so a tree costs about its
-distinct nodes to build; `dual` and `nodes` take each distinct node once.
+parents share once per use.
+
+The paper's construction lifts one positive map onto a side of every
+bipartition.  One node, `SideLifts`, holds those 2^(n-1) - 1 lifts as one
+child per side size, so a catalog tree has O(n) distinct nodes to build,
+walk, dualize and write.  A run of explicit `Lift` nodes of that shape at
+the head of a sum (from a map file of an older format, or built with `lift`
+and `map_sum`) becomes that node when the sum is built.  When the children
+have one `MapExpr.graded_kind`, the node adds its lifts by one recurrence
+over grades, the sizes of the sides: about n^2 / 2 site steps instead of
+2^(n-1) - 1 lifts.  The kinds are a chain of transpositions and digit
+reversals (phi-t, phi-tx), the reduction map (phi-r) and the Breuer-Hall map
+with `default_skew_unitary` (phi-b); each is a signed sum of products of
+per-site maps with a weight per side size, so the recurrence and its site-0
+rule do not depend on the kind.  Every other lift (a lone lift, as
+`estimate_mu` makes, or the lifts of other children, as mu-choi's) applies
+its child block by block, on tables made at its first such evaluation.
+`dual` and `nodes` take each distinct node once.
 
 Some roots have a closed form on the cyclic GHZ ("X") support
 (`MapExpr.support`), worked out at their first application: a bipartition
@@ -35,7 +40,6 @@ them, once, for the walker.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from math import prod
@@ -44,7 +48,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 import numpy as np
 
 from .grades import (GradedLifts, bipartition_diagonal_sum, bipartition_gather_sum,
-                     bipartition_sum, covers_bipartitions, graded_form)
+                     bipartition_sum, bipartitions, graded_form)
 from .operators import (DENSE_MAX_DIM, BlockOperator, MpOperator, PartySubset, SiteDims,
                         frozen_copy, gather_blocks, party_subset, real_or_complex,
                         scatter_blocks, site_dims, x_support_index)
@@ -87,13 +91,13 @@ class MapExpr:
     @functools.cached_property
     def support(self) -> SupportForm | None:
         """The closed form of this map on the X support, which `apply` uses on
-        a root: a `Compose` of the masked shape (`_support_form`), or a `Sum`
-        of graded qubit chains or reductions and compensations
-        (`_graded_support_form`); None for any other tree.  Kept on the node,
-        so it is worked out once."""
+        a root: a `Compose` of the masked shape (`_support_form`), or graded
+        qubit chains or reductions (`SideLifts`) followed only by
+        compensations (`_graded_support_form`); None for any other tree.  Kept
+        on the node, so it is worked out once."""
         if isinstance(self, Compose):
             return _support_form(self)
-        if isinstance(self, Sum):
+        if isinstance(self, (Sum, SideLifts)):
             return _graded_support_form(self)
         return None
 
@@ -133,15 +137,15 @@ class MapExpr:
 
     @functools.cached_property
     def sites(self) -> tuple[SiteDims, ...]:
-        """The distinct `SiteDims` of the lifts reachable without crossing
-        another lift, in the order a depth-first walk (children in field
-        order) first meets them; empty for a tree without a lift.  Kept on
-        the root, so `apply` checks an operator against them without a walk;
-        a subtree several parents share is walked once."""
+        """The distinct `SiteDims` of the lifts (`Lift`, `SideLifts`) reachable
+        without crossing another lift, in the order a depth-first walk
+        (children in field order) first meets them; empty for a tree without
+        a lift.  Kept on the root, so `apply` checks an operator against them
+        without a walk; a subtree several parents share is walked once."""
         sites, seen, stack = {}, set(), [self]
         while stack:
             node = stack.pop()
-            if isinstance(node, Lift):
+            if isinstance(node, (Lift, SideLifts)):
                 sites[node.dims] = None  # a dict keeps each key's first place
             elif id(node) not in seen:
                 seen.add(id(node))
@@ -302,7 +306,7 @@ class Lift(MapExpr):
 
     The constructor checks the parties and the child's dimension.  The child
     acts block by block, on the tables `blocks` makes at the first
-    evaluation, unless the lift is one of a sum's `graded` lifts.
+    evaluation.
     """
 
     child: MapExpr
@@ -333,20 +337,106 @@ class Lift(MapExpr):
 
 
 @dataclass(frozen=True, eq=False)
+class SideLifts(MapExpr):
+    """`children[k - 1]` lifted onto the side of k parties of every
+    bipartition representative (`grades.bipartitions`), k = 1..n // 2, and
+    the 2^(n-1) - 1 lifts added in that order: one node for the paper's lift
+    onto a side of every bipartition.  The n >= 3 sites all have one
+    dimension d, and child k acts on d^k levels.
+
+    When the children have one `graded_kind` (chains with equal parities,
+    reductions or default Breuer-Hall maps), `graded` is their
+    `grades.GradedLifts` and `_eval` adds the lifts by
+    `grades.bipartition_sum`, one recurrence for every kind; otherwise it
+    applies the explicit `lifts` one by one.  Nothing here lists the sides
+    before an evaluation needs them.
+    """
+
+    children: tuple[MapExpr, ...]
+    dims: SiteDims
+    dim: int = field(init=False)
+
+    def __post_init__(self):
+        n, d = self.dims.n, self.dims.dims[0]
+        if n < 3 or self.dims.dims != (d,) * n:
+            raise ValueError(f"side lifts need n >= 3 sites of one dimension, got {self.dims.dims}")
+        if len(self.children) != n // 2:
+            raise ValueError(f"side lifts on {n} sites need {n // 2} children, one per side "
+                             f"size, got {len(self.children)}")
+        for k, c in enumerate(self.children, 1):
+            if c.dim != d ** k:
+                raise ValueError(f"child {k} dimension {c.dim} does not match the size "
+                                 f"{d ** k} of a side of {k} sites")
+        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "dim", self.dims.total)
+
+    @functools.cached_property
+    def graded(self) -> GradedLifts | None:
+        return graded_form(self.children, self.dims)
+
+    @functools.cached_property
+    def lifts(self) -> tuple[Lift, ...]:
+        """The explicit lifts, in `bipartitions` order, made at the first
+        evaluation that applies them one by one."""
+        return tuple(Lift(self.children[len(A) - 1], A, self.dims)
+                     for A in bipartitions(self.dims.n))
+
+
+def _same_map(a: MapExpr, b: MapExpr) -> bool:
+    """Whether two trees are equal node by node, as a map file shares nodes:
+    the same class and fields, arrays and floats by their bits."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    for name, tp, _ in node_fields(type(a)):
+        u, v = getattr(a, name), getattr(b, name)
+        if tp is MapExpr:
+            same = _same_map(u, v)
+        elif tp == tuple[MapExpr, ...]:
+            same = len(u) == len(v) and all(map(_same_map, u, v))
+        elif tp is np.ndarray:
+            same = u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        else:
+            same = u.hex() == v.hex() if tp is float else u == v
+        if not same:
+            return False
+    return True
+
+
+def _side_lifts_run(children: tuple[MapExpr, ...]) -> tuple[MapExpr, ...]:
+    """The children of a sum with a leading run of lifts made one `SideLifts`
+    node: the one place an explicit run becomes that node.  The run is one
+    `Lift` per representative of `bipartitions` of n >= 3 sites of one
+    dimension, in that order, and the lifts onto sides of one size lift one
+    child (`_same_map`); any other children are kept as they are."""
+    first = children[0]
+    if not isinstance(first, Lift):
+        return children
+    dims = first.dims
+    n, d = dims.n, dims.dims[0]
+    if n < 3 or dims.dims != (d,) * n or len(children) < 2 ** (n - 1) - 1:
+        return children
+    kids: dict[int, MapExpr] = {}
+    for c, A in zip(children, bipartitions(n)):
+        kid = kids.setdefault(len(A), c.child) if isinstance(c, Lift) else None
+        if kid is None or c.dims != dims or c.parties != A or not _same_map(kid, c.child):
+            return children
+    return (SideLifts(tuple(kids.values()), dims),) + children[2 ** (n - 1) - 1:]
+
+
+@dataclass(frozen=True, eq=False)
 class Sum(MapExpr):
     """The children's outputs added.
 
-    `graded` is set when the leading children lift one `graded_kind` of map
-    (chains with equal parities, reductions or default Breuer-Hall maps)
-    onto every bipartition representative (`grades.bipartitions`).
-    `_eval_sum` then sums those lifts by `grades.bipartition_sum`, one
-    recurrence for every kind.  Qubit chains and reductions followed only by
-    compensations also have a closed form on the X support (`support`).
+    A leading run of explicit lifts onto every bipartition side, one child
+    per side size, is kept as one `SideLifts` child (`_side_lifts_run`).
+    Graded qubit chains and reductions followed only by compensations also
+    have a closed form on the X support (`support`).
     """
 
     children: tuple[MapExpr, ...]
     dim: int = field(init=False)
-    graded: GradedLifts | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.children:
@@ -354,11 +444,8 @@ class Sum(MapExpr):
         d = self.children[0].dim
         if any(c.dim != d for c in self.children):
             raise ValueError("sum children disagree on dimension")
-        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "children", _side_lifts_run(tuple(self.children)))
         object.__setattr__(self, "dim", d)
-        run = itertools.takewhile(lambda c: isinstance(c, Lift) and c.child.graded_kind is not None,
-                                  self.children)
-        object.__setattr__(self, "graded", graded_form(list(run)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,8 +546,8 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
     """Apply `node` to a stack of matrices, shape (..., d, d).
 
     A `Lift` applies its child to each block of the rest-space
-    (`_eval_blocks`); a `Sum` adds its `graded` lifts by grades
-    (`_eval_sum`).  A monomial conjugation is a row and column gather.
+    (`_eval_blocks`); a `SideLifts` adds its lifts by grades when `graded`,
+    else one by one.  A monomial conjugation is a row and column gather.
     """
     if isinstance(node, Compose):
         return _eval(node.outer, _eval(node.inner, x))
@@ -470,6 +557,10 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
         return x.swapaxes(-1, -2)
     if isinstance(node, Lift):
         return _eval_blocks(node, x)
+    if isinstance(node, SideLifts):
+        if node.graded is not None:
+            return bipartition_sum(x, node.graded)
+        return _add_up(x, (_eval_blocks(lift, x) for lift in node.lifts))
     if isinstance(node, Reduction):
         # times the reciprocal, as complex128 division scales, so a real input
         # gives the real part of its complex128 result bit for bit
@@ -509,24 +600,26 @@ def _eval(node: MapExpr, x: np.ndarray) -> np.ndarray:
 
 
 def _eval_sum(node: Sum, x: np.ndarray) -> np.ndarray:
-    """The children's outputs added in order into one fresh buffer.
-
-    Graded leading lifts (`Sum.graded`) are summed by
-    `grades.bipartition_sum`.  Otherwise child 0 plus child 1 go into a fresh
-    buffer (a child's result may be its input or a view of it).  Each further
-    child is added in place; the first complex child after real ones upcasts
-    the buffer once."""
+    """The children's outputs added in order (`_add_up`); a leading
+    `SideLifts` child's output is a fresh buffer, which the rest go into."""
     if len(node.children) == 1:
         return _eval(node.children[0], x)
-    if node.graded is None:
-        c0, c1, *more = node.children
-        a, b = _eval(c0, x), _eval(c1, x)
+    outputs = (_eval(c, x) for c in node.children)
+    return _add_up(x, outputs, next(outputs) if isinstance(node.children[0], SideLifts) else None)
+
+
+def _add_up(x: np.ndarray, outputs: Iterator[np.ndarray], out: np.ndarray | None = None
+            ) -> np.ndarray:
+    """The outputs of at least two terms on x added in order into one fresh
+    buffer: `out`, the caller's own, or else output 0 plus output 1 go into a
+    new one (an output may be its input or a view of it).  Each further
+    output is added in place; the first complex output after real ones
+    upcasts the buffer once."""
+    if out is None:
+        a, b = next(outputs), next(outputs)
         out = np.empty(x.shape, dtype=np.result_type(a, b))
         np.add(a, b, out=out)
-    else:
-        out, more = bipartition_sum(x, node.graded), node.children[node.graded.count:]
-    for c in more:
-        y = _eval(c, x)
+    for y in outputs:
         if np.can_cast(y.dtype, out.dtype):
             out += y
         else:
@@ -747,15 +840,15 @@ def _support_form(m: Compose) -> SupportForm | None:
         c1 = float(rest.pop(0).r)
     if rest and isinstance(rest[0], Scale) and isinstance(rest[0].child, DiagAll):
         c2 = float(rest.pop(0).r)
-    lifts = phi.children if isinstance(phi, Sum) and not rest else ()
-    if not (all(isinstance(c, Lift) for c in lifts) and covers_bipartitions(lifts)
-            and len(set(lifts[0].dims.dims)) == 1):
+    side = phi.children[0] if isinstance(phi, Sum) and len(phi.children) == 1 else phi
+    if rest or not isinstance(side, SideLifts):
         return None
-    dims, k, d = lifts[0].dims, len(lifts), lifts[0].dims.dims[0]
-    if d == 2 and phi.graded is not None and phi.graded.parities == (True, True):
+    dims, d = side.dims, side.dims.dims[0]
+    k = 2 ** (dims.n - 1) - 1
+    if d == 2 and side.graded is not None and side.graded.parities == (True, True):
         off, own, shifts = k, c2, (1,)
     else:
-        signs = {_choi_sign(c.child, len(c.parties), d) for c in lifts}
+        signs = {_choi_sign(c, size, d) for size, c in enumerate(side.children, 1)}
         if len(signs) != 1 or None in signs:
             return None
         s = signs.pop()
@@ -768,18 +861,18 @@ def _support_form(m: Compose) -> SupportForm | None:
     return SupportForm(dims, index, float(off), float(own), 1 + c1, tables)
 
 
-def _graded_support_form(m: Sum) -> SupportForm | None:
-    """The `SupportForm` of a sum of graded qubit chains or reductions
-    (`Sum.graded`) followed only by compensations (`TraceIdentity`), on a
-    side above `DENSE_MAX_DIM`, the one rule for whole matrices against
+def _graded_support_form(m: Sum | SideLifts) -> SupportForm | None:
+    """The `SupportForm` of graded qubit chains or reductions (`SideLifts`),
+    alone or leading a sum followed only by compensations (`TraceIdentity`),
+    on a side above `DENSE_MAX_DIM`, the one rule for whole matrices against
     blocks, so smaller maps keep the walker; None otherwise.  It holds for
     inputs on the X support only."""
-    g = m.graded
-    if g is None or m.dim <= DENSE_MAX_DIM or not all(
-            isinstance(c, TraceIdentity) for c in m.children[g.count:]):
+    side, rest = (m, ()) if isinstance(m, SideLifts) else (m.children[0], m.children[1:])
+    g = side.graded if isinstance(side, SideLifts) else None
+    if g is None or m.dim <= DENSE_MAX_DIM or not all(isinstance(c, TraceIdentity) for c in rest):
         return None
-    dims, k = g.dims, float(g.count)
-    traces = tuple(float(c.c) for c in m.children[g.count:])
+    dims, k = g.dims, float(2 ** (g.dims.n - 1) - 1)
+    traces = tuple(float(c.c) for c in rest)
     if g.kind == "reduction":
         return SupportForm(dims, x_support_index(dims), g.own, g.own, 0.0, (), traces, g, False)
     if g.kind != "chain" or set(dims.dims) != {2}:
@@ -845,6 +938,8 @@ def _dual_uncached(m: MapExpr, memo: dict) -> MapExpr:
         return SchurWith(m.mask.conj())
     if isinstance(m, Lift):
         return Lift(_dual(m.child, memo), m.parties, m.dims)
+    if isinstance(m, SideLifts):
+        return SideLifts(tuple(_dual(c, memo) for c in m.children), m.dims)
     if isinstance(m, Sum):
         return Sum(tuple(_dual(c, memo) for c in m.children))
     if isinstance(m, Scale):

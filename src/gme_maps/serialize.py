@@ -1,4 +1,4 @@
-"""JSON formats for states (mpop-v2), map expressions (mapexpr-v3) and CSV reports.
+"""JSON formats for states (mpop-v2), map expressions (mapexpr-v4) and CSV reports.
 
 Complex scalars are encoded as [re, im] pairs, a real entry as [re, 0.0].  An
 array is the row-major flat list of its runs of equal bit patterns, one pair
@@ -10,10 +10,15 @@ once per document.  Decoded arrays follow the dtype rule of
 `operators.real_or_complex`.  Documents carry an explicit "format" field so
 files stay self-describing.
 
-A mapexpr-v3 document is a table of the map's distinct nodes, children
+A mapexpr-v4 document is a table of the map's distinct nodes, children
 before parents and the root last, in which a child field holds the index of
-an earlier entry.  A mapexpr-v2 document nests each child's node object in
-its parent, so a shared subtree is spelled out at every occurrence.
+an earlier entry.  The lifts onto every bipartition side are one
+"side-lifts" entry (`maps.SideLifts`), its "children" one per side size, so
+a catalog map is O(n) entries.  A mapexpr-v3 document is the same table
+with those lifts spelled out as one "lift" entry per side, at the head of a
+sum, which the sum makes one side-lifts node again when it is read.  A
+mapexpr-v2 document nests each child's node object in its parent, so a
+shared subtree is spelled out at every occurrence.
 
 Files are opened by `reading` and read by `json.load`.  A v1 document
 (mpop-v1, mapexpr-v1) spells every entry out and has no "runs", and the same
@@ -22,7 +27,10 @@ entries, the size a document declares checked before any entry is copied,
 and a "runs" list before it is expanded: one integer >= 1 per pair, summing
 to that size.  Equal nodes decode to one shared node by value (`_share_key`).
 `MAX_MAP_NODES` and `MAX_MAP_DEPTH` bound the expanded tree, the one map
-evaluation walks, so a shared subtree counts once per occurrence.
+evaluation walks, so a shared subtree counts once per occurrence, and a
+side-lifts node counts as its lifts in the sum it leads: one lift node and
+its child per side, counted without listing the sides.  Only a mapexpr-v4
+document may hold a side-lifts node.
 """
 
 from __future__ import annotations
@@ -40,14 +48,16 @@ from typing import Any, Callable, Iterator, TextIO
 import numpy as np
 
 from .criteria import MAX_DIM
+from .grades import side_counts
 from .maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll, Identity,
-                   Lift, MapExpr, Reduction, Scale, SchurWith, Sum,
+                   Lift, MapExpr, Reduction, Scale, SchurWith, SideLifts, Sum,
                    TraceIdentity, TraceOuter, Transpose, node_fields, nodes)
 from .operators import MpOperator, PartySubset, SiteDims, real_or_complex
 from .states import PureState
 
 STATE_FORMAT, STATE_FORMAT_V1 = "mpop-v2", "mpop-v1"
-MAP_FORMAT, MAP_FORMAT_V2, MAP_FORMAT_V1 = "mapexpr-v3", "mapexpr-v2", "mapexpr-v1"
+MAP_FORMAT, MAP_FORMAT_V3 = "mapexpr-v4", "mapexpr-v3"
+MAP_FORMAT_V2, MAP_FORMAT_V1 = "mapexpr-v2", "mapexpr-v1"
 # The most entries a "runs" list may stand for: a MAX_DIM x MAX_DIM matrix.
 MAX_RUN_ENTRIES = MAX_DIM ** 2
 
@@ -275,8 +285,10 @@ _KINDS = {Identity: "identity", Transpose: "transpose", Reduction: "reduction",
          BreuerHall: "breuer-hall", Choi: "choi", Conjugate: "conjugate",
          DiagAll: "diag", TraceIdentity: "trace-identity", TraceOuter: "trace-outer",
          SchurWith: "schur", Lift: "lift", Sum: "sum", Scale: "scale",
-         Compose: "compose"}
+         Compose: "compose", SideLifts: "side-lifts"}
 _NODE_CLASSES = {kind: cls for cls, kind in _KINDS.items()}
+# the kinds a mapexpr-v3, v2 or v1 document may hold
+_OLD_NODE_CLASSES = {kind: cls for kind, cls in _NODE_CLASSES.items() if cls is not SideLifts}
 _NODE_LIST = tuple[MapExpr, ...]
 # (encode, decode) of each declared field type other than child nodes; decoding
 # accepts only the JSON type the encoder writes
@@ -292,7 +304,8 @@ _CODECS = {
 # Deeper than any catalog tree (at most 9 levels) by a wide margin.
 MAX_MAP_DEPTH = 64
 # More nodes than any catalog tree (eta at n = 10 has 4096) by a wide margin; a
-# shared subtree counts once per occurrence, as evaluation walks it.
+# shared subtree counts once per occurrence, as evaluation walks it, and a
+# side-lifts node as its lifts, one lift node and its child per side.
 MAX_MAP_NODES = 1 << 15
 
 
@@ -314,17 +327,23 @@ def _check_size(depth: int, count: int) -> None:
         raise ValueError(f"map tree has more than {MAX_MAP_NODES} nodes")
 
 
-def _tree_size(sizes: list[tuple[int, int]], kids: list[int]) -> tuple[int, int]:
-    """(depth, count) of the expanded tree of a node whose children are the
+def _tree_size(sizes: list[tuple[int, int]], kids: list[int], node: MapExpr
+               ) -> tuple[int, int]:
+    """(depth, count) of the expanded tree of `node`, whose children are the
     entries `kids` of a table whose entries have `sizes`, a child counted at
-    each occurrence; checked against the bounds.  One plain loop: the writer
-    and the reader run it once per entry."""
+    each occurrence; checked against the bounds.  A side-lifts node counts as
+    its lifts do in the sum it leads, the tree a mapexpr-v3 file spells out:
+    child k under a lift node once per side of k parties (`side_counts`, no
+    side listed), and no node of its own.  One plain loop: the writer and the
+    reader run it once per entry."""
     depth, count = 0, 1
     for k in kids:
         below, size = sizes[k]
         if below > depth:
             depth = below
         count += size
+    if isinstance(node, SideLifts):
+        count = sum(m * (1 + sizes[k][1]) for m, k in zip(side_counts(node.dims.n), kids))
     _check_size(depth + 1, count)
     return depth + 1, count
 
@@ -348,7 +367,7 @@ def _share_key(value: Any) -> Any:
 
 
 def _map_doc(m: MapExpr) -> dict:
-    """The mapexpr-v3 document of a map: each distinct node (`maps.nodes`) once,
+    """The mapexpr-v4 document of a map: each distinct node (`maps.nodes`) once,
     children first, and nodes equal as the reader shares them (`_share_key`,
     a child by its entry) as one entry.  The expanded tree is checked against
     the bounds entry by entry."""
@@ -371,19 +390,21 @@ def _map_doc(m: MapExpr) -> dict:
         key = tuple(key)
         if key not in at:
             at[key] = len(entries)
-            sizes.append(_tree_size(sizes, kids))
+            sizes.append(_tree_size(sizes, kids, node))
             entries.append(entry)
         index[id(node)] = at[key]
     return {"format": MAP_FORMAT, "nodes": entries}
 
 
-def _node_from_json(doc: Any, shared: dict, child: Callable[[Any], MapExpr]) -> MapExpr:
-    """Decode one node object, the value of each child field resolved by
-    `child`; equal nodes decode to the node kept in `shared`."""
+def _node_from_json(doc: Any, shared: dict, child: Callable[[Any], MapExpr],
+                    classes: dict[str, type] = _OLD_NODE_CLASSES) -> MapExpr:
+    """Decode one node object of a kind in `classes`, the value of each child
+    field resolved by `child`; equal nodes decode to the node kept in
+    `shared`."""
     if not isinstance(doc, dict):
         raise ValueError(f"map node must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    cls = _NODE_CLASSES.get(kind) if isinstance(kind, str) else None
+    cls = classes.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown map node kind {kind!r}")
     args = {}
@@ -419,15 +440,16 @@ def _tree_from_json(doc: Any, shared: dict, count: list[int], depth: int = 1) ->
     return _node_from_json(doc, shared, lambda c: _tree_from_json(c, shared, count, depth + 1))
 
 
-def _table_from_json(table: Any) -> MapExpr:
-    """Decode the node table of a mapexpr-v3 document, each entry once, in
-    order, and return its last entry.  A child is the index of an earlier
-    entry, and the expanded tree of each entry is checked once it is built."""
+def _table_from_json(table: Any, fmt: str) -> MapExpr:
+    """Decode the node table of a mapexpr-v4 or v3 document, each entry
+    once, in order, and return its last entry.  A child is the index of an
+    earlier entry, and the expanded tree of each entry is checked once it is
+    built, which takes no more than its fields."""
     if not isinstance(table, list):
-        raise ValueError(f"{MAP_FORMAT} document: 'nodes' must be a list, "
-                         f"got {type(table).__name__}")
+        raise ValueError(f"{fmt} document: 'nodes' must be a list, got {type(table).__name__}")
     if not table:
-        raise ValueError(f"{MAP_FORMAT} document: 'nodes' is empty")
+        raise ValueError(f"{fmt} document: 'nodes' is empty")
+    classes = _NODE_CLASSES if fmt == MAP_FORMAT else _OLD_NODE_CLASSES
     _check_size(1, len(table))
     built, sizes, shared, kids = [], [], {}, []
 
@@ -441,8 +463,8 @@ def _table_from_json(table: Any) -> MapExpr:
 
     for doc in table:
         kids.clear()
-        built.append(_node_from_json(doc, shared, child))
-        sizes.append(_tree_size(sizes, kids))
+        built.append(_node_from_json(doc, shared, child, classes))
+        sizes.append(_tree_size(sizes, kids, built[-1]))
     return built[-1]
 
 
@@ -451,23 +473,23 @@ def mapexpr_to_json(m: MapExpr) -> dict:
 
 
 def save_map(path: str, m: MapExpr) -> None:
-    """Write the mapexpr-v3 file of a map: `json.dumps(mapexpr_to_json(m))`
+    """Write the mapexpr-v4 file of a map: `json.dumps(mapexpr_to_json(m))`
     and a newline; a map past the bounds is refused before the file is opened."""
     write_json(path, _map_doc(m))
 
 
 def mapexpr_from_json(doc: Any) -> MapExpr:
-    """Decode a mapexpr-v3, v2 or v1 document; equal nodes decode to one
+    """Decode a mapexpr-v4, v3, v2 or v1 document; equal nodes decode to one
     shared node, so a subtree the written map shared is shared again."""
     if not isinstance(doc, dict):
         raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
     fmt = doc.get("format")
-    if fmt == MAP_FORMAT:
-        return _table_from_json(doc.get("nodes"))
+    if fmt in (MAP_FORMAT, MAP_FORMAT_V3):
+        return _table_from_json(doc.get("nodes"), fmt)
     if fmt in (MAP_FORMAT_V2, MAP_FORMAT_V1):
         return _tree_from_json(doc.get("root"), {}, [0])
-    raise ValueError(f"expected format {MAP_FORMAT!r}, {MAP_FORMAT_V2!r} or "
-                     f"{MAP_FORMAT_V1!r}, got {fmt!r}")
+    raise ValueError(f"expected format {MAP_FORMAT!r}, {MAP_FORMAT_V3!r}, {MAP_FORMAT_V2!r} "
+                     f"or {MAP_FORMAT_V1!r}, got {fmt!r}")
 
 
 def jsonable(obj: Any) -> Any:

@@ -1,26 +1,33 @@
 """Shared test utilities: random operators, random map expressions (also
 X-projected ones), superoperator and lift-by-lift oracles, the text
-`json.dumps` writes for a document with arrays written by runs, and the v2
-and v1 forms of such a text."""
+`json.dumps` writes for a document with arrays written by runs, and the v3,
+v2 and v1 forms of such a text."""
 
 import functools
 import itertools
 import json
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from gme_maps import maps
 from gme_maps.criteria import x_projector
+from gme_maps.grades import bipartitions
 from gme_maps.maps import (BreuerHall, Choi, Compose, Conjugate, DiagAll,
                            Identity, Lift, MapExpr, Reduction, Scale, SchurWith,
-                           Sum, TraceIdentity, TraceOuter, Transpose, apply_stack,
-                           default_skew_unitary)
+                           SideLifts, Sum, TraceIdentity, TraceOuter, Transpose,
+                           apply_stack, default_skew_unitary)
 from gme_maps.operators import MpOperator, PartySubset, SiteDims
-from gme_maps.serialize import MAP_FORMAT, MAP_FORMAT_V2, MAX_RUN_ENTRIES, _NODE_CLASSES, _key
+from gme_maps.serialize import (MAP_FORMAT, MAP_FORMAT_V2, MAP_FORMAT_V3, MAX_RUN_ENTRIES,
+                                _NODE_CLASSES, _key)
 from gme_maps.states import clock_matrix, shift_matrix
+
+
+#: committed files: map files as the mapexpr-v3 writer wrote them
+DATA = Path(__file__).parent / "data"
 
 
 def rand_hermitian(D, rng):
@@ -57,10 +64,17 @@ def superoperator(m: MapExpr, evaluate=apply_stack) -> np.ndarray:
     return out.reshape(D * D, D * D).T
 
 
+def side_lifts(m: SideLifts) -> list[Lift]:
+    """The explicit lifts a `SideLifts` node stands for, from the definition:
+    child k onto each representative of `bipartitions` of k parties."""
+    return [Lift(m.children[len(A) - 1], A, m.dims) for A in bipartitions(m.dims.n)]
+
+
 def lift_by_lift(m: MapExpr, x: np.ndarray) -> np.ndarray:
     """m(x) for a stack x, shape (..., D, D), with every `Lift` evaluated on
-    its own from the definition and every sum child by child, each node as
-    often as the tree reaches it; leaves go through `maps._eval`.  A lift's
+    its own from the definition, a `SideLifts` node as its lifts
+    (`side_lifts`), and every sum child by child, each node as often as the
+    tree reaches it; leaves go through `maps._eval`.  A lift's
     child maps each block of x on the sites of A, one per pair (r, s) of basis
     indices of the sites R outside A, into the same entries: one axis
     transpose of x reads it as (..., dR, dR, dA, dA), and one more puts the
@@ -79,8 +93,9 @@ def lift_by_lift(m: MapExpr, x: np.ndarray) -> np.ndarray:
         blocks = x.reshape(x.shape[:-2] + sizes * 2).transpose(axes)
         out = lift_by_lift(m.child, blocks.reshape(x.shape[:-2] + (m.dim // dA,) * 2 + (dA, dA)))
         return out.reshape(blocks.shape).transpose(np.argsort(axes)).reshape(x.shape)
-    if isinstance(m, Sum):
-        return sum(lift_by_lift(c, x) for c in m.children)
+    if isinstance(m, (Sum, SideLifts)):
+        return sum(lift_by_lift(c, x) for c in (side_lifts(m) if isinstance(m, SideLifts)
+                                                else m.children))
     if isinstance(m, Scale):
         return m.r * lift_by_lift(m.child, x)
     if isinstance(m, Compose):
@@ -95,7 +110,7 @@ def lift_sites(m: MapExpr) -> tuple[SiteDims, ...]:
     found = []
 
     def walk(node):
-        if isinstance(node, Lift):
+        if isinstance(node, (Lift, SideLifts)):
             if node.dims not in found:
                 found.append(node.dims)
             return
@@ -151,10 +166,19 @@ def reference_text(doc) -> str:
 V1_FORMATS = {"mapexpr-v2": "mapexpr-v1", "mpop-v2": "mpop-v1"}
 
 
+def _spelled_lifts(node: dict) -> list[dict]:
+    """The "lift" node objects a "side-lifts" node object stands for, each
+    child object by reference."""
+    return [{"kind": "lift", "child": node["children"][len(A) - 1], "parties": list(A.members),
+             "dims": node["dims"]} for A in bipartitions(len(node["dims"]))]
+
+
 def inlined(doc: dict) -> dict:
-    """The mapexpr-v2 document of a mapexpr-v3 one: each child index replaced
-    by the node object of the entry it names, spelled out at every
-    occurrence, and the last entry the root."""
+    """The mapexpr-v2 document of a mapexpr-v4 or v3 one: each child index
+    replaced by the node object of the entry it names, spelled out at every
+    occurrence, and the last entry the root.  A side-lifts entry is spelled
+    out as its lifts, as the sum it leads held them before it was read (a sum
+    of them alone elsewhere)."""
     done = []
     for entry in doc["nodes"]:
         fields = maps.node_fields(_NODE_CLASSES[entry["kind"]])
@@ -166,13 +190,49 @@ def inlined(doc: dict) -> dict:
             elif types.get(key) == tuple[MapExpr, ...]:
                 value = [done[i] for i in value]
             node[key] = value
+        if node["kind"] == "sum" and node["children"][0]["kind"] == "side-lifts":
+            node["children"] = _spelled_lifts(node["children"][0]) + node["children"][1:]
         done.append(node)
+    for node in done:  # a side-lifts node elsewhere: the sum of its lifts
+        if node["kind"] == "side-lifts":
+            lifts = _spelled_lifts(node)
+            node.clear()
+            node.update(kind="sum", children=lifts)
     return {"format": MAP_FORMAT_V2, "root": done[-1]}
 
 
+def tabled(doc: dict) -> dict:
+    """The mapexpr-v3 document of a mapexpr-v2 one, as the v3 writer wrote it:
+    the distinct node objects (equal texts once), each child before its
+    parent, a parent's children walked last to first, the root last."""
+    entries, at = [], {}
+
+    def enter(node: dict) -> int:
+        types = {_key(name): tp for name, tp, _ in maps.node_fields(_NODE_CLASSES[node["kind"]])}
+        entry = dict(node)
+        for key in reversed([k for k in node if types.get(k) in (MapExpr, tuple[MapExpr, ...])]):
+            value = node[key]
+            entry[key] = ([enter(c) for c in value[::-1]][::-1] if isinstance(value, list)
+                          else enter(value))
+        text = json.dumps(entry)
+        if text not in at:
+            at[text] = len(entries)
+            entries.append(entry)
+        return at[text]
+
+    enter(doc["root"])
+    return {"format": MAP_FORMAT_V3, "nodes": entries}
+
+
+def v3_text(text: str) -> str:
+    """The v3 file text of a written v4 map file text: every side-lifts entry
+    spelled out as its lifts (`inlined`), the bytes the v3 writer wrote."""
+    return json.dumps(tabled(inlined(json.loads(text)))) + "\n" * text.endswith("\n")
+
+
 def v2_text(text: str) -> str:
-    """The v2 file text of a written v3 map file text: every node nested in
-    its parent, the bytes the v2 writer wrote."""
+    """The v2 file text of a written v4 or v3 map file text: every node nested
+    in its parent, the bytes the v2 writer wrote."""
     return json.dumps(inlined(json.loads(text))) + "\n" * text.endswith("\n")
 
 
@@ -210,11 +270,11 @@ def spelled_out(doc):
 
 
 def v1_text(text: str) -> str:
-    """The v1 file text of a written v3 map, v2 map or v2 state file text:
-    every node nested in its parent, every run spelled out and the v1
+    """The v1 file text of a written v4 or v3 map, v2 map or v2 state file
+    text: every node nested in its parent, every run spelled out and the v1
     format, the bytes the v1 writer wrote."""
     doc = json.loads(text)
-    doc = spelled_out(inlined(doc) if doc["format"] == MAP_FORMAT else doc)
+    doc = spelled_out(inlined(doc) if doc["format"] in (MAP_FORMAT, MAP_FORMAT_V3) else doc)
     doc["format"] = V1_FORMATS[doc["format"]]
     return json.dumps(doc) + "\n" * text.endswith("\n")
 

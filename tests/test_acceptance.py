@@ -218,7 +218,7 @@ def test_criterion_13_structural_identities():
     # off-diagonal identity, qubit flip-transposition version
     from gme_maps.criteria import _phi_tx_sum
     for n in (3, 4):
-        terms = _phi_tx_sum(n).children
+        terms = _phi_tx_sum(n).children[0].lifts  # one lift per bipartition side
         good = _offdiag_identity_holds(n, 2, terms, x_projector(n, 2), rng,
                                        trials=100, tol=1e-10)
         ok &= good

@@ -27,7 +27,7 @@ from gme_maps.serialize import (MAP_FORMAT_V2, MAX_MAP_DEPTH, MAX_MAP_NODES, STA
                                 state_from_json, state_to_json, unpairs)
 from gme_maps.states import PureState, ghz, w_state
 from helpers import (density_op, lifted_map_exprs, map_exprs, run_heavy_exprs, spelled_out,
-                     v1_text, v2_text, x_projected_exprs)
+                     v1_text, v2_text, v3_text, x_projected_exprs)
 
 
 def _map_summary(m):
@@ -88,31 +88,34 @@ def test_catalog_exports_read_in_bulk(map_id, n, d):
 
 
 def test_each_distinct_pair_list_and_sub_document_once(monkeypatch):
-    """eta at n = 8 has 1024 node occurrences, 255 of them holding an array,
-    for 146 distinct nodes and 5 distinct array objects.  Its table writes
-    each node once and each array object as text once, and reading it
-    decodes 146 entries, where its v2 form decodes 1024 sub-documents."""
+    """eta at n = 8 has 20 distinct nodes (its 127 lifts one side-lifts node)
+    and 5 distinct array objects; its v2 form spells out 1024 node
+    occurrences, 255 of them holding an array.  Its table writes each node
+    once and each array object as text once, and reading it decodes 20
+    entries, where its v2 form decodes 1024 sub-documents to the same 20
+    distinct nodes."""
     written, write = Counter(), serialize._pairs_text
     monkeypatch.setattr(serialize, "_pairs_text", lambda arr: written.update([id(arr)]) or write(arr))
     expr = build_map("eta", 8, 2).expr
     text = json.dumps(mapexpr_to_json(expr))
-    assert text.count('"kind"') == 146 and text.count('"entries": [[') == 5
-    assert len(text) <= 35_000
+    assert text.count('"kind"') == 20 and text.count('"entries": [[') == 5
+    assert len(text) <= 20_000
     assert len(written) == 5 and set(written.values()) == {1}
     old = v2_text(text)
     assert old.count('"entries": [[') == 255 and old.count('"kind"') == 1024
     decoded, decode = Counter(), serialize._node_from_json
     monkeypatch.setattr(serialize, "_node_from_json",
                         lambda doc, *rest: decoded.update([id(doc)]) or decode(doc, *rest))
-    for source, count in ((text, 146), (old, 1024)):
+    for source, count in ((text, 20), (old, 1024)):
         decoded.clear()
-        assert len(list(maps.nodes(mapexpr_from_json(json.loads(source))))) == 146
+        assert len(list(maps.nodes(mapexpr_from_json(json.loads(source))))) == 20
         assert sum(decoded.values()) == count
 
 
 def test_lift_parities_once_per_child(monkeypatch):
     """The lifts of one side size share their child, whose parities are
-    worked out once; eta at n = 8 has 127 lifts and 4 children."""
+    worked out once; eta at n = 8 has 127 lifts and 4 children, as built and
+    read from its v3 form, where each lift is an entry of its own."""
     calls = Counter()
     work = maps.MapExpr.parities.func
 
@@ -124,11 +127,14 @@ def test_lift_parities_once_per_child(monkeypatch):
     parities.__set_name__(maps.MapExpr, "parities")
     monkeypatch.setattr(maps.MapExpr, "parities", parities)
     m = build_map("eta", 8, 2).expr
-    lifts = [node for node in maps.nodes(m) if isinstance(node, maps.Lift)]
-    assert len(lifts) == 127 and len({id(lift.child) for lift in lifts}) == 4
-    assert all(lift.child.parities is not None for lift in lifts)
-    assert set(calls.values()) == {1}
-    assert {id(lift.child) for lift in lifts} <= set(calls)
+    v3 = v3_text(json.dumps(mapexpr_to_json(m)))
+    assert v3.count('"kind": "lift"') == 127
+    for expr in (m, mapexpr_from_json(json.loads(v3))):
+        calls.clear()
+        [side] = [node for node in maps.nodes(expr) if isinstance(node, maps.SideLifts)]
+        assert len(side.children) == 4 and side.graded is not None
+        assert set(calls.values()) == {1}
+        assert {id(c) for c in side.children} <= set(calls)
 
 
 # A mask of 27 x 27 entries and a file of repeated conjugations.

@@ -10,14 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from gme_maps import cli, criteria, maps, serialize, states
+from gme_maps import cli, criteria, grades, maps, serialize, states
 from gme_maps.cli import main
 from gme_maps.detect import detect
 from gme_maps.maps import SchurWith, TraceOuter, compose, identity_map
 from gme_maps.operators import MpOperator, SiteDims, scatter_blocks
 from gme_maps.serialize import mapexpr_to_json, save_state, state_to_json, write_json
 from gme_maps.states import PureState, ghz, maximally_mixed
-from helpers import hermitian_op, rand_density, reference_text, v1_text, v2_text
+from helpers import DATA, hermitian_op, rand_density, reference_text, v1_text, v2_text, v3_text
 
 
 def run(capsys, *argv):
@@ -789,9 +789,11 @@ def test_witness_roundtrip_sign(tmp_path, capsys):
 # the tree's terms one by one gave 1.0000000000000004.  The zero off-diagonal
 # support entries are written as 0.0, not as the -0.0 that -3 * 0.0 gives.
 # The v1 pins are of the files the v1 writer wrote, every entry spelled out
-# (`helpers.v1_text` of the written file), and the map file v2 pins of the
-# files the v2 writer wrote, every node nested in its parent (`helpers.v2_text`
-# of the v3 file); both still read to the same outputs.
+# (`helpers.v1_text` of the written file), the map file v2 pins of the files
+# the v2 writer wrote, every node nested in its parent (`helpers.v2_text` of
+# the v3 file), and the map file v3 pins of the files the v3 writer wrote,
+# each lift an entry of its own (`helpers.v3_text` of the v4 file), committed
+# as tests/data/<id>-<n>-<d>-v3.json; all still read to the same outputs.
 EXPORT_SHA256_V1 = {
     "phi-tx": "c7fa55220fc52490286a9448d24c2b5fa61aa1c53c19a563d4b8b5ed14920e50",
     "eta": "615fdd863a5f478592bfcb7a18bb62f59daee96bdcada8135a6f3c5d4912e216",
@@ -807,10 +809,15 @@ EXPORT_SHA256_V2 = {
     "eta": "e84e09614967c57ae3291c539a169cdfaf40f025f933d53ec79b8d86ba5f6dc2",
     "mu-choi": "22f180463a30d7c89dd2807405016fd18e5f58b6bb7492500b975420f8a71082",
 }
-EXPORT_SHA256 = {
+EXPORT_SHA256_V3 = {
     "phi-tx": "f32f9547533c6e008adcaf38476102affb85e67d5adad8ff9e156c0f0033e2b9",
     "eta": "921d5a46ffb7f8b60bdc56ed72b4513e060750eb6f3356a000069af4e7a83ac7",
     "mu-choi": "1dfd83940e526321ab98a725f422aa55a5f4b0a1473d82e458877206cb4764d9",
+}
+EXPORT_SHA256 = {
+    "phi-tx": "58ec9f1d3c693f4fc7524fb877c657d70ce6d7b1028b3df957a4ebb09f2c92eb",
+    "eta": "addee80be311ba467e3ffcc6626fb1078f7383361749adc1d325263dd5b88f86",
+    "mu-choi": "ccb8895ae511dbfe182d2d5ed83957e783b7c75037fc5f2e34320c9d0fd7c5cd",
 }
 WITNESS_SHA256 = {
     "phi-tx": "e6f66b0efdb729e73941dc9e72eda29daf21e502179dba29c4ac00020dd61eb0",
@@ -826,19 +833,23 @@ def _sha256(path):
 @pytest.mark.parametrize("map_id", sorted(EXPORT_SHA256))
 def test_written_files_pinned(tmp_path, capsys, map_id):
     """The map and witness files are pinned as written and in their older
-    forms; those read to the same map and witness, bit for bit."""
+    forms, the v3 one committed; those read to the same map and witness, bit
+    for bit."""
     n, d = criteria.SMALLEST[map_id]
-    mpath, v2_mpath, old_mpath = tmp_path / "m.json", tmp_path / "m2.json", tmp_path / "m1.json"
+    mpath, v3_mpath = tmp_path / "m.json", DATA / f"{map_id}-{n}-{d}-v3.json"
+    v2_mpath, old_mpath = tmp_path / "m2.json", tmp_path / "m1.json"
     code, _, _ = run(capsys, "detect", "--map", map_id, "--n", str(n), "--d", str(d),
                      "--state", "ghz", "--export-map", str(mpath))
     assert code == 0
-    v2_mpath.write_text(v2_text(mpath.read_text()))
-    old_mpath.write_text(v1_text(mpath.read_text()))
-    assert (_sha256(mpath), _sha256(v2_mpath), _sha256(old_mpath)) == (
-        EXPORT_SHA256[map_id], EXPORT_SHA256_V2[map_id], EXPORT_SHA256_V1[map_id])
+    assert v3_text(mpath.read_text()) == v3_mpath.read_text()
+    v2_mpath.write_text(v2_text(v3_mpath.read_text()))
+    old_mpath.write_text(v1_text(v3_mpath.read_text()))
+    assert (_sha256(mpath), _sha256(v3_mpath), _sha256(v2_mpath), _sha256(old_mpath)) == (
+        EXPORT_SHA256[map_id], EXPORT_SHA256_V3[map_id], EXPORT_SHA256_V2[map_id],
+        EXPORT_SHA256_V1[map_id])
     reports = [run(capsys, "detect", "--map-file", str(p), "--state", "ghz")
-               for p in (mpath, v2_mpath, old_mpath)]
-    assert reports[0] == reports[1] == reports[2] and reports[0][0] == 0
+               for p in (mpath, v3_mpath, v2_mpath, old_mpath)]
+    assert reports[0] == reports[1] == reports[2] == reports[3] and reports[0][0] == 0
     wpath, old_wpath = tmp_path / "w.json", tmp_path / "w1.json"
     w = criteria.map_to_witness(criteria.build_map(map_id, n, d), ghz(n, d))
     save_state(str(wpath), w)
@@ -862,7 +873,7 @@ SCALED = (("eta", 7, 2), ("eta", 8, 2), ("phi-tx", 8, 2), ("phi-t", 8, 2),
                                                  criteria.SMALLEST.items()) + list(SCALED))
 def test_catalog_tables_round_trip(tmp_path, capsys, map_id, n, d):
     """Every catalog map at its smallest size and at the detect-scaled sizes
-    reads back from its exported table with the same distinct nodes (146
+    reads back from its exported table with the same distinct nodes (20
     for eta at n = 8), one table entry each, and bit-identical outputs."""
     path = tmp_path / "m.json"
     assert run(capsys, "detect", "--map", map_id, "--n", str(n), "--d", str(d),
@@ -871,7 +882,7 @@ def test_catalog_tables_round_trip(tmp_path, capsys, map_id, n, d):
     back = serialize.mapexpr_from_json(json.loads(path.read_text()))
     count = len(list(maps.nodes(m)))
     assert len(list(maps.nodes(back))) == len(json.loads(path.read_text())["nodes"]) == count
-    assert (map_id, n) != ("eta", 8) or count == 146
+    assert (map_id, n) != ("eta", 8) or count == 20
     stack = np.random.default_rng(29).standard_normal((2, m.dim, m.dim))
     stack = stack + 1j * np.random.default_rng(30).standard_normal(stack.shape)
     for x in (stack, stack.real.copy()):
@@ -921,6 +932,39 @@ def test_hostile_node_table_exits_2(tmp_path, capsys, monkeypatch, text, message
     path = tmp_path / "t.json"
     path.write_text(text)
     monkeypatch.setattr(maps, "_eval", lambda *_: pytest.fail("a map was evaluated"))
+    code, out, err = run(capsys, "detect", "--map-file", str(path), "--n", "1", "--d", "2",
+                         "--state", "mixed")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _side_lifts_table(n, dims_of_child, format="mapexpr-v4"):
+    """A table of one transposition per side size, of the given dimensions,
+    lifted onto every bipartition side of n qubits by one side-lifts entry."""
+    children = [{"kind": "transpose", "d": dims_of_child(k)} for k in range(1, n // 2 + 1)]
+    side = {"kind": "side-lifts", "children": list(range(len(children))), "dims": [2] * n}
+    return json.dumps({"format": format, "nodes": children + [side]})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_side_lifts_table(4, lambda k: 2), "child 2 dimension 2 does not match the size 4 of a side "
+                                        "of 2 sites"),
+    (json.dumps({"format": "mapexpr-v4", "nodes": [
+        {"kind": "transpose", "d": 2},
+        {"kind": "side-lifts", "children": [0], "dims": [2, 2, 2, 2]}]}),
+     "side lifts on 4 sites need 2 children, one per side size, got 1"),
+    (_side_lifts_table(60, lambda k: 2 ** k), "map tree has more than 32768 nodes"),
+    (_side_lifts_table(4, lambda k: 2 ** k, "mapexpr-v3"), "unknown map node kind 'side-lifts'"),
+], ids=["child-dimension", "child-count", "60-sites", "in-v3"])
+def test_hostile_side_lifts_exit_2(tmp_path, capsys, monkeypatch, text, message):
+    """A side-lifts entry with a child of the wrong dimension, a child count
+    other than n // 2, or 60 sites (2^59 - 1 lifts, refused by the expanded
+    node count at once, with no side listed), or one in a mapexpr-v3 table,
+    exits 2 with its own message, and no map is evaluated."""
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    monkeypatch.setattr(maps, "_eval", lambda *_: pytest.fail("a map was evaluated"))
+    for module in (maps, grades):
+        monkeypatch.setattr(module, "bipartitions", lambda n: pytest.fail("sides were listed"))
     code, out, err = run(capsys, "detect", "--map-file", str(path), "--n", "1", "--d", "2",
                          "--state", "mixed")
     assert (code, out, err) == (2, "", f"error: {message}\n")

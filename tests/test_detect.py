@@ -245,6 +245,28 @@ def test_pencil_of_inputs_on_and_off_the_support(map_id, n):
         noise_threshold(m, w_state(n))
 
 
+@pytest.mark.parametrize("map_id, n, d, state", [("phi-b", 3, 4, "ghz"), ("phi-t", 3, 2, "w"),
+                                                  ("eta", 3, 2, "w")])
+def test_noise_outputs_take_i_over_d_as_the_map_reads_it(monkeypatch, map_id, n, d, state):
+    """I/D goes to a map without a support form (phi-b, phi-t at D = 8) as its
+    matrix and to one with a form (eta) as its X-support blocks; either way
+    the pencil parts are, bit for bit, those of I/D given as blocks to every
+    map, which a map without a form scattered for its walker."""
+    m = build_map(map_id, n, d)
+    target = noisy_ghz(n, d, 1.0) if state == "ghz" else w_state(n).density()
+    given = []
+    monkeypatch.setattr(detect_module, "apply",
+                        lambda expr, op: given.append(op) or apply_blocks(expr, op))
+    groups = _noise_outputs(m, target)
+    assert isinstance(given[1], MpOperator) == (m.expr.support is None) == (map_id != "eta")
+    blocks = joint_blocks((apply_blocks(m.expr, target),
+                           apply_blocks(m.expr, noisy_ghz(n, d, 0.0))))
+    assert len(groups) == len(blocks)
+    for (index, parts), (want_index, want) in zip(groups, blocks):
+        assert index.tobytes() == want_index.tobytes()
+        assert parts.dtype == want.dtype and parts.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_block_pencil_matches_dense_on_singular_noise_output(case):
     m, target = _singular_noise_maps()[case]

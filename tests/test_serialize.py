@@ -21,7 +21,8 @@ from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report, json
 from gme_maps.cli import main
 from gme_maps.operators import MpOperator, SiteDims
 from gme_maps.states import PureState, ghz, maximally_mixed, ppt_family
-from helpers import (hermitian_op, inlined, lifted_map_exprs, map_exprs, reference_text,
+from helpers import (DATA, hermitian_op, inlined, lifted_map_exprs, map_exprs, reference_text,
+                     side_lifts, v3_text,
                      run_heavy_exprs, v1_text, v2_text, x_projected_exprs)
 
 
@@ -116,7 +117,7 @@ def test_state_dims_are_integers(tmp_path, dims, message):
 def test_mapexpr_roundtrip(factory):
     expr = factory()
     doc = mapexpr_to_json(expr)
-    assert doc["format"] == "mapexpr-v3"
+    assert doc["format"] == "mapexpr-v4"
     back = mapexpr_from_json(json.loads(json.dumps(doc)))
     rng = np.random.default_rng(1)
     dims = (2, 2, 2) if expr.dim == 8 else ((3, 3, 3) if expr.dim == 27 else (4, 4, 4))
@@ -129,7 +130,9 @@ def test_mapexpr_roundtrip(factory):
 # sha256 of json.dumps(mapexpr_to_json(...)), the text `detect --export-map`
 # writes before its newline, for each catalog map at its smallest size: as
 # mapexpr-v1 wrote it, every entry spelled out, as mapexpr-v2 wrote it, every
-# node nested in its parent, and as mapexpr-v3 writes it.
+# node nested in its parent, as mapexpr-v3 wrote it, each lift an entry of
+# its own (the files tests/data/<id>-<n>-<d>-v3.json hold those bytes and a
+# newline), and as mapexpr-v4 writes it.
 CATALOG_SHA256_V1 = {
     "phi-t": "59591ff08fd5df383e898856f1552b9304b433493ecc04b5854952d4cf5e826b",
     "phi-tx": "ad64e64556aeb30b8569cf1062406f085c6c1e38fed3eebb3b8b7c0f743f13c8",
@@ -146,6 +149,14 @@ CATALOG_SHA256_V2 = {
     "phi-b": "a1cbb72ac07ca00810bb1985614976ab517fdeb9f182fd3ad86acc8fd43451bb",
     "mu-choi": "3c772b2fbffdd835c11726ac25ba3d5d6672d23858860475d39f0b49bc73feec",
 }
+CATALOG_SHA256_V4 = {
+    "phi-t": "dcc62777cce71606c75a1fd9363a5a1d03d48f0ecdaaa1f16bb2afd3b8d0a358",
+    "phi-tx": "1260904ead5a0464228cb882cfe783f754c891a49ca7c0a38b5fe7949a1d3bbd",
+    "eta": "22837f7998fe5b6f9836197f12a7bf405a094c554d27da7ab1963986acf4c23f",
+    "phi-r": "5d106dd89f4c1027ff2cefc41411c4ae5e940f5a3f71dba9110520ce81015627",
+    "phi-b": "6e71c70822c5edc3683899338c654f8fac58cdd63a70083a4ecffa437549c911",
+    "mu-choi": "9b6db7b18bd8a8fc13bf08c469e452921cd452fa863fa9b09041eab405b226a6",
+}
 CATALOG_SHA256 = {
     "phi-t": "49b5d52c8d965418a04fc52405d1821d0b87d5d992e9807c74d1d3afde4076ba",
     "phi-tx": "b4e215d2a73efb06512c17d65cb61a6dfec6433886e3b556f3bca02e94583f21",
@@ -158,17 +169,22 @@ CATALOG_SHA256 = {
 
 @pytest.mark.parametrize("map_id", sorted(CATALOG_SHA256))
 def test_mapexpr_bytes_pinned(map_id):
-    """The v3 text is pinned; its table inlined into the v2 tree hashes to the
-    v2 pin, so the table carries the v2 file's node data, and its v1 form to
-    the v1 pin.  The v2 and v1 texts read to the catalog tree: the same v3
-    text, the same outputs."""
-    expr = build_map(map_id, *SMALLEST[map_id]).expr
+    """The v4 text is pinned; its side lifts spelled out as lifts give the v3
+    text the v3 writer wrote, the committed file's bytes, so the table
+    carries the v3 file's node data; that table inlined into the v2 tree
+    hashes to the v2 pin, and its v1 form to the v1 pin.  The v3, v2 and v1
+    texts read to the catalog tree: the same v4 text, the same outputs."""
+    n, d = SMALLEST[map_id]
+    expr = build_map(map_id, n, d).expr
     text = json.dumps(mapexpr_to_json(expr))
-    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[map_id]
-    assert hashlib.sha256(v2_text(text).encode()).hexdigest() == CATALOG_SHA256_V2[map_id]
-    assert hashlib.sha256(v1_text(text).encode()).hexdigest() == CATALOG_SHA256_V1[map_id]
+    v3 = v3_text(text)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256_V4[map_id]
+    assert hashlib.sha256(v3.encode()).hexdigest() == CATALOG_SHA256[map_id]
+    assert (DATA / f"{map_id}-{n}-{d}-v3.json").read_text() == v3 + "\n"
+    assert hashlib.sha256(v2_text(v3).encode()).hexdigest() == CATALOG_SHA256_V2[map_id]
+    assert hashlib.sha256(v1_text(v3).encode()).hexdigest() == CATALOG_SHA256_V1[map_id]
     stack = np.random.default_rng(5).standard_normal((2, expr.dim, expr.dim)) + 0j
-    for old in (v2_text(text), v1_text(text)):
+    for old in (v3, v2_text(v3), v1_text(v3)):
         back = mapexpr_from_json(json.loads(old))
         assert json.dumps(mapexpr_to_json(back)) == text
         assert apply_stack(back, stack).tobytes() == apply_stack(expr, stack).tobytes()
@@ -301,10 +317,32 @@ def test_map_node_count_limit(tmp_path, capsys):
     with pytest.raises(ValueError, match="nodes"):
         mapexpr_to_json(maps.map_sum(*[identity_map(2)] * MAX_MAP_NODES))
 
-    def written(m):  # nodes the encoder writes: a shared subtree once per occurrence
+    def written(m):  # nodes the bound counts: a shared subtree once per occurrence,
+        # a side-lifts node as its lifts in the sum it leads
+        if isinstance(m, maps.SideLifts):
+            return sum(written(c) for c in side_lifts(m))
         return 1 + sum(written(c) for c in maps.children(m))
 
     assert written(build_map("eta", 10, 2).expr) == 4096 <= MAX_MAP_NODES // 8
+
+
+@pytest.mark.parametrize("map_id, n, d", [("eta", 8, 2), ("phi-tx", 7, 2), ("phi-r", 5, 3),
+                                           ("mu-choi", 5, 3), ("phi-b", 4, 4)])
+def test_side_lifts_count_as_their_lifts(monkeypatch, map_id, n, d):
+    """The writer and the reader bound a catalog map's v4 table by the same
+    expanded tree (depth and node count) as its v3 form, where each lift is
+    an entry of its own."""
+    checked = []
+    check = serialize._check_size
+    monkeypatch.setattr(serialize, "_check_size", lambda *size: checked.append(size) or check(*size))
+    m = build_map(map_id, n, d).expr
+    text = json.dumps(mapexpr_to_json(m))
+    written = checked[-1]
+    roots = []
+    for source in (text, v3_text(text)):
+        mapexpr_from_json(json.loads(source))
+        roots.append(checked[-1])
+    assert roots == [written, written]
 
 
 def test_scan_csv_format():
