@@ -303,7 +303,8 @@ def _cmd_witness(args) -> int:
     m = _build_gme_map(args)
     rho = _build_state(args, m)
     verdict = detect(m, rho, args.tol)
-    psi = PureState(m.dims, verdict.eigvec)
+    # the eigensolver's vector is unit only to rounding: divided by its norm
+    psi = PureState(m.dims, states.unit_vector(verdict.eigvec))
     w = criteria.map_to_witness(m, psi)
     serialize.save_state(args.output, w)
     summary = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import sqrt
 
 import numpy as np
@@ -285,7 +285,12 @@ def build_map(map_id: str, n: int, d: int) -> GmeMap:
     """Construct a cataloged map by id; raises ValueError for bad combos.
 
     D = d^n is checked against `MAX_DIM` before anything is built, so no
-    D x D array (eta's mask, a whole input or output) is made past it.
+    D x D array (eta's mask, a whole input or output) is made past it.  The
+    checks run on every call; the map is built once per (map_id, n, d) and
+    that one `GmeMap` is returned to every later call (`_built`).  Sharing
+    is safe because a map never changes: its nodes are frozen, their arrays
+    read-only, and what a first application works out (support form, lift
+    tables) is kept on the nodes and depends on the tree alone.
     """
     check_local_dim(d)
     # d >= 2, so more than log2(MAX_DIM) parties is too large without computing d^n
@@ -293,7 +298,16 @@ def build_map(map_id: str, n: int, d: int) -> GmeMap:
         raise ValueError(f"D = d^n = {d}^{n} exceeds the supported maximum {MAX_DIM}")
     if map_id not in CATALOG:
         raise ValueError(f"unknown map id {map_id!r}; choose from {', '.join(MAP_IDS)}")
-    builder, _, qubit_only = CATALOG[map_id]
+    _, _, qubit_only = CATALOG[map_id]
     if qubit_only and d != 2:
         raise ValueError(f"{map_id} is a qubit criterion (d = 2)")
-    return builder(n, d)
+    return _built(map_id, n, d)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _built(map_id: str, n: int, d: int) -> GmeMap:
+    """The catalog map of `build_map`'s checked arguments, kept for the last
+    8 distinct ones (the bound of `operators.x_support_index`): at most 8
+    dense D x D masks of up to 8 MB each stay resident.  A builder that
+    raises caches nothing, and keys are typed, so 3.0 never stands for 3."""
+    return CATALOG[map_id][0](n, d)

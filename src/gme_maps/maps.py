@@ -827,6 +827,14 @@ def _shift_steps(d: int, n: int, t: int) -> np.ndarray:
     return ((digits + t) % d - digits).T * d ** np.arange(n - 1, -1, -1)[:, None]
 
 
+def _shift_table(d: int, n: int, t: int) -> np.ndarray:
+    """(n, d^n): each basis index moved by t on the digit of site i, mod d;
+    read-only, as a support form keeps it on a map that may be shared."""
+    table = np.arange(d ** n) + _shift_steps(d, n, t)
+    table.flags.writeable = False
+    return table
+
+
 def _support_form(m: Compose) -> SupportForm | None:
     """The `SupportForm` of a root Compose of the masked shape above, else None."""
     mask, body = (m.inner, m.outer) if isinstance(m.inner, SchurWith) else (m.outer, m.inner)
@@ -857,7 +865,7 @@ def _support_form(m: Compose) -> SupportForm | None:
     on_s = gather_blocks(mask.mask, index)
     if np.count_nonzero(mask.mask) != on_s.size or not np.all(on_s == 1):
         return None
-    tables = tuple(np.arange(dims.total) + _shift_steps(d, dims.n, t) for t in shifts)
+    tables = tuple(_shift_table(d, dims.n, t) for t in shifts)
     return SupportForm(dims, index, float(off), float(own), 1 + c1, tables)
 
 
@@ -877,7 +885,7 @@ def _graded_support_form(m: Sum | SideLifts) -> SupportForm | None:
         return SupportForm(dims, x_support_index(dims), g.own, g.own, 0.0, (), traces, g, False)
     if g.kind != "chain" or set(dims.dims) != {2}:
         return None
-    (t, r), flips = g.parities, (np.arange(m.dim) + _shift_steps(2, dims.n, 1),)
+    (t, r), flips = g.parities, (_shift_table(2, dims.n, 1),)
     return SupportForm(dims, x_support_index(dims), None if t != r else k, 0.0 if r else k,
                        float(r), flips, traces, every=False)
 

@@ -19,11 +19,36 @@ from .grades import bipartitions
 from .operators import (BlockOperator, MpOperator, PartySubset, SiteDims, party_subset,
                         real_or_complex, site_dims, x_support_index)
 
+_EPS = np.finfo(float).eps
+
+
+def unit_vector(vec: np.ndarray) -> np.ndarray:
+    """The vector divided by its norm, float64 or complex128 by the dtype rule
+    of `operators.real_or_complex`; entries near the float limits are scaled
+    by the peak entry first.  Refuses a non-finite or zero vector."""
+    v = real_or_complex(vec)
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite (no NaN or infinity)")
+    # a complex entry by its larger part: |re + i im| overflows near the float limit
+    peak = max(np.abs(v.real).max(), np.abs(v.imag).max()) if np.iscomplexobj(v) \
+        else np.abs(v).max()
+    if peak > 1e150 or 0 < peak < 1e-150:  # the squared norm would overflow or underflow
+        v = v / peak
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise ValueError("zero vector")
+    return v / nrm
+
 
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector tagged with its SiteDims; float64 or complex128 by the
-    dtype rule of `operators.real_or_complex`."""
+    dtype rule of `operators.real_or_complex`.
+
+    A vector whose norm is 1 to within the rounding of its computed norm
+    (v.size ulps) is kept bit for bit, so a state built from another
+    state's vector, or read back from a file that `save_state` wrote, is
+    that state; any other vector is divided by its norm (`unit_vector`)."""
 
     dims: SiteDims
     vec: np.ndarray
@@ -32,17 +57,9 @@ class PureState:
         v = real_or_complex(self.vec)
         if v.shape != (self.dims.total,):
             raise ValueError(f"vector length {v.shape} does not match dims {self.dims.dims}")
-        if not np.isfinite(v).all():
-            raise ValueError("vector entries must be finite (no NaN or infinity)")
-        # a complex entry by its larger part: |re + i im| overflows near the float limit
-        peak = max(np.abs(v.real).max(), np.abs(v.imag).max()) if np.iscomplexobj(v) \
-            else np.abs(v).max()
-        if peak > 1e150 or 0 < peak < 1e-150:  # the squared norm would overflow or underflow
-            v = v / peak
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValueError("zero vector")
-        v = v / nrm
+        with np.errstate(over="ignore", under="ignore"):  # unit_vector scales such entries
+            unit = np.isfinite(v).all() and abs(np.linalg.norm(v) - 1) <= v.size * _EPS
+        v = v.copy() if unit else unit_vector(v)
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
 
@@ -288,10 +305,17 @@ def random_biseparable(dims: Iterable[int] | SiteDims, k: int, seed: int) -> MpO
     rng = np.random.default_rng(seed)
     reps = bipartitions(n)
     w = rng.exponential(size=k)
-    w = w / w.sum()
-    rho = np.zeros((sd.total, sd.total), dtype=complex)
-    for i in range(k):
+    w = w / w.sum()  # exactly [1.0] for k = 1
+    rho = None
+    for wi in w:
         A = reps[rng.integers(len(reps))]
         v = _product_vector(sd, A, rng)
-        rho += w[i] * np.outer(v, v.conj())
+        term = np.outer(v, v.conj())
+        if wi != 1.0:
+            term *= wi
+        if rho is None:
+            rho = term
+            rho += 0.0  # the +0.0 that a sum from zeros makes of a -0.0 entry
+        else:
+            rho += term
     return MpOperator(sd, rho)

@@ -112,6 +112,7 @@ def test_each_distinct_pair_list_and_sub_document_once(monkeypatch):
         assert sum(decoded.values()) == count
 
 
+@pytest.mark.usefixtures("fresh_maps")
 def test_lift_parities_once_per_child(monkeypatch):
     """The lifts of one side size share their child, whose parities are
     worked out once; eta at n = 8 has 127 lifts and 4 children, as built and

@@ -427,6 +427,20 @@ def test_files_decode_with_the_collector_paused(tmp_path, capsys, monkeypatch):
         gc.enable()
 
 
+@pytest.mark.parametrize("map_id, n", [("phi-tx", 3), ("eta", 8)])
+def test_saved_ghz_state_file_reports_as_ghz(tmp_path, capsys, map_id, n):
+    """A saved GHZ vector reads back bit for bit, so `detect --state-file`
+    on it reports what `--state ghz` does, its eigenvector included."""
+    path = tmp_path / "s.json"
+    save_state(str(path), ghz(n))
+    reports = []
+    for state in (["--state-file", str(path)], ["--state", "ghz"]):
+        code, out, err = run(capsys, "detect", "--map", map_id, "--n", str(n), *state)
+        assert (code, err) == (0, "")
+        reports.append({k: v for k, v in json.loads(out).items() if k != "config"})
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["detect", "witness"])
 def test_state_file_sites_checked_before_density(tmp_path, capsys, monkeypatch, command):
     """A pure state on other sites than the map's is refused before its
@@ -889,6 +903,31 @@ def test_catalog_tables_round_trip(tmp_path, capsys, map_id, n, d):
         assert maps.apply_stack(back, x).tobytes() == maps.apply_stack(m, x).tobytes()
 
 
+@pytest.mark.usefixtures("fresh_maps")
+@pytest.mark.parametrize("map_id, n, d", sorted((k, n, d) for k, (n, d) in
+                                                 criteria.SMALLEST.items()) + list(SCALED))
+def test_second_call_prints_the_first_calls_bytes(tmp_path, capsys, map_id, n, d):
+    """The first in-process call of each command builds the catalog map and
+    works out its first-use data; the second reuses that map and prints the
+    same bytes (a threshold not detected at p = 1 exits 2 both times), and
+    `witness` writes the same file."""
+    size = ["--map", map_id, "--n", str(n), "--d", str(d)]
+    state = ["--state", "w" if map_id == "phi-t" else "ghz"]
+    wpath = tmp_path / "w.json"
+    commands = [["detect", *size, *state], ["threshold", *size, *state],
+                ["scan", *size, "--family", "noisy-ghz", "--grid", "0.4:0.6:0.1"],
+                ["witness", *size, *state, "--output", str(wpath)],
+                ["verify", *size, "--samples", "4"]]
+    for argv in commands:
+        criteria._built.cache_clear()
+        calls = []
+        for _ in range(2):
+            calls.append(run(capsys, *argv) + (wpath.read_bytes() if wpath.exists() else b"",))
+            wpath.unlink(missing_ok=True)
+        assert calls[1] == calls[0], argv
+        assert criteria._built.cache_info().hits == 1
+
+
 def _table(*entries):
     return json.dumps({"format": "mapexpr-v3", "nodes": list(entries)})
 
@@ -995,7 +1034,8 @@ def test_scaled_files_are_json_dumps(tmp_path, capsys, map_id, n, d):
     text = mpath.read_text(encoding="utf-8")
     assert text == json.dumps(mapexpr_to_json(m.expr)) + "\n"
     assert text == reference_text(serialize._map_doc(m.expr))
-    psi = PureState(m.dims, detect(m, states.depolarized(ghz(n, d), 1.0)).eigvec)
+    eigvec = detect(m, states.depolarized(ghz(n, d), 1.0)).eigvec
+    psi = PureState(m.dims, states.unit_vector(eigvec))
     w = criteria.map_to_witness(m, psi)  # the witness as the command builds it
     text = wpath.read_text(encoding="utf-8")
     assert text == json.dumps(state_to_json(w)) + "\n"

@@ -8,10 +8,11 @@ from gme_maps.criteria import (bipartitions, build_map, eta_map,
                                map_to_witness, mu_map, phi_b, phi_r, phi_t,
                                phi_tx, witness_to_map, x_projector,
                                x_projector_mixture)
+from gme_maps.detect import detect
 from gme_maps.maps import apply, apply_stack, dual
 from gme_maps.operators import (MpOperator, SiteDims, min_eig, operator,
                                 schur_product)
-from gme_maps.states import ghz, maximally_mixed, random_biseparable, w_state
+from gme_maps.states import ghz, maximally_mixed, noisy_ghz, random_biseparable, w_state
 from helpers import hermitian_op, rand_density
 
 
@@ -193,3 +194,89 @@ def test_build_map_size_limit(monkeypatch):
 
 def test_build_map_at_size_limit():
     assert build_map("phi-b", 5, 4).dims.total == criteria.MAX_DIM
+
+
+# ---------------------------------------------------------------------------
+# one shared map per (map_id, n, d) and process
+# ---------------------------------------------------------------------------
+
+#: every catalog id at its smallest size, and maps past `DENSE_MAX_DIM`, where
+#: the graded lifts have a support form and mu-choi walks its lifts
+SHARED = [(k, *criteria.SMALLEST[k]) for k in criteria.MAP_IDS] + [
+    ("phi-t", 7, 2), ("phi-tx", 7, 2), ("eta", 7, 2), ("phi-r", 7, 2), ("mu-choi", 4, 3)]
+
+
+def _arrays(obj, seen):
+    """Every array reachable from obj through tuples, lists, dicts and the
+    instance dicts of objects, a node's fields and what its cached
+    properties keep included, each once."""
+    if id(obj) in seen or callable(obj) or isinstance(obj, (str, int, float)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj), seen)
+
+
+def test_build_map_returns_one_map_per_arguments():
+    for map_id, n, d in SHARED:
+        assert build_map(map_id, n, d) is build_map(map_id, n, d)
+    assert build_map("phi-t", 3, 2) is not build_map("phi-t", 4, 2)
+
+
+@pytest.mark.parametrize("map_id, n, d", SHARED)
+def test_shared_map_arrays_are_read_only(map_id, n, d):
+    """After applications on X-support blocks, on a dense state on the
+    support and on one off it, every array the shared map reaches (node
+    fields, support form, lift tables) refuses a write."""
+    m = build_map(map_id, n, d)
+    for rho in (noisy_ghz(n, d, 0.7), ghz(n, d).density(), random_biseparable(m.dims, 2, 0)):
+        detect(m, rho)
+    arrays = list(_arrays(m, set()))
+    if m.expr.support is not None:
+        assert any(a is m.expr.support.index for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_build_map_errors_are_never_cached(monkeypatch):
+    """Every refusal is made again on every call, also for arguments whose
+    map is already built, and none adds a map to the cache."""
+    m = build_map("phi-t", 3, 2)
+    held = criteria._built.cache_info().currsize
+    refused = [(("phi-t", 11, 2), "exceeds the supported maximum 1024"),
+               (("nope", 3, 2), "unknown map id 'nope'"),
+               (("eta", 3, 3), "eta is a qubit criterion"),
+               (("phi-t", 3, 1), "d must be >= 2"),
+               (("phi-t", 2, 2), "phi-t needs n >= 3")]
+    for args, message in refused:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                build_map(*args)
+    monkeypatch.setattr(criteria, "MAX_DIM", 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="2\\^3 exceeds the supported maximum 4"):
+            build_map("phi-t", 3, 2)
+    monkeypatch.undo()
+    assert criteria._built.cache_info().currsize == held
+    assert build_map("phi-t", 3, 2) is m
+
+
+@pytest.mark.usefixtures("fresh_maps")
+def test_ninth_distinct_build_evicts_the_first():
+    """The cache keeps the last 8 distinct maps: after 9 distinct builds the
+    first is built again as a fresh object, and the last is still shared."""
+    args = [("phi-t", n, 2) for n in range(3, 8)] + [("phi-r", 3, d) for d in range(2, 6)]
+    built = [build_map(*a) for a in args]
+    assert len(set(map(id, built))) == 9 and criteria._built.cache_info().currsize == 8
+    again = build_map(*args[0])
+    assert again is not built[0] and again.dims == built[0].dims
+    assert build_map(*args[-1]) is built[-1]

@@ -20,7 +20,7 @@ from gme_maps.serialize import (MAX_MAP_DEPTH, MAX_MAP_NODES, dumps_report, json
                                 write_json)
 from gme_maps.cli import main
 from gme_maps.operators import MpOperator, SiteDims
-from gme_maps.states import PureState, ghz, maximally_mixed, ppt_family
+from gme_maps.states import PureState, ghz, maximally_mixed, ppt_family, random_pure, w_state
 from helpers import (DATA, hermitian_op, inlined, lifted_map_exprs, map_exprs, reference_text,
                      side_lifts, v3_text,
                      run_heavy_exprs, v1_text, v2_text, x_projected_exprs)
@@ -72,8 +72,21 @@ def test_map_writer_refuses_what_the_reader_refuses(tmp_path):
 def test_largest_state_vector_round_trips(tmp_path):
     psi, path = ghz(20), str(tmp_path / "s.json")
     save_state(path, psi)
-    # the file holds psi's bits; reading it builds a PureState, which normalises again
+    # the file holds psi's bits, and reading it back gives them
     assert np.array_equal(load_state(path).vec, PureState(psi.dims, psi.vec).vec)
+
+
+@pytest.mark.parametrize("psi", [ghz(n) for n in (3, 4, 5, 8)] + [w_state(n) for n in (5, 8)]
+                         + [ghz(3, 3), random_pure((2, 3, 4), 7)],
+                         ids=["ghz3", "ghz4", "ghz5", "ghz8", "w5", "w8", "ghz3-qutrits", "haar"])
+def test_pure_state_round_trips_bit_for_bit(tmp_path, psi):
+    """A state built from another state's vector, or read back from the file
+    `save_state` wrote, is that state bit for bit: a unit vector is not
+    divided by its norm again."""
+    path = str(tmp_path / "s.json")
+    save_state(path, psi)
+    for back in (PureState(psi.dims, psi.vec), load_state(path)):
+        assert back.vec.dtype == psi.vec.dtype and back.vec.tobytes() == psi.vec.tobytes()
 
 
 def test_state_format_errors():
